@@ -55,6 +55,16 @@ class Hyperplane:
         canon, scalar = canonical_normal(normal)
         return Hyperplane(canon, GQ.of(offset) / GQ(scalar))
 
+    @staticmethod
+    def from_form(space: Space, coeffs, const):
+        """The hyperplane of the form z -> sum coeffs[j] z_j + const, as
+        (h, scalar) with the form equal to scalar * h.form(space)."""
+        # the form is <beta, z> + const with beta = G^{-1} coeffs
+        beta = linalg.solve(space.ip, coeffs)
+        canon, scalar = canonical_normal(beta)
+        scalar = GQ(scalar)
+        return Hyperplane(canon, -GQ.of(const) / scalar), scalar
+
     @property
     def dim(self):
         return len(self.normal)
@@ -198,28 +208,6 @@ def q_L_d(cfg: Configuration, L: XSubspace, d_map) -> Polynomial:
     return p
 
 
-def _restrict_form_to_subspace(space: Space, L: XSubspace, normal, offset):
-    """Restrict the form <normal, z> - offset to L in s-coordinates.
-
-    Returns ("zero",), ("const", value) or ("hyp", Hyperplane, scalar)
-    where the original form on L equals scalar * canonical form.
-    """
-    coeffs = [space.inner(normal, b) for b in L.basis_VL]
-    const = space.inner(normal, L.center) - GQ.of(offset)
-    if all(c.is_zero() for c in coeffs):
-        if const.is_zero():
-            return ("zero",)
-        return ("const", const)
-    sub = L.induced_space()
-    # write the form as <beta, s>_G - c with beta = G^{-1} coeffs: beta is
-    # the coordinate vector of the orthogonal projection of normal onto V_L
-    gram = [[GQ(x) for x in row] for row in sub.ip]
-    beta = linalg.solve(gram, coeffs)
-    canon, scalar = canonical_normal(beta)
-    h = Hyperplane(canon, -const / GQ(scalar))
-    return ("hyp", h, GQ(scalar))
-
-
 def induced_config(cfg: Configuration, L: XSubspace, S=None) -> Configuration:
     """The configuration induced on L by shifted intersections.
 
@@ -229,22 +217,29 @@ def induced_config(cfg: Configuration, L: XSubspace, S=None) -> Configuration:
     if S is None:
         S = [[GQ(0)] * cfg.space.dim]
     sub = L.induced_space()
+
+    def restrict(normal, offset):
+        """The hyperplane of L cut out by <normal, z> = offset, in the
+        s-coordinates; None when the form is constant on L."""
+        coeffs = [cfg.space.inner(normal, b) for b in L.basis_VL]
+        if all(c.is_zero() for c in coeffs):
+            return None
+        const = cfg.space.inner(normal, L.center) - offset
+        return Hyperplane.from_form(sub, coeffs, const)[0]
+
     found = {}
     x_r = set()
     for v in cfg.x_set:
-        res = _restrict_form_to_subspace(cfg.space, L, v, GQ(0))
-        if res[0] == "hyp":
-            x_r.add(res[1].normal)
+        hL = restrict(v, GQ(0))
+        if hL is not None:
+            x_r.add(hL.normal)
     for a in S:
         a = [GQ.of(x) for x in a]
         for h in cfg.hyperplanes:
             # H' = L cap (-a + H): points w of L with <normal, a + w> = offset
-            shifted_offset = h.offset - cfg.space.inner(h.normal, a)
-            res = _restrict_form_to_subspace(cfg.space, L, h.normal, shifted_offset)
-            if res[0] != "hyp":
-                continue
-            hL = res[1]
-            found[hL] = max(found.get(hL, 0), cfg.mult(h))
+            hL = restrict(h.normal, h.offset - cfg.space.inner(h.normal, a))
+            if hL is not None:
+                found[hL] = max(found.get(hL, 0), cfg.mult(h))
     return Configuration(sub, list(found.items()), x_set=sorted(x_r))
 
 

@@ -8,7 +8,7 @@ represented object is jet(w) / prod <xi, w>^d(xi), w = z - a.
 
 from __future__ import annotations
 
-from .config import Hyperplane, XSubspace, _restrict_form_to_subspace, canonical_normal
+from .config import Hyperplane, XSubspace, canonical_normal
 from .poly import ArityError, Polynomial, Space
 from .scalars import GQ
 
@@ -42,10 +42,28 @@ class Germ:
     def pole_degree(self):
         return sum(self.pole.values())
 
-    def _form(self, xi) -> Polynomial:
-        # <xi, w> in the shifted variable; no offset since the pole passes
-        # through the base point
-        return self.space.linear_form(xi, GQ(0))
+
+def _over_common_denominator(parts, form):
+    """Bring fractions num / prod form(key)^power, given as (num, powers)
+    pairs, to their least common denominator.
+
+    Returns the common powers and, per part, the lifted numerator with the
+    degree it gained.
+    """
+    den = {}
+    for _, powers in parts:
+        for key, k in powers.items():
+            den[key] = max(den.get(key, 0), k)
+    lifted = []
+    for num, powers in parts:
+        gained = 0
+        for key, k in den.items():
+            add = k - powers.get(key, 0)
+            if add:
+                num = num * form(key) ** add
+                gained += add
+        lifted.append((num, gained))
+    return den, lifted
 
 
 def germ_constant(space: Space, base, value, order: int) -> Germ:
@@ -92,21 +110,11 @@ def germ_add(g1: Germ, g2: Germ) -> Germ:
     """Sum over the common denominator, at the compatible truncation."""
     if g1.base != g2.base:
         raise ValueError("germ base points differ")
-    pole = {}
-    for xi in set(g1.pole) | set(g2.pole):
-        pole[xi] = max(g1.pole.get(xi, 0), g2.pole.get(xi, 0))
-    def lift(g):
-        p = g.jet
-        extra = 0
-        for xi, k in pole.items():
-            add = k - g.pole.get(xi, 0)
-            if add:
-                p = p * g._form(xi) ** add
-                extra += add
-        return p, g.order + extra
-    p1, o1 = lift(g1)
-    p2, o2 = lift(g2)
-    order = min(o1, o2)
+    # the poles pass through the base point: the forms <xi, w> have no offset
+    pole, [(p1, e1), (p2, e2)] = _over_common_denominator(
+        [(g1.jet, g1.pole), (g2.jet, g2.pole)], g1.space.linear_form
+    )
+    order = min(g1.order + e1, g2.order + e2)
     return Germ(g1.space, g1.base, pole, (p1 + p2).truncate(order), order)
 
 
@@ -129,7 +137,7 @@ def germ_diff(v, g: Germ) -> Germ:
     if not active:
         jet = g.jet.directional(v)
         return Germ(g.space, g.base, {}, jet, g.order - 1)
-    forms = {xi: g._form(xi) for xi in active}
+    forms = {xi: g.space.linear_form(xi) for xi in active}
     P1 = Polynomial.const(g.space.dim, GQ(1))
     for xi in active:
         P1 = P1 * forms[xi]
@@ -196,17 +204,11 @@ class RationalFn:
 
     def __add__(self, other):
         if isinstance(other, RationalFn):
-            den = {}
-            for h in set(self.denominator) | set(other.denominator):
-                den[h] = max(self.denominator.get(h, 0), other.denominator.get(h, 0))
-            def lift(f):
-                p = f.numerator
-                for h, k in den.items():
-                    add = k - f.denominator.get(h, 0)
-                    if add:
-                        p = p * h.form(self.space) ** add
-                return p
-            return RationalFn(self.space, lift(self) + lift(other), den).cancel()
+            den, [(p1, _), (p2, _)] = _over_common_denominator(
+                [(self.numerator, self.denominator), (other.numerator, other.denominator)],
+                lambda h: h.form(self.space),
+            )
+            return RationalFn(self.space, p1 + p2, den).cancel()
         raise TypeError("can only add rational functions")
 
     def __neg__(self):
@@ -229,20 +231,22 @@ class RationalFn:
         """Quotient rule; output denominator powers raised by one."""
         v = [GQ.of(x) for x in v]
         num = self.numerator.directional(v)
-        hs = list(self.denominator)
-        if not hs:
+        if not self.denominator:
             return RationalFn(self.space, num)
+        forms = {h: h.form(self.space) for h in self.denominator}
         prod_all = Polynomial.const(self.space.dim, GQ(1))
-        for h in hs:
-            prod_all = prod_all * h.form(self.space)
+        for form in forms.values():
+            prod_all = prod_all * form
         out = num * prod_all
-        for h in hs:
-            dform = h.form(self.space).directional(v)  # a constant
+        for h, k in self.denominator.items():
+            dform = self.space.inner(h.normal, v)  # the derivative of the form
+            if dform.is_zero():
+                continue
             rest = Polynomial.const(self.space.dim, GQ(1))
-            for h2 in hs:
-                if h2 != h:
-                    rest = rest * h2.form(self.space)
-            out = out - GQ(self.denominator[h]) * dform * self.numerator * rest
+            for h2, form in forms.items():
+                if h2 is not h:
+                    rest = rest * form
+            out = out - GQ(k) * dform * self.numerator * rest
         den = {h: k + 1 for h, k in self.denominator.items()}
         return RationalFn(self.space, out, den).cancel()
 
@@ -258,14 +262,11 @@ class RationalFn:
 
     def shift(self, a) -> "RationalFn":
         """The function z -> f(a + z)."""
-        a = [GQ.of(x) for x in a]
-        num = self.numerator.shift(a)
-        den = {}
-        for h, k in self.denominator.items():
-            # <n, a + z> - c = <n, z> - (c - <n, a>)
-            h2 = Hyperplane(h.normal, h.offset - self.space.inner(h.normal, a))
-            den[h2] = den.get(h2, 0) + k
-        return RationalFn(self.space, num, den)
+        n = self.space.dim
+        unit = [[GQ(1) if j == i else GQ(0) for j in range(n)] for i in range(n)]
+        return rationalfn_pullback(
+            self, self.space, unit, [GQ.of(x) for x in a], "pull-back has a denominator vanishing identically"
+        )
 
     def is_regular_at(self, point) -> bool:
         try:
@@ -277,20 +278,9 @@ class RationalFn:
     def __eq__(self, other):
         if not isinstance(other, RationalFn):
             return NotImplemented
-        a = self.cancel()
-        b = other.cancel()
-        # cross-multiplied polynomial identity
-        den = {}
-        for h in set(a.denominator) | set(b.denominator):
-            den[h] = max(a.denominator.get(h, 0), b.denominator.get(h, 0))
-        def lift(f):
-            p = f.numerator
-            for h, k in den.items():
-                add = k - f.denominator.get(h, 0)
-                if add:
-                    p = p * h.form(self.space) ** add
-            return p
-        return lift(a) == lift(b)
+        if self.space.dim != other.space.dim:
+            return False
+        return (self - other).numerator.is_zero()
 
     def __repr__(self):
         if not self.denominator:
@@ -322,29 +312,43 @@ def rationalfn_germ_at(f: RationalFn, a, order: int) -> Germ:
     return Germ(f.space, a, pole, jet, order)
 
 
+def rationalfn_pullback(f: RationalFn, target: Space, cols, point, vanishing_msg) -> RationalFn:
+    """The function t -> f(point + sum_j t_j cols[j]) on target, without
+    cancelling.
+
+    Raises ValueError(vanishing_msg) when a denominator form vanishes
+    identically along the map.
+    """
+    subs = [
+        Polynomial.linear(target.dim, [GQ.of(c[i]) for c in cols], point[i])
+        for i in range(f.space.dim)
+    ]
+    num = f.numerator.substitute(subs)
+    den = {}
+    for h, k in f.denominator.items():
+        coeffs = [f.space.inner(h.normal, c) for c in cols]
+        const = f.space.inner(h.normal, point) - h.offset
+        if all(c.is_zero() for c in coeffs):
+            if const.is_zero():
+                raise ValueError(vanishing_msg)
+            num = num * (GQ(1) / const) ** k
+            continue
+        h2, scalar = Hyperplane.from_form(target, coeffs, const)
+        den[h2] = den.get(h2, 0) + k
+        num = num * (GQ(1) / scalar) ** k
+    return RationalFn(target, num, den)
+
+
 def rationalfn_restrict(f: RationalFn, L: XSubspace) -> RationalFn:
     """Restrict to the affine subspace L, in its s-coordinates.
 
     Raises ValueError when a denominator hyperplane contains L even after
     exact cancellation.
     """
-    f = f.cancel()
-    sub = L.induced_space()
-    subs = []
-    for i in range(f.space.dim):
-        # coordinate i of the parametrization center + sum s_j b_j
-        coeffs = [GQ.of(b[i]) for b in L.basis_VL]
-        subs.append(Polynomial.linear(sub.dim, coeffs, L.center[i]))
-    num = f.numerator.substitute(subs) if f.space.dim else f.numerator
-    den = {}
-    for h, k in f.denominator.items():
-        res = _restrict_form_to_subspace(f.space, L, h.normal, h.offset)
-        if res[0] == "zero":
-            raise ValueError("denominator hyperplane contains the subspace")
-        if res[0] == "const":
-            num = num * (GQ(1) / res[1]) ** k
-        else:
-            _, hL, scalar = res
-            den[hL] = den.get(hL, 0) + k
-            num = num * (GQ(1) / scalar) ** k
-    return RationalFn(sub, num, den).cancel()
+    return rationalfn_pullback(
+        f.cancel(),
+        L.induced_space(),
+        L.basis_VL,
+        L.center,
+        "denominator hyperplane contains the subspace",
+    ).cancel()

@@ -11,8 +11,6 @@ are never chosen silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .config import Hyperplane, XSubspace, canonical_normal
 from .germs import (
@@ -20,6 +18,7 @@ from .germs import (
     RationalFn,
     germ_normalize,
     rationalfn_germ_at,
+    rationalfn_pullback,
     rationalfn_restrict,
 )
 from .poly import ArityError, DiffOp, Polynomial, Space, leibniz_flatten
@@ -186,21 +185,17 @@ def lf_pushforward(
             want = GQ(L0.space.ip[j][k])
             if got != want:
                 raise ValueError("source space does not carry the pulled-back inner product")
-    b0 = [[GQ(x) for x in row] for row in L0.space.ip]
-
-    def transpose_image(xi):
-        """p(xi): the source vector with <xi, iota(y)> = <p(xi), y>."""
-        rhs = [space_V.inner(xi, col) for col in cols]
-        return linalg.solve(b0, rhs)
-
     if ambient_X is not None:
         ambient_X = [tuple(GQ.of(c).rational() for c in v) for v in ambient_X]
+        # the form y -> <xi, iota(y)> of each ambient root on the source, as
+        # a canonical direction and its scalar
         p_img = []
         for xi in ambient_X:
-            p = transpose_image(xi)
-            if all(c.is_zero() for c in p):
+            coeffs = [space_V.inner(xi, col) for col in cols]
+            if all(c.is_zero() for c in coeffs):
                 raise ValueError("an ambient root is orthogonal to the embedded subspace")
-            p_img.append(p)
+            h, t = Hyperplane.from_form(L0.space, coeffs, 0)
+            p_img.append((h.normal, t))
 
     def push_point(a0):
         out = [GQ(0)] * n
@@ -232,18 +227,14 @@ def lf_pushforward(
         x_new, d_new = [], []
         c1 = GQ(1)
         for dir0 in sorted(totals0):
-            pick = None
-            for xi, p in zip(ambient_X, p_img):
-                canon, t = canonical_normal(p)
+            for xi, (canon, t) in zip(ambient_X, p_img):
                 if canon == dir0:
-                    pick = (xi, t)
                     break
-            if pick is None:
+            else:
                 raise ValueError("no ambient root covers a pole direction")
-            xi, t = pick
             x_new.append(xi)
             d_new.append(totals0[dir0])
-            c1 = c1 * GQ(t) ** totals0[dir0]
+            c1 = c1 * t ** totals0[dir0]
         summands.append(
             LFSummand(push_point(s.support), x_new, d_new, (c0 / c1) * push_op(s.u))
         )
@@ -252,34 +243,11 @@ def lf_pushforward(
 
 def lf_pullback_fn(iota, f: RationalFn, space_V0: Space) -> RationalFn:
     """Pull a rational function back along the linear map iota."""
-    n0 = space_V0.dim
     n = f.space.dim
-    subs = [
-        Polynomial.linear(n0, [GQ.of(iota[i][j]) for j in range(n0)])
-        for i in range(n)
-    ]
-    num = f.numerator.substitute(subs)
-    den = {}
-    for h, k in f.denominator.items():
-        coeffs = f.space.form_coeffs(h.normal)
-        # <n, iota(w)> - c as a form on the source
-        c0 = [
-            sum((coeffs[i] * GQ.of(iota[i][j]) for i in range(n)), GQ(0))
-            for j in range(n0)
-        ]
-        if all(c.is_zero() for c in c0):
-            if h.offset.is_zero():
-                raise ValueError("pull-back has a denominator vanishing identically")
-            num = num * (GQ(1) / (-h.offset)) ** k
-            continue
-        # express as <beta, w>_{B0} - offset
-        rows = [[GQ(space_V0.ip[i][j]) for j in range(n0)] for i in range(n0)]
-        beta = linalg.solve(rows, c0)
-        canon, scalar = canonical_normal(beta)
-        h0 = Hyperplane(canon, h.offset / GQ(scalar))
-        den[h0] = den.get(h0, 0) + k
-        num = num * (GQ(1) / GQ(scalar)) ** k
-    return RationalFn(space_V0, num, den).cancel()
+    cols = [[iota[i][j] for i in range(n)] for j in range(space_V0.dim)]
+    return rationalfn_pullback(
+        f, space_V0, cols, [GQ(0)] * n, "pull-back has a denominator vanishing identically"
+    ).cancel()
 
 
 # ---------------------------------------------------------------------------
@@ -427,59 +395,6 @@ def transverse_space(L: XSubspace) -> Space:
     return Space(len(perp), gram)
 
 
-@dataclass(frozen=True)
-class _LinForm:
-    coeffs: tuple  # GQ over the combined (s, tau) variables
-    const: GQ
-
-    def poly(self, dim) -> Polynomial:
-        return Polynomial.linear(dim, list(self.coeffs), self.const)
-
-
-class _RatExpr:
-    """Internal rational expression over combined coordinates."""
-
-    def __init__(self, dim, num: Polynomial, den):
-        self.dim = dim
-        self.num = num
-        self.den = {f: k for f, k in den.items() if k}
-
-    def cancel(self):
-        num = self.num
-        den = dict(self.den)
-        for f in list(den):
-            while den.get(f, 0) > 0:
-                q = num.divide_by_linear(list(f.coeffs), f.const)
-                if q is None:
-                    break
-                num = q
-                den[f] -= 1
-            if den.get(f) == 0:
-                del den[f]
-        return _RatExpr(self.dim, num, den)
-
-    def deriv(self, i):
-        num = self.num.deriv(i)
-        fs = list(self.den)
-        if not fs:
-            return _RatExpr(self.dim, num, {})
-        prod_all = Polynomial.const(self.dim, GQ(1))
-        for f in fs:
-            prod_all = prod_all * f.poly(self.dim)
-        out = num * prod_all
-        for f in fs:
-            df = f.coeffs[i]
-            if df.is_zero():
-                continue
-            rest = Polynomial.const(self.dim, GQ(1))
-            for f2 in fs:
-                if f2 != f:
-                    rest = rest * f2.poly(self.dim)
-            out = out - GQ(self.den[f]) * df * self.num * rest
-        den = {f: k + 1 for f, k in self.den.items()}
-        return _RatExpr(self.dim, out, den).cancel()
-
-
 def laurent_operator_apply(
     L: LaurentFunctional, f: RationalFn, Lsub: XSubspace, perp=None
 ) -> RationalFn:
@@ -510,50 +425,38 @@ def laurent_operator_apply(
                     "functional space does not carry the transverse inner product"
                 )
 
+    # one space over the combined (s, tau) coordinates; the blocks are
+    # orthogonal because perp is orthogonal to the direction space
+    st = Space(
+        total,
+        [list(row) + [0] * nt for row in sub.ip] + [[0] * ns + list(row) for row in L.space.ip],
+    )
+    unit = [tuple(GQ(1) if j == i else GQ(0) for j in range(total)) for i in range(total)]
+    tau_zero = XSubspace(st, [], unit[:ns], [GQ(0)] * total)
+
     result = None
     for s in L.summands:
-        # ambient support point
-        a_amb = [GQ(0)] * space.dim
+        # the ambient support point, center + a
+        point = list(Lsub.center)
         for k in range(nt):
             for i in range(space.dim):
-                a_amb[i] = a_amb[i] + s.support[k] * GQ.of(perp[k][i])
-        # substitution z_i = center_i + a_i + sum_j b_j[i] s_j + sum_k u_k[i] tau_k
-        subs = []
-        for i in range(space.dim):
-            coeffs = [GQ.of(b[i]) for b in Lsub.basis_VL] + [GQ.of(u[i]) for u in perp]
-            subs.append(
-                Polynomial.linear(total, coeffs, Lsub.center[i] + a_amb[i])
-            )
-        num = f.numerator.substitute(subs)
+                point[i] = point[i] + s.support[k] * perp[k][i]
+        # z = center + a + sum_j s_j b_j + sum_k tau_k u_k
+        g = rationalfn_pullback(
+            f,
+            st,
+            Lsub.basis_VL + perp,
+            point,
+            "denominator hyperplane contains the shifted subspace",
+        )
         den = {}
         pole = {}  # canonical transverse direction -> power
-        pole_scalar = GQ(1)
-        for h, pw in f.denominator.items():
-            A = [space.inner(h.normal, b) for b in Lsub.basis_VL]
-            m = [space.inner(h.normal, u) for u in perp]
-            const0 = (
-                space.inner(h.normal, Lsub.center)
-                + space.inner(h.normal, a_amb)
-                - h.offset
-            )
-            a_zero = all(x.is_zero() for x in A)
-            m_zero = all(x.is_zero() for x in m)
-            if m_zero and a_zero:
-                if const0.is_zero():
-                    raise ValueError(
-                        "denominator hyperplane contains the shifted subspace"
-                    )
-                num = num * (GQ(1) / const0) ** pw
-                continue
-            if not m_zero and a_zero and const0.is_zero():
+        for h, pw in g.denominator.items():
+            if h.offset.is_zero() and not any(h.normal[:ns]):
                 # pure transverse pole at the support point
-                beta = linalg.solve(gram_t, m)
-                canon, scal = canonical_normal(beta)
-                pole[canon] = pole.get(canon, 0) + pw
-                pole_scalar = pole_scalar * GQ(scal) ** pw
-                continue
-            form = _LinForm(tuple(A) + tuple(m), const0)
-            den[form] = den.get(form, 0) + pw
+                pole[h.normal[ns:]] = pole.get(h.normal[ns:], 0) + pw
+            else:
+                den[h] = pw
         totals, scalar = s.canonical_totals()
         for dir_, k in pole.items():
             if totals.get(dir_, 0) < k:
@@ -561,60 +464,24 @@ def laurent_operator_apply(
                     "pole order along the subspace exceeds the functional order"
                 )
         # multiply by the regularizing product: leftover canonical forms
-        q = Polynomial.const(total, scalar / pole_scalar)
+        q = Polynomial.const(total, scalar)
         for dir_, cap in totals.items():
             rest = cap - pole.get(dir_, 0)
             if rest:
-                coeffs = [GQ(0)] * ns + list(linalg.matvec(gram_t, dir_))
-                q = q * Polynomial.linear(total, coeffs) ** rest
-        expr = _RatExpr(total, num * q, den).cancel()
+                q = q * st.linear_form([GQ(0)] * ns + list(dir_)) ** rest
+        expr = RationalFn(st, g.numerator * q, den).cancel()
         # apply the operator in the transverse coordinates
         acc = None
         for gamma, c in s.u.terms.items():
             e = expr
-            for k, g in enumerate(gamma):
-                for _ in range(g):
-                    e = e.deriv(ns + k)
-            e = _RatExpr(total, e.num * c, e.den)
-            if acc is None:
-                acc = e
-            else:
-                # bring to a common denominator
-                den_all = dict(acc.den)
-                for fm, kk in e.den.items():
-                    den_all[fm] = max(den_all.get(fm, 0), kk)
-                def lift(x):
-                    p = x.num
-                    for fm, kk in den_all.items():
-                        add = kk - x.den.get(fm, 0)
-                        if add:
-                            p = p * fm.poly(total) ** add
-                    return p
-                acc = _RatExpr(total, lift(acc) + lift(e), den_all).cancel()
+            for k, n_k in enumerate(gamma):
+                for _ in range(n_k):
+                    e = e.directional_deriv(unit[ns + k])
+            e = e * c
+            acc = e if acc is None else acc + e
         if acc is None:
-            acc = _RatExpr(total, Polynomial.zero(total), {})
-        # evaluate at tau = 0
-        tau_zero = [
-            Polynomial.variable(ns, j) if j < ns else Polynomial.zero(ns)
-            for j in range(total)
-        ]
-        num_s = acc.num.substitute(tau_zero)
-        den_s = {}
-        gram_s = [[GQ(x) for x in row] for row in sub.ip]
-        for fm, kk in acc.den.items():
-            A = list(fm.coeffs[:ns])
-            const = fm.const
-            if all(x.is_zero() for x in A):
-                if const.is_zero():
-                    raise ValueError("uncancelled factor vanishes on the subspace")
-                num_s = num_s * (GQ(1) / const) ** kk
-                continue
-            beta = linalg.solve(gram_s, A)
-            canon, scal = canonical_normal(beta)
-            hL = Hyperplane(canon, -const / GQ(scal))
-            den_s[hL] = den_s.get(hL, 0) + kk
-            num_s = num_s * (GQ(1) / GQ(scal)) ** kk
-        part = RationalFn(sub, num_s, den_s).cancel()
+            continue  # the zero operator
+        part = rationalfn_restrict(acc, tau_zero)
         result = part if result is None else result + part
     if result is None:
         result = RationalFn(sub, Polynomial.zero(ns))
@@ -661,17 +528,13 @@ def lf_diagonal_apply(
     perp_diag = [tuple(list(u) + list(u)) for u in perp]
     # Phi must be reinterpreted over the doubled inner product; its
     # denominators were built with hyperplanes over Phi.space, rebuild them
-    den = {}
-    num = Phi.numerator
-    for h, k in Phi.denominator.items():
-        coeffs = Phi.space.form_coeffs(h.normal)
-        rows = [[GQ(x) for x in row] for row in prod_sp.ip]
-        beta = linalg.solve(rows, coeffs)
-        canon, scal = canonical_normal(beta)
-        h2 = Hyperplane(canon, h.offset / GQ(scal))
-        den[h2] = den.get(h2, 0) + k
-        num = num * (GQ(1) / GQ(scal)) ** k
-    psi = RationalFn(prod_sp, num, den)
+    psi = rationalfn_pullback(
+        Phi,
+        prod_sp,
+        [[GQ(1) if j == i else GQ(0) for j in range(2 * n)] for i in range(2 * n)],
+        [GQ(0)] * (2 * n),
+        "pull-back has a denominator vanishing identically",
+    )
     out2 = laurent_operator_apply(L, psi, Lsub2, perp=perp_diag)
     # restrict to the diagonal of Lsub x Lsub
     ns = len(Lsub.basis_VL)

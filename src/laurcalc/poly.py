@@ -39,24 +39,26 @@ class Space:
             for j in range(dim):
                 if self.ip[i][j] != self.ip[j][i]:
                     raise ValueError("inner product matrix must be symmetric")
+        # the nonzero Gram entries as scalars, converted once
+        self._entries = [
+            (i, j, GQ(x)) for i, row in enumerate(self.ip) for j, x in enumerate(row) if x
+        ]
 
     def inner(self, u, v) -> GQ:
         u = [GQ.of(x) for x in u]
         v = [GQ.of(x) for x in v]
         s = GQ(0)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.ip[i][j] != 0:
-                    s = s + u[i] * GQ(self.ip[i][j]) * v[j]
+        for i, j, g in self._entries:
+            s = s + u[i] * g * v[j]
         return s
 
     def form_coeffs(self, alpha):
         """Coefficients of the linear form z -> <alpha, z>."""
         alpha = [GQ.of(x) for x in alpha]
-        return [
-            sum((GQ(self.ip[i][j]) * alpha[i] for i in range(self.dim)), GQ(0))
-            for j in range(self.dim)
-        ]
+        out = [GQ(0)] * self.dim
+        for i, j, g in self._entries:
+            out[j] = out[j] + g * alpha[i]
+        return out
 
     def linear_form(self, alpha, offset=GQ(0)) -> "Polynomial":
         """The polynomial z -> <alpha, z> - offset."""
@@ -277,9 +279,12 @@ class Polynomial:
         return out
 
     def substitute(self, subs) -> "Polynomial":
-        """Substitute variable i -> subs[i]; all subs share one dimension."""
+        """Substitute variable i -> subs[i]; all subs share one dimension.
+        A polynomial in no variables is returned as it is."""
         if len(subs) != self.dim:
             raise ArityError("need one substitution per variable")
+        if not subs:
+            return self
         out_dim = subs[0].dim
         out = Polynomial.zero(out_dim)
         # cache powers per variable

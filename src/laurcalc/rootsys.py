@@ -154,13 +154,9 @@ class RootSystem:
             raise ValueError("simple roots not linearly independent")
         # every positive root is a nonnegative integer combination of Delta
         for a in self.positive:
-            c = self._simple_coords(a)
-            if c is None or any(x.im != 0 or x.re.denominator != 1 or x.re < 0 for x in c):
+            c = lattice_coords(self.simple, a)
+            if c is None or any(x < 0 for x in c):
                 raise ValueError("positive root outside the nonnegative simple span")
-
-    def _simple_coords(self, v):
-        cols = [[GQ(s[i]) for s in self.simple] for i in range(self.dim)]
-        return linalg.solve(cols, [GQ(x) for x in _vec(v)])
 
     def is_positive(self, v):
         return _vec(v) in set(self.positive)
@@ -351,14 +347,14 @@ def min_coset_reps(rs: RootSystem, Q: ParabolicData):
         w for w in W if all(rs.is_positive(w.act(a)) for a in Q.delta_Q)
     ]
     wq = wq_subgroup(rs, Q)
+    lengths = {w.matrix: w.length for w in W}
     seen = {}
     for s in reps:
         for t in wq:
             st = s * t
             if st.matrix in seen:
                 raise ValueError("coset decomposition not injective")
-            full = next(w for w in W if w.matrix == st.matrix)
-            if full.length != s.length + t.length:
+            if lengths[st.matrix] != s.length + t.length:
                 raise ValueError("length additivity fails")
             seen[st.matrix] = (s, t)
     if len(seen) != len(W):
@@ -408,19 +404,17 @@ def equiv_PQ(rs: RootSystem, P: ParabolicData, Q: ParabolicData):
     for w in W:
         classes.setdefault(_pq_signature(rs, P, Q, w), []).append(w)
     out = list(classes.values())
-    wp = {w.matrix for w in wq_subgroup(rs, P)}
-    wq = {w.matrix for w in wq_subgroup(rs, Q)}
+    wp = wq_subgroup(rs, P)
+    wq = wq_subgroup(rs, Q)
     index = {}
     for k, cl in enumerate(out):
         for w in cl:
             index[w.matrix] = k
     for w in W:
-        for pm in wp:
-            p = next(x for x in W if x.matrix == pm)
+        for p in wp:
             if index[(p * w).matrix] != index[w.matrix]:
                 raise ValueError("classes not left invariant")
-        for qm in wq:
-            q = next(x for x in W if x.matrix == qm)
+        for q in wq:
             if index[(w * q).matrix] != index[w.matrix]:
                 raise ValueError("classes not right invariant")
     return out
@@ -444,36 +438,18 @@ def double_cosets(rs: RootSystem, P: ParabolicData, Q: ParabolicData):
     return out
 
 
-def _is_int(x: GQ) -> bool:
-    return x.im == 0 and x.re.denominator == 1
-
-
 def _lattice_certificate(P: ParabolicData, eta, S_r):
     """If eta lies in [S+(-S)]|_wall + Z.Delta_r(P), return the witnessing
     (sigma1, sigma2, integer coefficients); otherwise None.
 
     eta and the members of S_r are GQ tuples over the wall basis.
     """
-    dr = P.delta_r
     for i1, s1 in enumerate(S_r):
         for i2, s2 in enumerate(S_r):
             target = [e - (a - b) for e, a, b in zip(eta, s1, s2)]
-            if not dr:
-                if all(x.is_zero() for x in target):
-                    return (i1, i2, [])
-                continue
-            cols = [[GQ(v[j]) for v in dr] for j in range(len(P.basis))]
-            c = linalg.solve(cols, target)
-            if c is None:
-                continue
-            # the restricted simple roots are independent, so the solution
-            # is unique; check the residual and integrality
-            ok = all(
-                (sum((GQ(dr[k][j]) * c[k] for k in range(len(dr))), GQ(0)) - target[j]).is_zero()
-                for j in range(len(P.basis))
-            )
-            if ok and all(_is_int(x) for x in c):
-                return (i1, i2, [x.re for x in c])
+            c = lattice_coords(P.delta_r, target)
+            if c is not None:
+                return (i1, i2, c)
     return None
 
 
@@ -514,30 +490,15 @@ def exponent_classify(rs: RootSystem, P: ParabolicData, Q: ParabolicData, S, lam
     xi = [GQ.of(x) for x in xi]
     S_r = [P.restrict_gq(s) for s in S] or [tuple(GQ(0) for _ in P.basis)]
     classes = equiv_PQ(rs, P, Q)
-    dr = P.delta_r
     candidates = []
     for k, cl in enumerate(classes):
-        rep = cl[0]
-        base = P.restrict_gq(rep.act_gq(lam))
-        hit = False
+        base = P.restrict_gq(cl[0].act_gq(lam))
         for s0 in S_r:
             target = [b + s - x for b, s, x in zip(base, s0, xi)]
-            if not dr:
-                if all(t.is_zero() for t in target):
-                    hit = True
-                continue
-            cols = [[GQ(v[j]) for v in dr] for j in range(len(P.basis))]
-            c = linalg.solve(cols, target)
-            if c is None:
-                continue
-            ok = all(
-                (sum((GQ(dr[t][j]) * c[t] for t in range(len(dr))), GQ(0)) - target[j]).is_zero()
-                for j in range(len(P.basis))
-            )
-            if ok and all(_is_int(x) and x.re >= 0 for x in c):
-                hit = True
-        if hit:
-            candidates.append(k)
+            c = lattice_coords(P.delta_r, target)
+            if c is not None and all(x >= 0 for x in c):
+                candidates.append(k)
+                break
     if not candidates:
         raise ValueError("weight lies in no translated coset")
     if len(candidates) == 1:
@@ -554,33 +515,32 @@ def delta_coords(delta, v):
     """Coordinates of v over the independent set delta, or None."""
     delta = [_vec(d) for d in delta]
     v = [GQ.of(x) for x in v]
-    dim = len(v)
-    cols = [[GQ(d[i]) for d in delta] for i in range(dim)]
-    c = linalg.solve(cols, v)
-    if c is None:
+    cols = [[GQ(d[i]) for d in delta] for i in range(len(v))]
+    # exact elimination: None exactly when v is outside the span of delta
+    return linalg.solve(cols, v)
+
+
+def lattice_coords(delta, v):
+    """The integer coordinates (as Fractions) of v over the independent set
+    delta, or None when v is not in the lattice Z.delta."""
+    c = delta_coords(delta, v)
+    if c is None or any(x.im != 0 or x.re.denominator != 1 for x in c):
         return None
-    ok = all(
-        (sum((GQ(delta[k][i]) * c[k] for k in range(len(delta))), GQ(0)) - v[i]).is_zero()
-        for i in range(dim)
-    )
-    return c if ok else None
+    return [x.re for x in c]
 
 
 def preceq_delta(delta, xi1, xi2) -> bool:
     """xi1 precedes xi2 when the difference is a nonnegative integer
     combination of delta."""
     diff = [GQ.of(b) - GQ.of(a) for a, b in zip(xi1, xi2)]
-    c = delta_coords(delta, diff)
-    if c is None:
-        return False
-    return all(_is_int(x) and x.re >= 0 for x in c)
+    c = lattice_coords(delta, diff)
+    return c is not None and all(x >= 0 for x in c)
 
 
 def equiv_delta(delta, xi1, xi2) -> bool:
     """Difference in the integer lattice of delta."""
     diff = [GQ.of(b) - GQ.of(a) for a, b in zip(xi1, xi2)]
-    c = delta_coords(delta, diff)
-    return c is not None and all(_is_int(x) for x in c)
+    return lattice_coords(delta, diff) is not None
 
 
 def class_lub(delta, omega):
@@ -592,10 +552,10 @@ def class_lub(delta, omega):
     coords = []
     for xi in omega:
         diff = [GQ.of(b) - a for a, b in zip(base, xi)]
-        c = delta_coords(delta, diff)
-        if c is None or not all(_is_int(x) for x in c):
+        c = lattice_coords(delta, diff)
+        if c is None:
             raise ValueError("family members are not lattice equivalent")
-        coords.append([x.re for x in c])
+        coords.append(c)
     best = [max(col) for col in zip(*coords)] if delta else []
     out = list(base)
     for m, d in zip(best, [_vec(x) for x in delta]):

@@ -167,9 +167,10 @@ def gq_from_string(s: str) -> GQ:
     t = t[: t.rindex("i")]
     if t.endswith("*"):
         t = t[:-1]
-    # split off the real part, if any, at the last top-level +/- sign
+    # split off the real part, if any, at the last top-level +/- sign; a
+    # sign after e or E belongs to an exponent
     for k in range(len(t) - 1, 0, -1):
-        if t[k] in "+-" and t[k - 1] not in "+-*/":
+        if t[k] in "+-" and t[k - 1] not in "+-*/eE":
             re_part, im_part = t[:k], t[k:]
             break
     else:

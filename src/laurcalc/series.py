@@ -11,12 +11,20 @@ logarithmic coordinates.
 from __future__ import annotations
 
 from .poly import ArityError, DiffOp, Polynomial, Space
-from .rootsys import delta_coords, equiv_delta, preceq_delta
+from .rootsys import equiv_delta, lattice_coords, preceq_delta
 from .scalars import GQ
 
 
 def _exp_key(xi):
     return tuple(GQ.of(x) for x in xi)
+
+
+def _heights(delta, leaders, xi):
+    """The lattice heights of xi below each leader it lies below."""
+    for lead in leaders:
+        c = lattice_coords(delta, [a - b for a, b in zip(lead, xi)])
+        if c is not None and all(x >= 0 for x in c):
+            yield int(sum(c))
 
 
 class ExpPolySeries:
@@ -50,18 +58,10 @@ class ExpPolySeries:
 
     def _height(self, xi):
         """Smallest lattice height of xi below a leader within trunc."""
-        best = None
-        for lead in self.leaders:
-            diff = [a - b for a, b in zip(lead, xi)]
-            c = delta_coords(self.delta, diff)
-            if c is None:
-                continue
-            if not all(x.im == 0 and x.re.denominator == 1 and x.re >= 0 for x in c):
-                continue
-            h = sum(int(x.re) for x in c)
-            if h <= self.trunc and (best is None or h < best):
-                best = h
-        return best
+        return min(
+            (h for h in _heights(self.delta, self.leaders, xi) if h <= self.trunc),
+            default=None,
+        )
 
     def degree(self):
         degs = [p.total_degree() for polys in self.terms.values() for p in polys]
@@ -196,21 +196,8 @@ def series_mul(F: ExpPolySeries, G: ExpPolySeries, pairing=None, out_vdim=None):
     # the joint truncation: deeper contributions may be missing
     kept = {}
     for nu, polys in terms.items():
-        ok = False
-        deep = False
-        for lead in leaders:
-            diff = [a - b for a, b in zip(lead, nu)]
-            c = delta_coords(F.delta, diff)
-            if c is None:
-                continue
-            if not all(x.im == 0 and x.re.denominator == 1 and x.re >= 0 for x in c):
-                continue
-            h = sum(int(x.re) for x in c)
-            if h <= trunc:
-                ok = True
-            else:
-                deep = True
-        if ok and not deep:
+        hs = list(_heights(F.delta, leaders, nu))
+        if hs and max(hs) <= trunc:
             kept[nu] = polys
     return ExpPolySeries(F.space, F.delta, leaders, trunc, out_vdim, kept)
 
@@ -279,7 +266,17 @@ class RestrictedSeries:
         return tuple(p.substitute(subs) for p in self.base.terms[xi])
 
     def reassemble(self) -> ExpPolySeries:
-        return self.base
+        """The series rebuilt from the groups and the split coefficients,
+        with the complement half of the split argument set to 0."""
+        F = self.base
+        n = F.space.dim
+        wall_half = [Polynomial.variable(n, i) for i in range(n)] + [Polynomial.zero(n)] * n
+        terms = {
+            xi: [q.substitute(wall_half) for q in self.shifted_coeff(xi)]
+            for xis in self.groups.values()
+            for xi in xis
+        }
+        return ExpPolySeries(F.space, F.delta, F.leaders, F.trunc, F.vdim, terms)
 
 
 def series_restrict(F: ExpPolySeries, wall_basis) -> RestrictedSeries:

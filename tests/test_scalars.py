@@ -43,6 +43,9 @@ def test_parsing_forms():
     assert gq_from_string("3/4") == GQ(Fraction(3, 4))
     assert gq_from_string("-1/2 + 5/3 i") == GQ(Fraction(-1, 2), Fraction(5, 3))
     assert gq_from_string("0/1 - 2/1 i") == GQ(0, Fraction(-2))
+    # a sign inside an exponent does not split off the real part
+    assert gq_from_string("2+1e-3i") == GQ(2, Fraction(1, 1000))
+    assert gq_from_string("2-1E+2i") == GQ(2, -100)
 
 
 def test_norm_and_conjugate():

@@ -155,3 +155,11 @@ def test_shifted_coeff_collapses_to_original():
                 + [Polynomial.zero(n) for _ in range(n)]
             )
             assert back == q
+
+
+def test_shifted_coeff_in_no_variables():
+    # a series over a 0-dimensional space: the coefficients are constants
+    F = ExpPolySeries(Space(0), [], [()], 1, 1, {(): [Polynomial.const(0, 1)]})
+    R = series_restrict(F, [])
+    assert R.shifted_coeff(()) == (Polynomial.const(0, 1),)
+    assert R.reassemble() == F
