@@ -22,6 +22,7 @@ from .germs import (
     rationalfn_germ_at,
     rationalfn_restrict,
 )
+from .io import ParseFailure
 from .laurent import (
     LaurentOrderError,
     laurent_operator_apply,
@@ -50,10 +51,6 @@ from .rootsys import (
 )
 from .scalars import GQ, gq_from_string, gq_to_string
 from .series import series_diffop, series_exponents, series_mul, series_restrict, series_split
-
-
-class ParseFailure(Exception):
-    pass
 
 
 def _load(path):
@@ -150,8 +147,7 @@ def _cmd_germ(args):
         _emit(lio.germ_to_json(g))
     elif args.op == "restrict":
         f = lio.rationalfn_from_json(_load(args.fn))
-        hyps = [lio.hyperplane_from_json(h) for h in _load(args.subspace)["hyperplanes"]]
-        L = subspace_from(f.space, hyps)
+        L = lio.subspace_from_json(f.space, _load(args.subspace))
         _emit(lio.rationalfn_to_json(rationalfn_restrict(f, L)))
     else:
         raise ParseFailure(f"unknown germ op {args.op!r}")
@@ -177,7 +173,7 @@ def _cmd_laurent(args):
     elif args.op == "pushforward":
         L0 = lio.functional_from_json(_load(args.functional))
         data = _load(args.matrix)
-        mat = [[Fraction(str(x)) for x in row] for row in data["matrix"]]
+        mat = [[lio.frac_from_str(x) for x in row] for row in data["matrix"]]
         space = lio.space_from_json(data["space"])
         _emit(lio.functional_to_json(lf_pushforward(mat, L0, space)))
     elif args.op == "mul-action":
@@ -190,16 +186,13 @@ def _cmd_laurent(args):
     elif args.op == "operator":
         L = lio.functional_from_json(_load(args.functional))
         f = lio.rationalfn_from_json(_load(args.fn))
-        hyps = [lio.hyperplane_from_json(h) for h in _load(args.subspace)["hyperplanes"]]
-        Lsub = subspace_from(f.space, hyps)
+        Lsub = lio.subspace_from_json(f.space, _load(args.subspace))
         _emit(lio.rationalfn_to_json(laurent_operator_apply(L, f, Lsub)))
     elif args.op == "diagonal":
         L = lio.functional_from_json(_load(args.functional))
         f = lio.rationalfn_from_json(_load(args.fn))
         data = _load(args.subspace)
-        space = lio.space_from_json(data["space"])
-        hyps = [lio.hyperplane_from_json(h) for h in data["hyperplanes"]]
-        Lsub = subspace_from(space, hyps)
+        Lsub = lio.subspace_from_json(lio.space_from_json(data["space"]), data)
         _emit(lio.rationalfn_to_json(lf_diagonal_apply(L, f, Lsub)))
     elif args.op == "witness":
         g = lio.germ_from_json(_load(args.germ))

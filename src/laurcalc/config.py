@@ -7,39 +7,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .poly import Polynomial, Space, pi_product
-from .scalars import GQ
+from .scalars import GQ, _triple
 
 
 def canonical_normal(v):
     """Scale a nonzero rational vector to the primitive integer vector with
     positive first nonzero coordinate.  Returns (canonical, scalar) with
     v = scalar * canonical."""
-    fr = []
+    nums, dens = [], []
     for x in v:
         x = GQ.of(x)
-        fr.append(x.rational())
-    if all(x == 0 for x in fr):
+        a, b, d = _triple(x)
+        if b:
+            raise ValueError(f"{x} is not real")
+        nums.append(a)
+        dens.append(d)
+    if not any(nums):
         raise ValueError("zero vector has no canonical representative")
-    denlcm = 1
-    for x in fr:
-        denlcm = denlcm * x.denominator // gcd(denlcm, x.denominator)
-    ints = [int(x * denlcm) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    canon = tuple(Fraction(x) for x in ints)
-    # scalar with v = scalar * canon, read off at the first nonzero slot
-    i = next(i for i, x in enumerate(canon) if x != 0)
-    scalar = fr[i] / canon[i]
-    return canon, scalar
+    # v = ints / denlcm and ints = g * canon, so the scalar is g / denlcm
+    denlcm = lcm(*dens)
+    ints = [a * (denlcm // d) for a, d in zip(nums, dens)]
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    canon = tuple(Fraction(x // g) for x in ints)
+    return canon, Fraction(g, denlcm)
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,12 @@ def germ_diff(v, g: Germ) -> Germ:
 # ---------------------------------------------------------------------------
 
 
+def _same_space(s1: Space, s2: Space) -> bool:
+    """Equal inner products, so a hyperplane cuts out the same form on both
+    (the Gram matrix also fixes the dimension)."""
+    return s1 is s2 or s1.ip == s2.ip
+
+
 class RationalFn:
     """numerator / prod l_H^k over a finite set of hyperplanes."""
 
@@ -204,6 +210,8 @@ class RationalFn:
 
     def __add__(self, other):
         if isinstance(other, RationalFn):
+            if not _same_space(self.space, other.space):
+                raise ArityError("rational functions over different spaces")
             den, [(p1, _), (p2, _)] = _over_common_denominator(
                 [(self.numerator, self.denominator), (other.numerator, other.denominator)],
                 lambda h: h.form(self.space),
@@ -278,7 +286,7 @@ class RationalFn:
     def __eq__(self, other):
         if not isinstance(other, RationalFn):
             return NotImplemented
-        if self.space.dim != other.space.dim:
+        if not _same_space(self.space, other.space):
             return False
         return (self - other).numerator.is_zero()
 

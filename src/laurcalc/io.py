@@ -12,8 +12,30 @@ from .germs import Germ, RationalFn
 from .laurent import LaurentFunctional, LFSummand
 from .poly import DiffOp, Polynomial, Space
 from .rootsys import BUILTIN_NAMES, RootSystem, builtin_system
-from .scalars import GQ, gq_from_string, gq_to_string
+from .scalars import GQ, _ratio_str, _triple, gq_from_string, gq_to_string
 from .series import ExpPolySeries
+
+
+class ParseFailure(Exception):
+    """Malformed input: unreadable JSON, a missing key, or a string that is
+    not a number (exit code 1)."""
+
+
+def _get(d, key):
+    """d[key], or ParseFailure when the key is missing."""
+    try:
+        return d[key]
+    except KeyError:
+        raise ParseFailure(f"missing key {key!r}") from None
+
+
+def _number(convert, x):
+    """convert(x) for a number read from JSON, or ParseFailure when x is not
+    one; preconditions on the parsed value are left to the constructors."""
+    try:
+        return convert(x)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ParseFailure(f"not a number: {x!r}") from e
 
 
 def frac_to_str(x: Fraction) -> str:
@@ -22,26 +44,30 @@ def frac_to_str(x: Fraction) -> str:
 
 
 def frac_from_str(s) -> Fraction:
-    return Fraction(str(s))
+    return _number(Fraction, str(s))
+
+
+def _gq_from_json(x) -> GQ:
+    return _number(gq_from_string, str(x))
 
 
 # -- polynomials and operators --------------------------------------------
 
 
 def poly_to_json(p: Polynomial) -> dict:
-    terms = [
-        {"idx": list(idx), "re": frac_to_str(c.re), "im": frac_to_str(c.im)}
-        for idx, c in sorted(p.terms.items())
-    ]
+    terms = []
+    for idx, c in sorted(p.terms.items()):
+        a, b, d = _triple(c)
+        terms.append({"idx": list(idx), "re": _ratio_str(a, d), "im": _ratio_str(b, d)})
     return {"dim": p.dim, "terms": terms}
 
 
 def poly_from_json(d) -> Polynomial:
     terms = {}
-    for t in d["terms"]:
-        idx = tuple(int(i) for i in t["idx"])
+    for t in _get(d, "terms"):
+        idx = tuple(_number(int, i) for i in _get(t, "idx"))
         terms[idx] = GQ(frac_from_str(t.get("re", "0/1")), frac_from_str(t.get("im", "0/1")))
-    return Polynomial(int(d["dim"]), terms)
+    return Polynomial(_number(int, _get(d, "dim")), terms)
 
 
 def diffop_to_json(u: DiffOp) -> dict:
@@ -66,7 +92,7 @@ def space_from_json(d) -> Space:
     ip = d.get("inner_product")
     if ip is not None:
         ip = [[frac_from_str(x) for x in row] for row in ip]
-    return Space(int(d["dim"]), ip)
+    return Space(_number(int, _get(d, "dim")), ip)
 
 
 def hyperplane_to_json(h: Hyperplane) -> dict:
@@ -78,7 +104,7 @@ def hyperplane_to_json(h: Hyperplane) -> dict:
 
 def hyperplane_from_json(d) -> Hyperplane:
     return Hyperplane.make(
-        [frac_from_str(x) for x in d["normal"]], gq_from_string(str(d["offset"]))
+        [frac_from_str(x) for x in _get(d, "normal")], _gq_from_json(_get(d, "offset"))
     )
 
 
@@ -98,7 +124,7 @@ def config_to_json(cfg: Configuration) -> dict:
 def config_from_json(d) -> Configuration:
     space = space_from_json(d)
     hyps = [
-        (hyperplane_from_json(h), int(h.get("mult", 1)))
+        (hyperplane_from_json(h), _number(int, h.get("mult", 1)))
         for h in d.get("hyperplanes", [])
     ]
     x_set = [[frac_from_str(x) for x in v] for v in d.get("x_set", [])]
@@ -106,7 +132,7 @@ def config_from_json(d) -> Configuration:
 
 
 def subspace_from_json(space: Space, d) -> XSubspace:
-    hyps = [hyperplane_from_json(h) for h in d["hyperplanes"]]
+    hyps = [hyperplane_from_json(h) for h in _get(d, "hyperplanes")]
     return subspace_from(space, hyps)
 
 
@@ -126,12 +152,12 @@ def rationalfn_to_json(f: RationalFn) -> dict:
 
 
 def rationalfn_from_json(d) -> RationalFn:
-    space = space_from_json(d["space"])
-    num = poly_from_json(d["numerator"])
+    space = space_from_json(_get(d, "space"))
+    num = poly_from_json(_get(d, "numerator"))
     den = {}
     for h in d.get("denominator", []):
         hp = hyperplane_from_json(h)
-        den[hp] = den.get(hp, 0) + int(h.get("power", 1))
+        den[hp] = den.get(hp, 0) + _number(int, h.get("power", 1))
     return RationalFn(space, num, den)
 
 
@@ -149,13 +175,13 @@ def germ_to_json(g: Germ) -> dict:
 
 
 def germ_from_json(d) -> Germ:
-    space = space_from_json(d["space"])
-    base = [gq_from_string(str(x)) for x in d["base"]]
+    space = space_from_json(_get(d, "space"))
+    base = [_gq_from_json(x) for x in _get(d, "base")]
     pole = {
-        tuple(frac_from_str(x) for x in e["direction"]): int(e["power"])
+        tuple(frac_from_str(x) for x in _get(e, "direction")): _number(int, _get(e, "power"))
         for e in d.get("pole", [])
     }
-    return Germ(space, base, pole, poly_from_json(d["jet"]), int(d["order"]))
+    return Germ(space, base, pole, poly_from_json(_get(d, "jet")), _number(int, _get(d, "order")))
 
 
 # -- functionals -----------------------------------------------------------
@@ -176,15 +202,15 @@ def functional_to_json(L: LaurentFunctional) -> dict:
 
 
 def functional_from_json(d) -> LaurentFunctional:
-    space = space_from_json(d["space"])
+    space = space_from_json(_get(d, "space"))
     summands = []
-    for s in d["summands"]:
+    for s in _get(d, "summands"):
         summands.append(
             LFSummand(
-                [gq_from_string(str(x)) for x in s["support"]],
-                [[frac_from_str(c) for c in xi] for xi in s["x_set"]],
-                [int(k) for k in s["d_max"]],
-                diffop_from_json(s["u"]),
+                [_gq_from_json(x) for x in _get(s, "support")],
+                [[frac_from_str(c) for c in xi] for xi in _get(s, "x_set")],
+                [_number(int, k) for k in _get(s, "d_max")],
+                diffop_from_json(_get(s, "u")),
             )
         )
     return LaurentFunctional(space, summands)
@@ -214,10 +240,10 @@ def rootsystem_from_json(d) -> RootSystem:
     if simple is not None:
         simple = [[frac_from_str(x) for x in s] for s in simple]
     return RootSystem(
-        int(d["dim"]),
-        [[frac_from_str(x) for x in r] for r in d["roots"]],
+        _number(int, _get(d, "dim")),
+        [[frac_from_str(x) for x in r] for r in _get(d, "roots")],
         ip=ip,
-        positive=[int(i) for i in d["positive"]],
+        positive=[_number(int, i) for i in _get(d, "positive")],
         simple=simple,
         name=d.get("name"),
     )
@@ -257,13 +283,13 @@ def series_to_json(F: ExpPolySeries) -> dict:
 
 
 def series_from_json(d) -> ExpPolySeries:
-    space = space_from_json(d["space"])
-    delta = [tuple(frac_from_str(x) for x in v) for v in d["delta"]]
-    leaders = [[gq_from_string(str(x)) for x in l] for l in d["leaders"]]
+    space = space_from_json(_get(d, "space"))
+    delta = [tuple(frac_from_str(x) for x in v) for v in _get(d, "delta")]
+    leaders = [[_gq_from_json(x) for x in l] for l in _get(d, "leaders")]
     terms = {}
-    for t in d["terms"]:
-        xi = tuple(gq_from_string(str(x)) for x in t["exponent"])
-        terms[xi] = [poly_from_json(p) for p in t["coeff_poly"]]
+    for t in _get(d, "terms"):
+        xi = tuple(_gq_from_json(x) for x in _get(t, "exponent"))
+        terms[xi] = [poly_from_json(p) for p in _get(t, "coeff_poly")]
     return ExpPolySeries(
-        space, delta, leaders, int(d["trunc"]), int(d.get("vdim", 1)), terms
+        space, delta, leaders, _number(int, _get(d, "trunc")), _number(int, d.get("vdim", 1)), terms
     )

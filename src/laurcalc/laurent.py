@@ -432,7 +432,6 @@ def laurent_operator_apply(
         [list(row) + [0] * nt for row in sub.ip] + [[0] * ns + list(row) for row in L.space.ip],
     )
     unit = [tuple(GQ(1) if j == i else GQ(0) for j in range(total)) for i in range(total)]
-    tau_zero = XSubspace(st, [], unit[:ns], [GQ(0)] * total)
 
     result = None
     for s in L.summands:
@@ -481,7 +480,12 @@ def laurent_operator_apply(
             acc = e if acc is None else acc + e
         if acc is None:
             continue  # the zero operator
-        part = rationalfn_restrict(acc, tau_zero)
+        # restrict to tau = 0, whose induced space is sub; acc is already
+        # reduced by directional_deriv and __add__, so only the pull-back
+        # is cancelled
+        part = rationalfn_pullback(
+            acc, sub, unit[:ns], [GQ(0)] * total, "denominator hyperplane contains the subspace"
+        ).cancel()
         result = part if result is None else result + part
     if result is None:
         result = RationalFn(sub, Polynomial.zero(ns))

@@ -1,7 +1,8 @@
 """Exact linear algebra over Q(i).
 
-Matrices are lists of rows of GQ.  Everything is fraction-free-agnostic
-plain Gaussian elimination; sizes in this library are tiny.
+Matrices are lists of rows of GQ.  Everything is plain Gaussian
+elimination with exact GQ pivots (no fraction-free scheme such as
+Bareiss); sizes in this library are tiny.
 """
 
 from __future__ import annotations

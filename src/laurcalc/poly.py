@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -123,7 +124,8 @@ class Polynomial:
         self.terms = {}
         if terms:
             for idx, c in terms.items():
-                c = GQ.of(c)
+                if type(c) is not GQ:
+                    c = GQ.of(c)
                 if not c.is_zero():
                     if len(idx) != dim:
                         raise ArityError(f"multi-index {idx} has wrong arity for dim {dim}")
@@ -217,9 +219,9 @@ class Polynomial:
         terms = {}
         for i1, c1 in self.terms.items():
             for i2, c2 in other.terms.items():
-                idx = tuple(a + b for a, b in zip(i1, i2))
-                s = terms.get(idx, GQ(0)) + c1 * c2
-                terms[idx] = s
+                idx = tuple(map(operator.add, i1, i2))
+                prev = terms.get(idx)
+                terms[idx] = c1 * c2 if prev is None else prev + c1 * c2
         return Polynomial(self.dim, terms)
 
     __rmul__ = __mul__
@@ -370,7 +372,8 @@ class DiffOp:
         self.terms = {}
         if terms:
             for idx, c in terms.items():
-                c = GQ.of(c)
+                if type(c) is not GQ:
+                    c = GQ.of(c)
                 if not c.is_zero():
                     if len(idx) != dim:
                         raise ArityError("derivative multi-index arity mismatch")

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import linalg
 from .poly import Space
-from .scalars import GQ
+from .scalars import GQ, _triple
 
 
 def _vec(v):
@@ -524,9 +524,15 @@ def lattice_coords(delta, v):
     """The integer coordinates (as Fractions) of v over the independent set
     delta, or None when v is not in the lattice Z.delta."""
     c = delta_coords(delta, v)
-    if c is None or any(x.im != 0 or x.re.denominator != 1 for x in c):
+    if c is None:
         return None
-    return [x.re for x in c]
+    out = []
+    for x in c:
+        a, b, d = _triple(x)
+        if b or d != 1:
+            return None
+        out.append(Fraction(a))
+    return out
 
 
 def preceq_delta(delta, xi1, xi2) -> bool:

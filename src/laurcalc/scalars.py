@@ -1,121 +1,190 @@
 """Exact scalars: rationals with an adjoined imaginary unit.
 
-All arithmetic in the library happens over Q(i).  A scalar is a pair of
-``fractions.Fraction`` values (real and imaginary part); equality is exact
-and there is no floating point anywhere.
+All arithmetic in the library happens over Q(i).  A scalar stores
+(a + b*i)/d as three Python ints with gcd(a, b, d) = 1 and d > 0, so every
+value has exactly one representation and equality compares the three
+ints.  The arithmetic works on the ints alone; ``fractions.Fraction``
+appears only where a caller asks for one (``re``, ``im``, ``rational``,
+``norm2``) and when a string is parsed.  There is no floating point
+anywhere.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from math import gcd
+
+_MODULUS = sys.hash_info.modulus
+_INF = sys.hash_info.inf
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _ratio(x):
+    """(numerator, denominator) of an int, Fraction or numeric string."""
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"cannot build an exact rational from {x!r}")
+
+
+def _lowest(n, d):
+    """n/d in lowest terms, for d > 0."""
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _fraction_str(n, d):
+    """str(Fraction(n, d)), for d > 0."""
+    n, d = _lowest(n, d)
+    return f"{n}" if d == 1 else f"{n}/{d}"
+
+
+def _rational_hash(n, d):
+    """hash(Fraction(n, d)) for d > 0, computed from the ints."""
+    if d % _MODULUS == 0:
+        n, d = _lowest(n, d)
+    if d % _MODULUS == 0:
+        h = _INF
+    else:
+        h = abs(n) * pow(d, -1, _MODULUS) % _MODULUS
+    if n < 0:
+        h = -h
+    return -2 if h == -1 else h
 
 
 class GQ:
     """A Gaussian rational a + b*i with exact rational a, b."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        if type(re) is int and type(im) is int:
+            _set_a(self, re)
+            _set_b(self, im)
+            _set_d(self, 1)
+            return
+        p, q = _ratio(re)
+        r, s = _ratio(im)
+        # both parts are reduced, so over their lcm the gcd of all three is 1
+        d = q * s // gcd(q, s)
+        _set_a(self, p * (d // q))
+        _set_b(self, r * (d // s))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GQ is immutable")
 
     # -- conversions -------------------------------------------------
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     @staticmethod
     def of(x) -> "GQ":
-        if isinstance(x, GQ):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GQ(x)
-        raise TypeError(f"cannot coerce {x!r} to GQ")
+        y = GQ._coerce(x)
+        if y is None:
+            raise TypeError(f"cannot coerce {x!r} to GQ")
+        return y
 
     @staticmethod
     def _coerce(x):
         if isinstance(x, GQ):
             return x
-        if isinstance(x, (int, Fraction)):
-            return GQ(x)
+        if isinstance(x, int):
+            return _mk(x, 0, 1)
+        if isinstance(x, Fraction):
+            return _mk(x.numerator, 0, x.denominator)
         return None
 
     def rational(self) -> Fraction:
         """Return self as a Fraction; raises if the imaginary part is nonzero."""
-        if self.im != 0:
+        if self._b:
             raise ValueError(f"{self} is not real")
-        return self.re
+        return Fraction(self._a, self._d)
 
     # -- predicates --------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._a and not self._b
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other):
-        other = GQ._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GQ(self.re + other.re, self.im + other.im)
+        if type(other) is not GQ:
+            other = GQ._coerce(other)
+            if other is None:
+                return NotImplemented
+        d, f = self._d, other._d
+        if d == f:
+            return _mk(self._a + other._a, self._b + other._b, d)
+        return _mk(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GQ(-self.re, -self.im)
+        return _mk(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        other = GQ._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GQ(self.re - other.re, self.im - other.im)
+        if type(other) is not GQ:
+            other = GQ._coerce(other)
+            if other is None:
+                return NotImplemented
+        d, f = self._d, other._d
+        if d == f:
+            return _mk(self._a - other._a, self._b - other._b, d)
+        return _mk(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other):
         return GQ.of(other) - self
 
     def __mul__(self, other):
-        other = GQ._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GQ(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GQ:
+            other = GQ._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        if not b and not e:
+            return _mk(a * c, 0, self._d * other._d)
+        return _mk(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GQ._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GQ(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        if type(other) is not GQ:
+            other = GQ._coerce(other)
+            if other is None:
+                return NotImplemented
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if not e:
+            if not c:
+                raise ZeroDivisionError("division by zero in Q(i)")
+            return _mk(a * f, b * f, d * c)
+        n = c * c + e * e
+        return _mk((a * c + b * e) * f, (b * c - a * e) * f, d * n)
 
     def __rtruediv__(self, other):
         return GQ.of(other) / self
 
     def __pow__(self, k: int):
         if k < 0:
-            return GQ(1) / self ** (-k)
-        out = GQ(1)
+            return ONE / self ** (-k)
+        if not self._b:
+            # gcd(a, d) = 1 gives gcd(a^k, d^k) = 1
+            return _mk(self._a**k, 0, self._d**k)
+        out = ONE
         base = self
         while k:
             if k & 1:
@@ -125,33 +194,67 @@ class GQ:
         return out
 
     def conj(self) -> "GQ":
-        return GQ(self.re, -self.im)
+        return _mk(self._a, -self._b, self._d)
 
     def norm2(self) -> Fraction:
         """Modulus squared, an exact rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     # -- equality / hashing ------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GQ(other)
-        if not isinstance(other, GQ):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, GQ):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return not self._b and self._a == other.numerator and self._d == other.denominator
+        return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # the hash of the Fraction for a real value, of the pair (re, im)
+        # otherwise; int hashes equal the hashes of equal Fractions
+        a, b, d = self._a, self._b, self._d
+        if d == 1:
+            return hash(a) if not b else hash((a, b))
+        if not b:
+            return _rational_hash(a, d)
+        return hash((_rational_hash(a, d), _rational_hash(b, d)))
 
     def __repr__(self):
-        if self.im == 0:
-            return f"{self.re}"
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re} {sign} {abs(self.im)}*i"
+        # str() of the Fraction parts
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _fraction_str(a, d)
+        if not a:
+            return f"{_fraction_str(b, d)}*i"
+        sign = "+" if b > 0 else "-"
+        return f"{_fraction_str(a, d)} {sign} {_fraction_str(abs(b), d)}*i"
+
+
+_new = object.__new__
+_set_a = GQ._a.__set__
+_set_b = GQ._b.__set__
+_set_d = GQ._d.__set__
+
+
+def _mk(a, b, d):
+    """The GQ (a + b*i)/d for d != 0, brought to lowest terms with d > 0."""
+    g = gcd(a, b, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    x = _new(GQ)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _triple(x: GQ):
+    """The normalized ints (a, b, d) with x = (a + b*i)/d."""
+    return x._a, x._b, x._d
 
 
 ZERO = GQ(0)
@@ -185,11 +288,16 @@ def gq_from_string(s: str) -> GQ:
     return GQ(re, im)
 
 
+def _ratio_str(n, d):
+    """n/d as the decimal-free "p/q" in lowest terms, for d > 0."""
+    n, d = _lowest(n, d)
+    return f"{n}/{d}"
+
+
 def gq_to_string(x: GQ) -> str:
     """Serialize a GQ in the decimal-free "p/q" / "p/q ± r/s i" form."""
-    if x.im == 0:
-        return f"{x.re.numerator}/{x.re.denominator}"
-    re = f"{x.re.numerator}/{x.re.denominator}"
-    sign = "+" if x.im >= 0 else "-"
-    im = abs(x.im)
-    return f"{re} {sign} {im.numerator}/{im.denominator} i"
+    a, b, d = _triple(x)
+    if not b:
+        return _ratio_str(a, d)
+    sign = "+" if b > 0 else "-"
+    return f"{_ratio_str(a, d)} {sign} {_ratio_str(abs(b), d)} i"

@@ -13,15 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ENTRIES = json.loads((ROOT / "perfbench" / "corpus" / "entries.json").read_text())
 
 
-def _param(entry):
-    marks = []
-    if entry.get("known_defect"):
-        # open defects (ROADMAP item 5) keep their documented exit code
-        marks.append(pytest.mark.xfail(strict=True, reason=entry["known_defect"]))
-    return pytest.param(entry, id=entry["name"], marks=marks)
-
-
-@pytest.mark.parametrize("entry", [_param(e) for e in ENTRIES])
+@pytest.mark.parametrize("entry", [pytest.param(e, id=e["name"]) for e in ENTRIES])
 def test_corpus_entry(entry, monkeypatch, capsys):
     # the file arguments are relative to the repository root
     monkeypatch.chdir(ROOT)

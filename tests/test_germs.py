@@ -4,7 +4,10 @@ and restriction to subspaces."""
 import random
 from fractions import Fraction
 
+import pytest
+
 from laurcalc import (
+    ArityError,
     GQ,
     Germ,
     Hyperplane,
@@ -131,6 +134,18 @@ def test_rationalfn_equality_cross_multiplied():
     one = RationalFn(sp, Polynomial.variable(1, 0), {h: 1})
     const = RationalFn.from_poly(sp, Polynomial.const(1, GQ(1)))
     assert one == const
+
+
+def test_rationalfn_space_mismatch():
+    # the same hyperplane reads 2z - 1 under <z, w> = 2zw and z - 1 under
+    # the standard product: 1/(2z - 1) != 1/(z - 1)
+    h = Hyperplane.make((1,), 1)
+    f = RationalFn(Space(1, [[2]]), Polynomial.const(1, 1), {h: 1})
+    g = RationalFn(Space(1), Polynomial.const(1, 1), {h: 1})
+    assert f != g
+    assert f == RationalFn(Space(1, [[2]]), Polynomial.const(1, 1), {h: 1})
+    with pytest.raises(ArityError):
+        f + g
 
 
 def test_rationalfn_restrict_pointwise():

@@ -4,6 +4,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from laurcalc import (
     GQ,
     Configuration,
@@ -18,6 +20,7 @@ from laurcalc import (
     rationalfn_germ_at,
     weyl_enumerate,
 )
+from laurcalc import cli
 from laurcalc import io as lio
 
 from _support import rand_diffop, rand_gq, rand_poly
@@ -108,3 +111,23 @@ def test_byte_stability():
 def test_fraction_strings_decimal_free():
     assert lio.frac_to_str(Fraction(1, 3)) == "1/3"
     assert lio.frac_from_str("-7/2") == Fraction(-7, 2)
+
+
+def test_malformed_content_is_a_parse_failure():
+    assert cli.ParseFailure is lio.ParseFailure
+    good = {"dim": 1, "terms": [{"idx": [1], "re": "1/2", "im": "0/1"}]}
+    assert lio.poly_from_json(good) == Polynomial(1, {(1,): GQ(Fraction(1, 2))})
+    for bad in (
+        {"dim": 1},
+        {"dim": 1, "terms": [{"re": "1/1"}]},
+        {"dim": 1, "terms": [{"idx": [1], "re": "x"}]},
+        {"dim": "one", "terms": []},
+        {"dim": 1, "terms": [{"idx": ["a"], "re": "1/1"}]},
+    ):
+        with pytest.raises(lio.ParseFailure):
+            lio.poly_from_json(bad)
+    with pytest.raises(lio.ParseFailure):
+        lio.hyperplane_from_json({"normal": ["1/1"], "offset": "1/0"})
+    # a well-formed value that breaks a constructor's precondition is not
+    with pytest.raises(ValueError):
+        lio.hyperplane_from_json({"normal": ["0/1"], "offset": "1/1"})

@@ -1,10 +1,13 @@
 """Field axioms and string round-trips for the Gaussian rational scalars."""
 
 from fractions import Fraction
+from math import gcd
 
+import pytest
 from hypothesis import given, strategies as st
 
 from laurcalc import GQ, gq_from_string, gq_to_string
+from laurcalc.scalars import _triple
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 gqs = st.builds(GQ, fracs, fracs)
@@ -52,3 +55,116 @@ def test_norm_and_conjugate():
     a = GQ(Fraction(3), Fraction(-4))
     assert a.norm2() == Fraction(25)
     assert (a * a.conj()).re == Fraction(25)
+
+
+# -- the integer-triple representation ----------------------------------
+
+
+@given(fracs, fracs)
+def test_parts_are_fractions(a, b):
+    x = GQ(a, b)
+    assert x.re == a and x.im == b
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+
+
+@given(fracs, fracs)
+def test_hash_matches_fractions(a, b):
+    # set and dict order feed the outputs, so the hashes are those of the
+    # Fraction for a real value and of the pair (re, im) otherwise
+    assert hash(GQ(a)) == hash(a)
+    if b != 0:
+        assert hash(GQ(a, b)) == hash((a, b))
+
+
+def test_hash_with_modulus_denominator():
+    # denominators divisible by the hash modulus 2**61 - 1, where the
+    # unreduced real or imaginary part must be reduced first
+    p = 2**61 - 1
+    for re, im in [
+        (Fraction(1, p), 0),
+        (Fraction(-1, p), Fraction(1, 3)),
+        (Fraction(p, 3), Fraction(1, p)),
+    ]:
+        x = GQ(re, im)
+        assert hash(x) == (hash(re) if im == 0 else hash((re, im)))
+
+
+@given(gqs, gqs)
+def test_triple_is_normalized(x, y):
+    a, b, d = _triple(x * y + y)
+    assert d > 0 and gcd(a, b, d) == 1
+    assert _triple(x + y - y) == _triple(x)
+    if not y.is_zero():
+        assert _triple((x * y) / y) == _triple(x)
+
+
+@given(st.integers(min_value=-10**6, max_value=10**6), fracs)
+def test_equality_with_int_and_fraction(n, q):
+    assert GQ(n) == n and GQ(q) == q
+    assert GQ(n, 1) != n and GQ(q, 1) != q
+    assert (GQ(q) == n) == (q == n)
+
+
+@given(fracs, fracs)
+def test_strings_match_fraction_parts(a, b):
+    # repr keys the sorted output order, so it must stay str() of the parts
+    x = GQ(a, b)
+    sign = "+" if b > 0 else "-"
+    if b == 0:
+        assert repr(x) == str(a)
+    elif a == 0:
+        assert repr(x) == f"{b}*i"
+    else:
+        assert repr(x) == f"{a} {sign} {abs(b)}*i"
+    want = f"{a.numerator}/{a.denominator}"
+    if b != 0:
+        want += f" {sign} {abs(b).numerator}/{abs(b).denominator} i"
+    assert gq_to_string(x) == want
+
+
+def test_repr_and_string_table():
+    table = [
+        (GQ(0), "0", "0/1"),
+        (GQ(5), "5", "5/1"),
+        (GQ(Fraction(-3, 4)), "-3/4", "-3/4"),
+        (GQ(0, 1), "1*i", "0/1 + 1/1 i"),
+        (GQ(0, Fraction(-2, 3)), "-2/3*i", "0/1 - 2/3 i"),
+        (GQ(Fraction(1, 2), Fraction(1, 3)), "1/2 + 1/3*i", "1/2 + 1/3 i"),
+        (GQ(Fraction(-7, 6), Fraction(-5, 4)), "-7/6 - 5/4*i", "-7/6 - 5/4 i"),
+        (GQ(2, -1), "2 - 1*i", "2/1 - 1/1 i"),
+    ]
+    for x, r, s in table:
+        assert repr(x) == r
+        assert gq_to_string(x) == s
+
+
+def test_immutable():
+    x = GQ(1, 2)
+    for name in ("re", "_a"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 3)
+    assert x == GQ(1, 2)
+
+
+def test_division_by_zero():
+    for x in (GQ(1), GQ(1, 1)):
+        with pytest.raises(ZeroDivisionError):
+            x / GQ(0)
+
+
+def test_arithmetic_builds_no_fraction(monkeypatch):
+    xs = [GQ(Fraction(3, 4)), GQ(-2), GQ(Fraction(1, 2), Fraction(-5, 3)), GQ(0, 7)]
+    q = Fraction(3, 4)
+    built = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kw):
+        built.append(args)
+        return real_new(cls, *args, **kw)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for x in xs:
+        for y in xs:
+            x + y, x - y, x * y, x / y, x == y, x + 1, 2 * x, x - q
+        x**3, x ** (-2), -x, x.conj(), hash(x), x == q, x == 1
+    assert built == []
