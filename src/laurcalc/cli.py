@@ -427,14 +427,27 @@ def _verify_checks():
 
 
 def _cmd_verify(args):
+    checks = _verify_checks()
+    if args.suite != "all":
+        names = args.suite.split(",")
+        known = [name for name, _ in checks]
+        for name in names:
+            if name not in known:
+                raise ParseFailure(
+                    f"unknown verify check {name!r}; expected 'all' or a comma list of {known}"
+                )
+        checks = [(name, fn) for name, fn in checks if name in names]
     ok = True
-    for name, fn in _verify_checks():
+    for name, fn in checks:
+        reason = ""
         try:
             passed = fn()
-        except Exception:
+        except Exception as e:
+            # a check that raises is reported, and the remaining checks still run
             passed = False
+            reason = f": {type(e).__name__}: {e}"
         ok = ok and passed
-        sys.stdout.write(f"{'PASS' if passed else 'FAIL'} {name}\n")
+        sys.stdout.write(f"{'PASS' if passed else 'FAIL'} {name}{reason}\n")
     return 0 if ok else 2
 
 

@@ -3,82 +3,127 @@ combinatorics, and the genericity tests for translated exponent cosets.
 
 Root systems are stored in the coordinate basis of their simple roots
 (or any rational basis), with the geometry carried by a rational inner
-product matrix, so every reflection is an exact rational matrix.
+product matrix, so every reflection is an exact rational matrix.  A Weyl
+element holds that matrix as Python ints over one common denominator
+(1 for every built-in system), so products, equality and hashing are
+integer operations; the Weyl layer looks elements up by the element
+itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from . import linalg
 from .poly import Space
-from .scalars import GQ, _triple
+from .scalars import GQ, _mk, _triple
 
 
 def _vec(v):
-    return tuple(Fraction(x) if not isinstance(x, GQ) else x.rational() for x in v)
+    return tuple(
+        x if type(x) is Fraction else x.rational() if isinstance(x, GQ) else Fraction(x)
+        for x in v
+    )
+
+
+def _scaled(v):
+    """Ints iv and e > 0 with v = iv / e, for a sequence of Fractions; the
+    lcm of reduced denominators leaves gcd(iv..., e) = 1."""
+    e = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (e // x.denominator) for x in v), e
 
 
 class WeylElement:
-    """An orthogonal rational matrix permuting the root set."""
+    """An orthogonal rational matrix permuting the root set.
 
-    __slots__ = ("matrix", "length")
+    The matrix is stored row by row as a flat tuple of ints ``_m`` over one
+    positive denominator ``_d`` with gcd(_m..., _d) = 1, so every element
+    has exactly one representation.  ``matrix`` gives it back as rows of
+    ``Fraction``; ``length`` is the word length when the element came out
+    of ``RootSystem.weyl_group`` and None otherwise.
+    """
+
+    __slots__ = ("_m", "_d", "dim", "length")
 
     def __init__(self, matrix, length=None):
-        self.matrix = tuple(tuple(Fraction(x) for x in row) for row in matrix)
+        rows = [[Fraction(x) for x in row] for row in matrix]
+        self._m, self._d = _scaled([x for row in rows for x in row])
+        self.dim = len(rows)
         self.length = length
 
     @property
-    def dim(self):
-        return len(self.matrix)
+    def matrix(self):
+        return tuple(tuple(Fraction(x, self._d) for x in row) for row in self._rows())
+
+    def _rows(self):
+        n, m = self.dim, self._m
+        return [m[i * n : (i + 1) * n] for i in range(n)]
+
+    def _apply(self, iv):
+        """The ints _m . iv, so that w(iv / e) = _apply(iv) / (_d * e)."""
+        return [sum(map(mul, row, iv)) for row in self._rows()]
 
     def act(self, v):
-        v = _vec(v)
-        return tuple(
-            sum(self.matrix[i][j] * v[j] for j in range(len(v)))
-            for i in range(len(self.matrix))
-        )
+        iv, e = _scaled(_vec(v))
+        d = self._d * e
+        return tuple(Fraction(x, d) for x in self._apply(iv))
 
     def act_gq(self, v):
-        v = [GQ.of(x) for x in v]
-        return tuple(
-            sum((GQ(self.matrix[i][j]) * v[j] for j in range(len(v))), GQ(0))
-            for i in range(len(self.matrix))
-        )
+        v = [_triple(GQ.of(x)) for x in v]
+        e = lcm(*(d for _, _, d in v))
+        re = self._apply([a * (e // d) for a, _, d in v])
+        im = self._apply([b * (e // d) for _, b, d in v])
+        d = self._d * e
+        return tuple(_mk(a, b, d) for a, b in zip(re, im))
+
+    def _fixes(self, iv):
+        """Whether w fixes the vector iv / e, for any e."""
+        return self._apply(iv) == [self._d * x for x in iv]
 
     def __mul__(self, other):
         n = self.dim
-        m = tuple(
-            tuple(
-                sum(self.matrix[i][k] * other.matrix[k][j] for k in range(n))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return WeylElement(m)
+        cols = [other._m[j::n] for j in range(n)]
+        m = tuple(sum(map(mul, row, col)) for row in self._rows() for col in cols)
+        return _element(m, self._d * other._d, n)
 
     def inverse(self):
         inv = linalg.invert([[GQ(x) for x in row] for row in self.matrix])
         return WeylElement([[x.rational() for x in row] for row in inv])
 
     def is_identity(self):
-        n = self.dim
-        return all(
-            self.matrix[i][j] == (1 if i == j else 0)
-            for i in range(n)
-            for j in range(n)
-        )
+        return self._d == 1 and self._m == _identity_ints(self.dim)
 
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
             return NotImplemented
-        return self.matrix == other.matrix
+        return self._m == other._m and self._d == other._d
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash((self._m, self._d))
 
     def __repr__(self):
         return f"WeylElement({self.matrix}, l={self.length})"
+
+
+def _element(m, d, dim, length=None):
+    """The WeylElement with ints m over d > 0, brought to lowest terms."""
+    if d != 1:
+        g = gcd(d, *m)
+        if g != 1:
+            m = tuple(x // g for x in m)
+            d //= g
+    w = WeylElement.__new__(WeylElement)
+    w._m = m
+    w._d = d
+    w.dim = dim
+    w.length = length
+    return w
+
+
+def _identity_ints(n):
+    return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
 
 
 class RootSystem:
@@ -89,6 +134,7 @@ class RootSystem:
         if positive is None:
             raise ValueError("a positive system must be specified")
         self.positive = [self.roots[i] for i in positive]
+        self._positive = set(self.positive)
         if simple is None:
             simple = self._find_simple()
         self.simple = [_vec(s) for s in simple]
@@ -103,27 +149,33 @@ class RootSystem:
 
     def reflection(self, alpha) -> WeylElement:
         alpha = _vec(alpha)
-        n2 = self.inner(alpha, alpha)
+        s = self._reflections.get(alpha)
+        if s is None:
+            return self._reflect(alpha)
+        # a fresh element, so setting its length leaves the kept one alone
+        return _element(s._m, s._d, s.dim)
+
+    def _reflect(self, alpha) -> WeylElement:
+        # z -> z - 2 <alpha, z> alpha / <alpha, alpha>, with alpha and the
+        # form <alpha, .> scaled to ints a and b, so <alpha, alpha> ~ a . b
+        a, _ = _scaled(alpha)
+        b, _ = _scaled(_vec(self.space.form_coeffs(alpha)))
+        n2 = sum(map(mul, a, b))
         if n2 == 0:
             raise ValueError("cannot reflect in an isotropic vector")
-        ba = [x.rational() for x in self.space.form_coeffs(alpha)]
-        m = [
-            [
-                (Fraction(1 if i == j else 0)) - 2 * alpha[i] * ba[j] / n2
-                for j in range(self.dim)
-            ]
-            for i in range(self.dim)
-        ]
-        return WeylElement(m)
+        n = self.dim
+        m = tuple((n2 if i == j else 0) - 2 * a[i] * b[j] for i in range(n) for j in range(n))
+        if n2 < 0:
+            m, n2 = tuple(-x for x in m), -n2
+        return _element(m, n2, n)
 
     # -- validation --------------------------------------------------
 
     def _find_simple(self):
-        pos = set(self.positive)
         simple = []
         for a in self.positive:
             decomposable = any(
-                tuple(x - y for x, y in zip(a, b)) in pos
+                tuple(x - y for x, y in zip(a, b)) in self._positive
                 for b in self.positive
                 if b != a
             )
@@ -140,12 +192,13 @@ class RootSystem:
                 raise ValueError("zero is not a root")
             if tuple(-x for x in a) not in rset:
                 raise ValueError("root set not symmetric")
-        for a in self.roots:
-            s = self.reflection(a)
+        # each root's reflection, built once and kept for ``reflection``
+        self._reflections = {a: self._reflect(a) for a in self.roots}
+        for s in self._reflections.values():
             for b in self.roots:
                 if s.act(b) not in rset:
                     raise ValueError("root set not closed under reflections")
-        pset = set(self.positive)
+        pset = self._positive
         if len(pset) * 2 != len(rset) or any(
             (a in pset) == (tuple(-x for x in a) in pset) for a in self.roots
         ):
@@ -159,7 +212,7 @@ class RootSystem:
                 raise ValueError("positive root outside the nonnegative simple span")
 
     def is_positive(self, v):
-        return _vec(v) in set(self.positive)
+        return _vec(v) in self._positive
 
     # -- Weyl group --------------------------------------------------
 
@@ -169,11 +222,8 @@ class RootSystem:
         if self._weyl is not None:
             return self._weyl
         gens = [self.reflection(a) for a in self.simple]
-        ident = WeylElement(
-            [[Fraction(1 if i == j else 0) for j in range(self.dim)] for i in range(self.dim)],
-            length=0,
-        )
-        seen = {ident.matrix: ident}
+        ident = _element(_identity_ints(self.dim), 1, self.dim, length=0)
+        seen = {ident: ident}
         frontier = [ident]
         depth = 0
         while frontier:
@@ -182,9 +232,9 @@ class RootSystem:
             for w in frontier:
                 for g in gens:
                     m = w * g
-                    if m.matrix not in seen:
+                    if m not in seen:
                         m.length = depth
-                        seen[m.matrix] = m
+                        seen[m] = m
                         nxt.append(m)
             frontier = nxt
             if len(seen) > 100000:
@@ -276,12 +326,19 @@ class ParabolicData:
     def __init__(self, rs: RootSystem, delta_q_indices):
         self.rs = rs
         self.indices = sorted(set(delta_q_indices))
+        for i in self.indices:
+            if i not in range(len(rs.simple)):
+                raise ValueError(
+                    f"simple root index {i} out of range for {len(rs.simple)} simple roots"
+                )
         self.delta_Q = [rs.simple[i] for i in self.indices]
         rows = [rs.space.form_coeffs(a) for a in self.delta_Q]
         self.basis = [
             tuple(x.rational() for x in v)
             for v in linalg.nullspace(rows, ncols=rs.dim)
         ]
+        # the forms <., b> for b in the basis, as ints over a denominator
+        self._forms = [_scaled(_vec(rs.space.form_coeffs(b))) for b in self.basis]
         self.delta_rest_indices = [
             i for i in range(len(rs.simple)) if i not in self.indices
         ]
@@ -308,7 +365,8 @@ class ParabolicData:
 
     def restrict(self, v):
         """The functional on the wall: values on the wall basis."""
-        return tuple(self.rs.inner(v, b) for b in self.basis)
+        iv, e = _scaled(_vec(v))
+        return tuple(Fraction(sum(map(mul, iv, f)), e * d) for f, d in self._forms)
 
     def restrict_gq(self, v):
         return tuple(self.rs.space.inner(v, b) for b in self.basis)
@@ -318,23 +376,22 @@ def wq_subgroup(rs: RootSystem, Q: ParabolicData):
     """W_Q by both characterizations: centralizer of the wall, and the
     group generated by the reflections in Delta_Q; asserted equal."""
     W = rs.weyl_group()
-    centralizer = [
-        w for w in W if all(w.act(b) == b for b in Q.basis)
-    ]
+    basis = [_scaled(b)[0] for b in Q.basis]
+    centralizer = [w for w in W if all(w._fixes(b) for b in basis)]
     gens = [rs.reflection(a) for a in Q.delta_Q]
     ident = rs.identity()
-    seen = {ident.matrix}
+    seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for w in frontier:
             for g in gens:
                 m = w * g
-                if m.matrix not in seen:
-                    seen.add(m.matrix)
+                if m not in seen:
+                    seen.add(m)
                     nxt.append(m)
         frontier = nxt
-    if {w.matrix for w in centralizer} != seen:
+    if set(centralizer) != seen:
         raise ValueError("centralizer and reflection subgroup disagree")
     return centralizer
 
@@ -347,16 +404,16 @@ def min_coset_reps(rs: RootSystem, Q: ParabolicData):
         w for w in W if all(rs.is_positive(w.act(a)) for a in Q.delta_Q)
     ]
     wq = wq_subgroup(rs, Q)
-    lengths = {w.matrix: w.length for w in W}
-    seen = {}
+    lengths = {w: w.length for w in W}
+    seen = set()
     for s in reps:
         for t in wq:
             st = s * t
-            if st.matrix in seen:
+            if st in seen:
                 raise ValueError("coset decomposition not injective")
-            if lengths[st.matrix] != s.length + t.length:
+            if lengths[st] != s.length + t.length:
                 raise ValueError("length additivity fails")
-            seen[st.matrix] = (s, t)
+            seen.add(st)
     if len(seen) != len(W):
         raise ValueError("coset decomposition not surjective")
     return reps
@@ -409,13 +466,13 @@ def equiv_PQ(rs: RootSystem, P: ParabolicData, Q: ParabolicData):
     index = {}
     for k, cl in enumerate(out):
         for w in cl:
-            index[w.matrix] = k
+            index[w] = k
     for w in W:
         for p in wp:
-            if index[(p * w).matrix] != index[w.matrix]:
+            if index[p * w] != index[w]:
                 raise ValueError("classes not left invariant")
         for q in wq:
-            if index[(w * q).matrix] != index[w.matrix]:
+            if index[w * q] != index[w]:
                 raise ValueError("classes not right invariant")
     return out
 
@@ -424,16 +481,16 @@ def double_cosets(rs: RootSystem, P: ParabolicData, Q: ParabolicData):
     """The partition of W into W_P w W_Q double cosets."""
     wp = wq_subgroup(rs, P)
     wq = wq_subgroup(rs, Q)
-    remaining = {w.matrix: w for w in rs.weyl_group()}
+    remaining = {w: w for w in rs.weyl_group()}
     out = []
     for w in rs.weyl_group():
-        if w.matrix not in remaining:
+        if w not in remaining:
             continue
         coset = {}
         for p in wp:
             pw = p * w
             for q in wq:
-                coset[(pw * q).matrix] = None
+                coset[pw * q] = None
         out.append([remaining.pop(m) for m in coset if m in remaining])
     return out
 

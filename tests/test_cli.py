@@ -13,6 +13,7 @@ from laurcalc import (
     Space,
     lf_residue,
 )
+from laurcalc import cli
 from laurcalc import io as lio
 from laurcalc.cli import run
 
@@ -101,3 +102,44 @@ def test_verify_passes(capsys):
     assert code == 0
     lines = [l for l in out.splitlines() if l]
     assert lines and all(l.startswith("PASS ") for l in lines)
+
+
+def test_bad_parabolic_index_exit_2(capsys):
+    for flag, bad in (("--deltaQ=5", "5"), ("--deltaQ=-1", "-1")):
+        code, out = _run(["rootsys", "cosets", "--system", "A2", flag], capsys)
+        assert code == 2
+        err = json.loads(out)
+        assert err["error"] == "precondition"
+        assert f"simple root index {bad} out of range" in err["detail"]
+
+
+def test_verify_reports_a_raising_check(monkeypatch, capsys):
+    table = cli._verify_checks
+
+    def boom():
+        raise RuntimeError("no luck")
+
+    monkeypatch.setattr(cli, "_verify_checks", lambda: table() + [("boom", boom)])
+    code, out = _run(["verify"], capsys)
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[-1] == "FAIL boom: RuntimeError: no luck"
+    assert len(lines) == len(table()) + 1
+    assert all(l.startswith("PASS ") for l in lines[:-1])
+
+
+def test_verify_suite(capsys):
+    code, out = _run(["verify", "--suite", "weyl-orders"], capsys)
+    assert code == 0
+    assert out == "PASS weyl-orders\n"
+    code, out = _run(["verify", "--suite", "scalars-field-roundtrip,weyl-orders"], capsys)
+    assert code == 0
+    assert out == "PASS scalars-field-roundtrip\nPASS weyl-orders\n"
+
+
+def test_verify_unknown_suite_exit_1(capsys):
+    code, out = _run(["verify", "--suite", "weyl-orders,no-such-check"], capsys)
+    assert code == 1
+    err = json.loads(out)
+    assert err["error"] == "parse"
+    assert "no-such-check" in err["detail"]

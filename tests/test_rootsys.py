@@ -11,6 +11,8 @@ from laurcalc import (
     GQ,
     BUILTIN_NAMES,
     ParabolicData,
+    RootSystem,
+    WeylElement,
     builtin_system,
     class_lub,
     double_cosets,
@@ -158,3 +160,117 @@ def test_all_builtin_names_resolve():
     for name in BUILTIN_NAMES:
         assert name in ORDERS
         builtin_system(name)
+
+
+def _half_basis_A2():
+    """A2 in the basis {alpha_1 / 2, alpha_2}: a reflection matrix has a
+    half-integer entry, so Weyl elements carry the denominator 2."""
+    h = Fraction(1, 2)
+    pos = [(2, 0), (0, 1), (2, 1)]
+    return RootSystem(
+        2, pos + [(-a, -b) for a, b in pos], ip=[[h, -h], [-h, 2]], positive=[0, 1, 2]
+    )
+
+
+def _matmul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _matvec(a, v):
+    return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a)
+
+
+def test_non_integral_basis():
+    rs = _half_basis_A2()
+    W = rs.weyl_group()
+    assert sorted(w.length for w in W) == [0, 1, 1, 2, 2, 3]
+    half = [w for w in W if any(x.denominator == 2 for row in w.matrix for x in row)]
+    assert len(half) == 4
+    assert all(x.denominator in (1, 2) for w in W for row in w.matrix for x in row)
+    roots = set(rs.roots)
+    for w in W:
+        for beta in rs.roots:
+            assert _matvec(w.matrix, beta) in roots
+            assert w.act(beta) == _matvec(w.matrix, beta)
+        for v in W:
+            assert (w * v).matrix == _matmul(w.matrix, v.matrix)
+    subsets = [list(c) for r in range(3) for c in combinations(range(2), r)]
+    for p in subsets:
+        for q in subsets:
+            P, Q = ParabolicData(rs, p), ParabolicData(rs, q)
+            part1 = {frozenset(cl) for cl in equiv_PQ(rs, P, Q)}
+            part2 = {frozenset(cl) for cl in double_cosets(rs, P, Q)}
+            assert part1 == part2
+            assert len(min_coset_reps(rs, Q)) * len(wq_subgroup(rs, Q)) == len(W)
+
+
+def test_non_spanning_system():
+    rs = RootSystem(2, [(1, 0), (-1, 0)], positive=[0])
+    W = rs.weyl_group()
+    one, zero = Fraction(1), Fraction(0)
+    assert {w.matrix for w in W} == {((one, zero), (zero, one)), ((-one, zero), (zero, one))}
+    assert sorted(w.length for w in W) == [0, 1]
+
+
+def test_weyl_element_contract():
+    for rs in [builtin_system(name) for name in ("A1", "B2", "G2", "A3")] + [_half_basis_A2()]:
+        ident = rs.identity()
+        for w in rs.weyl_group():
+            m = w.matrix
+            assert type(m) is tuple and all(type(row) is tuple for row in m)
+            assert all(type(x) is Fraction for row in m for x in row)
+            assert len(m) == w.dim == rs.dim
+            v = WeylElement(m)
+            assert v == w and hash(v) == hash(w) and v.length is None
+            assert (w * w.inverse()).is_identity()
+            assert w * w.inverse() == ident
+            assert w.is_identity() == (w == ident) == (w.length == 0)
+            with pytest.raises(AttributeError):
+                w.matrix = m
+            assert w.act_gq(rs.simple[0]) == tuple(GQ(x) for x in w.act(rs.simple[0]))
+    w = builtin_system("A2").weyl_group()[-1]
+    w.length = 7
+    assert w.length == 7
+    assert WeylElement([[Fraction(2, 4), "1/3"], [0, 1]]).matrix == (
+        (Fraction(1, 2), Fraction(1, 3)),
+        (Fraction(0), Fraction(1)),
+    )
+
+
+def test_weyl_layer_stays_on_ints(monkeypatch):
+    """Products, equality and hashing build no Fraction, and the Weyl layer
+    never reads an element's Fraction matrix."""
+    rs = builtin_system("B2")
+    groups = [builtin_system("A3").weyl_group(), _half_basis_A2().weyl_group()]
+
+    def refuse(self):
+        raise AssertionError("WeylElement.matrix read")
+
+    monkeypatch.setattr(WeylElement, "matrix", property(refuse))
+    P, Q = ParabolicData(rs, [0]), ParabolicData(rs, [1])
+    rs.weyl_group(), wq_subgroup(rs, Q), min_coset_reps(rs, Q)
+    equiv_PQ(rs, P, Q), double_cosets(rs, P, Q)
+    built = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kw):
+        built.append(args)
+        return real_new(cls, *args, **kw)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for W in groups:
+        for w in W:
+            for v in W:
+                w * v, w == v, hash(w)
+    assert built == []
+
+
+def test_bad_parabolic_indices():
+    rs = builtin_system("A2")
+    for indices, bad in (([5], 5), ([0, -1], -1), ([2], 2)):
+        with pytest.raises(ValueError, match=f"simple root index {bad} out of range"):
+            ParabolicData(rs, indices)
