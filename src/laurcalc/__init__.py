@@ -58,6 +58,7 @@ from .laurent import (
 )
 from .rootsys import (
     BUILTIN_NAMES,
+    Lattice,
     ParabolicData,
     RootSystem,
     WeylElement,

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
-from .poly import Polynomial, Space, pi_product
+from .poly import Polynomial, Space
 from .scalars import GQ, _triple
 
 
@@ -90,10 +90,8 @@ class Configuration:
                     raise ValueError(f"duplicate hyperplane {h}")
                 self.multiplicity[h] = int(mult)
         self.x_set = [tuple(GQ.of(c).rational() for c in v) for v in (x_set or [])]
-        derived = {h.normal for h in self.multiplicity}
-        for v in self.x_set:
-            derived.add(canonical_normal(v)[0])
-        self.x0_set = sorted(derived)
+        if any(not any(v) for v in self.x_set):
+            raise ValueError("x_set holds the zero vector, which has no canonical representative")
 
     @property
     def hyperplanes(self):
@@ -166,11 +164,6 @@ def subspace_from(space: Space, hyps) -> XSubspace:
     proj = space.project_onto(z0, basis)
     center = [a - b for a, b in zip(z0, proj)]
     return XSubspace(space, hyps, basis, center)
-
-
-def pi_a_d(space: Space, X, a, d) -> Polynomial:
-    """Product of <xi, z - a>^d(xi); the empty product is 1."""
-    return pi_product(space, X, a, d)
 
 
 def hyperplanes_through(cfg: Configuration, L: XSubspace):

@@ -8,6 +8,11 @@ element holds that matrix as Python ints over one common denominator
 (1 for every built-in system), so products, equality and hashing are
 integer operations; the Weyl layer looks elements up by the element
 itself.
+
+``Lattice`` alone decides Z.Delta questions (membership, coordinates,
+the order by nonnegative integer combinations, least upper bounds) with
+an integer inverse of the Gram matrix of Delta computed once; root
+systems, parabolic walls and exponential series each keep their own.
 """
 
 from __future__ import annotations
@@ -33,6 +38,13 @@ def _scaled(v):
     lcm of reduced denominators leaves gcd(iv..., e) = 1."""
     e = lcm(*(x.denominator for x in v))
     return tuple(x.numerator * (e // x.denominator) for x in v), e
+
+
+def _gq_ints(v):
+    """Ints re, im and e > 0 with v = (re + i im) / e, for GQ-like v."""
+    t = [_triple(GQ.of(x)) for x in v]
+    e = lcm(*(d for _, _, d in t))
+    return [a * (e // d) for a, _, d in t], [b * (e // d) for _, b, d in t], e
 
 
 class WeylElement:
@@ -71,12 +83,9 @@ class WeylElement:
         return tuple(Fraction(x, d) for x in self._apply(iv))
 
     def act_gq(self, v):
-        v = [_triple(GQ.of(x)) for x in v]
-        e = lcm(*(d for _, _, d in v))
-        re = self._apply([a * (e // d) for a, _, d in v])
-        im = self._apply([b * (e // d) for _, b, d in v])
+        re, im, e = _gq_ints(v)
         d = self._d * e
-        return tuple(_mk(a, b, d) for a, b in zip(re, im))
+        return tuple(_mk(a, b, d) for a, b in zip(self._apply(re), self._apply(im)))
 
     def _fixes(self, iv):
         """Whether w fixes the vector iv / e, for any e."""
@@ -203,11 +212,10 @@ class RootSystem:
             (a in pset) == (tuple(-x for x in a) in pset) for a in self.roots
         ):
             raise ValueError("invalid positive system")
-        if linalg.rank([[GQ(x) for x in s] for s in self.simple]) != len(self.simple):
-            raise ValueError("simple roots not linearly independent")
+        lattice = Lattice(self.simple, self.dim, "simple roots")
         # every positive root is a nonnegative integer combination of Delta
         for a in self.positive:
-            c = lattice_coords(self.simple, a)
+            c = lattice.coords(a)
             if c is None or any(x < 0 for x in c):
                 raise ValueError("positive root outside the nonnegative simple span")
 
@@ -273,45 +281,27 @@ def _span_system(name, gram, positive_coords):
     )
 
 
+# name: (Gram matrix of the simple roots, positive roots in their coordinates)
+_BUILTINS = {
+    "A1": ([[2]], [(1,)]),
+    "A1xA1": ([[2, 0], [0, 2]], [(1, 0), (0, 1)]),
+    "A2": ([[2, -1], [-1, 2]], [(1, 0), (0, 1), (1, 1)]),
+    "B2": ([[2, -1], [-1, 1]], [(1, 0), (0, 1), (1, 1), (1, 2)]),
+    "G2": ([[2, -3], [-3, 6]], [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]),
+    "A3": (
+        [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)],
+    ),
+}
+
+BUILTIN_NAMES = list(_BUILTINS)
+
+
 def builtin_system(name: str) -> RootSystem:
     key = name.upper().replace("X", "x")
-    if key == "A1":
-        return _span_system("A1", [[2]], [(1,)])
-    if key in ("A1xA1", "A1XA1"):
-        return _span_system("A1xA1", [[2, 0], [0, 2]], [(1, 0), (0, 1)])
-    if key == "A2":
-        return _span_system(
-            "A2", [[2, -1], [-1, 2]], [(1, 0), (0, 1), (1, 1)]
-        )
-    if key == "B2":
-        return _span_system(
-            "B2",
-            [[2, -1], [-1, 1]],
-            [(1, 0), (0, 1), (1, 1), (1, 2)],
-        )
-    if key == "G2":
-        return _span_system(
-            "G2",
-            [[2, -3], [-3, 6]],
-            [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)],
-        )
-    if key == "A3":
-        return _span_system(
-            "A3",
-            [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
-            [
-                (1, 0, 0),
-                (0, 1, 0),
-                (0, 0, 1),
-                (1, 1, 0),
-                (0, 1, 1),
-                (1, 1, 1),
-            ],
-        )
-    raise ValueError(f"unknown built-in root system {name!r}")
-
-
-BUILTIN_NAMES = ["A1", "A1xA1", "A2", "B2", "G2", "A3"]
+    if key not in _BUILTINS:
+        raise ValueError(f"unknown built-in root system {name!r}")
+    return _span_system(key, *_BUILTINS[key])
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +335,7 @@ class ParabolicData:
         self.delta_r = [self.restrict(rs.simple[i]) for i in self.delta_rest_indices]
         if len(set(self.delta_r)) != len(self.delta_r):
             raise ValueError("restricted simple roots not pairwise distinct")
-        if self.delta_r and linalg.rank(
-            [[GQ(x) for x in v] for v in self.delta_r]
-        ) != len(self.delta_r):
-            raise ValueError("restricted simple roots not linearly independent")
+        self.lattice = Lattice(self.delta_r, len(self.basis), "restricted simple roots")
         # restrictions of the roots outside the span of delta_Q
         self.sigma_r = sorted(
             {
@@ -369,7 +356,9 @@ class ParabolicData:
         return tuple(Fraction(sum(map(mul, iv, f)), e * d) for f, d in self._forms)
 
     def restrict_gq(self, v):
-        return tuple(self.rs.space.inner(v, b) for b in self.basis)
+        """``restrict`` for a vector of GQs."""
+        re, im, e = _gq_ints(v)
+        return tuple(_mk(sum(map(mul, re, f)), sum(map(mul, im, f)), e * d) for f, d in self._forms)
 
 
 def wq_subgroup(rs: RootSystem, Q: ParabolicData):
@@ -428,19 +417,6 @@ def wq_decompose(rs: RootSystem, Q: ParabolicData, w: WeylElement):
     raise ValueError("decomposition failed; invalid input")
 
 
-def wq_invariance_check(rs: RootSystem, Q: ParabolicData, s: WeylElement, alpha):
-    """With t the W_Q-component of s, report whether s and s_alpha*s lie
-    in W^Q t.  Requires the reflected image of alpha not to vanish on the
-    wall."""
-    alpha = _vec(alpha)
-    sinva = s.inverse().act(alpha)
-    if all(x == 0 for x in Q.restrict(sinva)):
-        raise ValueError("reflected root vanishes on the wall")
-    _, t = wq_decompose(rs, Q, s)
-    _, t2 = wq_decompose(rs, Q, rs.reflection(alpha) * s)
-    return (t == t, t2 == t)
-
-
 # ---------------------------------------------------------------------------
 # the double-restriction equivalence and genericity
 # ---------------------------------------------------------------------------
@@ -495,24 +471,11 @@ def double_cosets(rs: RootSystem, P: ParabolicData, Q: ParabolicData):
     return out
 
 
-def _lattice_certificate(P: ParabolicData, eta, S_r):
-    """If eta lies in [S+(-S)]|_wall + Z.Delta_r(P), return the witnessing
-    (sigma1, sigma2, integer coefficients); otherwise None.
-
-    eta and the members of S_r are GQ tuples over the wall basis.
-    """
-    for i1, s1 in enumerate(S_r):
-        for i2, s2 in enumerate(S_r):
-            target = [e - (a - b) for e, a, b in zip(eta, s1, s2)]
-            c = lattice_coords(P.delta_r, target)
-            if c is not None:
-                return (i1, i2, c)
-    return None
-
-
 def generic_witness(rs: RootSystem, P: ParabolicData, Q: ParabolicData, S, lam):
     """None when lam is generic; otherwise a violating pair of Weyl
-    elements with its lattice certificate."""
+    elements with its lattice certificate (i1, i2, c): the difference eta
+    of their restricted translates of lam lies in S_r[i1] - S_r[i2] +
+    Z.Delta_r(P), with integer coordinates c."""
     lam = [GQ.of(x) for x in lam]
     S_r = [P.restrict_gq(s) for s in S] or [tuple(GQ(0) for _ in P.basis)]
     classes = equiv_PQ(rs, P, Q)
@@ -525,9 +488,11 @@ def generic_witness(rs: RootSystem, P: ParabolicData, Q: ParabolicData, S, lam):
                 a - b
                 for a, b in zip(P.restrict_gq(v1), P.restrict_gq(v2))
             )
-            cert = _lattice_certificate(P, eta, S_r)
-            if cert is not None:
-                return (s1, s2, cert)
+            for i1, a in enumerate(S_r):
+                for i2, b in enumerate(S_r):
+                    c = P.lattice.coords([e - (x - y) for e, x, y in zip(eta, a, b)])
+                    if c is not None:
+                        return (s1, s2, (i1, i2, c))
     return None
 
 
@@ -550,12 +515,8 @@ def exponent_classify(rs: RootSystem, P: ParabolicData, Q: ParabolicData, S, lam
     candidates = []
     for k, cl in enumerate(classes):
         base = P.restrict_gq(cl[0].act_gq(lam))
-        for s0 in S_r:
-            target = [b + s - x for b, s, x in zip(base, s0, xi)]
-            c = lattice_coords(P.delta_r, target)
-            if c is not None and all(x >= 0 for x in c):
-                candidates.append(k)
-                break
+        if any(P.lattice.preceq(xi, [b + s for b, s in zip(base, s0)]) for s0 in S_r):
+            candidates.append(k)
     if not candidates:
         raise ValueError("weight lies in no translated coset")
     if len(candidates) == 1:
@@ -568,60 +529,113 @@ def exponent_classify(rs: RootSystem, P: ParabolicData, Q: ParabolicData, S, lam
 # ---------------------------------------------------------------------------
 
 
+class Lattice:
+    """The lattice Z.delta of an independent set delta of real rational
+    vectors of length ``dim``, and its order: xi1 precedes xi2 when
+    xi2 - xi1 is a nonnegative integer combination of delta.
+
+    delta is held as int rows N over one denominator E, and the left
+    inverse E (N N^T)^-1 N as int rows over one denominator, so a query is
+    integer dot products plus an exact check that the coordinates give the
+    vector back.  ``name`` names delta in error messages.
+    """
+
+    def __init__(self, delta, dim=None, name="delta"):
+        delta = [_vec(d) for d in delta]
+        self.name = name
+        self.dim = len(delta[0]) if dim is None and delta else dim
+        if any(len(d) != self.dim for d in delta):
+            raise ValueError(f"{name} has a vector of length other than {self.dim}")
+        k, n = len(delta), self.dim
+        flat, self._e = _scaled([x for d in delta for x in d])
+        self._rows = [flat[i * n : (i + 1) * n] for i in range(k)]
+        try:
+            inv = linalg.invert([[sum(map(mul, r, s)) for s in self._rows] for r in self._rows])
+        except ValueError:
+            raise ValueError(f"{name} not linearly independent") from None
+        flat, den = _scaled([x.rational() for row in inv for x in row])
+        cols = list(zip(*self._rows))
+        left = [[sum(map(mul, flat[i * k : (i + 1) * k], c)) * self._e for c in cols] for i in range(k)]
+        g = gcd(den, *(x for row in left for x in row))
+        self._left = [tuple(x // g for x in row) for row in left]
+        self._den = den // g
+
+    def _solve(self, iv):
+        """Ints c with iv = sum c_i delta_i / den for an int vector iv, or
+        None when iv is off the span."""
+        c = [sum(map(mul, row, iv)) for row in self._left]
+        back = [self._den * self._e * x for x in iv]
+        for ci, row in zip(c, self._rows):
+            back = [b - ci * r for b, r in zip(back, row)]
+        return None if any(back) else c
+
+    def _split(self, v):
+        """(re, im, q): ints with v = sum (re_i + i im_i) delta_i / q, or None
+        when v is off the complex span."""
+        if self.dim is not None and len(v) != self.dim:
+            raise ValueError(f"a vector of length {len(v)} against {self.name} of length {self.dim}")
+        re, im, e = _gq_ints(v)
+        re, im = self._solve(re), self._solve(im)
+        return None if re is None or im is None else (re, im, self._den * e)
+
+    def span_coords(self, v):
+        """The coordinates of v over delta as GQs, or None."""
+        s = self._split(v)
+        return None if s is None else [_mk(a, b, s[2]) for a, b in zip(s[0], s[1])]
+
+    def coords(self, v):
+        """The integer coordinates of v over delta, or None off Z.delta."""
+        s = self._split(v)
+        if s is None or any(s[1]) or any(x % s[2] for x in s[0]):
+            return None
+        return [x // s[2] for x in s[0]]
+
+    def _diff(self, a, b):
+        if len(a) != len(b):
+            raise ValueError(f"vectors of lengths {len(a)} and {len(b)} compared over {self.name}")
+        return [GQ.of(y) - GQ.of(x) for x, y in zip(a, b)]
+
+    def equiv(self, a, b) -> bool:
+        """Whether b - a lies in Z.delta."""
+        return self.coords(self._diff(a, b)) is not None
+
+    def height(self, a, b):
+        """The coordinate sum of b - a when a precedes b, else None."""
+        c = self.coords(self._diff(a, b))
+        return None if c is None or any(x < 0 for x in c) else sum(c)
+
+    def preceq(self, a, b) -> bool:
+        return self.height(a, b) is not None
+
+    def lub(self, omega):
+        """Least upper bound of a lattice-equivalent family: componentwise
+        maximum of the delta-coordinates relative to the first member."""
+        if not omega:
+            raise ValueError("empty family has no least upper bound")
+        coords = [self.coords(self._diff(omega[0], xi)) for xi in omega]
+        if None in coords:
+            raise ValueError("family members are not lattice equivalent")
+        out = [GQ.of(x) for x in omega[0]]
+        for m, row in zip(map(max, zip(*coords)), self._rows):
+            out = [x + _mk(m * r, 0, self._e) for x, r in zip(out, row)]
+        return tuple(out)
+
+
 def delta_coords(delta, v):
     """Coordinates of v over the independent set delta, or None."""
-    delta = [_vec(d) for d in delta]
-    v = [GQ.of(x) for x in v]
-    cols = [[GQ(d[i]) for d in delta] for i in range(len(v))]
-    # exact elimination: None exactly when v is outside the span of delta
-    return linalg.solve(cols, v)
-
-
-def lattice_coords(delta, v):
-    """The integer coordinates (as Fractions) of v over the independent set
-    delta, or None when v is not in the lattice Z.delta."""
-    c = delta_coords(delta, v)
-    if c is None:
-        return None
-    out = []
-    for x in c:
-        a, b, d = _triple(x)
-        if b or d != 1:
-            return None
-        out.append(Fraction(a))
-    return out
+    return Lattice(delta).span_coords(v)
 
 
 def preceq_delta(delta, xi1, xi2) -> bool:
-    """xi1 precedes xi2 when the difference is a nonnegative integer
-    combination of delta."""
-    diff = [GQ.of(b) - GQ.of(a) for a, b in zip(xi1, xi2)]
-    c = lattice_coords(delta, diff)
-    return c is not None and all(x >= 0 for x in c)
+    """Whether xi2 - xi1 is a nonnegative integer combination of delta."""
+    return Lattice(delta).preceq(xi1, xi2)
 
 
 def equiv_delta(delta, xi1, xi2) -> bool:
-    """Difference in the integer lattice of delta."""
-    diff = [GQ.of(b) - GQ.of(a) for a, b in zip(xi1, xi2)]
-    return lattice_coords(delta, diff) is not None
+    """Whether xi2 - xi1 lies in the integer lattice of delta."""
+    return Lattice(delta).equiv(xi1, xi2)
 
 
 def class_lub(delta, omega):
-    """Least upper bound of a lattice-equivalent family: componentwise
-    maximum of the delta-coordinates relative to the first member."""
-    if not omega:
-        raise ValueError("empty family has no least upper bound")
-    base = [GQ.of(x) for x in omega[0]]
-    coords = []
-    for xi in omega:
-        diff = [GQ.of(b) - a for a, b in zip(base, xi)]
-        c = lattice_coords(delta, diff)
-        if c is None:
-            raise ValueError("family members are not lattice equivalent")
-        coords.append(c)
-    best = [max(col) for col in zip(*coords)] if delta else []
-    out = list(base)
-    for m, d in zip(best, [_vec(x) for x in delta]):
-        for i in range(len(out)):
-            out[i] = out[i] + GQ(m) * GQ(d[i])
-    return tuple(out)
+    """Least upper bound of a lattice-equivalent family (``Lattice.lub``)."""
+    return Lattice(delta).lub(omega)

@@ -11,7 +11,7 @@ logarithmic coordinates.
 from __future__ import annotations
 
 from .poly import ArityError, DiffOp, Polynomial, Space
-from .rootsys import equiv_delta, lattice_coords, preceq_delta
+from .rootsys import Lattice
 from .scalars import GQ
 
 
@@ -19,12 +19,10 @@ def _exp_key(xi):
     return tuple(GQ.of(x) for x in xi)
 
 
-def _heights(delta, leaders, xi):
+def _heights(lattice, leaders, xi):
     """The lattice heights of xi below each leader it lies below."""
-    for lead in leaders:
-        c = lattice_coords(delta, [a - b for a, b in zip(lead, xi)])
-        if c is not None and all(x >= 0 for x in c):
-            yield int(sum(c))
+    hs = (lattice.height(xi, lead) for lead in leaders)
+    return [h for h in hs if h is not None]
 
 
 class ExpPolySeries:
@@ -32,12 +30,24 @@ class ExpPolySeries:
 
     terms maps an exponent to a tuple of coefficient polynomials (one per
     coordinate of the value space).  Every exponent must lie within
-    lattice height <= trunc below one of the leaders.
+    lattice height <= trunc below one of the leaders.  ``lattice`` is the
+    ``Lattice`` of delta; a series derived from another shares it.
     """
 
     def __init__(self, space: Space, delta, leaders, trunc, vdim, terms):
+        delta = [tuple(x) for x in delta]
+        self._setup(space, delta, Lattice(delta, space.dim), leaders, trunc, vdim, terms)
+
+    def _like(self, leaders, trunc, vdim, terms):
+        """A series over the space and delta of self, sharing its lattice."""
+        out = ExpPolySeries.__new__(ExpPolySeries)
+        out._setup(self.space, self.delta, self.lattice, leaders, trunc, vdim, terms)
+        return out
+
+    def _setup(self, space, delta, lattice, leaders, trunc, vdim, terms):
         self.space = space
-        self.delta = [tuple(x) for x in delta]
+        self.delta = delta
+        self.lattice = lattice
         self.leaders = [_exp_key(x) for x in leaders]
         self.trunc = int(trunc)
         self.vdim = int(vdim)
@@ -59,20 +69,12 @@ class ExpPolySeries:
     def _height(self, xi):
         """Smallest lattice height of xi below a leader within trunc."""
         return min(
-            (h for h in _heights(self.delta, self.leaders, xi) if h <= self.trunc),
+            (h for h in _heights(self.lattice, self.leaders, xi) if h <= self.trunc),
             default=None,
         )
 
-    def degree(self):
-        degs = [p.total_degree() for polys in self.terms.values() for p in polys]
-        return max(degs) if degs else -1
-
     def is_zero(self):
         return not self.terms
-
-    def xi_pairing(self, xi, direction):
-        """xi(H) for the coordinate direction H."""
-        return self.space.inner(xi, direction)
 
     def __add__(self, other):
         if (
@@ -88,25 +90,12 @@ class ExpPolySeries:
             else:
                 terms[xi] = list(polys)
         leaders = list(dict.fromkeys(self.leaders + other.leaders))
-        return ExpPolySeries(
-            self.space,
-            self.delta,
-            leaders,
-            min(self.trunc, other.trunc),
-            self.vdim,
-            terms,
-        )
+        return self._like(leaders, min(self.trunc, other.trunc), self.vdim, terms)
 
     def scale(self, c):
         c = GQ.of(c)
-        return ExpPolySeries(
-            self.space,
-            self.delta,
-            self.leaders,
-            self.trunc,
-            self.vdim,
-            {xi: [p * c for p in polys] for xi, polys in self.terms.items()},
-        )
+        terms = {xi: [p * c for p in polys] for xi, polys in self.terms.items()}
+        return self._like(self.leaders, self.trunc, self.vdim, terms)
 
     def __eq__(self, other):
         if not isinstance(other, ExpPolySeries):
@@ -129,7 +118,7 @@ def series_exponents(F: ExpPolySeries):
         xi
         for xi in exps
         if not any(
-            eta != xi and preceq_delta(F.delta, xi, eta) for eta in exps
+            eta != xi and F.lattice.preceq(xi, eta) for eta in exps
         )
     ]
     return exps, leading
@@ -152,7 +141,7 @@ def series_diffop(u: DiffOp, F: ExpPolySeries) -> ExpPolySeries:
                     cur = [lam * p + p.deriv(i) for p in cur]
             acc = [a + c * p for a, p in zip(acc, cur)]
         terms[xi] = acc
-    return ExpPolySeries(F.space, F.delta, F.leaders, F.trunc, F.vdim, terms)
+    return F._like(F.leaders, F.trunc, F.vdim, terms)
 
 
 def series_mul(F: ExpPolySeries, G: ExpPolySeries, pairing=None, out_vdim=None):
@@ -196,10 +185,10 @@ def series_mul(F: ExpPolySeries, G: ExpPolySeries, pairing=None, out_vdim=None):
     # the joint truncation: deeper contributions may be missing
     kept = {}
     for nu, polys in terms.items():
-        hs = list(_heights(F.delta, leaders, nu))
+        hs = _heights(F.lattice, leaders, nu)
         if hs and max(hs) <= trunc:
             kept[nu] = polys
-    return ExpPolySeries(F.space, F.delta, leaders, trunc, out_vdim, kept)
+    return F._like(leaders, trunc, out_vdim, kept)
 
 
 def series_split(F: ExpPolySeries, S):
@@ -211,20 +200,17 @@ def series_split(F: ExpPolySeries, S):
     S = [_exp_key(s) for s in S]
     for i, s1 in enumerate(S):
         for s2 in S[i + 1 :]:
-            if equiv_delta(F.delta, s1, s2):
+            if F.lattice.equiv(s1, s2):
                 raise ValueError("coset leaders are lattice equivalent")
     out = {}
     for s in S:
         out[s] = {}
     for xi, polys in F.terms.items():
-        owners = [s for s in S if preceq_delta(F.delta, xi, s)]
+        owners = [s for s in S if F.lattice.preceq(xi, s)]
         if not owners:
             raise ValueError(f"exponent {xi} lies in no given coset")
         out[owners[0]][xi] = polys
-    return {
-        s: ExpPolySeries(F.space, F.delta, [s], F.trunc, F.vdim, terms)
-        for s, terms in out.items()
-    }
+    return {s: F._like([s], F.trunc, F.vdim, terms) for s, terms in out.items()}
 
 
 class RestrictedSeries:
@@ -276,7 +262,7 @@ class RestrictedSeries:
             for xis in self.groups.values()
             for xi in xis
         }
-        return ExpPolySeries(F.space, F.delta, F.leaders, F.trunc, F.vdim, terms)
+        return F._like(F.leaders, F.trunc, F.vdim, terms)
 
 
 def series_restrict(F: ExpPolySeries, wall_basis) -> RestrictedSeries:

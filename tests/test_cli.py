@@ -143,3 +143,25 @@ def test_verify_unknown_suite_exit_1(capsys):
     err = json.loads(out)
     assert err["error"] == "parse"
     assert "no-such-check" in err["detail"]
+
+
+def test_bad_delta_exit_2(capsys, tmp_path):
+    series = tmp_path / "short_delta.json"
+    series.write_text(json.dumps({
+        "space": {"dim": 2},
+        "delta": [["1"]],
+        "leaders": [["0", "0"]],
+        "trunc": 1,
+        "terms": [{"exponent": ["0", "0"], "coeff_poly": [lio.poly_to_json(Polynomial.const(2, GQ(1)))]}],
+    }))
+    for argv in (
+        ["rootsys", "preceq", "--delta", "1,0", "--a", "0,0", "--b", "1"],
+        ["rootsys", "lub", "--delta", "1,0", "--omega", "0,0;1"],
+        ["rootsys", "preceq", "--delta", "1,0;2,0", "--a", "0,0", "--b", "1,0"],
+        ["series", "exponents", "--series", str(series)],
+    ):
+        code, out = _run(argv, capsys)
+        assert code == 2
+        err = json.loads(out)
+        assert err["error"] == "precondition"
+        assert "delta" in err["detail"]

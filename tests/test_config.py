@@ -106,3 +106,10 @@ def test_pi_omega_d_ball_product():
     cfg = Configuration(sp, [(near, 2), (far, 1)], [])
     p = pi_omega_d(cfg, [GQ(0)], Fraction(1))
     assert p == Polynomial(1, {(2,): GQ(1)})
+
+
+def test_zero_vector_in_x_set_rejected():
+    sp = Space(2)
+    assert Configuration(sp, [], [(1, 0)]).x_set == [(Fraction(1), Fraction(0))]
+    with pytest.raises(ValueError, match="x_set holds the zero vector"):
+        Configuration(sp, [], [(1, 0), (0, 0)])

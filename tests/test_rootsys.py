@@ -6,10 +6,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from laurcalc import linalg
 from laurcalc import (
     GQ,
     BUILTIN_NAMES,
+    Lattice,
     ParabolicData,
     RootSystem,
     WeylElement,
@@ -274,3 +277,81 @@ def test_bad_parabolic_indices():
     for indices, bad in (([5], 5), ([0, -1], -1), ([2], 2)):
         with pytest.raises(ValueError, match=f"simple root index {bad} out of range"):
             ParabolicData(rs, indices)
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def lattice_cases(draw):
+    """An independent rational delta (k <= n <= 3), integer coordinates c
+    and c2, rational coordinates r, and a complex base vector."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, n))
+    delta = [tuple(draw(small) for _ in range(n)) for _ in range(k)]
+    assume(linalg.rank(delta) == k)
+    ints = st.lists(st.integers(-5, 5), min_size=k, max_size=k)
+    c, c2 = draw(ints), draw(ints)
+    r = draw(st.lists(small, min_size=k, max_size=k))
+    base = [GQ(draw(small), draw(small)) for _ in range(n)]
+    return n, delta, c, c2, r, base
+
+
+def _comb(delta, c, n):
+    return [sum((GQ(x) * GQ(d[j]) for x, d in zip(c, delta)), GQ(0)) for j in range(n)]
+
+
+def _plus(u, v):
+    return [a + b for a, b in zip(u, v)]
+
+
+@given(lattice_cases())
+def test_lattice_against_solve(case):
+    n, delta, c, c2, r, base = case
+    L = Lattice(delta, n)
+    cols = [[d[j] for d in delta] for j in range(n)]
+    v = _comb(delta, c, n)
+    assert L.coords(v) == c
+    assert L.span_coords(v) == linalg.solve(cols, v) == [GQ(x) for x in c]
+    if delta:
+        assert L.coords(_plus(v, [GQ(x) / 2 for x in delta[0]])) is None
+        im = _plus(v, [GQ(0, x) for x in delta[0]])
+        assert L.coords(im) is None
+        assert L.span_coords(im) == linalg.solve(cols, im)
+    for off in linalg.nullspace(delta, ncols=n):
+        assert L.coords(_plus(v, off)) is None
+        assert L.span_coords(_plus(v, off)) is None is linalg.solve(cols, _plus(v, off))
+    w = _plus(_comb(delta, r, n), [GQ(0, 1) * x for x in _comb(delta, c2, n)])
+    assert L.span_coords(w) == linalg.solve(cols, w) == [GQ(x, y) for x, y in zip(r, c2)]
+    assert L.span_coords(base) == linalg.solve(cols, base)
+    if not delta:
+        assert Lattice([]).coords([GQ(0)] * n) == []
+        assert Lattice([]).coords(base) == (None if any(not x.is_zero() for x in base) else [])
+    # the order and least upper bounds, from their definitions
+    top = _plus(base, v)
+    assert preceq_delta(delta, base, top) == all(x >= 0 for x in c)
+    assert equiv_delta(delta, base, top)
+    best = [max(0, x, y) for x, y in zip(c, c2)]
+    family = [base, top, _plus(base, _comb(delta, c2, n))]
+    assert class_lub(delta, family) == tuple(_plus(base, _comb(delta, best, n)))
+
+
+def test_lattice_rejects_bad_input():
+    with pytest.raises(ValueError, match="delta not linearly independent"):
+        Lattice([(1, 0), (2, 0)])
+    with pytest.raises(ValueError, match="delta not linearly independent"):
+        Lattice([(0, 0)])
+    with pytest.raises(ValueError, match="delta has a vector of length other than 2"):
+        Lattice([(1, 0), (1,)])
+    with pytest.raises(ValueError, match="delta has a vector of length other than 2"):
+        Lattice([(1,)], 2)
+    L = Lattice([(1, 0)])
+    for bad in (L.coords, L.span_coords):
+        with pytest.raises(ValueError, match="against delta of length 2"):
+            bad([GQ(1)])
+    for bad in (L.preceq, L.equiv, L.height):
+        for a, b in (([0, 0], [1]), ([0, 0, 5], [1, 0])):
+            with pytest.raises(ValueError, match="delta"):
+                bad([GQ(x) for x in a], [GQ(x) for x in b])
+    with pytest.raises(ValueError, match="delta"):
+        class_lub([(1, 0)], [[GQ(0), GQ(0)], [GQ(1)]])

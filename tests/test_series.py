@@ -163,3 +163,21 @@ def test_shifted_coeff_in_no_variables():
     R = series_restrict(F, [])
     assert R.shifted_coeff(()) == (Polynomial.const(0, 1),)
     assert R.reassemble() == F
+
+
+def test_bad_delta_rejected():
+    one = {(GQ(0), GQ(0)): [Polynomial.const(2, GQ(1))]}
+    with pytest.raises(ValueError, match="delta has a vector of length other than 2"):
+        ExpPolySeries(Space(2), [(Fraction(1),)], [(GQ(0), GQ(0))], 1, 1, one)
+    with pytest.raises(ValueError, match="delta not linearly independent"):
+        ExpPolySeries(Space(2), [(1, 0), (2, 0)], [(GQ(0), GQ(0))], 1, 1, one)
+    with pytest.raises(ValueError, match="delta"):
+        ExpPolySeries(Space(2), [(1, 0)], [(GQ(0),)], 1, 1, one)
+
+
+def test_derived_series_share_the_lattice():
+    F = _basic()
+    G = series_diffop(DiffOp.partial(2, 0), F)
+    derived = [F + F, F.scale(GQ(2)), G, series_mul(F, F), *series_split(F, F.leaders).values()]
+    derived.append(series_restrict(F, [(Fraction(1), Fraction(0))]).reassemble())
+    assert all(H.lattice is F.lattice for H in derived)
