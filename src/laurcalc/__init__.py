@@ -7,13 +7,11 @@ from .scalars import GQ, gq_from_string, gq_to_string
 from .poly import (
     ArityError,
     DiffOp,
-    Jet,
     Polynomial,
     Space,
     j_map,
     leibniz_flatten,
     pi_product,
-    taylor_jet,
 )
 from .config import (
     Configuration,
@@ -23,9 +21,7 @@ from .config import (
     hyperplanes_through,
     induced_config,
     pi_omega_d,
-    q_L_d,
     subspace_from,
-    x_of_subspace,
 )
 from .germs import (
     Germ,
@@ -35,7 +31,6 @@ from .germs import (
     germ_diff,
     germ_mul,
     germ_normalize,
-    germ_scale,
     rationalfn_germ_at,
     rationalfn_restrict,
 )
@@ -72,8 +67,6 @@ from .rootsys import (
     is_generic,
     min_coset_reps,
     preceq_delta,
-    weyl_enumerate,
-    wq_decompose,
     wq_subgroup,
 )
 from .series import (
@@ -86,4 +79,4 @@ from .series import (
     series_split,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -13,8 +13,9 @@ import sys
 from fractions import Fraction
 
 from . import io as lio
-from .config import Configuration, hyperplanes_through, induced_config, pi_omega_d, subspace_from
+from .config import Hyperplane, hyperplanes_through, induced_config, pi_omega_d, subspace_from
 from .germs import (
+    RationalFn,
     germ_add,
     germ_diff,
     germ_mul,
@@ -34,23 +35,35 @@ from .laurent import (
     lf_from_evaluation,
     lf_mul_action,
     lf_pushforward,
+    lf_residue,
     transverse_space,
 )
-from .poly import ArityError, DiffOp, Polynomial, leibniz_flatten
+from .poly import ArityError, DiffOp, Polynomial, Space, j_map, leibniz_flatten
 from .rootsys import (
     ParabolicData,
+    builtin_system,
     class_lub,
     equiv_PQ,
     exponent_classify,
     generic_witness,
-    is_generic,
     min_coset_reps,
     preceq_delta,
-    weyl_enumerate,
     wq_subgroup,
 )
 from .scalars import GQ, gq_from_string, gq_to_string
-from .series import series_diffop, series_exponents, series_mul, series_restrict, series_split
+from .series import ExpPolySeries, series_diffop, series_exponents, series_mul, series_restrict, series_split
+
+
+class _Options:
+    """The parsed options of one command.  An option that was not given
+    reads as a parse failure naming it, so each handler can read the ones
+    it needs without checking."""
+
+    def __init__(self, ns):
+        self._given = {k: v for k, v in vars(ns).items() if v is not None}
+
+    def __getattr__(self, name):
+        return lio.field(self._given, name, what="option")
 
 
 def _load(path):
@@ -173,8 +186,8 @@ def _cmd_laurent(args):
     elif args.op == "pushforward":
         L0 = lio.functional_from_json(_load(args.functional))
         data = _load(args.matrix)
-        mat = [[lio.frac_from_str(x) for x in row] for row in data["matrix"]]
-        space = lio.space_from_json(data["space"])
+        mat = [[lio.frac_from_str(x) for x in row] for row in lio.field(data, "matrix")]
+        space = lio.space_from_json(lio.field(data, "space"))
         _emit(lio.functional_to_json(lf_pushforward(mat, L0, space)))
     elif args.op == "mul-action":
         L = lio.functional_from_json(_load(args.functional))
@@ -192,7 +205,7 @@ def _cmd_laurent(args):
         L = lio.functional_from_json(_load(args.functional))
         f = lio.rationalfn_from_json(_load(args.fn))
         data = _load(args.subspace)
-        Lsub = lio.subspace_from_json(lio.space_from_json(data["space"]), data)
+        Lsub = lio.subspace_from_json(lio.space_from_json(lio.field(data, "space")), data)
         _emit(lio.rationalfn_to_json(lf_diagonal_apply(L, f, Lsub)))
     elif args.op == "witness":
         g = lio.germ_from_json(_load(args.germ))
@@ -208,13 +221,13 @@ def _cmd_laurent(args):
 def _system(args):
     if args.system_file:
         return lio.rootsystem_from_json(_load(args.system_file))
-    return lio.resolve_rootsystem(args.system)
+    return builtin_system(args.system)
 
 
 def _cmd_rootsys(args):
     rs = _system(args)
     if args.op == "weyl":
-        W = weyl_enumerate(rs)
+        W = rs.weyl_group()
         lengths = {}
         for w in W:
             lengths[w.length] = lengths.get(w.length, 0) + 1
@@ -240,7 +253,7 @@ def _cmd_rootsys(args):
         P = ParabolicData(rs, _ints(args.deltaP))
         Q = ParabolicData(rs, _ints(args.deltaQ))
         S = [_vec(part) for part in args.weights.split(";")] if args.weights else []
-        lam = _vec(getattr(args, "lam"))
+        lam = _vec(args.lam)
         w = generic_witness(rs, P, Q, S, lam)
         if w is None:
             _emit({"generic": True})
@@ -264,7 +277,7 @@ def _cmd_rootsys(args):
         P = ParabolicData(rs, _ints(args.deltaP))
         Q = ParabolicData(rs, _ints(args.deltaQ))
         S = [_vec(part) for part in args.weights.split(";")] if args.weights else []
-        lam = _vec(getattr(args, "lam"))
+        lam = _vec(args.lam)
         xi = _vec(args.xi)
         kind, payload, _classes = exponent_classify(rs, P, Q, S, lam, xi)
         _emit({"result": kind, "classes": payload if kind == "ambiguous" else [payload]})
@@ -335,10 +348,6 @@ def _cmd_series(args):
 
 def _verify_checks():
     """Small deterministic self-checks, one per module cluster."""
-    from .poly import Space, j_map
-    from .germs import Germ, RationalFn
-    from .config import Hyperplane
-    from .laurent import lf_residue
     import random
 
     rng = random.Random(20240)
@@ -405,15 +414,13 @@ def _verify_checks():
     def c_weyl():
         want = {"A1": 2, "A1xA1": 4, "A2": 6, "B2": 8, "G2": 12, "A3": 24}
         for name, k in want.items():
-            if len(weyl_enumerate(lio.resolve_rootsystem(name))) != k:
+            if len(builtin_system(name).weyl_group()) != k:
                 return False
         return True
 
     check("weyl-orders", c_weyl)
 
     def c_series():
-        from .series import ExpPolySeries
-
         sp = Space(2)
         delta = [(1, 0), (0, 1)]
         lam = (GQ(Fraction(5, 2)), GQ(1))
@@ -472,7 +479,7 @@ def _build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--center")
     p.add_argument("--radius2")
-    p.add_argument("--hyperplanes")
+    p.add_argument("--hyperplanes", default="")
 
     p = sub.add_parser("germ")
     p.add_argument("op")
@@ -492,8 +499,8 @@ def _build_parser():
     p.add_argument("--fn")
     p.add_argument("--space")
     p.add_argument("--point")
-    p.add_argument("--x")
-    p.add_argument("--d")
+    p.add_argument("--x", default="")
+    p.add_argument("--d", default="")
     p.add_argument("--matrix")
     p.add_argument("--vector")
     p.add_argument("--subspace")
@@ -501,7 +508,7 @@ def _build_parser():
     p = sub.add_parser("rootsys")
     p.add_argument("op")
     p.add_argument("--system", default="A2")
-    p.add_argument("--system-file")
+    p.add_argument("--system-file", default="")
     p.add_argument("--deltaQ", default="")
     p.add_argument("--deltaP", default="")
     p.add_argument("--weights", default="")
@@ -530,7 +537,7 @@ def _build_parser():
 def run(argv) -> int:
     ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _Options(ap.parse_args(argv))
     except SystemExit:
         return 1
     try:

@@ -65,9 +65,6 @@ class Hyperplane:
     def dim(self):
         return len(self.normal)
 
-    def is_real(self):
-        return self.offset.is_real()
-
     def form(self, space: Space) -> Polynomial:
         return space.linear_form(self.normal, self.offset)
 
@@ -111,10 +108,6 @@ class XSubspace:
         self.defining = list(defining)
         self.basis_VL = [tuple(GQ.of(x) for x in b) for b in basis_VL]
         self.center = tuple(GQ.of(x) for x in center)
-
-    @property
-    def codim(self):
-        return self.space.dim - len(self.basis_VL)
 
     def param_point(self, s):
         """Ambient point center + sum s_j * b_j."""
@@ -176,25 +169,6 @@ def hyperplanes_through(cfg: Configuration, L: XSubspace):
         if normal_in_perp and h.contains(cfg.space, L.center):
             out.append(h)
     return out
-
-
-def x_of_subspace(cfg: Configuration, L: XSubspace):
-    """X(L): roots of the configuration orthogonal to the direction space."""
-    return [
-        v
-        for v in cfg.x_set
-        if all(cfg.space.inner(v, b).is_zero() for b in L.basis_VL)
-    ]
-
-
-def q_L_d(cfg: Configuration, L: XSubspace, d_map) -> Polynomial:
-    """Product of l_H^d(H) over the hyperplanes of cfg containing L."""
-    p = Polynomial.const(cfg.space.dim, GQ(1))
-    for h in hyperplanes_through(cfg, L):
-        k = d_map.get(h, 0)
-        if k:
-            p = p * h.form(cfg.space) ** k
-    return p
 
 
 def induced_config(cfg: Configuration, L: XSubspace, S=None) -> Configuration:

@@ -39,9 +39,6 @@ class Germ:
     def is_holomorphic(self):
         return not self.pole
 
-    def pole_degree(self):
-        return sum(self.pole.values())
-
 
 def _over_common_denominator(parts, form):
     """Bring fractions num / prod form(key)^power, given as (num, powers)
@@ -77,21 +74,13 @@ def germ_normalize(g: Germ) -> Germ:
     pole = dict(g.pole)
     jet = g.jet
     order = g.order
-    changed = True
-    while changed:
-        changed = False
-        for xi in list(pole):
-            if pole[xi] == 0:
-                continue
-            coeffs = g.space.form_coeffs(xi)
-            q = jet.divide_by_linear(coeffs)
-            if q is not None:
-                jet = q
-                order -= 1
-                pole[xi] -= 1
-                if pole[xi] == 0:
-                    del pole[xi]
-                changed = True
+    # distinct canonical directions give coprime forms, so one pass each
+    for xi in list(pole):
+        jet, n = jet.divide_out(g.space.form_coeffs(xi), most=pole[xi])
+        order -= n
+        pole[xi] -= n
+        if pole[xi] == 0:
+            del pole[xi]
     return Germ(g.space, g.base, pole, jet, order)
 
 
@@ -116,10 +105,6 @@ def germ_add(g1: Germ, g2: Germ) -> Germ:
     )
     order = min(g1.order + e1, g2.order + e2)
     return Germ(g1.space, g1.base, pole, (p1 + p2).truncate(order), order)
-
-
-def germ_scale(g: Germ, c) -> Germ:
-    return g.copy_with(jet=g.jet * GQ.of(c))
 
 
 def germ_diff(v, g: Germ) -> Germ:
@@ -185,10 +170,6 @@ class RationalFn:
                 self.denominator[h] = int(k)
 
     @staticmethod
-    def from_poly(space, p):
-        return RationalFn(space, p)
-
-    @staticmethod
     def const(space, c):
         return RationalFn(space, Polynomial.const(space.dim, GQ.of(c)))
 
@@ -197,14 +178,9 @@ class RationalFn:
         num = self.numerator
         den = dict(self.denominator)
         for h in list(den):
-            coeffs = self.space.form_coeffs(h.normal)
-            while den.get(h, 0) > 0:
-                q = num.divide_by_linear(coeffs, -h.offset)
-                if q is None:
-                    break
-                num = q
-                den[h] -= 1
-            if den.get(h) == 0:
+            num, n = num.divide_out(self.space.form_coeffs(h.normal), -h.offset, most=den[h])
+            den[h] -= n
+            if den[h] == 0:
                 del den[h]
         return RationalFn(self.space, num, den)
 

@@ -11,22 +11,31 @@ from .config import Configuration, Hyperplane, XSubspace, subspace_from
 from .germs import Germ, RationalFn
 from .laurent import LaurentFunctional, LFSummand
 from .poly import DiffOp, Polynomial, Space
-from .rootsys import BUILTIN_NAMES, RootSystem, builtin_system
+from .rootsys import RootSystem, builtin_system
 from .scalars import GQ, _ratio_str, _triple, gq_from_string, gq_to_string
 from .series import ExpPolySeries
 
 
 class ParseFailure(Exception):
-    """Malformed input: unreadable JSON, a missing key, or a string that is
-    not a number (exit code 1)."""
+    """Malformed input: unreadable JSON, a missing key or option, a value
+    that should be an object and is not, or a string that is not a number
+    (exit code 1)."""
 
 
-def _get(d, key):
-    """d[key], or ParseFailure when the key is missing."""
-    try:
+_REQUIRED = object()
+
+
+def field(d, key, default=_REQUIRED, what="key"):
+    """d[key] for a JSON object d, else ``default``; a missing key without a
+    default, or a d that is not an object, is a ParseFailure naming the key.
+    The command line reads its options here too, with ``what="option"``."""
+    if not isinstance(d, dict):
+        raise ParseFailure(f"expected a JSON object with {what} {key!r}, got {type(d).__name__}")
+    if key in d:
         return d[key]
-    except KeyError:
-        raise ParseFailure(f"missing key {key!r}") from None
+    if default is _REQUIRED:
+        raise ParseFailure(f"missing {what} {key!r}")
+    return default
 
 
 def _number(convert, x):
@@ -64,10 +73,10 @@ def poly_to_json(p: Polynomial) -> dict:
 
 def poly_from_json(d) -> Polynomial:
     terms = {}
-    for t in _get(d, "terms"):
-        idx = tuple(_number(int, i) for i in _get(t, "idx"))
-        terms[idx] = GQ(frac_from_str(t.get("re", "0/1")), frac_from_str(t.get("im", "0/1")))
-    return Polynomial(_number(int, _get(d, "dim")), terms)
+    for t in field(d, "terms"):
+        idx = tuple(_number(int, i) for i in field(t, "idx"))
+        terms[idx] = GQ(frac_from_str(field(t, "re", "0/1")), frac_from_str(field(t, "im", "0/1")))
+    return Polynomial(_number(int, field(d, "dim")), terms)
 
 
 def diffop_to_json(u: DiffOp) -> dict:
@@ -89,10 +98,10 @@ def space_to_json(s: Space) -> dict:
 
 
 def space_from_json(d) -> Space:
-    ip = d.get("inner_product")
+    ip = field(d, "inner_product", None)
     if ip is not None:
         ip = [[frac_from_str(x) for x in row] for row in ip]
-    return Space(_number(int, _get(d, "dim")), ip)
+    return Space(_number(int, field(d, "dim")), ip)
 
 
 def hyperplane_to_json(h: Hyperplane) -> dict:
@@ -104,7 +113,7 @@ def hyperplane_to_json(h: Hyperplane) -> dict:
 
 def hyperplane_from_json(d) -> Hyperplane:
     return Hyperplane.make(
-        [frac_from_str(x) for x in _get(d, "normal")], _gq_from_json(_get(d, "offset"))
+        [frac_from_str(x) for x in field(d, "normal")], _gq_from_json(field(d, "offset"))
     )
 
 
@@ -124,15 +133,15 @@ def config_to_json(cfg: Configuration) -> dict:
 def config_from_json(d) -> Configuration:
     space = space_from_json(d)
     hyps = [
-        (hyperplane_from_json(h), _number(int, h.get("mult", 1)))
-        for h in d.get("hyperplanes", [])
+        (hyperplane_from_json(h), _number(int, field(h, "mult", 1)))
+        for h in field(d, "hyperplanes", [])
     ]
-    x_set = [[frac_from_str(x) for x in v] for v in d.get("x_set", [])]
+    x_set = [[frac_from_str(x) for x in v] for v in field(d, "x_set", [])]
     return Configuration(space, hyps, x_set)
 
 
 def subspace_from_json(space: Space, d) -> XSubspace:
-    hyps = [hyperplane_from_json(h) for h in _get(d, "hyperplanes")]
+    hyps = [hyperplane_from_json(h) for h in field(d, "hyperplanes")]
     return subspace_from(space, hyps)
 
 
@@ -152,12 +161,12 @@ def rationalfn_to_json(f: RationalFn) -> dict:
 
 
 def rationalfn_from_json(d) -> RationalFn:
-    space = space_from_json(_get(d, "space"))
-    num = poly_from_json(_get(d, "numerator"))
+    space = space_from_json(field(d, "space"))
+    num = poly_from_json(field(d, "numerator"))
     den = {}
-    for h in d.get("denominator", []):
+    for h in field(d, "denominator", []):
         hp = hyperplane_from_json(h)
-        den[hp] = den.get(hp, 0) + _number(int, h.get("power", 1))
+        den[hp] = den.get(hp, 0) + _number(int, field(h, "power", 1))
     return RationalFn(space, num, den)
 
 
@@ -175,13 +184,13 @@ def germ_to_json(g: Germ) -> dict:
 
 
 def germ_from_json(d) -> Germ:
-    space = space_from_json(_get(d, "space"))
-    base = [_gq_from_json(x) for x in _get(d, "base")]
+    space = space_from_json(field(d, "space"))
+    base = [_gq_from_json(x) for x in field(d, "base")]
     pole = {
-        tuple(frac_from_str(x) for x in _get(e, "direction")): _number(int, _get(e, "power"))
-        for e in d.get("pole", [])
+        tuple(frac_from_str(x) for x in field(e, "direction")): _number(int, field(e, "power"))
+        for e in field(d, "pole", [])
     }
-    return Germ(space, base, pole, poly_from_json(_get(d, "jet")), _number(int, _get(d, "order")))
+    return Germ(space, base, pole, poly_from_json(field(d, "jet")), _number(int, field(d, "order")))
 
 
 # -- functionals -----------------------------------------------------------
@@ -202,15 +211,15 @@ def functional_to_json(L: LaurentFunctional) -> dict:
 
 
 def functional_from_json(d) -> LaurentFunctional:
-    space = space_from_json(_get(d, "space"))
+    space = space_from_json(field(d, "space"))
     summands = []
-    for s in _get(d, "summands"):
+    for s in field(d, "summands"):
         summands.append(
             LFSummand(
-                [_gq_from_json(x) for x in _get(s, "support")],
-                [[frac_from_str(c) for c in xi] for xi in _get(s, "x_set")],
-                [_number(int, k) for k in _get(s, "d_max")],
-                diffop_from_json(_get(s, "u")),
+                [_gq_from_json(x) for x in field(s, "support")],
+                [[frac_from_str(c) for c in xi] for xi in field(s, "x_set")],
+                [_number(int, k) for k in field(s, "d_max")],
+                diffop_from_json(field(s, "u")),
             )
         )
     return LaurentFunctional(space, summands)
@@ -233,31 +242,20 @@ def rootsystem_to_json(rs: RootSystem) -> dict:
 def rootsystem_from_json(d) -> RootSystem:
     if isinstance(d, str):
         return builtin_system(d)
-    ip = d.get("inner_product")
+    ip = field(d, "inner_product", None)
     if ip is not None:
         ip = [[frac_from_str(x) for x in row] for row in ip]
-    simple = d.get("simple")
+    simple = field(d, "simple", None)
     if simple is not None:
         simple = [[frac_from_str(x) for x in s] for s in simple]
     return RootSystem(
-        _number(int, _get(d, "dim")),
-        [[frac_from_str(x) for x in r] for r in _get(d, "roots")],
+        _number(int, field(d, "dim")),
+        [[frac_from_str(x) for x in r] for r in field(d, "roots")],
         ip=ip,
-        positive=[_number(int, i) for i in _get(d, "positive")],
+        positive=[_number(int, i) for i in field(d, "positive")],
         simple=simple,
-        name=d.get("name"),
+        name=field(d, "name", None),
     )
-
-
-def resolve_rootsystem(spec) -> RootSystem:
-    """A built-in name, or a JSON object."""
-    if isinstance(spec, str) and spec.replace("x", "X").upper().replace("X", "x") in [
-        n.replace("X", "x") for n in BUILTIN_NAMES
-    ]:
-        return builtin_system(spec)
-    if isinstance(spec, str):
-        raise ValueError(f"unknown root system name {spec!r}")
-    return rootsystem_from_json(spec)
 
 
 # -- series ----------------------------------------------------------------
@@ -283,13 +281,13 @@ def series_to_json(F: ExpPolySeries) -> dict:
 
 
 def series_from_json(d) -> ExpPolySeries:
-    space = space_from_json(_get(d, "space"))
-    delta = [tuple(frac_from_str(x) for x in v) for v in _get(d, "delta")]
-    leaders = [[_gq_from_json(x) for x in l] for l in _get(d, "leaders")]
+    space = space_from_json(field(d, "space"))
+    delta = [tuple(frac_from_str(x) for x in v) for v in field(d, "delta")]
+    leaders = [[_gq_from_json(x) for x in l] for l in field(d, "leaders")]
     terms = {}
-    for t in _get(d, "terms"):
-        xi = tuple(_gq_from_json(x) for x in _get(t, "exponent"))
-        terms[xi] = [poly_from_json(p) for p in _get(t, "coeff_poly")]
+    for t in field(d, "terms"):
+        xi = tuple(_gq_from_json(x) for x in field(t, "exponent"))
+        terms[xi] = [poly_from_json(p) for p in field(t, "coeff_poly")]
     return ExpPolySeries(
-        space, delta, leaders, _number(int, _get(d, "trunc")), _number(int, d.get("vdim", 1)), terms
+        space, delta, leaders, _number(int, field(d, "trunc")), _number(int, field(d, "vdim", 1)), terms
     )

@@ -21,7 +21,7 @@ from .germs import (
     rationalfn_pullback,
     rationalfn_restrict,
 )
-from .poly import ArityError, DiffOp, Polynomial, Space, leibniz_flatten
+from .poly import ArityError, DiffOp, Polynomial, Space, factorial_multi, leibniz_flatten, pi_product
 from .scalars import GQ
 
 
@@ -66,14 +66,6 @@ class LaurentFunctional:
                 raise ValueError("support points must be distinct")
             seen.add(s.support)
 
-    def support(self):
-        return [s.support for s in self.summands]
-
-
-def _dir_form(space: Space, direction) -> Polynomial:
-    """<direction, w> in the shifted variable."""
-    return space.linear_form(direction, GQ(0))
-
 
 def _apply_summand(space: Space, s: LFSummand, g: Germ) -> GQ:
     gn = germ_normalize(g)
@@ -91,7 +83,7 @@ def _apply_summand(space: Space, s: LFSummand, g: Germ) -> GQ:
     q = Polynomial.const(space.dim, scalar)
     hom_deg = 0
     for dir_, k in leftover.items():
-        q = q * _dir_form(space, dir_) ** k
+        q = q * space.linear_form(dir_) ** k
         hom_deg += k
     if s.u.order() > gn.order + hom_deg:
         raise ValueError("jet order too small for the operator order")
@@ -141,8 +133,6 @@ def lf_from_evaluation(space: Space, a, X, d_max) -> LaurentFunctional:
     applied as derivatives, normalized so that the single surviving
     homogeneous contribution equals 1.
     """
-    from .poly import factorial_multi, pi_product
-
     pi = pi_product(space, X, a, d_max).shift(a)  # homogeneous in w
     norm = GQ(0)
     for gamma, c in pi.terms.items():
@@ -284,14 +274,8 @@ def lf_mul_action(psi, L: LaurentFunctional) -> LaurentFunctional:
         extra = {}
         if not jet.is_zero():
             for dir_ in totals:
-                coeffs = L.space.form_coeffs(dir_)
-                while True:
-                    q = jet.divide_by_linear(coeffs)
-                    if q is None:
-                        break
-                    jet = q
-                    jet_order -= 1
-                    extra[dir_] = extra.get(dir_, 0) + 1
+                jet, extra[dir_] = jet.divide_out(L.space.form_coeffs(dir_))
+                jet_order -= extra[dir_]
         if jet_order < s.u.order():
             raise ValueError("multiplier jet order too small")
         new_totals = {}
@@ -369,8 +353,6 @@ def lf_annihilator_witness(g: Germ):
     deg = min(sum(idx) for idx in restricted.terms)
     gamma = min(idx for idx in restricted.terms if sum(idx) == deg)
     c = restricted.terms[gamma]
-    from .poly import factorial_multi
-
     u = DiffOp.identity(space.dim)
     for j, k in enumerate(gamma):
         for _ in range(k):

@@ -84,20 +84,6 @@ def nullspace(rows, ncols=None):
     return basis
 
 
-def matmul(a, b):
-    a = _to_gq_matrix(a)
-    b = _to_gq_matrix(b)
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[GQ(0)] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            s = GQ(0)
-            for t in range(k):
-                s = s + a[i][t] * b[t][j]
-            out[i][j] = s
-    return out
-
-
 def matvec(a, v):
     a = _to_gq_matrix(a)
     v = [GQ.of(x) for x in v]

@@ -1,5 +1,5 @@
 """Multivariate polynomials over Q(i), constant-coefficient differential
-operators, truncated jets, and the Leibniz-flattening kernel.
+operators, and the Leibniz-flattening kernel.
 
 A polynomial is a dict from exponent multi-indices (tuples of naturals)
 to GQ coefficients; zero coefficients are never stored.  A differential
@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -28,8 +27,8 @@ class ArityError(ValueError):
 
 
 class Space:
-    """Ambient real space: a dimension and a symmetric positive rational
-    inner product matrix (identity by default)."""
+    """Ambient real space: a dimension and a symmetric positive definite
+    rational inner product matrix (identity by default)."""
 
     def __init__(self, dim: int, ip=None):
         self.dim = dim
@@ -40,6 +39,18 @@ class Space:
             for j in range(dim):
                 if self.ip[i][j] != self.ip[j][i]:
                     raise ValueError("inner product matrix must be symmetric")
+        # Sylvester's criterion by Bareiss elimination of the matrix scaled to
+        # ints: the k-th pivot is the k-th leading principal minor times e^k
+        e = math.lcm(*(x.denominator for row in self.ip for x in row))
+        m = [[x.numerator * (e // x.denominator) for x in row] for row in self.ip]
+        prev = 1
+        for k in range(dim):
+            if m[k][k] <= 0:
+                raise ValueError(f"inner product matrix must be positive definite (leading minor {k + 1})")
+            for i in range(k + 1, dim):
+                for j in range(k + 1, dim):
+                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            prev = m[k][k]
         # the nonzero Gram entries as scalars, converted once
         self._entries = [
             (i, j, GQ(x)) for i, row in enumerate(self.ip) for j, x in enumerate(row) if x
@@ -148,10 +159,6 @@ class Polynomial:
         return Polynomial(dim, {tuple(idx): GQ(1)})
 
     @staticmethod
-    def monomial(dim, idx, c=GQ(1)):
-        return Polynomial(dim, {tuple(idx): GQ.of(c)})
-
-    @staticmethod
     def linear(dim, coeffs, const=GQ(0)):
         terms = {}
         for i, c in enumerate(coeffs):
@@ -170,11 +177,6 @@ class Polynomial:
 
     def is_zero(self):
         return not self.terms
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(idx) for idx in self.terms)
 
     def constant_term(self) -> GQ:
         return self.terms.get(tuple([0] * self.dim), GQ(0))
@@ -344,6 +346,20 @@ class Polynomial:
             r = r - ell * t
         return q
 
+    def divide_out(self, coeffs, const=GQ(0), most=None):
+        """(quotient, count): divide by the form sum(coeffs[i]*z_i) + const
+        as often as it divides exactly, at most ``most`` times.  The zero
+        polynomial divides any number of times, so it needs a bound."""
+        if most is None and self.is_zero():
+            raise ValueError("the zero polynomial has no largest power of a linear factor")
+        q, count = self, 0
+        while most is None or count < most:
+            nxt = q.divide_by_linear(coeffs, const)
+            if nxt is None:
+                break
+            q, count = nxt, count + 1
+        return q, count
+
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -457,46 +473,6 @@ class DiffOp:
             mono = "".join(f"D{i}^{e}" if e > 1 else f"D{i}" for i, e in enumerate(idx) if e)
             bits.append(f"({self.terms[idx]}){mono}")
         return " + ".join(bits)
-
-
-# ---------------------------------------------------------------------------
-# jets
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Jet:
-    """Truncated Taylor expansion at a base point.
-
-    ``poly`` is a polynomial in the shifted variable w = z - base, with
-    all retained terms of total degree <= order.
-    """
-
-    base: tuple
-    order: int
-    poly: Polynomial
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", tuple(GQ.of(x) for x in self.base))
-        object.__setattr__(self, "poly", self.poly.truncate(self.order))
-
-    @property
-    def dim(self):
-        return len(self.base)
-
-    def value(self) -> GQ:
-        return self.poly.constant_term()
-
-    def mul(self, other: "Jet") -> "Jet":
-        if self.base != other.base:
-            raise ValueError("jet base points differ")
-        order = min(self.order, other.order)
-        return Jet(self.base, order, (self.poly * other.poly).truncate(order))
-
-
-def taylor_jet(p: Polynomial, a, order: int) -> Jet:
-    """Jet of a polynomial at a: expand p(a + w) and truncate."""
-    return Jet(tuple(GQ.of(x) for x in a), order, p.shift(a).truncate(order))
 
 
 # ---------------------------------------------------------------------------

@@ -153,9 +153,6 @@ class RootSystem:
 
     # -- geometry ----------------------------------------------------
 
-    def inner(self, u, v) -> Fraction:
-        return self.space.inner(u, v).rational()
-
     def reflection(self, alpha) -> WeylElement:
         alpha = _vec(alpha)
         s = self._reflections.get(alpha)
@@ -254,10 +251,6 @@ class RootSystem:
         return next(w for w in self.weyl_group() if w.length == 0)
 
 
-def weyl_enumerate(rs: RootSystem):
-    return rs.weyl_group()
-
-
 # ---------------------------------------------------------------------------
 # built-in systems (coordinates in the simple-root basis; the Gram matrix
 # of the simple roots carries the geometry)
@@ -300,7 +293,7 @@ BUILTIN_NAMES = list(_BUILTINS)
 def builtin_system(name: str) -> RootSystem:
     key = name.upper().replace("X", "x")
     if key not in _BUILTINS:
-        raise ValueError(f"unknown built-in root system {name!r}")
+        raise ValueError(f"unknown root system name {name!r}")
     return _span_system(key, *_BUILTINS[key])
 
 
@@ -336,19 +329,6 @@ class ParabolicData:
         if len(set(self.delta_r)) != len(self.delta_r):
             raise ValueError("restricted simple roots not pairwise distinct")
         self.lattice = Lattice(self.delta_r, len(self.basis), "restricted simple roots")
-        # restrictions of the roots outside the span of delta_Q
-        self.sigma_r = sorted(
-            {
-                self.restrict(a)
-                for a in rs.positive
-                if any(x != 0 for x in self.restrict(a))
-            }
-        )
-
-    @property
-    def codim(self):
-        """Codimension of the wall in the full space."""
-        return self.rs.dim - len(self.basis)
 
     def restrict(self, v):
         """The functional on the wall: values on the wall basis."""
@@ -406,15 +386,6 @@ def min_coset_reps(rs: RootSystem, Q: ParabolicData):
     if len(seen) != len(W):
         raise ValueError("coset decomposition not surjective")
     return reps
-
-
-def wq_decompose(rs: RootSystem, Q: ParabolicData, w: WeylElement):
-    """Write w = s * t with s in W^Q and t in W_Q."""
-    for t in wq_subgroup(rs, Q):
-        s = w * t.inverse()
-        if all(rs.is_positive(s.act(a)) for a in Q.delta_Q):
-            return s, t
-    raise ValueError("decomposition failed; invalid input")
 
 
 # ---------------------------------------------------------------------------

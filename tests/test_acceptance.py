@@ -49,7 +49,6 @@ from laurcalc import (
     series_split,
     subspace_from,
     transverse_space,
-    weyl_enumerate,
     wq_subgroup,
 )
 from laurcalc import linalg
@@ -431,7 +430,7 @@ def test_criterion_07_weyl_regression():
     orders = {"A1": 2, "A1xA1": 4, "A2": 6, "B2": 8, "G2": 12, "A3": 24}
     for name, size in orders.items():
         rs = builtin_system(name)
-        W = weyl_enumerate(rs)
+        W = rs.weyl_group()
         assert len(W) == size
         length = {w.matrix: w.length for w in W}
         rank = len(rs.simple)

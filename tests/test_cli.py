@@ -165,3 +165,42 @@ def test_bad_delta_exit_2(capsys, tmp_path):
         err = json.loads(out)
         assert err["error"] == "precondition"
         assert "delta" in err["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        pytest.param(["rootsys", "preceq", "--a", "0", "--b", "1"], "delta", id="preceq-without-delta"),
+        pytest.param(["rootsys", "generic", "--system", "A2"], "lam", id="generic-without-lam"),
+        pytest.param(["config", "through", "--config", "{list}"], "inner_product", id="config-is-a-list"),
+        pytest.param(["poly", "eval", "--point", "1"], "poly", id="eval-without-poly"),
+        pytest.param(["poly", "eval", "--poly", "{list}", "--point", "1"], "terms", id="poly-is-a-list"),
+        pytest.param(
+            ["laurent", "pushforward", "--functional", "{L}", "--matrix", "{empty}"], "matrix", id="pushforward-without-matrix"
+        ),
+        pytest.param(
+            ["laurent", "diagonal", "--functional", "{L}", "--fn", "{f}", "--subspace", "{empty}"],
+            "space",
+            id="diagonal-without-space",
+        ),
+    ],
+)
+def test_missing_option_or_key_exit_1(argv, named, files, capsys, tmp_path):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "empty.json").write_text("{}")
+    paths = dict(L=files["L.json"], f=files["f.json"], list=str(tmp_path / "list.json"), empty=str(tmp_path / "empty.json"))
+    code, out = _run([a.format_map(paths) for a in argv], capsys)
+    assert code == 1
+    err = json.loads(out)
+    assert err["error"] == "parse"
+    assert repr(named) in err["detail"]
+
+
+def test_indefinite_inner_product_exit_2(capsys, tmp_path):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"dim": 1, "inner_product": [["-1"]]}))
+    code, out = _run(["laurent", "evaluation", "--space", str(space), "--point", "0"], capsys)
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "precondition"
+    assert "positive definite" in err["detail"]

@@ -132,7 +132,7 @@ def test_rationalfn_equality_cross_multiplied():
     sp = Space(1)
     h = Hyperplane.make((1,), GQ(0))
     one = RationalFn(sp, Polynomial.variable(1, 0), {h: 1})
-    const = RationalFn.from_poly(sp, Polynomial.const(1, GQ(1)))
+    const = RationalFn(sp, Polynomial.const(1, GQ(1)))
     assert one == const
 
 

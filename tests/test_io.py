@@ -5,20 +5,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laurcalc import (
     GQ,
     Configuration,
     DiffOp,
     ExpPolySeries,
+    Germ,
     Hyperplane,
+    LaurentFunctional,
+    LFSummand,
     Polynomial,
     RationalFn,
     Space,
     builtin_system,
+    canonical_normal,
     lf_residue,
     rationalfn_germ_at,
-    weyl_enumerate,
 )
 from laurcalc import cli
 from laurcalc import io as lio
@@ -83,7 +87,7 @@ def test_functional_roundtrip():
 def test_rootsystem_roundtrip():
     rs = builtin_system("G2")
     back = lio.rootsystem_from_json(json.loads(_dumps(lio.rootsystem_to_json(rs))))
-    assert len(weyl_enumerate(back)) == 12
+    assert len(back.weyl_group()) == 12
     assert set(back.roots) == set(rs.roots)
 
 
@@ -131,3 +135,153 @@ def test_malformed_content_is_a_parse_failure():
     # a well-formed value that breaks a constructor's precondition is not
     with pytest.raises(ValueError):
         lio.hyperplane_from_json({"normal": ["0/1"], "offset": "1/1"})
+
+
+# -- hypothesis round trips ------------------------------------------------
+
+few = settings(max_examples=30, deadline=None)
+fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+gqs = st.builds(GQ, fracs, fracs)
+dims = st.integers(1, 3)
+
+
+def _terms(dim):
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * dim), gqs, max_size=4)
+
+
+def _vectors(dim):
+    return st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any).map(
+        lambda v: tuple(Fraction(x) for x in v)
+    )
+
+
+def _hyperplanes(dim):
+    return st.builds(Hyperplane.make, _vectors(dim), gqs)
+
+
+@st.composite
+def spaces(draw, dim):
+    # L L^T is positive definite when L is lower triangular with a positive diagonal
+    low = [
+        [draw(st.integers(1, 3)) if j == i else draw(st.integers(-2, 2)) if j < i else 0 for j in range(dim)]
+        for i in range(dim)
+    ]
+    return Space(dim, [[sum(a * b for a, b in zip(r, c)) for c in low] for r in low])
+
+
+@st.composite
+def polynomials(draw):
+    dim = draw(dims)
+    return Polynomial(dim, draw(_terms(dim)))
+
+
+@st.composite
+def rational_fns(draw):
+    dim = draw(dims)
+    den = draw(st.dictionaries(_hyperplanes(dim), st.integers(1, 3), max_size=3))
+    return RationalFn(draw(spaces(dim)), Polynomial(dim, draw(_terms(dim))), den)
+
+
+@st.composite
+def series(draw):
+    dim = draw(st.integers(1, 2))
+    delta = [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
+    lam = tuple(draw(gqs) for _ in range(dim))
+    trunc = draw(st.integers(0, 3))
+    vdim = draw(st.integers(1, 2))
+    # exponents lam - c.delta with nonnegative c of sum at most trunc
+    steps = st.lists(st.integers(0, trunc), min_size=dim, max_size=dim).filter(lambda c: sum(c) <= trunc)
+    terms = {}
+    for c in draw(st.lists(steps, max_size=3)):
+        xi = tuple(x - GQ(k) for x, k in zip(lam, c))
+        terms[xi] = [Polynomial(dim, draw(_terms(dim))) for _ in range(vdim)]
+    return ExpPolySeries(draw(spaces(dim)), delta, [lam], trunc, vdim, terms)
+
+
+@st.composite
+def germs(draw):
+    dim = draw(dims)
+    pole = {canonical_normal(v)[0]: k for v, k in draw(st.lists(st.tuples(_vectors(dim), st.integers(1, 3)), max_size=2))}
+    base = [draw(gqs) for _ in range(dim)]
+    return Germ(draw(spaces(dim)), base, pole, Polynomial(dim, draw(_terms(dim))), draw(st.integers(0, 4)))
+
+
+@st.composite
+def functionals(draw):
+    dim = draw(dims)
+    summands = {}
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, 2))
+        x_list = [draw(_vectors(dim)) for _ in range(k)]
+        d_max = [draw(st.integers(0, 3)) for _ in range(k)]
+        support = tuple(draw(gqs) for _ in range(dim))
+        summands[support] = LFSummand(support, x_list, d_max, DiffOp(dim, draw(_terms(dim))))
+    return LaurentFunctional(draw(spaces(dim)), list(summands.values()))
+
+
+@st.composite
+def configurations(draw):
+    dim = draw(dims)
+    hyps = draw(st.dictionaries(_hyperplanes(dim), st.integers(0, 3), max_size=3))
+    x_set = draw(st.lists(_vectors(dim), max_size=3))
+    return Configuration(draw(spaces(dim)), list(hyps.items()), x_set)
+
+
+def _through_text(to_json, x):
+    """to_json(x) after a trip through JSON text, as the command line reads it."""
+    return json.loads(_dumps(to_json(x)))
+
+
+@few
+@given(polynomials())
+def test_roundtrip_polynomial(p):
+    assert lio.poly_from_json(_through_text(lio.poly_to_json, p)) == p
+
+
+@few
+@given(polynomials().map(DiffOp.from_symbol))
+def test_roundtrip_diffop(u):
+    assert lio.diffop_from_json(_through_text(lio.diffop_to_json, u)) == u
+
+
+@few
+@given(dims.flatmap(_hyperplanes))
+def test_roundtrip_hyperplane(h):
+    assert lio.hyperplane_from_json(_through_text(lio.hyperplane_to_json, h)) == h
+
+
+@few
+@given(rational_fns())
+def test_roundtrip_rationalfn(f):
+    assert lio.rationalfn_from_json(_through_text(lio.rationalfn_to_json, f)) == f
+
+
+@few
+@given(series())
+def test_roundtrip_series(F):
+    assert lio.series_from_json(_through_text(lio.series_to_json, F)) == F
+
+
+# Germ, LaurentFunctional and Configuration have no __eq__: writing what
+# was read back must give the same document
+
+
+@few
+@given(germs())
+def test_roundtrip_germ_document(g):
+    doc = _through_text(lio.germ_to_json, g)
+    assert lio.germ_to_json(lio.germ_from_json(doc)) == doc
+
+
+@few
+@given(functionals())
+def test_roundtrip_functional_document(L):
+    doc = _through_text(lio.functional_to_json, L)
+    assert lio.functional_to_json(lio.functional_from_json(doc)) == doc
+
+
+@few
+@given(configurations())
+def test_roundtrip_config_document(cfg):
+    doc = _through_text(lio.config_to_json, cfg)
+    assert lio.config_to_json(lio.config_from_json(doc)) == doc

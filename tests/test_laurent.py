@@ -60,7 +60,7 @@ def test_order_insufficient_raises():
 
 def test_dimension_mismatch_raises():
     L = lf_residue(Space(1), [0], [(1,)], [1])
-    f = RationalFn.from_poly(Space(2), Polynomial.const(2, GQ(1)))
+    f = RationalFn(Space(2), Polynomial.const(2, GQ(1)))
     with pytest.raises(ValueError):
         lf_apply_rational(L, f)
 
@@ -82,7 +82,7 @@ def test_evaluation_functional():
         a = [rand_gq(rng, 3, 2), rand_gq(rng, 3, 2)]
         L = lf_from_evaluation(sp, a, [(Fraction(1), Fraction(0))], [1])
         phi = rand_poly(rng, 2, 3)
-        g = rationalfn_germ_at(RationalFn.from_poly(sp, phi), a, 4)
+        g = rationalfn_germ_at(RationalFn(sp, phi), a, 4)
         assert lf_apply(L, g) == phi.eval(a)
 
 
@@ -107,7 +107,7 @@ def test_mul_action_capacity_extension():
     # the double-pole coefficient
     sp = Space(1)
     L = lf_residue(sp, [0], [(1,)], [1])
-    psi = RationalFn.from_poly(sp, Polynomial.variable(1, 0))
+    psi = RationalFn(sp, Polynomial.variable(1, 0))
     M = lf_mul_action(psi, L)
     f = _simple_pole_fn(sp, Polynomial.const(1, GQ(1)), (1,), power=2)
     assert lf_apply_rational(M, f) == GQ(1)

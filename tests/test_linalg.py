@@ -50,7 +50,7 @@ def test_invert_roundtrip():
         if linalg.rank(A) < n:
             continue
         inv = linalg.invert(A)
-        prod = linalg.matmul(A, inv)
+        prod = [[sum((A[i][k] * inv[k][j] for k in range(n)), GQ(0)) for j in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(n):
                 assert prod[i][j] == (GQ(1) if i == j else GQ(0))

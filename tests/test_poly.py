@@ -1,6 +1,7 @@
 """Polynomials, differential operators, jets, the Leibniz transfer and
 its cocycle property."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ from laurcalc import (
     j_map,
     leibniz_flatten,
     pi_product,
-    taylor_jet,
 )
 
 from _support import rand_diffop, rand_gq, rand_point, rand_poly
@@ -73,6 +73,70 @@ def test_divide_by_linear():
     assert Polynomial.const(2, GQ(1)).divide_by_linear([Fraction(1), Fraction(-1)]) is None
 
 
+def test_divide_out():
+    for _ in range(20):
+        dim = rng.randint(1, 3)
+        coeffs = [rand_gq(rng) for _ in range(dim)]
+        if all(c.is_zero() for c in coeffs):
+            continue
+        const = rand_gq(rng)
+        ell = Polynomial.linear(dim, coeffs, const)
+        p = rand_poly(rng, dim, 2)
+        if p.is_zero():
+            continue
+        assert (p * ell**3).divide_out(coeffs, const, most=2) == (p * ell, 2)
+        q, n = (p * ell**3).divide_out(coeffs, const)
+        assert n >= 3 and q * ell**n == p * ell**3
+        assert q.divide_by_linear(coeffs, const) is None
+    zero = Polynomial.zero(2)
+    assert zero.divide_out([1, 0], most=2) == (zero, 2)
+    with pytest.raises(ValueError):
+        zero.divide_out([1, 0])
+
+
+def _leading_minors(g):
+    """The leading principal minors of g by the Leibniz formula."""
+    out = []
+    for k in range(1, len(g) + 1):
+        det = 0
+        for perm in itertools.permutations(range(k)):
+            inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+            term = (-1) ** inversions
+            for i in range(k):
+                term *= g[i][perm[i]]
+            det += term
+        out.append(det)
+    return out
+
+
+def test_space_rejects_indefinite_inner_product():
+    for ip in ([[-1]], [[1, 2], [2, 1]], [[0, 1], [1, 0]], [[2, 1, 0], [1, 1, 0], [0, 0, -3]]):
+        with pytest.raises(ValueError, match="positive definite"):
+            Space(len(ip), ip)
+
+
+def test_space_rejects_singular_inner_product():
+    for ip in ([[0]], [[1, 1], [1, 1]], [[2, -1, 1], [-1, 2, 1], [1, 1, 2]]):
+        with pytest.raises(ValueError, match="positive definite"):
+            Space(len(ip), ip)
+
+
+def test_space_accepts_exactly_the_positive_definite():
+    # Sylvester's criterion against minors computed by the Leibniz formula
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        g = [[None] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = Fraction(rng.randint(-2, 6), rng.randint(1, 2))
+            for j in range(i + 1, n):
+                g[i][j] = g[j][i] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        if all(m > 0 for m in _leading_minors(g)):
+            assert Space(n, g).ip == g
+        else:
+            with pytest.raises(ValueError, match="positive definite"):
+                Space(n, g)
+
+
 def test_arity_mismatch():
     with pytest.raises(ArityError):
         Polynomial.variable(2, 0) + Polynomial.variable(3, 0)
@@ -90,9 +154,8 @@ def test_diffop_apply_composition():
 def test_taylor_jet_matches_derivatives():
     p = rand_poly(rng, 2, 3)
     a = rand_point(rng, 2)
-    jet = taylor_jet(p, a, 3)
-    assert jet.poly == p.shift(a).truncate(3)
-    assert jet.value() == p.eval(a)
+    jet = p.shift(a).truncate(3)
+    assert jet.constant_term() == p.eval(a)
 
 
 def test_leibniz_flatten_defining_identity():
