@@ -12,6 +12,7 @@ from .poly import (
     j_map,
     leibniz_flatten,
     pi_product,
+    quotient_rule,
 )
 from .config import (
     Configuration,
@@ -79,4 +80,4 @@ from .series import (
     series_split,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -125,16 +125,16 @@ def _cmd_config(args):
     if args.op == "ball-product":
         p = pi_omega_d(cfg, _vec(args.center), Fraction(args.radius2))
         _emit(lio.poly_to_json(p))
-    elif args.op == "induced":
-        idx = _ints(args.hyperplanes)
-        L = subspace_from(cfg.space, [cfg.hyperplanes[i] for i in idx])
-        out = induced_config(cfg, L)
-        _emit(lio.config_to_json(out))
-    elif args.op == "through":
-        idx = _ints(args.hyperplanes)
-        L = subspace_from(cfg.space, [cfg.hyperplanes[i] for i in idx])
-        hs = hyperplanes_through(cfg, L)
-        _emit({"hyperplanes": [lio.hyperplane_to_json(h) for h in hs]})
+    elif args.op in ("induced", "through"):
+        idx, hs = _ints(args.hyperplanes), cfg.hyperplanes
+        for i in idx:
+            if not 0 <= i < len(hs):
+                raise ValueError(f"hyperplane index {i} out of range: the configuration has {len(hs)} hyperplanes")
+        L = subspace_from(cfg.space, [hs[i] for i in idx])
+        if args.op == "induced":
+            _emit(lio.config_to_json(induced_config(cfg, L)))
+        else:
+            _emit({"hyperplanes": [lio.hyperplane_to_json(h) for h in hyperplanes_through(cfg, L)]})
     else:
         raise ParseFailure(f"unknown config op {args.op!r}")
 
@@ -186,7 +186,7 @@ def _cmd_laurent(args):
     elif args.op == "pushforward":
         L0 = lio.functional_from_json(_load(args.functional))
         data = _load(args.matrix)
-        mat = [[lio.frac_from_str(x) for x in row] for row in lio.field(data, "matrix")]
+        mat = lio.rows(data, "matrix")
         space = lio.space_from_json(lio.field(data, "space"))
         _emit(lio.functional_to_json(lf_pushforward(mat, L0, space)))
     elif args.op == "mul-action":

@@ -120,12 +120,7 @@ class XSubspace:
 
     def induced_space(self) -> Space:
         """Coordinates s on the subspace, with the inherited inner product."""
-        n = len(self.basis_VL)
-        gram = [
-            [self.space.inner(bi, bj).rational() for bj in self.basis_VL]
-            for bi in self.basis_VL
-        ]
-        return Space(n, gram)
+        return self.space.subspace(self.basis_VL)
 
     def normal_basis(self):
         """Basis of the orthogonal complement of the direction space."""
@@ -171,14 +166,10 @@ def hyperplanes_through(cfg: Configuration, L: XSubspace):
     return out
 
 
-def induced_config(cfg: Configuration, L: XSubspace, S=None) -> Configuration:
-    """The configuration induced on L by shifted intersections.
-
-    S is a finite list of shifts from the orthogonal complement of the
-    direction space; default is the single shift 0.
-    """
-    if S is None:
-        S = [[GQ(0)] * cfg.space.dim]
+def induced_config(cfg: Configuration, L: XSubspace) -> Configuration:
+    """The configuration induced on L: the hyperplanes of L cut out by the
+    hyperplanes of cfg, each with the largest multiplicity among those
+    cutting it out."""
     sub = L.induced_space()
 
     def restrict(normal, offset):
@@ -196,13 +187,10 @@ def induced_config(cfg: Configuration, L: XSubspace, S=None) -> Configuration:
         hL = restrict(v, GQ(0))
         if hL is not None:
             x_r.add(hL.normal)
-    for a in S:
-        a = [GQ.of(x) for x in a]
-        for h in cfg.hyperplanes:
-            # H' = L cap (-a + H): points w of L with <normal, a + w> = offset
-            hL = restrict(h.normal, h.offset - cfg.space.inner(h.normal, a))
-            if hL is not None:
-                found[hL] = max(found.get(hL, 0), cfg.mult(h))
+    for h in cfg.hyperplanes:
+        hL = restrict(h.normal, h.offset)
+        if hL is not None:
+            found[hL] = max(found.get(hL, 0), cfg.mult(h))
     return Configuration(sub, list(found.items()), x_set=sorted(x_r))
 
 

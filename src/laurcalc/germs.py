@@ -9,7 +9,7 @@ represented object is jet(w) / prod <xi, w>^d(xi), w = z - a.
 from __future__ import annotations
 
 from .config import Hyperplane, XSubspace, canonical_normal
-from .poly import ArityError, Polynomial, Space
+from .poly import ArityError, Polynomial, Space, quotient_rule
 from .scalars import GQ
 
 
@@ -67,21 +67,28 @@ def germ_constant(space: Space, base, value, order: int) -> Germ:
     return Germ(space, base, {}, Polynomial.const(space.dim, GQ.of(value)), order)
 
 
+def _cancel_poles(num, powers, form):
+    """Divide num by the form(key) = (coeffs, const) of each pole key, at most
+    to its power.  Returns the quotient, the remaining powers and the number
+    of factors divided out.  Distinct keys give coprime forms, so one pass
+    each suffices."""
+    powers = dict(powers)
+    removed = 0
+    for key in list(powers):
+        num, n = num.divide_out(*form(key), most=powers[key])
+        removed += n
+        powers[key] -= n
+        if powers[key] == 0:
+            del powers[key]
+    return num, powers, removed
+
+
 def germ_normalize(g: Germ) -> Germ:
     """Cancel linear factors of the jet against the pole until minimal."""
     if g.jet.is_zero():
         return Germ(g.space, g.base, {}, g.jet, g.order)
-    pole = dict(g.pole)
-    jet = g.jet
-    order = g.order
-    # distinct canonical directions give coprime forms, so one pass each
-    for xi in list(pole):
-        jet, n = jet.divide_out(g.space.form_coeffs(xi), most=pole[xi])
-        order -= n
-        pole[xi] -= n
-        if pole[xi] == 0:
-            del pole[xi]
-    return Germ(g.space, g.base, pole, jet, order)
+    jet, pole, removed = _cancel_poles(g.jet, g.pole, lambda xi: (g.space.form_coeffs(xi), GQ(0)))
+    return Germ(g.space, g.base, pole, jet, g.order - removed)
 
 
 def germ_mul(g1: Germ, g2: Germ) -> Germ:
@@ -108,37 +115,18 @@ def germ_add(g1: Germ, g2: Germ) -> Germ:
 
 
 def germ_diff(v, g: Germ) -> Germ:
-    """Derivative along the vector v, with pole bookkeeping.
-
-    Uses the regularized identity: with the pole raised by one on every
-    active direction, the new numerator is v(P1*jet) - Qv*jet where P1 is
-    the product of the active linear forms and Qv the exact quotient of
-    v(pi_{d+1}) by pi_d.
-    """
+    """Derivative along the vector v, with pole bookkeeping: the quotient
+    rule raises the pole by one on every active direction."""
     if g.order < 1:
         raise ValueError("jet order must be at least 1 to differentiate")
     v = [GQ.of(x) for x in v]
-    active = sorted(g.pole)
-    if not active:
-        jet = g.jet.directional(v)
-        return Germ(g.space, g.base, {}, jet, g.order - 1)
-    forms = {xi: g.space.linear_form(xi) for xi in active}
-    P1 = Polynomial.const(g.space.dim, GQ(1))
-    for xi in active:
-        P1 = P1 * forms[xi]
-    Qv = Polynomial.zero(g.space.dim)
-    for xi in active:
-        coef = GQ(g.pole[xi] + 1) * g.space.inner(xi, v)
-        if coef.is_zero():
-            continue
-        rest = Polynomial.const(g.space.dim, GQ(1))
-        for eta in active:
-            if eta != xi:
-                rest = rest * forms[eta]
-        Qv = Qv + coef * rest
-    k = len(active)
-    order = g.order + k - 1
-    numerator = ((P1 * g.jet).directional(v) - Qv * g.jet).truncate(order)
+    # the poles pass through the base point: the forms <xi, w> have no offset
+    P, Q = quotient_rule(
+        g.space.dim,
+        [(g.space.linear_form(xi), GQ(d) * g.space.inner(xi, v)) for xi, d in g.pole.items()],
+    )
+    order = g.order + len(g.pole) - 1
+    numerator = (P * g.jet.directional(v) - Q * g.jet).truncate(order)
     pole = {xi: d + 1 for xi, d in g.pole.items()}
     return germ_normalize(Germ(g.space, g.base, pole, numerator, order))
 
@@ -175,13 +163,9 @@ class RationalFn:
 
     def cancel(self) -> "RationalFn":
         """Divide out exact common linear factors."""
-        num = self.numerator
-        den = dict(self.denominator)
-        for h in list(den):
-            num, n = num.divide_out(self.space.form_coeffs(h.normal), -h.offset, most=den[h])
-            den[h] -= n
-            if den[h] == 0:
-                del den[h]
+        num, den, _ = _cancel_poles(
+            self.numerator, self.denominator, lambda h: (self.space.form_coeffs(h.normal), -h.offset)
+        )
         return RationalFn(self.space, num, den)
 
     def __add__(self, other):
@@ -214,23 +198,11 @@ class RationalFn:
     def directional_deriv(self, v) -> "RationalFn":
         """Quotient rule; output denominator powers raised by one."""
         v = [GQ.of(x) for x in v]
-        num = self.numerator.directional(v)
-        if not self.denominator:
-            return RationalFn(self.space, num)
-        forms = {h: h.form(self.space) for h in self.denominator}
-        prod_all = Polynomial.const(self.space.dim, GQ(1))
-        for form in forms.values():
-            prod_all = prod_all * form
-        out = num * prod_all
-        for h, k in self.denominator.items():
-            dform = self.space.inner(h.normal, v)  # the derivative of the form
-            if dform.is_zero():
-                continue
-            rest = Polynomial.const(self.space.dim, GQ(1))
-            for h2, form in forms.items():
-                if h2 is not h:
-                    rest = rest * form
-            out = out - GQ(k) * dform * self.numerator * rest
+        P, Q = quotient_rule(
+            self.space.dim,
+            [(h.form(self.space), GQ(k) * self.space.inner(h.normal, v)) for h, k in self.denominator.items()],
+        )
+        out = P * self.numerator.directional(v) - Q * self.numerator
         den = {h: k + 1 for h, k in self.denominator.items()}
         return RationalFn(self.space, out, den).cancel()
 

@@ -38,6 +38,19 @@ def field(d, key, default=_REQUIRED, what="key"):
     return default
 
 
+def _checked_list(x, key):
+    if not isinstance(x, list):
+        raise ParseFailure(f"expected a JSON list for key {key!r}, got {type(x).__name__}")
+    return x
+
+
+def _items(d, key, default=_REQUIRED):
+    """field(d, key, default), which must be a JSON list unless it is the
+    default; otherwise a ParseFailure naming the key."""
+    x = field(d, key, default)
+    return x if x is default else _checked_list(x, key)
+
+
 def _number(convert, x):
     """convert(x) for a number read from JSON, or ParseFailure when x is not
     one; preconditions on the parsed value are left to the constructors."""
@@ -60,6 +73,13 @@ def _gq_from_json(x) -> GQ:
     return _number(gq_from_string, str(x))
 
 
+def rows(d, key, default=_REQUIRED, convert=frac_from_str):
+    """The JSON list of lists d[key] with every entry converted, or the
+    default; a value of another shape is a ParseFailure naming the key."""
+    x = _items(d, key, default)
+    return x if x is default else [[convert(v) for v in _checked_list(row, key)] for row in x]
+
+
 # -- polynomials and operators --------------------------------------------
 
 
@@ -73,8 +93,8 @@ def poly_to_json(p: Polynomial) -> dict:
 
 def poly_from_json(d) -> Polynomial:
     terms = {}
-    for t in field(d, "terms"):
-        idx = tuple(_number(int, i) for i in field(t, "idx"))
+    for t in _items(d, "terms"):
+        idx = tuple(_number(int, i) for i in _items(t, "idx"))
         terms[idx] = GQ(frac_from_str(field(t, "re", "0/1")), frac_from_str(field(t, "im", "0/1")))
     return Polynomial(_number(int, field(d, "dim")), terms)
 
@@ -98,9 +118,7 @@ def space_to_json(s: Space) -> dict:
 
 
 def space_from_json(d) -> Space:
-    ip = field(d, "inner_product", None)
-    if ip is not None:
-        ip = [[frac_from_str(x) for x in row] for row in ip]
+    ip = rows(d, "inner_product", None)
     return Space(_number(int, field(d, "dim")), ip)
 
 
@@ -113,7 +131,7 @@ def hyperplane_to_json(h: Hyperplane) -> dict:
 
 def hyperplane_from_json(d) -> Hyperplane:
     return Hyperplane.make(
-        [frac_from_str(x) for x in field(d, "normal")], _gq_from_json(field(d, "offset"))
+        [frac_from_str(x) for x in _items(d, "normal")], _gq_from_json(field(d, "offset"))
     )
 
 
@@ -134,14 +152,13 @@ def config_from_json(d) -> Configuration:
     space = space_from_json(d)
     hyps = [
         (hyperplane_from_json(h), _number(int, field(h, "mult", 1)))
-        for h in field(d, "hyperplanes", [])
+        for h in _items(d, "hyperplanes", [])
     ]
-    x_set = [[frac_from_str(x) for x in v] for v in field(d, "x_set", [])]
-    return Configuration(space, hyps, x_set)
+    return Configuration(space, hyps, rows(d, "x_set", []))
 
 
 def subspace_from_json(space: Space, d) -> XSubspace:
-    hyps = [hyperplane_from_json(h) for h in field(d, "hyperplanes")]
+    hyps = [hyperplane_from_json(h) for h in _items(d, "hyperplanes")]
     return subspace_from(space, hyps)
 
 
@@ -164,7 +181,7 @@ def rationalfn_from_json(d) -> RationalFn:
     space = space_from_json(field(d, "space"))
     num = poly_from_json(field(d, "numerator"))
     den = {}
-    for h in field(d, "denominator", []):
+    for h in _items(d, "denominator", []):
         hp = hyperplane_from_json(h)
         den[hp] = den.get(hp, 0) + _number(int, field(h, "power", 1))
     return RationalFn(space, num, den)
@@ -185,10 +202,10 @@ def germ_to_json(g: Germ) -> dict:
 
 def germ_from_json(d) -> Germ:
     space = space_from_json(field(d, "space"))
-    base = [_gq_from_json(x) for x in field(d, "base")]
+    base = [_gq_from_json(x) for x in _items(d, "base")]
     pole = {
-        tuple(frac_from_str(x) for x in field(e, "direction")): _number(int, field(e, "power"))
-        for e in field(d, "pole", [])
+        tuple(frac_from_str(x) for x in _items(e, "direction")): _number(int, field(e, "power"))
+        for e in _items(d, "pole", [])
     }
     return Germ(space, base, pole, poly_from_json(field(d, "jet")), _number(int, field(d, "order")))
 
@@ -213,12 +230,12 @@ def functional_to_json(L: LaurentFunctional) -> dict:
 def functional_from_json(d) -> LaurentFunctional:
     space = space_from_json(field(d, "space"))
     summands = []
-    for s in field(d, "summands"):
+    for s in _items(d, "summands"):
         summands.append(
             LFSummand(
-                [_gq_from_json(x) for x in field(s, "support")],
-                [[frac_from_str(c) for c in xi] for xi in field(s, "x_set")],
-                [_number(int, k) for k in field(s, "d_max")],
+                [_gq_from_json(x) for x in _items(s, "support")],
+                rows(s, "x_set"),
+                [_number(int, k) for k in _items(s, "d_max")],
                 diffop_from_json(field(s, "u")),
             )
         )
@@ -242,17 +259,13 @@ def rootsystem_to_json(rs: RootSystem) -> dict:
 def rootsystem_from_json(d) -> RootSystem:
     if isinstance(d, str):
         return builtin_system(d)
-    ip = field(d, "inner_product", None)
-    if ip is not None:
-        ip = [[frac_from_str(x) for x in row] for row in ip]
-    simple = field(d, "simple", None)
-    if simple is not None:
-        simple = [[frac_from_str(x) for x in s] for s in simple]
+    ip = rows(d, "inner_product", None)
+    simple = rows(d, "simple", None)
     return RootSystem(
         _number(int, field(d, "dim")),
-        [[frac_from_str(x) for x in r] for r in field(d, "roots")],
+        rows(d, "roots"),
         ip=ip,
-        positive=[_number(int, i) for i in field(d, "positive")],
+        positive=[_number(int, i) for i in _items(d, "positive")],
         simple=simple,
         name=field(d, "name", None),
     )
@@ -282,12 +295,12 @@ def series_to_json(F: ExpPolySeries) -> dict:
 
 def series_from_json(d) -> ExpPolySeries:
     space = space_from_json(field(d, "space"))
-    delta = [tuple(frac_from_str(x) for x in v) for v in field(d, "delta")]
-    leaders = [[_gq_from_json(x) for x in l] for l in field(d, "leaders")]
+    delta = rows(d, "delta")
+    leaders = rows(d, "leaders", convert=_gq_from_json)
     terms = {}
-    for t in field(d, "terms"):
-        xi = tuple(_gq_from_json(x) for x in field(t, "exponent"))
-        terms[xi] = [poly_from_json(p) for p in field(t, "coeff_poly")]
+    for t in _items(d, "terms"):
+        xi = tuple(_gq_from_json(x) for x in _items(t, "exponent"))
+        terms[xi] = [poly_from_json(p) for p in _items(t, "coeff_poly")]
     return ExpPolySeries(
         space, delta, leaders, _number(int, field(d, "trunc")), _number(int, field(d, "vdim", 1)), terms
     )

@@ -12,7 +12,7 @@ are never chosen silently.
 from __future__ import annotations
 
 from . import linalg
-from .config import Hyperplane, XSubspace, canonical_normal
+from .config import XSubspace, canonical_normal
 from .germs import (
     Germ,
     RationalFn,
@@ -21,7 +21,7 @@ from .germs import (
     rationalfn_pullback,
     rationalfn_restrict,
 )
-from .poly import ArityError, DiffOp, Polynomial, Space, factorial_multi, leibniz_flatten, pi_product
+from .poly import ArityError, DiffOp, Polynomial, Space, factorial_multi, leibniz_flatten, pi_product, quotient_rule
 from .scalars import GQ
 
 
@@ -55,6 +55,16 @@ class LFSummand:
             scalar = scalar * GQ(s) ** k
         return totals, scalar
 
+    def leftover(self, pole, message):
+        """The capacity of d_max left per canonical direction after the
+        canonical pole index ``pole``, plus the canonical scalar.  Raises
+        LaurentOrderError(message) when d_max does not cover the pole."""
+        totals, scalar = self.canonical_totals()
+        if any(totals.get(dir_, 0) < k for dir_, k in pole.items()):
+            raise LaurentOrderError(message)
+        rest = {dir_: cap - pole.get(dir_, 0) for dir_, cap in totals.items()}
+        return {dir_: k for dir_, k in rest.items() if k}, scalar
+
 
 class LaurentFunctional:
     def __init__(self, space: Space, summands):
@@ -69,17 +79,7 @@ class LaurentFunctional:
 
 def _apply_summand(space: Space, s: LFSummand, g: Germ) -> GQ:
     gn = germ_normalize(g)
-    totals, scalar = s.canonical_totals()
-    leftover = {}
-    for dir_, k in gn.pole.items():
-        if totals.get(dir_, 0) < k:
-            raise LaurentOrderError(
-                "functional order insufficient for the germ's pole"
-            )
-    for dir_, cap in totals.items():
-        rest = cap - gn.pole.get(dir_, 0)
-        if rest:
-            leftover[dir_] = rest
+    leftover, scalar = s.leftover(gn.pole, "functional order insufficient for the germ's pole")
     q = Polynomial.const(space.dim, scalar)
     hom_deg = 0
     for dir_, k in leftover.items():
@@ -102,13 +102,18 @@ def lf_apply(L: LaurentFunctional, g: Germ) -> GQ:
     return out
 
 
-def lf_apply_rational(L: LaurentFunctional, f: RationalFn, extra_order: int = 2) -> GQ:
+# jet orders kept beyond the operator order plus the pole order when a
+# rational function is localized at a support point
+_JET_MARGIN = 2
+
+
+def lf_apply_rational(L: LaurentFunctional, f: RationalFn) -> GQ:
     """Localize f at every support point and sum the summand values."""
     if f.space.dim != L.space.dim:
         raise ArityError("function and functional live in different dimensions")
     out = GQ(0)
     for s in L.summands:
-        order = s.u.order() + sum(s.d_max) + extra_order
+        order = s.u.order() + sum(s.d_max) + _JET_MARGIN
         g = rationalfn_germ_at(f, s.support, order)
         out = out + _apply_summand(L.space, s, g)
     return out
@@ -150,18 +155,12 @@ def lf_from_evaluation(space: Space, a, X, d_max) -> LaurentFunctional:
 # ---------------------------------------------------------------------------
 
 
-def lf_pushforward(
-    iota, L0: LaurentFunctional, space_V: Space, ambient_X=None
-) -> LaurentFunctional:
+def lf_pushforward(iota, L0: LaurentFunctional, space_V: Space) -> LaurentFunctional:
     """Transport a functional along the injective linear map given by the
-    matrix iota (columns = images of the source basis vectors).
+    matrix iota (columns = images of the source basis vectors); the roots
+    of each summand are pushed by iota.
 
-    The source space must carry the pulled-back inner product.  Without an
-    ambient root list, the roots of each summand are pushed by iota.  With
-    one, the standing transversality assumption (no ambient root
-    orthogonal to the image) is checked and the pole index is transported
-    onto the ambient roots: per proportionality class of the transposed
-    images, the full order goes to the first listed root.
+    The source space must carry the pulled-back inner product.
     """
     n0 = L0.space.dim
     n = space_V.dim
@@ -175,17 +174,6 @@ def lf_pushforward(
             want = GQ(L0.space.ip[j][k])
             if got != want:
                 raise ValueError("source space does not carry the pulled-back inner product")
-    if ambient_X is not None:
-        ambient_X = [tuple(GQ.of(c).rational() for c in v) for v in ambient_X]
-        # the form y -> <xi, iota(y)> of each ambient root on the source, as
-        # a canonical direction and its scalar
-        p_img = []
-        for xi in ambient_X:
-            coeffs = [space_V.inner(xi, col) for col in cols]
-            if all(c.is_zero() for c in coeffs):
-                raise ValueError("an ambient root is orthogonal to the embedded subspace")
-            h, t = Hyperplane.from_form(L0.space, coeffs, 0)
-            p_img.append((h.normal, t))
 
     def push_point(a0):
         out = [GQ(0)] * n
@@ -194,40 +182,16 @@ def lf_pushforward(
                 out[i] = out[i] + GQ.of(a0[j]) * cols[j][i]
         return out
 
-    def push_op(u: DiffOp) -> DiffOp:
-        subs = [Polynomial.linear(n, [cols[j][i] for i in range(n)]) for j in range(n0)]
-        return DiffOp.from_symbol(u.symbol().substitute(subs))
-
-    summands = []
-    for s in L0.summands:
-        if ambient_X is None:
-            summands.append(
-                LFSummand(
-                    push_point(s.support),
-                    [
-                        tuple(push_point(xi)[i].rational() for i in range(n))
-                        for xi in s.x_list
-                    ],
-                    s.d_max,
-                    push_op(s.u),
-                )
-            )
-            continue
-        totals0, c0 = s.canonical_totals()
-        x_new, d_new = [], []
-        c1 = GQ(1)
-        for dir0 in sorted(totals0):
-            for xi, (canon, t) in zip(ambient_X, p_img):
-                if canon == dir0:
-                    break
-            else:
-                raise ValueError("no ambient root covers a pole direction")
-            x_new.append(xi)
-            d_new.append(totals0[dir0])
-            c1 = c1 * t ** totals0[dir0]
-        summands.append(
-            LFSummand(push_point(s.support), x_new, d_new, (c0 / c1) * push_op(s.u))
+    subs = [Polynomial.linear(n, [cols[j][i] for i in range(n)]) for j in range(n0)]
+    summands = [
+        LFSummand(
+            push_point(s.support),
+            [tuple(x.rational() for x in push_point(xi)) for xi in s.x_list],
+            s.d_max,
+            DiffOp.from_symbol(s.u.symbol().substitute(subs)),
         )
+        for s in L0.summands
+    ]
     return LaurentFunctional(space_V, summands)
 
 
@@ -264,25 +228,18 @@ def lf_mul_action(psi, L: LaurentFunctional) -> LaurentFunctional:
         g = germ_normalize(_psi_germ_at(psi, s.support, order_needed, L.space))
         if g.order < s.u.order():
             raise ValueError("multiplier jet order too small")
-        totals, scalar = s.canonical_totals()
-        for dir_, k in g.pole.items():
-            if totals.get(dir_, 0) < k:
-                raise LaurentOrderError("multiplier pole exceeds the functional order")
-        # zeros of the multiplier along active directions raise the capacity
+        new_totals, scalar = s.leftover(g.pole, "multiplier pole exceeds the functional order")
+        # zeros of the multiplier raise the capacity left; g is normalized,
+        # so it has none along a direction whose capacity its pole uses up
         jet = g.jet
         jet_order = g.order
-        extra = {}
         if not jet.is_zero():
-            for dir_ in totals:
-                jet, extra[dir_] = jet.divide_out(L.space.form_coeffs(dir_))
-                jet_order -= extra[dir_]
+            for dir_ in new_totals:
+                jet, extra = jet.divide_out(L.space.form_coeffs(dir_))
+                new_totals[dir_] += extra
+                jet_order -= extra
         if jet_order < s.u.order():
             raise ValueError("multiplier jet order too small")
-        new_totals = {}
-        for dir_, cap in totals.items():
-            rest = cap - g.pole.get(dir_, 0) + extra.get(dir_, 0)
-            if rest:
-                new_totals[dir_] = rest
         jet_z = (scalar * jet).shift([-x for x in s.support])
         u_new = leibniz_flatten(s.u, jet_z, s.support)
         dirs = sorted(new_totals)
@@ -301,25 +258,21 @@ def lf_diff_action(v, L: LaurentFunctional) -> LaurentFunctional:
     summands = []
     for s in L.summands:
         totals, scalar = s.canonical_totals()
-        active = sorted(d for d in totals if totals[d] >= 1)
-        # P: one power of every active canonical form, in the z variable
-        P = Polynomial.const(space.dim, GQ(1))
-        forms_z = {}
-        for dir_ in active:
-            forms_z[dir_] = space.linear_form(dir_, space.inner(dir_, s.support))
-            P = P * forms_z[dir_]
-        u1 = leibniz_flatten(DiffOp.from_symbol(s.u.symbol() * dv.symbol()), P, s.support)
-        u_new = u1
-        for dir_ in active:
-            rest = Polynomial.const(space.dim, GQ(1))
-            for d2 in active:
-                if d2 != dir_:
-                    rest = rest * forms_z[d2]
-            coef = GQ(totals[dir_]) * space.inner(dir_, v)
-            if not coef.is_zero():
-                u_new = u_new - coef * leibniz_flatten(s.u, rest, s.support)
-        u_new = scalar * u_new
-        new_totals = {d: totals[d] - 1 for d in active if totals[d] - 1 > 0}
+        # the quotient rule over one power of every canonical form, in the z
+        # variable; leibniz_flatten is linear in its multiplier, so Q is
+        # flattened once
+        P, Q = quotient_rule(
+            space.dim,
+            [
+                (space.linear_form(dir_, space.inner(dir_, s.support)), GQ(k) * space.inner(dir_, v))
+                for dir_, k in totals.items()
+            ],
+        )
+        u_new = scalar * (
+            leibniz_flatten(DiffOp.from_symbol(s.u.symbol() * dv.symbol()), P, s.support)
+            - leibniz_flatten(s.u, Q, s.support)
+        )
+        new_totals = {d: k - 1 for d, k in totals.items() if k > 1}
         dirs = sorted(new_totals)
         summands.append(
             LFSummand(s.support, dirs, [new_totals[d] for d in dirs], u_new)
@@ -370,11 +323,7 @@ def lf_annihilator_witness(g: Germ):
 
 def transverse_space(L: XSubspace) -> Space:
     """Coordinates on the orthogonal complement of the direction space."""
-    perp = L.normal_basis()
-    gram = [
-        [L.space.inner(bi, bj).rational() for bj in perp] for bi in perp
-    ]
-    return Space(len(perp), gram)
+    return L.space.subspace(L.normal_basis())
 
 
 def laurent_operator_apply(
@@ -399,20 +348,13 @@ def laurent_operator_apply(
     total = ns + nt
     if L.space.dim != nt:
         raise ValueError("functional arity does not match the transverse coordinates")
-    gram_t = [[space.inner(ui, uj) for uj in perp] for ui in perp]
-    for i in range(nt):
-        for j in range(nt):
-            if gram_t[i][j] != GQ(L.space.ip[i][j]):
-                raise ValueError(
-                    "functional space does not carry the transverse inner product"
-                )
+    if space.subspace(perp).ip != L.space.ip:
+        raise ValueError("functional space does not carry the transverse inner product")
 
-    # one space over the combined (s, tau) coordinates; the blocks are
-    # orthogonal because perp is orthogonal to the direction space
-    st = Space(
-        total,
-        [list(row) + [0] * nt for row in sub.ip] + [[0] * ns + list(row) for row in L.space.ip],
-    )
+    # one space over the combined (s, tau) coordinates; its Gram matrix has
+    # the blocks sub.ip and L.space.ip because perp is orthogonal to the
+    # direction space
+    st = space.subspace(Lsub.basis_VL + perp)
     unit = [tuple(GQ(1) if j == i else GQ(0) for j in range(total)) for i in range(total)]
 
     result = None
@@ -438,18 +380,11 @@ def laurent_operator_apply(
                 pole[h.normal[ns:]] = pole.get(h.normal[ns:], 0) + pw
             else:
                 den[h] = pw
-        totals, scalar = s.canonical_totals()
-        for dir_, k in pole.items():
-            if totals.get(dir_, 0) < k:
-                raise LaurentOrderError(
-                    "pole order along the subspace exceeds the functional order"
-                )
+        leftover, scalar = s.leftover(pole, "pole order along the subspace exceeds the functional order")
         # multiply by the regularizing product: leftover canonical forms
         q = Polynomial.const(total, scalar)
-        for dir_, cap in totals.items():
-            rest = cap - pole.get(dir_, 0)
-            if rest:
-                q = q * st.linear_form([GQ(0)] * ns + list(dir_)) ** rest
+        for dir_, rest in leftover.items():
+            q = q * st.linear_form([GQ(0)] * ns + list(dir_)) ** rest
         expr = RationalFn(st, g.numerator * q, den).cancel()
         # apply the operator in the transverse coordinates
         acc = None

@@ -35,6 +35,8 @@ class Space:
         if ip is None:
             ip = [[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
         self.ip = [[Fraction(x) if not isinstance(x, GQ) else x.rational() for x in row] for row in ip]
+        if len(self.ip) != dim or any(len(row) != dim for row in self.ip):
+            raise ValueError(f"inner product matrix must be {dim} x {dim}")
         for i in range(dim):
             for j in range(dim):
                 if self.ip[i][j] != self.ip[j][i]:
@@ -55,6 +57,11 @@ class Space:
         self._entries = [
             (i, j, GQ(x)) for i, row in enumerate(self.ip) for j, x in enumerate(row) if x
         ]
+
+    def subspace(self, basis) -> "Space":
+        """span(basis) in the coordinates of the basis, with the inherited
+        inner product."""
+        return Space(len(basis), [[self.inner(bi, bj).rational() for bj in basis] for bi in basis])
 
     def inner(self, u, v) -> GQ:
         u = [GQ.of(x) for x in u]
@@ -473,6 +480,26 @@ class DiffOp:
             mono = "".join(f"D{i}^{e}" if e > 1 else f"D{i}" for i, e in enumerate(idx) if e)
             bits.append(f"({self.terms[idx]}){mono}")
         return " + ".join(bits)
+
+
+def quotient_rule(dim, pairs):
+    """(P, Q) for (form l_k, scalar c_k) pairs: P = prod l_k and
+    Q = sum c_k prod_{j != k} l_j.
+
+    With c_k = d_k * d_v(l_k) this is the quotient rule
+    d_v(N / prod l_k^d_k) = (P d_v(N) - Q N) / prod l_k^(d_k + 1).
+    """
+    one = Polynomial.const(dim, GQ(1))
+    P, Q = one, Polynomial.zero(dim)
+    for k, (form, c) in enumerate(pairs):
+        P = P * form
+        if not c.is_zero():
+            rest = one
+            for j, (other, _) in enumerate(pairs):
+                if j != k:
+                    rest = rest * other
+            Q = Q + c * rest
+    return P, Q
 
 
 # ---------------------------------------------------------------------------

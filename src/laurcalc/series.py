@@ -144,24 +144,13 @@ def series_diffop(u: DiffOp, F: ExpPolySeries) -> ExpPolySeries:
     return F._like(F.leaders, F.trunc, F.vdim, terms)
 
 
-def series_mul(F: ExpPolySeries, G: ExpPolySeries, pairing=None, out_vdim=None):
-    """Convolution over exponent pairs.
-
-    pairing[i][j] is the value-space vector assigned to the product of
-    coordinate i of F and coordinate j of G; by default both factors are
-    scalar and the pairing is plain multiplication.  Terms whose validity
-    cannot be guaranteed at the joint truncation are pruned.
-    """
+def series_mul(F: ExpPolySeries, G: ExpPolySeries):
+    """Convolution of two scalar series over exponent pairs.  Terms whose
+    validity cannot be guaranteed at the joint truncation are pruned."""
     if F.space.dim != G.space.dim or F.delta != G.delta:
         raise ArityError("series shapes differ")
-    if pairing is None:
-        if F.vdim != 1 or G.vdim != 1:
-            raise ArityError("a pairing table is required for vector values")
-        pairing = [[[GQ(1)]]]
-        out_vdim = 1
-    if out_vdim is None:
-        raise ArityError("out_vdim required with an explicit pairing")
-    n = F.space.dim
+    if F.vdim != 1 or G.vdim != 1:
+        raise ArityError("series_mul multiplies scalar series (vdim 1) only")
     trunc = min(F.trunc, G.trunc)
     leaders = []
     for x in F.leaders:
@@ -170,25 +159,18 @@ def series_mul(F: ExpPolySeries, G: ExpPolySeries, pairing=None, out_vdim=None):
             if key not in leaders:
                 leaders.append(key)
     terms = {}
-    for xi, ps in F.terms.items():
-        for eta, qs in G.terms.items():
+    for xi, (p,) in F.terms.items():
+        for eta, (q,) in G.terms.items():
             nu = tuple(a + b for a, b in zip(xi, eta))
-            acc = terms.setdefault(nu, [Polynomial.zero(n) for _ in range(out_vdim)])
-            for i, p in enumerate(ps):
-                for j, q in enumerate(qs):
-                    pq = p * q
-                    for k, w in enumerate(pairing[i][j]):
-                        w = GQ.of(w)
-                        if not w.is_zero():
-                            acc[k] = acc[k] + w * pq
+            terms[nu] = terms[nu] + p * q if nu in terms else p * q
     # prune exponents whose height below any containing leader exceeds
     # the joint truncation: deeper contributions may be missing
     kept = {}
-    for nu, polys in terms.items():
+    for nu, pq in terms.items():
         hs = _heights(F.lattice, leaders, nu)
         if hs and max(hs) <= trunc:
-            kept[nu] = polys
-    return F._like(leaders, trunc, out_vdim, kept)
+            kept[nu] = [pq]
+    return F._like(leaders, trunc, 1, kept)
 
 
 def series_split(F: ExpPolySeries, S):

@@ -7,6 +7,7 @@ import pytest
 
 from laurcalc import (
     GQ,
+    Configuration,
     Hyperplane,
     Polynomial,
     RationalFn,
@@ -204,3 +205,50 @@ def test_indefinite_inner_product_exit_2(capsys, tmp_path):
     err = json.loads(out)
     assert err["error"] == "precondition"
     assert "positive definite" in err["detail"]
+
+
+@pytest.mark.parametrize("op", ["induced", "through"])
+@pytest.mark.parametrize("index", ["9", "-1"])
+def test_hyperplane_index_out_of_range_exit_2(op, index, capsys, tmp_path):
+    sp = Space(2)
+    cfg = Configuration(sp, [(Hyperplane.make((1, 0), GQ(0)), 1), (Hyperplane.make((0, 1), GQ(1)), 2)])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(lio.config_to_json(cfg)))
+    code, out = _run(["config", op, "--config", str(path), f"--hyperplanes=0,{index}"], capsys)
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "precondition"
+    assert f"hyperplane index {index} out of range" in err["detail"]
+    assert "2 hyperplanes" in err["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv, doc, named",
+    [
+        pytest.param(["poly", "eval", "--point", "1", "--poly"], {"dim": 1, "terms": 5}, "terms", id="poly-terms"),
+        pytest.param(
+            ["laurent", "evaluation", "--point", "0", "--space"], {"dim": 1, "inner_product": 5}, "inner_product", id="space-rows"
+        ),
+        pytest.param(
+            ["laurent", "evaluation", "--point", "0", "--space"], {"dim": 1, "inner_product": [5]}, "inner_product", id="space-row"
+        ),
+    ],
+)
+def test_number_where_a_list_is_expected_exit_1(argv, doc, named, capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out = _run(argv + [str(path)], capsys)
+    assert code == 1
+    err = json.loads(out)
+    assert err["error"] == "parse"
+    assert repr(named) in err["detail"]
+
+
+def test_gram_matrix_of_wrong_shape_exit_2(capsys, tmp_path):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"dim": 2, "inner_product": [["1"]]}))
+    code, out = _run(["laurent", "evaluation", "--space", str(space), "--point", "0,0"], capsys)
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "precondition"
+    assert "2 x 2" in err["detail"]

@@ -137,6 +137,32 @@ def test_malformed_content_is_a_parse_failure():
         lio.hyperplane_from_json({"normal": ["0/1"], "offset": "1/1"})
 
 
+@pytest.mark.parametrize(
+    "reader, doc, key",
+    [
+        (lio.poly_from_json, {"dim": 1, "terms": [{"idx": 1}]}, "idx"),
+        (lio.space_from_json, {"dim": 2, "inner_product": [["1", "0"], 0]}, "inner_product"),
+        (lio.hyperplane_from_json, {"normal": 1, "offset": "0"}, "normal"),
+        (lio.config_from_json, {"dim": 1, "hyperplanes": {}}, "hyperplanes"),
+        (lio.config_from_json, {"dim": 1, "x_set": [1]}, "x_set"),
+        (lio.germ_from_json, {"space": {"dim": 1}, "base": 0}, "base"),
+        (lio.functional_from_json, {"space": {"dim": 1}, "summands": 3}, "summands"),
+        (lio.rootsystem_from_json, {"dim": 1, "roots": "12", "positive": [0]}, "roots"),
+        (lio.series_from_json, {"space": {"dim": 1}, "delta": [["1"]], "leaders": [0]}, "leaders"),
+    ],
+)
+def test_value_that_is_not_a_list_is_a_parse_failure(reader, doc, key):
+    with pytest.raises(lio.ParseFailure, match=repr(key)):
+        reader(doc)
+
+
+def test_inner_product_of_wrong_shape_is_rejected():
+    with pytest.raises(ValueError, match="2 x 2"):
+        Space(2, [[1]])
+    with pytest.raises(ValueError, match="2 x 2"):
+        lio.space_from_json({"dim": 2, "inner_product": [["1", "0"], ["0"]]})
+
+
 # -- hypothesis round trips ------------------------------------------------
 
 few = settings(max_examples=30, deadline=None)

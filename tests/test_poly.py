@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laurcalc import (
     GQ,
@@ -16,6 +17,7 @@ from laurcalc import (
     j_map,
     leibniz_flatten,
     pi_product,
+    quotient_rule,
 )
 
 from _support import rand_diffop, rand_gq, rand_point, rand_poly
@@ -194,3 +196,32 @@ def test_pi_product_value():
     sp = Space(2)
     p = pi_product(sp, [(Fraction(1), Fraction(0))], [GQ(0), GQ(0)], [2])
     assert p == Polynomial(2, {(2, 0): GQ(1)})
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _forms_with_direction(draw):
+    """Real linear forms l_k with powers d_k, and a real direction v."""
+    dim = draw(st.integers(1, 3))
+    forms = draw(
+        st.lists(
+            st.tuples(st.lists(_small, min_size=dim, max_size=dim).filter(any), _small, st.integers(1, 3)),
+            max_size=3,
+        )
+    )
+    v = draw(st.lists(_small, min_size=dim, max_size=dim))
+    return dim, [(Polynomial.linear(dim, c, k), d) for c, k, d in forms], v
+
+
+@settings(max_examples=60, deadline=None)
+@given(_forms_with_direction())
+def test_quotient_rule_defining_identity(case):
+    # with c_k = d_k * d_v(l_k) and D = prod l_k^d_k: D' * P == Q * D
+    dim, forms, v = case
+    P, Q = quotient_rule(dim, [(l, GQ(d) * l.directional(v).constant_term()) for l, d in forms])
+    D = Polynomial.const(dim, GQ(1))
+    for l, d in forms:
+        D = D * l**d
+    assert D.directional(v) * P == Q * D

@@ -8,6 +8,7 @@ import pytest
 
 from laurcalc import (
     GQ,
+    ArityError,
     DiffOp,
     ExpPolySeries,
     Polynomial,
@@ -181,3 +182,11 @@ def test_derived_series_share_the_lattice():
     derived = [F + F, F.scale(GQ(2)), G, series_mul(F, F), *series_split(F, F.leaders).values()]
     derived.append(series_restrict(F, [(Fraction(1), Fraction(0))]).reassemble())
     assert all(H.lattice is F.lattice for H in derived)
+
+
+def test_mul_of_vector_series_is_an_arity_error():
+    F = _basic()
+    V = ExpPolySeries(F.space, F.delta, F.leaders, F.trunc, 2, {F.leaders[0]: [Polynomial.const(2, GQ(1))] * 2})
+    for a, b in ((V, F), (F, V), (V, V)):
+        with pytest.raises(ArityError):
+            series_mul(a, b)
