@@ -18,8 +18,8 @@ from .series import ExpPolySeries
 
 class ParseFailure(Exception):
     """Malformed input: unreadable JSON, a missing key or option, a value
-    that should be an object and is not, or a string that is not a number
-    (exit code 1)."""
+    that should be an object and is not, a string that is not a number, or
+    an integer field that holds something else (exit code 1)."""
 
 
 _REQUIRED = object()
@@ -60,6 +60,24 @@ def _number(convert, x):
         raise ParseFailure(f"not a number: {x!r}") from e
 
 
+def _int(x, key):
+    """An integer field read from JSON: an integer, or a string of one.  A
+    float, a bool, a list or an object is a ParseFailure naming the key, so
+    nothing is truncated or read as 0 or 1."""
+    if isinstance(x, str):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    elif isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise ParseFailure(f"expected an integer for key {key!r}, got {x!r}")
+
+
+def _int_field(d, key, default=_REQUIRED):
+    return _int(field(d, key, default), key)
+
+
 def frac_to_str(x: Fraction) -> str:
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
@@ -94,9 +112,9 @@ def poly_to_json(p: Polynomial) -> dict:
 def poly_from_json(d) -> Polynomial:
     terms = {}
     for t in _items(d, "terms"):
-        idx = tuple(_number(int, i) for i in _items(t, "idx"))
+        idx = tuple(_int(i, "idx") for i in _items(t, "idx"))
         terms[idx] = GQ(frac_from_str(field(t, "re", "0/1")), frac_from_str(field(t, "im", "0/1")))
-    return Polynomial(_number(int, field(d, "dim")), terms)
+    return Polynomial(_int_field(d, "dim"), terms)
 
 
 def diffop_to_json(u: DiffOp) -> dict:
@@ -119,7 +137,7 @@ def space_to_json(s: Space) -> dict:
 
 def space_from_json(d) -> Space:
     ip = rows(d, "inner_product", None)
-    return Space(_number(int, field(d, "dim")), ip)
+    return Space(_int_field(d, "dim"), ip)
 
 
 def hyperplane_to_json(h: Hyperplane) -> dict:
@@ -151,7 +169,7 @@ def config_to_json(cfg: Configuration) -> dict:
 def config_from_json(d) -> Configuration:
     space = space_from_json(d)
     hyps = [
-        (hyperplane_from_json(h), _number(int, field(h, "mult", 1)))
+        (hyperplane_from_json(h), _int_field(h, "mult", 1))
         for h in _items(d, "hyperplanes", [])
     ]
     return Configuration(space, hyps, rows(d, "x_set", []))
@@ -183,7 +201,7 @@ def rationalfn_from_json(d) -> RationalFn:
     den = {}
     for h in _items(d, "denominator", []):
         hp = hyperplane_from_json(h)
-        den[hp] = den.get(hp, 0) + _number(int, field(h, "power", 1))
+        den[hp] = den.get(hp, 0) + _int_field(h, "power", 1)
     return RationalFn(space, num, den)
 
 
@@ -204,10 +222,10 @@ def germ_from_json(d) -> Germ:
     space = space_from_json(field(d, "space"))
     base = [_gq_from_json(x) for x in _items(d, "base")]
     pole = {
-        tuple(frac_from_str(x) for x in _items(e, "direction")): _number(int, field(e, "power"))
+        tuple(frac_from_str(x) for x in _items(e, "direction")): _int_field(e, "power")
         for e in _items(d, "pole", [])
     }
-    return Germ(space, base, pole, poly_from_json(field(d, "jet")), _number(int, field(d, "order")))
+    return Germ(space, base, pole, poly_from_json(field(d, "jet")), _int_field(d, "order"))
 
 
 # -- functionals -----------------------------------------------------------
@@ -235,7 +253,7 @@ def functional_from_json(d) -> LaurentFunctional:
             LFSummand(
                 [_gq_from_json(x) for x in _items(s, "support")],
                 rows(s, "x_set"),
-                [_number(int, k) for k in _items(s, "d_max")],
+                [_int(k, "d_max") for k in _items(s, "d_max")],
                 diffop_from_json(field(s, "u")),
             )
         )
@@ -262,10 +280,10 @@ def rootsystem_from_json(d) -> RootSystem:
     ip = rows(d, "inner_product", None)
     simple = rows(d, "simple", None)
     return RootSystem(
-        _number(int, field(d, "dim")),
+        _int_field(d, "dim"),
         rows(d, "roots"),
         ip=ip,
-        positive=[_number(int, i) for i in _items(d, "positive")],
+        positive=[_int(i, "positive") for i in _items(d, "positive")],
         simple=simple,
         name=field(d, "name", None),
     )
@@ -302,5 +320,5 @@ def series_from_json(d) -> ExpPolySeries:
         xi = tuple(_gq_from_json(x) for x in _items(t, "exponent"))
         terms[xi] = [poly_from_json(p) for p in _items(t, "coeff_poly")]
     return ExpPolySeries(
-        space, delta, leaders, _number(int, field(d, "trunc")), _number(int, field(d, "vdim", 1)), terms
+        space, delta, leaders, _int_field(d, "trunc"), _int_field(d, "vdim", 1), terms
     )

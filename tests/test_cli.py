@@ -1,7 +1,12 @@
 """Command-line interface: exit codes, machine-readable errors and
 byte-stable output."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -252,3 +257,101 @@ def test_gram_matrix_of_wrong_shape_exit_2(capsys, tmp_path):
     err = json.loads(out)
     assert err["error"] == "precondition"
     assert "2 x 2" in err["detail"]
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        pytest.param({"dim": [1], "terms": []}, "dim", id="dim-list"),
+        pytest.param({"dim": 1.9, "terms": [{"idx": [1], "re": "2"}]}, "dim", id="dim-float"),
+        pytest.param({"dim": 1, "terms": [{"idx": [True], "re": "2"}]}, "idx", id="idx-bool"),
+    ],
+)
+def test_integer_field_that_is_not_an_integer_exit_1(doc, named, capsys, tmp_path):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(doc))
+    code, out = _run(["poly", "eval", "--poly", str(path), "--point", "3"], capsys)
+    assert code == 1
+    err = json.loads(out)
+    assert err["error"] == "parse"
+    assert repr(named) in err["detail"]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = "perfbench/corpus/files/"
+
+
+def test_runs_in_one_process_match_runs_alone(capsys, monkeypatch):
+    """One process, one parser, several verbs in a row: each run prints what
+    the same command prints in a fresh interpreter."""
+    monkeypatch.chdir(ROOT)
+    sequence = [
+        ["rootsys", "weyl", "--system", "B2"],
+        ["poly"],
+        ["poly", "eval", "--poly", CORPUS + "poly_a.json", "--point", "1/2,3+i"],
+        ["config", "through", "--config", CORPUS + "config.json", "--hyperplanes", "0,2"],
+        ["verify", "--suite", "weyl-orders"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for argv in sequence:
+        alone = subprocess.run([sys.executable, "-m", "laurcalc.cli", *argv], cwd=ROOT, env=env, capture_output=True)
+        assert _run(argv, capsys) == (alone.returncode, alone.stdout.decode()), argv
+    assert [_run(argv, capsys)[0] for argv in sequence] == [0, 1, 0, 0, 0]
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    _run(["rootsys", "weyl", "--system", "A2"], capsys)
+    first = len(built)
+    _run(["poly", "deriv", "--poly", str(ROOT / CORPUS / "poly_a.json"), "--index", "0"], capsys)
+    assert first > 0
+    assert len(built) == first
+
+
+@pytest.mark.parametrize(
+    "argv, prefixed",
+    [
+        pytest.param(
+            ["rootsys", "generic", "--system", "B2", "--deltaP", "0", "--weights", "1,0;0,1", "--lam", "3/7,-2/11"],
+            "--wei",
+            id="wei",
+        ),
+        pytest.param(
+            ["germ", "localize", "--fn", CORPUS + "fn_plane.json", "--point", "0,0", "--order", "4"], "--ord", id="ord"
+        ),
+    ],
+)
+def test_unambiguous_option_prefix(argv, prefixed, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    full = _run(argv, capsys)
+    assert full[0] == 0
+    short = [prefixed if a.startswith(prefixed) else a for a in argv]
+    assert short != argv
+    assert _run(short, capsys) == full
+
+
+def test_ambiguous_option_prefix_exit_1(capsys):
+    # --sys could be --system or --system-file
+    assert _run(["rootsys", "weyl", "--sys", "A2"], capsys) == (1, "")
+
+
+@pytest.mark.parametrize(
+    "argv, code, detail",
+    [
+        pytest.param(["config", "explode", "--config", "nope.json"], 1, "No such file or directory", id="config-file-first"),
+        pytest.param(["rootsys", "fold", "--system", "E8"], 2, "unknown root system name 'E8'", id="system-first"),
+    ],
+)
+def test_verb_input_is_read_before_the_op_is_checked(argv, code, detail, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got, out = _run(argv, capsys)
+    assert got == code
+    assert detail in json.loads(out)["detail"]

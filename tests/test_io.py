@@ -156,6 +156,48 @@ def test_value_that_is_not_a_list_is_a_parse_failure(reader, doc, key):
         reader(doc)
 
 
+def _integer_fields():
+    """(reader, a valid document, path to one of its integer fields), one per
+    integer key the readers take."""
+    sp = Space(1)
+    h = Hyperplane.make((1,), GQ(0))
+    f = RationalFn(sp, Polynomial(1, {(1,): GQ(2)}), {h: 2})
+    lam = (GQ(Fraction(1, 2)),)
+    F = ExpPolySeries(sp, [(Fraction(1),)], [lam], 2, 1, {lam: [Polynomial.const(1, GQ(1))]})
+    poly = {"dim": 1, "terms": [{"idx": [1], "re": "2"}]}
+    germ = lio.germ_to_json(rationalfn_germ_at(f, [GQ(0)], 2))
+    return [
+        (lio.poly_from_json, poly, ("dim",)),
+        (lio.poly_from_json, poly, ("terms", 0, "idx", 0)),
+        (lio.config_from_json, lio.config_to_json(Configuration(sp, [(h, 2)])), ("hyperplanes", 0, "mult")),
+        (lio.rationalfn_from_json, lio.rationalfn_to_json(f), ("denominator", 0, "power")),
+        (lio.germ_from_json, germ, ("order",)),
+        (lio.germ_from_json, germ, ("pole", 0, "power")),
+        (lio.functional_from_json, lio.functional_to_json(lf_residue(sp, [0], [(1,)], [1])), ("summands", 0, "d_max", 0)),
+        (lio.rootsystem_from_json, lio.rootsystem_to_json(builtin_system("A2")), ("positive", 0)),
+        (lio.series_from_json, lio.series_to_json(F), ("trunc",)),
+        (lio.series_from_json, lio.series_to_json(F), ("vdim",)),
+    ]
+
+
+@pytest.mark.parametrize("bad", [[1], {"n": 1}, 1.9, 2.0, True, "one"], ids=repr)
+@pytest.mark.parametrize("reader, doc, path", _integer_fields(), ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else None)
+def test_integer_field_that_is_not_an_integer_is_a_parse_failure(reader, doc, path, bad):
+    reader(doc)  # the document is valid as it stands
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = bad
+    key = next(step for step in reversed(path) if isinstance(step, str))
+    with pytest.raises(lio.ParseFailure, match=repr(key)):
+        reader(doc)
+
+
+def test_integer_field_reads_a_string_of_digits():
+    assert lio.poly_from_json({"dim": "1", "terms": [{"idx": ["2"], "re": "1"}]}) == Polynomial(1, {(2,): GQ(1)})
+
+
 def test_inner_product_of_wrong_shape_is_rejected():
     with pytest.raises(ValueError, match="2 x 2"):
         Space(2, [[1]])

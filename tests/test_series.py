@@ -190,3 +190,17 @@ def test_mul_of_vector_series_is_an_arity_error():
     for a, b in ((V, F), (F, V), (V, V)):
         with pytest.raises(ArityError):
             series_mul(a, b)
+
+
+def test_series_that_differ_compare_unequal():
+    F = _basic()
+    assert F == _basic()
+    lam = F.leaders[0]
+    one_term_fewer = {lam: F.terms[lam]}
+    other_coeff = dict(F.terms)
+    other_coeff[lam] = [Polynomial.const(2, GQ(3))]
+    for terms in (one_term_fewer, other_coeff):
+        assert ExpPolySeries(F.space, F.delta, F.leaders, F.trunc, F.vdim, terms) != F
+    empty = [ExpPolySeries(F.space, F.delta, F.leaders, F.trunc, vdim, {}) for vdim in (1, 2)]
+    assert empty[0] != empty[1]
+    assert empty[0] == ExpPolySeries(F.space, F.delta, F.leaders, F.trunc, 1, {})
