@@ -1,8 +1,9 @@
 """Command-line front end.
 
 One verb per module, subcommands per operation, JSON on standard output.
-Exit codes: 0 success, 1 parse failure, 2 precondition failure.  Output
-is deterministic: identical inputs give byte-identical output.
+Exit codes: 0 success, 1 parse failure, 2 precondition failure, 3 an
+internal error (any other exception, a bug in laurcalc).  Output is
+deterministic: identical inputs give byte-identical output.
 
 The verbs, their options and their ops are data: ``_OPTIONS`` says what
 each option holds, ``_OPS`` maps (verb, op) to a handler, and the argparse
@@ -351,7 +352,7 @@ _FN, _SERIES = _file(lio.rationalfn_from_json), _file(lio.series_from_json)
 # ``--system-file``) with what a handler reads each one as; None is the text
 _OPTIONS = {
     "poly": {"poly": _POLY, "a": _POLY, "b": _POLY, "diffop": _DIFFOP, "point": _vec, "index": None},
-    "config": {"config": _file(lio.config_from_json), "center": _vec, "radius2": Fraction, "hyperplanes": _ints},
+    "config": {"config": _file(lio.config_from_json), "center": _vec, "radius2": lio.frac_from_str, "hyperplanes": _ints},
     "germ": {
         "germ": _GERM, "a": _GERM, "b": _GERM, "vector": _vec, "fn": _FN, "point": _vec, "order": None,
         "subspace": _load,
@@ -416,9 +417,12 @@ def run(argv) -> int:
     except ParseFailure as e:
         _emit({"error": "parse", "detail": str(e)})
         return 1
-    except (LaurentOrderError, ArityError, ValueError, ZeroDivisionError, KeyError, TypeError) as e:
+    except (LaurentOrderError, ArityError, ValueError, ZeroDivisionError) as e:
         _emit({"error": "precondition", "detail": str(e)})
         return 2
+    except Exception as e:
+        _emit({"error": "internal", "detail": f"{type(e).__name__}: {e}"})
+        return 3
 
 
 def main():

@@ -13,6 +13,13 @@ itself.
 the order by nonnegative integer combinations, least upper bounds) with
 an integer inverse of the Gram matrix of Delta computed once; root
 systems, parabolic walls and exponential series each keep their own.
+
+What does not change is computed once per process: ``builtin_system``
+builds and validates each built-in on its first call and returns that
+system afterwards, and each system keeps W, W_Q and W^Q per Q and the
+restriction classes and double cosets per (P, Q), every theorem check
+run when its entry is built.  Everything shared is immutable (Weyl
+elements, root tuples), and the public functions hand out new lists.
 """
 
 from __future__ import annotations
@@ -54,16 +61,18 @@ class WeylElement:
     positive denominator ``_d`` with gcd(_m..., _d) = 1, so every element
     has exactly one representation.  ``matrix`` gives it back as rows of
     ``Fraction``; ``length`` is the word length when the element came out
-    of ``RootSystem.weyl_group`` and None otherwise.
+    of ``RootSystem.weyl_group`` and None otherwise.  Elements are
+    immutable: root systems share them between callers.
     """
 
     __slots__ = ("_m", "_d", "dim", "length")
 
-    def __init__(self, matrix, length=None):
+    def __init__(self, matrix):
         rows = [[Fraction(x) for x in row] for row in matrix]
-        self._m, self._d = _scaled([x for row in rows for x in row])
-        self.dim = len(rows)
-        self.length = length
+        _fill(self, *_scaled([x for row in rows for x in row]), len(rows), None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WeylElement is immutable")
 
     @property
     def matrix(self):
@@ -116,6 +125,17 @@ class WeylElement:
         return f"WeylElement({self.matrix}, l={self.length})"
 
 
+_set_m, _set_d, _set_dim, _set_length = (getattr(WeylElement, name).__set__ for name in WeylElement.__slots__)
+
+
+def _fill(w, m, d, dim, length):
+    _set_m(w, m)
+    _set_d(w, d)
+    _set_dim(w, dim)
+    _set_length(w, length)
+    return w
+
+
 def _element(m, d, dim, length=None):
     """The WeylElement with ints m over d > 0, brought to lowest terms."""
     if d != 1:
@@ -123,12 +143,7 @@ def _element(m, d, dim, length=None):
         if g != 1:
             m = tuple(x // g for x in m)
             d //= g
-    w = WeylElement.__new__(WeylElement)
-    w._m = m
-    w._d = d
-    w.dim = dim
-    w.length = length
-    return w
+    return _fill(WeylElement.__new__(WeylElement), m, d, dim, length)
 
 
 def _identity_ints(n):
@@ -139,16 +154,19 @@ class RootSystem:
     def __init__(self, dim, roots, ip=None, positive=None, simple=None, name=None):
         self.space = Space(dim, ip)
         self.dim = dim
-        self.roots = [_vec(r) for r in roots]
+        self.roots = tuple(_vec(r) for r in roots)
         if positive is None:
             raise ValueError("a positive system must be specified")
-        self.positive = [self.roots[i] for i in positive]
+        self.positive = tuple(self.roots[i] for i in positive)
         self._positive = set(self.positive)
         if simple is None:
             simple = self._find_simple()
-        self.simple = [_vec(s) for s in simple]
+        self.simple = tuple(_vec(s) for s in simple)
         self.name = name
         self._weyl = None
+        # W_Q and W^Q per Q.indices, the classes and double cosets per
+        # (P.indices, Q.indices); see ``_per_walls``
+        self._pairs = {}
         self._validate()
 
     # -- geometry ----------------------------------------------------
@@ -156,10 +174,7 @@ class RootSystem:
     def reflection(self, alpha) -> WeylElement:
         alpha = _vec(alpha)
         s = self._reflections.get(alpha)
-        if s is None:
-            return self._reflect(alpha)
-        # a fresh element, so setting its length leaves the kept one alone
-        return _element(s._m, s._d, s.dim)
+        return self._reflect(alpha) if s is None else s
 
     def _reflect(self, alpha) -> WeylElement:
         # z -> z - 2 <alpha, z> alpha / <alpha, alpha>, with alpha and the
@@ -223,7 +238,12 @@ class RootSystem:
 
     def weyl_group(self):
         """All Weyl elements, with lengths, by closure of the simple
-        reflections; breadth-first depth equals the word length."""
+        reflections, in breadth-first order; a new list on every call."""
+        return list(self._group())
+
+    def _group(self):
+        """W as a tuple, built on the first call; breadth-first depth
+        equals the word length, and the identity comes first."""
         if self._weyl is not None:
             return self._weyl
         gens = [self.reflection(a) for a in self.simple]
@@ -238,17 +258,17 @@ class RootSystem:
                 for g in gens:
                     m = w * g
                     if m not in seen:
-                        m.length = depth
+                        m = _element(m._m, m._d, m.dim, depth)
                         seen[m] = m
                         nxt.append(m)
             frontier = nxt
             if len(seen) > 100000:
                 raise ValueError("group closure did not terminate; invalid input")
-        self._weyl = list(seen.values())
+        self._weyl = tuple(seen.values())
         return self._weyl
 
     def identity(self):
-        return next(w for w in self.weyl_group() if w.length == 0)
+        return self._group()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +309,20 @@ _BUILTINS = {
 
 BUILTIN_NAMES = list(_BUILTINS)
 
+# each built-in, built and validated on its first ``builtin_system`` call
+_BUILT = {}
+
 
 def builtin_system(name: str) -> RootSystem:
+    """The built-in system of that name (any letter case); every call
+    returns the same validated system."""
     key = name.upper().replace("X", "x")
-    if key not in _BUILTINS:
-        raise ValueError(f"unknown root system name {name!r}")
-    return _span_system(key, *_BUILTINS[key])
+    rs = _BUILT.get(key)
+    if rs is None:
+        if key not in _BUILTINS:
+            raise ValueError(f"unknown root system name {name!r}")
+        rs = _BUILT[key] = _span_system(key, *_BUILTINS[key])
+    return rs
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +369,30 @@ class ParabolicData:
         return tuple(_mk(sum(map(mul, re, f)), sum(map(mul, im, f)), e * d) for f, d in self._forms)
 
 
-def wq_subgroup(rs: RootSystem, Q: ParabolicData):
-    """W_Q by both characterizations: centralizer of the wall, and the
-    group generated by the reflections in Delta_Q; asserted equal."""
-    W = rs.weyl_group()
+def _per_walls(build):
+    """``build(rs, *walls)`` computed once per system and per tuple of wall
+    indices, and kept on the system.  A wall of another system is refused
+    first, so that it cannot store an entry under valid indices; a build
+    that raises stores nothing."""
+
+    def entry(rs, *walls):
+        for X in walls:
+            if X.rs is not rs:
+                raise ValueError("parabolic data built for another root system")
+        key = (build.__name__, *(tuple(X.indices) for X in walls))
+        out = rs._pairs.get(key)
+        if out is None:
+            out = rs._pairs[key] = build(rs, *walls)
+        return out
+
+    return entry
+
+
+@_per_walls
+def _wq(rs, Q):
+    W = rs._group()
     basis = [_scaled(b)[0] for b in Q.basis]
-    centralizer = [w for w in W if all(w._fixes(b) for b in basis)]
+    centralizer = tuple(w for w in W if all(w._fixes(b) for b in basis))
     gens = [rs.reflection(a) for a in Q.delta_Q]
     ident = rs.identity()
     seen = {ident}
@@ -365,14 +411,17 @@ def wq_subgroup(rs: RootSystem, Q: ParabolicData):
     return centralizer
 
 
-def min_coset_reps(rs: RootSystem, Q: ParabolicData):
-    """W^Q: elements sending Delta_Q into the positive system.  Verifies
-    that W^Q x W_Q -> W multiplies bijectively with additive lengths."""
-    W = rs.weyl_group()
-    reps = [
-        w for w in W if all(rs.is_positive(w.act(a)) for a in Q.delta_Q)
-    ]
-    wq = wq_subgroup(rs, Q)
+def wq_subgroup(rs: RootSystem, Q: ParabolicData):
+    """W_Q by both characterizations: centralizer of the wall, and the
+    group generated by the reflections in Delta_Q; asserted equal."""
+    return list(_wq(rs, Q))
+
+
+@_per_walls
+def _coset_reps(rs, Q):
+    W = rs._group()
+    reps = tuple(w for w in W if all(rs.is_positive(w.act(a)) for a in Q.delta_Q))
+    wq = _wq(rs, Q)
     lengths = {w: w.length for w in W}
     seen = set()
     for s in reps:
@@ -388,6 +437,12 @@ def min_coset_reps(rs: RootSystem, Q: ParabolicData):
     return reps
 
 
+def min_coset_reps(rs: RootSystem, Q: ParabolicData):
+    """W^Q: elements sending Delta_Q into the positive system.  Verifies
+    that W^Q x W_Q -> W multiplies bijectively with additive lengths."""
+    return list(_coset_reps(rs, Q))
+
+
 # ---------------------------------------------------------------------------
 # the double-restriction equivalence and genericity
 # ---------------------------------------------------------------------------
@@ -399,17 +454,15 @@ def _pq_signature(rs, P: ParabolicData, Q: ParabolicData, w: WeylElement):
     return tuple(P.restrict(w.act(v)) for v in Q.basis)
 
 
-def equiv_PQ(rs: RootSystem, P: ParabolicData, Q: ParabolicData):
-    """Partition of W: w1 ~ w2 when both give the same composed map from
-    wall-Q functionals to wall-P functionals.  Classes are left W_P- and
-    right W_Q-invariant (asserted)."""
-    W = rs.weyl_group()
+@_per_walls
+def _classes(rs, P, Q):
+    W = rs._group()
     classes = {}
     for w in W:
         classes.setdefault(_pq_signature(rs, P, Q, w), []).append(w)
-    out = list(classes.values())
-    wp = wq_subgroup(rs, P)
-    wq = wq_subgroup(rs, Q)
+    out = tuple(map(tuple, classes.values()))
+    wp = _wq(rs, P)
+    wq = _wq(rs, Q)
     index = {}
     for k, cl in enumerate(out):
         for w in cl:
@@ -424,13 +477,21 @@ def equiv_PQ(rs: RootSystem, P: ParabolicData, Q: ParabolicData):
     return out
 
 
-def double_cosets(rs: RootSystem, P: ParabolicData, Q: ParabolicData):
-    """The partition of W into W_P w W_Q double cosets."""
-    wp = wq_subgroup(rs, P)
-    wq = wq_subgroup(rs, Q)
-    remaining = {w: w for w in rs.weyl_group()}
+def equiv_PQ(rs: RootSystem, P: ParabolicData, Q: ParabolicData):
+    """Partition of W: w1 ~ w2 when both give the same composed map from
+    wall-Q functionals to wall-P functionals.  Classes are left W_P- and
+    right W_Q-invariant (asserted)."""
+    return [list(cl) for cl in _classes(rs, P, Q)]
+
+
+@_per_walls
+def _double_cosets(rs, P, Q):
+    wp = _wq(rs, P)
+    wq = _wq(rs, Q)
+    W = rs._group()
+    remaining = {w: w for w in W}
     out = []
-    for w in rs.weyl_group():
+    for w in W:
         if w not in remaining:
             continue
         coset = {}
@@ -438,8 +499,13 @@ def double_cosets(rs: RootSystem, P: ParabolicData, Q: ParabolicData):
             pw = p * w
             for q in wq:
                 coset[pw * q] = None
-        out.append([remaining.pop(m) for m in coset if m in remaining])
-    return out
+        out.append(tuple(remaining.pop(m) for m in coset if m in remaining))
+    return tuple(out)
+
+
+def double_cosets(rs: RootSystem, P: ParabolicData, Q: ParabolicData):
+    """The partition of W into W_P w W_Q double cosets."""
+    return [list(c) for c in _double_cosets(rs, P, Q)]
 
 
 def generic_witness(rs: RootSystem, P: ParabolicData, Q: ParabolicData, S, lam):
@@ -447,10 +513,9 @@ def generic_witness(rs: RootSystem, P: ParabolicData, Q: ParabolicData, S, lam):
     elements with its lattice certificate (i1, i2, c): the difference eta
     of their restricted translates of lam lies in S_r[i1] - S_r[i2] +
     Z.Delta_r(P), with integer coordinates c."""
+    reps = [cl[0] for cl in _classes(rs, P, Q)]
     lam = [GQ.of(x) for x in lam]
     S_r = [P.restrict_gq(s) for s in S] or [tuple(GQ(0) for _ in P.basis)]
-    classes = equiv_PQ(rs, P, Q)
-    reps = [cl[0] for cl in classes]
     for i, s1 in enumerate(reps):
         for s2 in reps[i + 1 :]:
             v1 = s1.act_gq(lam)
@@ -479,10 +544,10 @@ def exponent_classify(rs: RootSystem, P: ParabolicData, Q: ParabolicData, S, lam
     ("ambiguous", candidate indices, classes); raises when xi lies in no
     coset.
     """
+    classes = equiv_PQ(rs, P, Q)
     lam = [GQ.of(x) for x in lam]
     xi = [GQ.of(x) for x in xi]
     S_r = [P.restrict_gq(s) for s in S] or [tuple(GQ(0) for _ in P.basis)]
-    classes = equiv_PQ(rs, P, Q)
     candidates = []
     for k, cl in enumerate(classes):
         base = P.restrict_gq(cl[0].act_gq(lam))

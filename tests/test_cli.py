@@ -355,3 +355,26 @@ def test_verb_input_is_read_before_the_op_is_checked(argv, code, detail, capsys,
     got, out = _run(argv, capsys)
     assert got == code
     assert detail in json.loads(out)["detail"]
+
+
+@pytest.mark.parametrize("radius2", ["x", "1/0"])
+def test_radius2_not_a_number_exit_1(radius2, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    argv = ["config", "ball-product", "--config", CORPUS + "config.json", "--center", "0,0", "--radius2", radius2]
+    code, out = _run(argv, capsys)
+    assert code == 1
+    assert json.loads(out) == {"error": "parse", "detail": f"not a number: {radius2!r}"}
+
+
+@pytest.mark.parametrize("exc", [KeyError("boom"), TypeError("boom")])
+def test_internal_error_exit_3(exc, capsys, monkeypatch):
+    """An exception that is neither a parse nor a precondition failure is a
+    bug in laurcalc, reported as one with its type."""
+
+    def handler(o, rs):
+        raise exc
+
+    monkeypatch.setitem(cli._OPS, ("rootsys", "weyl"), handler)
+    code, out = _run(["rootsys", "weyl", "--system", "A2"], capsys)
+    assert code == 3
+    assert json.loads(out) == {"error": "internal", "detail": f"{type(exc).__name__}: {exc}"}

@@ -8,7 +8,8 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from laurcalc import linalg
+from laurcalc import io as lio
+from laurcalc import linalg, rootsys
 from laurcalc import (
     GQ,
     BUILTIN_NAMES,
@@ -230,8 +231,8 @@ def test_weyl_element_contract():
                 w.matrix = m
             assert w.act_gq(rs.simple[0]) == tuple(GQ(x) for x in w.act(rs.simple[0]))
     w = builtin_system("A2").weyl_group()[-1]
-    w.length = 7
-    assert w.length == 7
+    with pytest.raises(AttributeError):
+        w.length = 7
     assert WeylElement([[Fraction(2, 4), "1/3"], [0, 1]]).matrix == (
         (Fraction(1, 2), Fraction(1, 3)),
         (Fraction(0), Fraction(1)),
@@ -241,7 +242,7 @@ def test_weyl_element_contract():
 def test_weyl_layer_stays_on_ints(monkeypatch):
     """Products, equality and hashing build no Fraction, and the Weyl layer
     never reads an element's Fraction matrix."""
-    rs = builtin_system("B2")
+    rs = _fresh("B2")
     groups = [builtin_system("A3").weyl_group(), _half_basis_A2().weyl_group()]
 
     def refuse(self):
@@ -349,3 +350,184 @@ def test_lattice_rejects_bad_input():
                 bad([GQ(x) for x in a], [GQ(x) for x in b])
     with pytest.raises(ValueError, match="delta"):
         class_lub([(1, 0)], [[GQ(0), GQ(0)], [GQ(1)]])
+
+
+# -- what is computed once per process -----------------------------------
+
+
+def _fresh(name):
+    """A new system equal to the built-in ``name``, sharing nothing with it."""
+    return rootsys._span_system(name, *rootsys._BUILTINS[name])
+
+
+def _subsets(rs):
+    n = len(rs.simple)
+    return [list(c) for r in range(n + 1) for c in combinations(range(n), r)]
+
+
+def _matrices(groups):
+    return [[w.matrix for w in g] for g in groups]
+
+
+def test_builtin_system_is_shared():
+    assert builtin_system("A3") is builtin_system("A3")
+    assert builtin_system("a1XA1") is builtin_system("A1xA1")
+    assert builtin_system("A2") is not builtin_system("B2")
+    # a system read from JSON is built anew on every call
+    doc = lio.rootsystem_to_json(builtin_system("A2"))
+    assert lio.rootsystem_from_json(doc) is not lio.rootsystem_from_json(doc)
+
+
+def test_builtin_validated_once_per_name(monkeypatch):
+    monkeypatch.setattr(rootsys, "_BUILT", {})
+    validated = []
+    real = RootSystem._validate
+
+    def counting(self):
+        validated.append(self.name)
+        real(self)
+
+    monkeypatch.setattr(RootSystem, "_validate", counting)
+    for _ in range(3):
+        for name in BUILTIN_NAMES:
+            builtin_system(name)
+            builtin_system(name.lower())
+    assert validated == BUILTIN_NAMES
+
+
+def test_cached_results_equal_fresh_ones():
+    """Every entry of a shared system's pair cache, asked for twice, equals
+    what a system built anew computes, in the same order."""
+    for name in BUILTIN_NAMES:
+        rs, new = builtin_system(name), _fresh(name)
+        assert _matrices([rs.weyl_group()]) == _matrices([new.weyl_group()])
+        assert [w.length for w in rs.weyl_group()] == [w.length for w in new.weyl_group()]
+        for p in _subsets(rs):
+            for q in _subsets(rs):
+                args = ParabolicData(rs, p), ParabolicData(rs, q)
+                new_args = ParabolicData(new, p), ParabolicData(new, q)
+                for fn in (equiv_PQ, double_cosets):
+                    want = _matrices(fn(new, *new_args))
+                    assert _matrices(fn(rs, *args)) == want == _matrices(fn(rs, *args))
+        for q in _subsets(rs):
+            Q, new_Q = ParabolicData(rs, q), ParabolicData(new, q)
+            for fn in (min_coset_reps, wq_subgroup):
+                want = _matrices([fn(new, new_Q)])
+                assert _matrices([fn(rs, Q)]) == want == _matrices([fn(rs, Q)])
+
+
+def _calls(rs, P, Q):
+    """Each public Weyl-layer call, as a function of no arguments returning
+    a list of lists of elements."""
+    S, lam = [(0, 0)], [GQ(Fraction(1, 7)), GQ(Fraction(2, 11))]
+    xi = list(P.restrict_gq(equiv_PQ(rs, P, Q)[0][0].act_gq(lam)))
+    return [
+        lambda: [rs.weyl_group()],
+        lambda: [wq_subgroup(rs, Q)],
+        lambda: [min_coset_reps(rs, Q)],
+        lambda: equiv_PQ(rs, P, Q),
+        lambda: double_cosets(rs, P, Q),
+        lambda: exponent_classify(rs, P, Q, S, lam, xi)[2],
+    ]
+
+
+def test_returned_lists_do_not_reach_the_cache():
+    rs = builtin_system("A2")
+    P, Q = ParabolicData(rs, [0]), ParabolicData(rs, [1])
+    for call in _calls(rs, P, Q):
+        want = _matrices(call())
+        got = call()
+        for group in got:
+            group.append(group[0])
+            group.sort(key=lambda w: w.length, reverse=True)
+        got.append(got[0])
+        got.reverse()
+        assert _matrices(call()) == want
+    # the classes handed to the caller are new lists on every call
+    first, second = equiv_PQ(rs, P, Q), equiv_PQ(rs, P, Q)
+    assert first == second and first is not second
+    assert all(a is not b for a, b in zip(first, second))
+
+
+def test_shared_elements_are_immutable():
+    rs = builtin_system("A2")
+    w = rs.weyl_group()[-1]
+    for target in (w, rs.reflection(rs.simple[0]), w * w, WeylElement(w.matrix)):
+        for attr in ("length", "dim", "_m", "_d", "anything"):
+            with pytest.raises(AttributeError):
+                setattr(target, attr, 7)
+    assert w.length == 3
+    for seq in (rs.roots, rs.positive, rs.simple):
+        assert type(seq) is tuple
+    # the refused assignments leave the shared lengths, so W^Q still builds
+    Q = ParabolicData(rs, [0])
+    assert sorted(x.length for x in min_coset_reps(rs, Q)) == [0, 1, 2]
+
+
+def test_failed_builtin_build_stores_nothing(monkeypatch):
+    monkeypatch.setattr(rootsys, "_BUILT", {})
+    gram, positive = rootsys._BUILTINS["A2"]
+    # A2 without its highest root is not closed under reflections
+    monkeypatch.setitem(rootsys._BUILTINS, "A2", (gram, positive[:2]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not closed under reflections"):
+            builtin_system("A2")
+    assert rootsys._BUILT == {}
+    monkeypatch.setitem(rootsys._BUILTINS, "A2", (gram, positive))
+    assert len(builtin_system("A2").weyl_group()) == 6
+
+
+@pytest.mark.parametrize(
+    "target, fake, call, message",
+    [
+        pytest.param(
+            WeylElement, ("_fixes", lambda self, iv: False), lambda rs, P, Q: [wq_subgroup(rs, Q)],
+            "centralizer and reflection subgroup disagree", id="centralizer",
+        ),
+        pytest.param(
+            RootSystem, ("is_positive", lambda self, v: True), lambda rs, P, Q: [min_coset_reps(rs, Q)],
+            "coset decomposition not injective", id="coset-bijection",
+        ),
+        pytest.param(
+            rootsys, ("_pq_signature", lambda rs, P, Q, w: w), lambda rs, P, Q: equiv_PQ(rs, P, Q),
+            "classes not left invariant", id="invariance",
+        ),
+    ],
+)
+def test_failed_pair_check_stores_nothing(target, fake, call, message, monkeypatch):
+    """A theorem check that fails when its entry is first built raises, on
+    every call, and leaves the cache as it was."""
+    rs = _fresh("A2")
+    P, Q = ParabolicData(rs, [0]), ParabolicData(rs, [1])
+    if message != "centralizer and reflection subgroup disagree":
+        wq_subgroup(rs, P), wq_subgroup(rs, Q)
+    before = dict(rs._pairs)
+    with monkeypatch.context() as m:
+        m.setattr(target, *fake)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                call(rs, P, Q)
+        assert rs._pairs == before
+    new = _fresh("A2")
+    assert _matrices(call(rs, P, Q)) == _matrices(call(new, ParabolicData(new, [0]), ParabolicData(new, [1])))
+
+
+def test_parabolic_of_another_system_is_refused():
+    rs = builtin_system("A2")
+    P, Q = ParabolicData(rs, [0]), ParabolicData(rs, [1])
+    before = dict(rs._pairs)
+    for other in (_fresh("A2"), builtin_system("B2")):
+        foreign = ParabolicData(other, [0])
+        S, lam = [(0, 0)], [GQ(0), GQ(0)]
+        for call in (
+            lambda: wq_subgroup(rs, foreign),
+            lambda: min_coset_reps(rs, foreign),
+            lambda: equiv_PQ(rs, P, foreign),
+            lambda: equiv_PQ(rs, foreign, Q),
+            lambda: double_cosets(rs, foreign, Q),
+            lambda: generic_witness(rs, foreign, Q, S, lam),
+            lambda: exponent_classify(rs, P, foreign, S, lam, [GQ(0)]),
+        ):
+            with pytest.raises(ValueError, match="parabolic data built for another root system"):
+                call()
+    assert rs._pairs == before
