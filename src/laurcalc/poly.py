@@ -1,20 +1,30 @@
 """Multivariate polynomials over Q(i), constant-coefficient differential
 operators, and the Leibniz-flattening kernel.
 
-A polynomial is a dict from exponent multi-indices (tuples of naturals)
-to GQ coefficients; zero coefficients are never stored.  A differential
-operator is the same data read as sum of c_gamma * d^gamma.
+A polynomial keeps its coefficients as Python ints over one shared
+denominator: a dict from exponent multi-indices (tuples of naturals) to
+pairs (a, b) of ints, and a positive int d, so that the coefficient of a
+monomial is (a + b*i)/d.  No pair is (0, 0) and gcd(d, every a, every b)
+is 1, so every polynomial has exactly one representation, equality
+compares ints and hashing needs no GQ.  Sums, products, derivatives,
+truncation, substitution, evaluation, the binomial Taylor shift and exact
+division by a linear form all work on the ints.  ``terms`` is a read-only
+view of the same coefficients as GQ values, built when first read.  A
+differential operator sum c_gamma * d^gamma wraps the polynomial of its
+symbol, sum c_gamma * z^gamma.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from fractions import Fraction
+from itertools import chain
+from math import comb, gcd, lcm
+from operator import add, sub
+from types import MappingProxyType
 
 from . import linalg
-from .scalars import GQ
+from .scalars import GQ, ZERO, _mk, _triple
 
 
 class ArityError(ValueError):
@@ -53,9 +63,13 @@ class Space:
                 for j in range(k + 1, dim):
                     m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             prev = m[k][k]
-        # the nonzero Gram entries as scalars, converted once
+        # the nonzero Gram entries as ints over the common denominator e
+        self._e = e
         self._entries = [
-            (i, j, GQ(x)) for i, row in enumerate(self.ip) for j, x in enumerate(row) if x
+            (i, j, x.numerator * (e // x.denominator))
+            for i, row in enumerate(self.ip)
+            for j, x in enumerate(row)
+            if x
         ]
 
     def subspace(self, basis) -> "Space":
@@ -64,26 +78,36 @@ class Space:
         return Space(len(basis), [[self.inner(bi, bj).rational() for bj in basis] for bi in basis])
 
     def inner(self, u, v) -> GQ:
-        u = [GQ.of(x) for x in u]
-        v = [GQ.of(x) for x in v]
-        s = GQ(0)
+        u, du = _over_lcm(u)
+        v, dv = _over_lcm(v)
+        re = im = 0
         for i, j, g in self._entries:
-            s = s + u[i] * g * v[j]
-        return s
+            (a, b), (c, e) = u[i], v[j]
+            re += g * (a * c - b * e)
+            im += g * (a * e + b * c)
+        return _mk(re, im, self._e * du * dv)
+
+    def _form_pairs(self, alpha):
+        """The coefficients of z -> <alpha, z> as int pairs over one
+        denominator: (pairs, d)."""
+        alpha, d = _over_lcm(alpha)
+        re, im = [0] * self.dim, [0] * self.dim
+        for i, j, g in self._entries:
+            a, b = alpha[i]
+            re[j] += g * a
+            im[j] += g * b
+        return list(zip(re, im)), d * self._e
 
     def form_coeffs(self, alpha):
         """Coefficients of the linear form z -> <alpha, z>."""
-        alpha = [GQ.of(x) for x in alpha]
-        out = [GQ(0)] * self.dim
-        for i, j, g in self._entries:
-            out[j] = out[j] + g * alpha[i]
-        return out
+        pairs, d = self._form_pairs(alpha)
+        return [_mk(a, b, d) for a, b in pairs]
 
     def linear_form(self, alpha, offset=GQ(0)) -> "Polynomial":
         """The polynomial z -> <alpha, z> - offset."""
-        c = self.form_coeffs(alpha)
-        p = Polynomial.linear(self.dim, c)
-        return p - Polynomial.const(self.dim, GQ.of(offset))
+        pairs, d = self._form_pairs(alpha)
+        oa, ob, od = _parts(offset)
+        return _affine(self.dim, [(a * od, b * od) for a, b in pairs], (-oa * d, -ob * d), d * od)
 
     def orth_complement(self, vectors):
         """Basis of the orthogonal complement of span(vectors)."""
@@ -105,21 +129,8 @@ class Space:
 
 
 # ---------------------------------------------------------------------------
-# multi-index helpers
+# multi-index and Gaussian-integer helpers
 # ---------------------------------------------------------------------------
-
-
-def sub_indices(beta):
-    """All gamma with gamma <= beta componentwise."""
-    ranges = [range(b + 1) for b in beta]
-    return itertools.product(*ranges)
-
-
-def multi_binom(beta, gamma) -> int:
-    out = 1
-    for b, g in zip(beta, gamma):
-        out *= math.comb(b, g)
-    return out
 
 
 def factorial_multi(gamma) -> int:
@@ -129,67 +140,212 @@ def factorial_multi(gamma) -> int:
     return out
 
 
+def _falling(beta, gamma) -> int:
+    """prod beta_i! / (beta_i - gamma_i)!, the factor that d^gamma puts on
+    z^beta; 0 unless gamma <= beta."""
+    out = 1
+    for b, g in zip(beta, gamma):
+        if g > b:
+            return 0
+        if g:
+            out *= math.perm(b, g)
+    return out
+
+
+def _powers(xa, xb, xd, m):
+    """The numerators of x^0, ..., x^m over the common denominator xd^m,
+    for x = (xa + xb*i)/xd: the pairs (xa + xb*i)^j * xd^(m - j)."""
+    out = []
+    pa, pb = 1, 0
+    for j in range(m + 1):
+        s = xd ** (m - j)
+        out.append((pa * s, pb * s))
+        pa, pb = pa * xa - pb * xb, pa * xb + pb * xa
+    return out
+
+
+def _parts(x):
+    """(a, b, d) with x = (a + b*i)/d in lowest terms, for a GQ-coercible x."""
+    if type(x) is GQ:
+        return _triple(x)
+    if type(x) is Fraction:
+        return x.numerator, 0, x.denominator
+    return _triple(GQ.of(x))
+
+
+def _over_lcm(values):
+    """GQ-coercible values as int pairs over their least common denominator."""
+    triples = [_parts(x) for x in values]
+    d = lcm(*[e for _, _, e in triples])
+    if d == 1:
+        return [(a, b) for a, b, _ in triples], 1
+    return [(a * (d // e), b * (d // e)) for a, b, e in triples], d
+
+
+def _pack(re, im):
+    """Int terms from parallel real and imaginary part dicts, zero pairs dropped."""
+    return {idx: (a, im[idx]) for idx, a in re.items() if a or im[idx]}
+
+
+def _affine(dim, pairs, const, d) -> "Polynomial":
+    """(sum pairs[i]*z_i + const)/d for int pairs and d > 0."""
+    t = {}
+    for i, (a, b) in enumerate(pairs):
+        if a or b:
+            idx = [0] * dim
+            idx[i] = 1
+            t[tuple(idx)] = (a, b)
+    if const[0] or const[1]:
+        t[(0,) * dim] = const
+    return _reduced(dim, t, d)
+
+
+def _add_terms(t, u, s):
+    """t + s*u for int term dicts and an int s; t is updated and returned."""
+    for idx, (a, b) in u.items():
+        prev = t.get(idx)
+        if prev is None:
+            t[idx] = (a * s, b * s)
+        else:
+            a, b = prev[0] + a * s, prev[1] + b * s
+            if a or b:
+                t[idx] = (a, b)
+            else:
+                del t[idx]
+    return t
+
+
+def _mul_terms(t1, t2):
+    """The int terms of the product of two polynomials' int terms, over the
+    product of their denominators."""
+    re, im = {}, {}
+    for i1, (a1, b1) in t1.items():
+        for i2, (a2, b2) in t2.items():
+            idx = tuple(map(add, i1, i2))
+            if idx in re:
+                re[idx] += a1 * a2 - b1 * b2
+                im[idx] += a1 * b2 + b1 * a2
+            else:
+                re[idx] = a1 * a2 - b1 * b2
+                im[idx] = a1 * b2 + b1 * a2
+    return _pack(re, im)
+
+
+def _value(t, tables):
+    """sum (a + b*i) * prod_i tables[i][e_i] over the int terms t, as a pair
+    of ints: the value at a point whose coordinates' powers are tabled."""
+    re = im = 0
+    for idx, (a, b) in t.items():
+        for table, e in zip(tables, idx):
+            pa, pb = table[e]
+            a, b = a * pa - b * pb, a * pb + b * pa
+        re += a
+        im += b
+    return re, im
+
+
+def _contract(big, small):
+    """sum beta!/(beta - gamma)! * c_beta * c_gamma * z^(beta - gamma) over
+    beta in big and gamma <= beta in small, as int terms over the product of
+    the denominators: d^gamma applied to z^beta, summed."""
+    re, im = {}, {}
+    for beta, (a1, b1) in big.items():
+        for gamma, (a2, b2) in small.items():
+            f = _falling(beta, gamma)
+            if f:
+                idx = tuple(map(sub, beta, gamma))
+                re[idx] = re.get(idx, 0) + f * (a1 * a2 - b1 * b2)
+                im[idx] = im.get(idx, 0) + f * (a1 * b2 + b1 * a2)
+    return _pack(re, im)
+
+
+def _reduced(dim, t, d) -> "Polynomial":
+    """The polynomial with nonzero int pairs t over d > 0, in lowest terms."""
+    if not t:
+        d = 1
+    elif d != 1:
+        g = gcd(d, *chain.from_iterable(t.values()))
+        if g != 1:
+            t = {idx: (a // g, b // g) for idx, (a, b) in t.items()}
+            d //= g
+    p = _new(Polynomial)
+    p.dim = dim
+    p._t = t
+    p._d = d
+    p._view = None
+    return p
+
+
+_new = object.__new__
+_SCALARS = (int, Fraction, GQ)
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
 
 
 class Polynomial:
-    __slots__ = ("dim", "terms")
+    """sum (a + b*i)/d * z^idx over the int terms {idx: (a, b)} and the
+    shared denominator d (see the module docstring)."""
+
+    __slots__ = ("dim", "_t", "_d", "_view")
 
     def __init__(self, dim: int, terms=None):
+        terms = terms or {}
+        # over the lcm of reduced coefficients the gcd of all the ints is 1
+        pairs, self._d = _over_lcm(terms.values())
+        self._t = {}
+        for idx, (a, b) in zip(terms, pairs):
+            if a or b:
+                if len(idx) != dim:
+                    raise ArityError(f"multi-index {idx} has wrong arity for dim {dim}")
+                self._t[tuple(idx)] = (a, b)
         self.dim = dim
-        self.terms = {}
-        if terms:
-            for idx, c in terms.items():
-                if type(c) is not GQ:
-                    c = GQ.of(c)
-                if not c.is_zero():
-                    if len(idx) != dim:
-                        raise ArityError(f"multi-index {idx} has wrong arity for dim {dim}")
-                    self.terms[tuple(idx)] = c
+        self._view = None
+
+    @property
+    def terms(self):
+        """Read-only {multi-index: GQ coefficient}."""
+        view = self._view
+        if view is None:
+            d = self._d
+            view = self._view = MappingProxyType({idx: _mk(a, b, d) for idx, (a, b) in self._t.items()})
+        return view
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def zero(dim):
-        return Polynomial(dim)
+        return _reduced(dim, {}, 1)
 
     @staticmethod
     def const(dim, c):
-        return Polynomial(dim, {tuple([0] * dim): GQ.of(c)})
+        a, b, d = _parts(c)
+        return _reduced(dim, {(0,) * dim: (a, b)} if a or b else {}, d)
 
     @staticmethod
     def variable(dim, i):
         idx = [0] * dim
         idx[i] = 1
-        return Polynomial(dim, {tuple(idx): GQ(1)})
+        return _reduced(dim, {tuple(idx): (1, 0)}, 1)
 
     @staticmethod
     def linear(dim, coeffs, const=GQ(0)):
-        terms = {}
-        for i, c in enumerate(coeffs):
-            c = GQ.of(c)
-            if not c.is_zero():
-                idx = [0] * dim
-                idx[i] = 1
-                terms[tuple(idx)] = c
-        p = Polynomial(dim, terms)
-        const = GQ.of(const)
-        if not const.is_zero():
-            p = p + Polynomial.const(dim, const)
-        return p
+        pairs, d = _over_lcm([*coeffs, const])
+        return _affine(dim, pairs[:-1], pairs[-1], d)
 
     # -- basic queries -----------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._t
 
     def constant_term(self) -> GQ:
-        return self.terms.get(tuple([0] * self.dim), GQ(0))
+        return self.coefficient((0,) * self.dim)
 
     def coefficient(self, idx) -> GQ:
-        return self.terms.get(tuple(idx), GQ(0))
+        ab = self._t.get(tuple(idx))
+        return ZERO if ab is None else _mk(ab[0], ab[1], self._d)
 
     # -- arithmetic --------------------------------------------------
 
@@ -197,46 +353,42 @@ class Polynomial:
         if self.dim != other.dim:
             raise ArityError("polynomial arity mismatch")
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, GQ)):
-            other = Polynomial.const(self.dim, GQ.of(other))
+    def _sum(self, other, sign):
+        """self + sign * other for sign = 1 or -1."""
+        if isinstance(other, _SCALARS):
+            other = Polynomial.const(self.dim, other)
         self._check(other)
-        terms = dict(self.terms)
-        for idx, c in other.terms.items():
-            s = terms.get(idx, GQ(0)) + c
-            if s.is_zero():
-                terms.pop(idx, None)
-            else:
-                terms[idx] = s
-        return Polynomial(self.dim, terms)
+        if not other._t:
+            return self
+        d1, d2 = self._d, other._d
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, sign * (d1 // g)
+        t = dict(self._t) if s1 == 1 else {idx: (a * s1, b * s1) for idx, (a, b) in self._t.items()}
+        return _reduced(self.dim, _add_terms(t, other._t, s2), d1 * s1)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Polynomial(self.dim, {idx: -c for idx, c in self.terms.items()})
-
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GQ)):
-            other = Polynomial.const(self.dim, GQ.of(other))
-        return self + (-other)
+        return self._sum(other, -1)
+
+    def __neg__(self):
+        return _reduced(self.dim, {idx: (-a, -b) for idx, (a, b) in self._t.items()}, self._d)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GQ)):
-            c = GQ.of(other)
-            return Polynomial(self.dim, {idx: a * c for idx, a in self.terms.items()})
+        if isinstance(other, _SCALARS):
+            other = Polynomial.const(self.dim, other)
         self._check(other)
-        terms = {}
-        for i1, c1 in self.terms.items():
-            for i2, c2 in other.terms.items():
-                idx = tuple(map(operator.add, i1, i2))
-                prev = terms.get(idx)
-                terms[idx] = c1 * c2 if prev is None else prev + c1 * c2
-        return Polynomial(self.dim, terms)
+        return _reduced(self.dim, _mul_terms(self._t, other._t), self._d * other._d)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        out = Polynomial.const(self.dim, GQ(1))
+        if k < 0:
+            raise ValueError(f"negative power {k} of a polynomial")
+        out = Polynomial.const(self.dim, 1)
         for _ in range(k):
             out = out * self
         return out
@@ -244,50 +396,40 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+        return self.dim == other.dim and self._d == other._d and self._t == other._t
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
+        return hash((self.dim, self._d, frozenset(self._t.items())))
 
     # -- evaluation / calculus ---------------------------------------
 
+    def _degree_in(self, i) -> int:
+        return max((idx[i] for idx in self._t), default=0)
+
     def eval(self, point) -> GQ:
-        point = [GQ.of(x) for x in point]
+        point = [_parts(x) for x in point]
         if len(point) != self.dim:
             raise ArityError("point arity mismatch")
-        out = GQ(0)
-        for idx, c in self.terms.items():
-            v = c
-            for i, e in enumerate(idx):
-                if e:
-                    v = v * point[i] ** e
-            out = out + v
-        return out
+        # each z_i^e as a numerator over the denominator of z_i^(degree in z_i)
+        d = self._d
+        tables = []
+        for i, (xa, xb, xd) in enumerate(point):
+            m = self._degree_in(i)
+            tables.append(_powers(xa, xb, xd, m))
+            d *= xd**m
+        return _mk(*_value(self._t, tables), d)
 
     def deriv(self, i) -> "Polynomial":
-        terms = {}
-        for idx, c in self.terms.items():
-            if idx[i]:
-                new = list(idx)
-                new[i] -= 1
-                terms[tuple(new)] = terms.get(tuple(new), GQ(0)) + c * idx[i]
-        return Polynomial(self.dim, terms)
+        gamma = [0] * self.dim
+        gamma[i] = 1
+        return self.deriv_multi(gamma)
 
     def deriv_multi(self, gamma) -> "Polynomial":
-        p = self
-        for i, g in enumerate(gamma):
-            for _ in range(g):
-                p = p.deriv(i)
-        return p
+        return _reduced(self.dim, _contract(self._t, {tuple(gamma): (1, 0)}), self._d)
 
     def directional(self, v) -> "Polynomial":
         """Derivative along the coordinate vector v (no inner product)."""
-        out = Polynomial.zero(self.dim)
-        for i, vi in enumerate(v):
-            vi = GQ.of(vi)
-            if not vi.is_zero():
-                out = out + vi * self.deriv(i)
-        return out
+        return DiffOp.directional(self.dim, v).apply(self)
 
     def substitute(self, subs) -> "Polynomial":
         """Substitute variable i -> subs[i]; all subs share one dimension.
@@ -297,61 +439,76 @@ class Polynomial:
         if not subs:
             return self
         out_dim = subs[0].dim
-        out = Polynomial.zero(out_dim)
-        # cache powers per variable
-        powers = [{0: Polynomial.const(out_dim, GQ(1))} for _ in range(self.dim)]
-        for idx, c in self.terms.items():
-            term = Polynomial.const(out_dim, c)
-            for i, e in enumerate(idx):
+        for s in subs:
+            if s.dim != out_dim:
+                raise ArityError("polynomial arity mismatch")
+        one = (0,) * out_dim
+        # subs[i]^e as int terms over sd_i^m_i, the denominator of subs[i]
+        # to the degree of z_i: tables[i][e] for e >= 1 and scales[i] for e = 0
+        d = self._d
+        tables, scales = [], []
+        for i, s in enumerate(subs):
+            m = self._degree_in(i)
+            sd = s._d
+            table = [None]
+            if m:
+                f = sd ** (m - 1)
+                table.append({idx: (a * f, b * f) for idx, (a, b) in s._t.items()})
+            for _ in range(m - 1):
+                table.append({idx: (a // sd, b // sd) for idx, (a, b) in _mul_terms(table[-1], s._t).items()})
+            tables.append(table)
+            scales.append(sd**m)
+            d *= sd**m
+        re, im = {}, {}
+        for idx, (a, b) in self._t.items():
+            for scale, e in zip(scales, idx):
+                if not e:
+                    a, b = a * scale, b * scale
+            cur = {one: (a, b)}
+            for table, e in zip(tables, idx):
                 if e:
-                    cache = powers[i]
-                    if e not in cache:
-                        m = max(cache)
-                        acc = cache[m]
-                        for k in range(m + 1, e + 1):
-                            acc = acc * subs[i]
-                            cache[k] = acc
-                    term = term * cache[e]
-            out = out + term
-        return out
+                    cur = _mul_terms(cur, table[e])
+            for j, (x, y) in cur.items():
+                re[j] = re.get(j, 0) + x
+                im[j] = im.get(j, 0) + y
+        return _reduced(out_dim, _pack(re, im), d)
 
     def shift(self, a) -> "Polynomial":
-        """p(z + a) as a polynomial in z."""
-        subs = [
-            Polynomial.variable(self.dim, i) + Polynomial.const(self.dim, GQ.of(a[i]))
-            for i in range(self.dim)
-        ]
-        return self.substitute(subs)
+        """p(z + a) as a polynomial in z, by the binomial expansion of
+        (z_i + a_i)^e one variable at a time."""
+        t, d = self._t, self._d
+        for i in range(self.dim):
+            xa, xb, xd = _parts(a[i])
+            m = max((idx[i] for idx in t), default=0)
+            if not m or not (xa or xb):
+                continue
+            # a_i^j as a numerator over xd^m
+            g = _powers(xa, xb, xd, m)
+            d *= xd**m
+            re, im = {}, {}
+            for idx, (ca, cb) in t.items():
+                e = idx[i]
+                head, tail = idx[:i], idx[i + 1 :]
+                for k in range(e + 1):
+                    pa, pb = g[e - k]
+                    c = comb(e, k)
+                    new = head + (k,) + tail
+                    re[new] = re.get(new, 0) + c * (ca * pa - cb * pb)
+                    im[new] = im.get(new, 0) + c * (ca * pb + cb * pa)
+            t = _pack(re, im)
+        return self if t is self._t else _reduced(self.dim, t, d)
 
     def truncate(self, order: int) -> "Polynomial":
-        return Polynomial(
-            self.dim, {idx: c for idx, c in self.terms.items() if sum(idx) <= order}
-        )
+        t = {idx: ab for idx, ab in self._t.items() if sum(idx) <= order}
+        return self if len(t) == len(self._t) else _reduced(self.dim, t, self._d)
 
     def divide_by_linear(self, coeffs, const=GQ(0)):
-        """Exact quotient by the form sum(coeffs[i]*z_i) + const, or None."""
-        coeffs = [GQ.of(c) for c in coeffs]
-        const = GQ.of(const)
-        k = next((i for i, c in enumerate(coeffs) if not c.is_zero()), None)
-        if k is None:
-            raise ValueError("not a linear form")
-        ck = coeffs[k]
-        ell = Polynomial.linear(self.dim, coeffs, const)
-        q = Polynomial.zero(self.dim)
-        r = self
-        while not r.is_zero():
-            deg_k = max(idx[k] for idx in r.terms)
-            if deg_k == 0:
-                return None
-            top = {
-                tuple(e - (1 if i == k else 0) for i, e in enumerate(idx)): c / ck
-                for idx, c in r.terms.items()
-                if idx[k] == deg_k
-            }
-            t = Polynomial(self.dim, top)
-            q = q + t
-            r = r - ell * t
-        return q
+        """Exact quotient by the form sum(coeffs[i]*z_i) + const, or None.
+
+        The polynomial is first evaluated at one fixed point where the form
+        vanishes (see ``_form``): a nonzero value proves that the form does
+        not divide, and only a zero value goes on to the division."""
+        return _divide(self, _form(self.dim, coeffs, const))
 
     def divide_out(self, coeffs, const=GQ(0), most=None):
         """(quotient, count): divide by the form sum(coeffs[i]*z_i) + const
@@ -359,25 +516,111 @@ class Polynomial:
         polynomial divides any number of times, so it needs a bound."""
         if most is None and self.is_zero():
             raise ValueError("the zero polynomial has no largest power of a linear factor")
+        form = _form(self.dim, coeffs, const)
         q, count = self, 0
         while most is None or count < most:
-            nxt = q.divide_by_linear(coeffs, const)
+            nxt = _divide(q, form)
             if nxt is None:
                 break
             q, count = nxt, count + 1
         return q, count
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         bits = []
-        for idx in sorted(self.terms):
+        for idx in sorted(terms):
             mono = "*".join(
                 f"z{i}^{e}" if e > 1 else f"z{i}" for i, e in enumerate(idx) if e
             )
-            c = self.terms[idx]
-            bits.append(f"({c}){'*' + mono if mono else ''}")
+            bits.append(f"({terms[idx]}){'*' + mono if mono else ''}")
         return " + ".join(bits)
+
+
+# ---------------------------------------------------------------------------
+# exact division by a linear form
+# ---------------------------------------------------------------------------
+
+
+def _form(dim, coeffs, const):
+    """The form l = sum(coeffs[j]*z_j) + const, prepared for division.
+
+    Over one denominator D the coefficients are Gaussian integers C_j and
+    E.  With k the first j where C_k != 0 and N = |C_k|^2,
+    l = (C_k/D) (z_k + M/N), where M = (sum_(j != k) C_j z_j + E) conj(C_k)
+    is free of z_k, and 1/(C_k/D) = D conj(C_k)/N.  The filter point has
+    z_j = j + 2 for j != k and the z_k on which l vanishes.  Returns k, the
+    int terms of M, N, the real and imaginary numerators over N of z_k at
+    the filter point, and the pair D conj(C_k)."""
+    coeffs = list(coeffs)
+    pairs, d = _over_lcm([*coeffs, const])
+    k = next((j for j, (a, b) in enumerate(pairs[:-1]) if a or b), None)
+    if k is None:
+        raise ValueError("not a linear form")
+    ca, cb = pairs[k]
+    m, ra, rb = {}, 0, 0
+    for j, (a, b) in enumerate(pairs):
+        if j != k and (a or b):
+            idx = [0] * dim
+            x = 1  # the monomial's value at the filter point
+            if j < len(coeffs):
+                idx[j] = 1
+                x = j + 2
+            a, b = a * ca + b * cb, b * ca - a * cb
+            m[tuple(idx)] = (a, b)
+            ra, rb = ra - a * x, rb - b * x
+    return k, m, ca * ca + cb * cb, ra, rb, (d * ca, -d * cb)
+
+
+def _divide(p, form):
+    """p / l for a prepared form l, or None when l does not divide p.  A
+    nonzero value at the filter point refuses without dividing."""
+    t = p._t
+    if not t:
+        return p
+    k, mu, md, ra, rb = form[:5]
+    n = p._degree_in(k)
+    if not n:
+        return None
+    # the filter: p at the point z_j = j + 2 (j != k), z_k = (ra + rb*i)/md
+    tables = [_powers(ra, rb, md, n) if j == k else _powers(j + 2, 0, 1, p._degree_in(j)) for j in range(p.dim)]
+    if any(_value(t, tables)):
+        return None
+    return _exact_quotient(p, form, n)
+
+
+def _exact_quotient(p, form, n):
+    """p / l by synthetic division in z_k, or None when the remainder is not
+    zero; n is the degree of p in z_k.
+
+    Write p = sum P_j z_k^j / d and l = (C_k/D) (z_k + M/N).  Dividing by
+    z_k + M/N gives the quotient sum Q_j N^j z_k^j / (d N^(n-1)) with
+    Q_(n-1) = P_n and Q_(j-1) = P_j N^(n-j) - M Q_j, and the remainder
+    (P_0 N^n - M Q_0) / (d N^n); the quotient times D conj(C_k)/N is p / l."""
+    k, mu, md, _, _, (qa, qb) = form
+    rows = [{} for _ in range(n + 1)]
+    for idx, ab in p._t.items():
+        rows[idx[k]][idx[:k] + (0,) + idx[k + 1 :]] = ab
+    q = [None] * n
+    q[n - 1] = cur = rows[n]
+    s = 1
+    for j in range(n - 1, -1, -1):
+        s *= md
+        nxt = {idx: (a * s, b * s) for idx, (a, b) in rows[j].items()}
+        _add_terms(nxt, _mul_terms(mu, cur), -1)
+        if j:
+            q[j - 1] = cur = nxt
+        elif nxt:
+            return None
+    out = {}
+    w = 1
+    for j, row in enumerate(q):
+        for idx, (a, b) in row.items():
+            a, b = a * w, b * w
+            out[idx[:k] + (j,) + idx[k + 1 :]] = (a * qa - b * qb, a * qb + b * qa)
+        w *= md
+    return _reduced(p.dim, out, p._d * md**n)
 
 
 # ---------------------------------------------------------------------------
@@ -385,100 +628,98 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 
 
-class DiffOp:
-    """Sum of c_gamma * d^gamma in the coordinate partials."""
+def _op(p: Polynomial) -> "DiffOp":
+    """The operator whose symbol is p."""
+    u = _new(DiffOp)
+    u.dim = p.dim
+    u._p = p
+    return u
 
-    __slots__ = ("dim", "terms")
+
+class DiffOp:
+    """Sum of c_gamma * d^gamma in the coordinate partials, held as the
+    polynomial sum c_gamma * z^gamma of its symbol."""
+
+    __slots__ = ("dim", "_p")
 
     def __init__(self, dim: int, terms=None):
         self.dim = dim
-        self.terms = {}
-        if terms:
-            for idx, c in terms.items():
-                if type(c) is not GQ:
-                    c = GQ.of(c)
-                if not c.is_zero():
-                    if len(idx) != dim:
-                        raise ArityError("derivative multi-index arity mismatch")
-                    self.terms[tuple(idx)] = c
+        try:
+            self._p = Polynomial(dim, terms)
+        except ArityError:
+            raise ArityError("derivative multi-index arity mismatch") from None
+
+    @property
+    def terms(self):
+        """Read-only {multi-index: GQ coefficient}."""
+        return self._p.terms
 
     @staticmethod
     def identity(dim):
-        return DiffOp(dim, {tuple([0] * dim): GQ(1)})
+        return _op(Polynomial.const(dim, 1))
 
     @staticmethod
     def partial(dim, i, power=1):
         idx = [0] * dim
         idx[i] = power
-        return DiffOp(dim, {tuple(idx): GQ(1)})
+        return DiffOp(dim, {tuple(idx): 1})
 
     @staticmethod
     def directional(dim, v):
         """The operator of differentiation along the coordinate vector v."""
-        terms = {}
-        for i, vi in enumerate(v):
-            vi = GQ.of(vi)
-            if not vi.is_zero():
-                idx = [0] * dim
-                idx[i] = 1
-                terms[tuple(idx)] = vi
-        return DiffOp(dim, terms)
+        return _op(Polynomial.linear(dim, v))
 
     @staticmethod
     def from_symbol(p: Polynomial) -> "DiffOp":
-        return DiffOp(p.dim, dict(p.terms))
+        return _op(p)
 
     def symbol(self) -> Polynomial:
-        return Polynomial(self.dim, dict(self.terms))
+        return self._p
 
     def is_zero(self):
-        return not self.terms
+        return self._p.is_zero()
 
     def order(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(idx) for idx in self.terms)
+        return max((sum(idx) for idx in self._p._t), default=0)
 
     def __add__(self, other):
-        return DiffOp.from_symbol(self.symbol() + other.symbol())
+        return _op(self._p + other._p)
 
     def __sub__(self, other):
-        return DiffOp.from_symbol(self.symbol() - other.symbol())
+        return _op(self._p - other._p)
 
     def __neg__(self):
-        return DiffOp.from_symbol(-self.symbol())
+        return _op(-self._p)
 
     def __mul__(self, other):
         """Composition; constant-coefficient operators commute."""
-        if isinstance(other, (int, Fraction, GQ)):
-            return DiffOp.from_symbol(self.symbol() * GQ.of(other))
-        return DiffOp.from_symbol(self.symbol() * other.symbol())
+        if isinstance(other, _SCALARS):
+            return _op(self._p * other)
+        return _op(self._p * other._p)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+        return self._p == other._p
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
+        return hash(self._p)
 
     def apply(self, p: Polynomial) -> Polynomial:
         if p.dim != self.dim:
             raise ArityError("operator/polynomial arity mismatch")
-        out = Polynomial.zero(self.dim)
-        for gamma, c in self.terms.items():
-            out = out + c * p.deriv_multi(gamma)
-        return out
+        return _reduced(self.dim, _contract(p._t, self._p._t), self._p._d * p._d)
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         bits = []
-        for idx in sorted(self.terms):
+        for idx in sorted(terms):
             mono = "".join(f"D{i}^{e}" if e > 1 else f"D{i}" for i, e in enumerate(idx) if e)
-            bits.append(f"({self.terms[idx]}){mono}")
+            bits.append(f"({terms[idx]}){mono}")
         return " + ".join(bits)
 
 
@@ -516,18 +757,8 @@ def leibniz_flatten(u: DiffOp, p: Polynomial, a) -> DiffOp:
     if u.dim != p.dim:
         raise ArityError("operator/multiplier arity mismatch")
     ps = p.shift(a)  # coeff of w^gamma is (d^gamma p)(a) / gamma!
-    terms = {}
-    for beta, c in u.terms.items():
-        for gamma in sub_indices(beta):
-            pg = ps.terms.get(tuple(gamma))
-            if pg is None:
-                continue
-            # c * binom(beta,gamma) * (d^gamma p)(a) applied as d^(beta-gamma)
-            coef = c * GQ(multi_binom(beta, gamma) * factorial_multi(gamma)) * pg
-            rest = tuple(b - g for b, g in zip(beta, gamma))
-            s = terms.get(rest, GQ(0)) + coef
-            terms[rest] = s
-    return DiffOp(u.dim, terms)
+    # c_beta * binom(beta, gamma) * (d^gamma p)(a) applied as d^(beta - gamma)
+    return _op(_reduced(u.dim, _contract(u._p._t, ps._t), u._p._d * ps._d))
 
 
 def pi_product(space: Space, X, a, d) -> Polynomial:

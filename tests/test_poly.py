@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from laurcalc import (
     GQ,
@@ -17,6 +17,7 @@ from laurcalc import (
     j_map,
     leibniz_flatten,
     pi_product,
+    poly,
     quotient_rule,
 )
 
@@ -225,3 +226,313 @@ def test_quotient_rule_defining_identity(case):
     for l, d in forms:
         D = D * l**d
     assert D.directional(v) * P == Q * D
+
+
+def test_negative_power_raises():
+    ell = Polynomial.linear(2, [1, 2], 3)
+    with pytest.raises(ValueError, match="negative power"):
+        ell**-1
+    assert ell**0 == Polynomial.const(2, 1)
+    assert ell**2 == ell * ell
+
+
+def test_terms_are_read_only():
+    p = Polynomial(2, {(1, 0): GQ(2), (0, 1): GQ(Fraction(1, 3), 1)})
+    u = DiffOp(2, {(2, 0): GQ(-1)})
+    for obj in (p, u):
+        with pytest.raises(TypeError):
+            obj.terms[(5, 5)] = GQ(7)
+        with pytest.raises(TypeError):
+            del obj.terms[next(iter(obj.terms))]
+    assert p == Polynomial(2, {(0, 1): GQ(Fraction(1, 3), 1), (1, 0): GQ(2)})
+    assert (5, 5) not in p.terms
+    # the view reads like a plain dict
+    plain = {(1, 0): GQ(2), (0, 1): GQ(Fraction(1, 3), 1)}
+    assert dict(p.terms) == plain and type(dict(p.terms)) is dict
+    assert p.terms == plain and plain == p.terms
+    assert [p.terms] == [plain]
+    assert sorted(p.terms.items()) == [((0, 1), GQ(Fraction(1, 3), 1)), ((1, 0), GQ(2))]
+    assert all(type(c) is GQ for c in p.terms.values())
+    assert u.terms == {(2, 0): GQ(-1)} and u.symbol().terms == u.terms
+
+
+# -- the integer kernel against a naive GQ-dict reference --------------------
+#
+# The reference keeps {multi-index: GQ} dicts without zero coefficients and
+# does every operation term by term in GQ arithmetic.
+
+
+def _ref_clean(terms):
+    return {idx: c for idx, c in terms.items() if not c.is_zero()}
+
+
+def _ref_add(s, t, sign=1):
+    out = dict(s)
+    for idx, c in t.items():
+        out[idx] = out.get(idx, GQ(0)) + c * sign
+    return _ref_clean(out)
+
+
+def _ref_mul(s, t):
+    out = {}
+    for i1, c1 in s.items():
+        for i2, c2 in t.items():
+            idx = tuple(a + b for a, b in zip(i1, i2))
+            out[idx] = out.get(idx, GQ(0)) + c1 * c2
+    return _ref_clean(out)
+
+
+def _ref_scale(s, c):
+    return _ref_clean({idx: v * c for idx, v in s.items()})
+
+
+def _ref_deriv(s, i):
+    out = {}
+    for idx, c in s.items():
+        if idx[i]:
+            new = idx[:i] + (idx[i] - 1,) + idx[i + 1 :]
+            out[new] = c * idx[i]
+    return _ref_clean(out)
+
+
+def _ref_truncate(s, order):
+    return {idx: c for idx, c in s.items() if sum(idx) <= order}
+
+
+def _ref_eval(s, point):
+    out = GQ(0)
+    for idx, c in s.items():
+        for x, e in zip(point, idx):
+            c = c * x**e
+        out = out + c
+    return out
+
+
+def _ref_substitute(s, subs, out_dim):
+    out = {}
+    for idx, c in s.items():
+        term = {(0,) * out_dim: c}
+        for sub, e in zip(subs, idx):
+            for _ in range(e):
+                term = _ref_mul(term, sub)
+        out = _ref_add(out, term)
+    return out
+
+
+def _ref_shift(s, a):
+    dim = len(a)
+    subs = []
+    for i, x in enumerate(a):
+        unit = tuple(1 if j == i else 0 for j in range(dim))
+        subs.append(_ref_clean({unit: GQ(1), (0,) * dim: x}))
+    return _ref_substitute(s, subs, dim)
+
+
+_q = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_gq = st.builds(GQ, _q, _q)
+
+
+def _terms(dim, most=5, deg=3):
+    return st.dictionaries(st.tuples(*[st.integers(0, deg)] * dim), _gq, max_size=most)
+
+
+@st.composite
+def _kernel_case(draw):
+    dim = draw(st.integers(1, 3))
+    return (
+        dim,
+        draw(_terms(dim)),
+        draw(_terms(dim)),
+        draw(_gq),
+        draw(st.lists(_gq, min_size=dim, max_size=dim)),
+        draw(st.integers(0, dim - 1)),
+        draw(st.integers(0, 4)),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(_kernel_case())
+def test_kernel_matches_reference(case):
+    dim, s, t, c, a, i, order = case
+    p, q = Polynomial(dim, s), Polynomial(dim, t)
+    s, t = _ref_clean(s), _ref_clean(t)
+    assert p.terms == s
+    assert (p + q).terms == _ref_add(s, t)
+    assert (p - q).terms == _ref_add(s, t, -1)
+    assert (-p).terms == _ref_scale(s, GQ(-1))
+    assert (p * q).terms == _ref_mul(s, t)
+    assert (p * c).terms == _ref_scale(s, c) == (c * p).terms
+    assert p.deriv(i).terms == _ref_deriv(s, i)
+    assert p.truncate(order).terms == _ref_truncate(s, order)
+    assert p.shift(a).terms == _ref_shift(s, a)
+    assert p.eval(a) == _ref_eval(s, a)
+    assert p.constant_term() == s.get((0,) * dim, GQ(0))
+
+
+@st.composite
+def _substitution_case(draw):
+    dim = draw(st.integers(1, 3))
+    out_dim = draw(st.integers(1, 3))
+    return (
+        dim,
+        out_dim,
+        draw(_terms(dim, deg=2)),
+        [draw(_terms(out_dim, most=3, deg=2)) for _ in range(dim)],
+        draw(st.lists(_gq, min_size=out_dim, max_size=out_dim)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_substitution_case())
+def test_substitute_matches_reference(case):
+    dim, out_dim, s, subs, point = case
+    got = Polynomial(dim, s).substitute([Polynomial(out_dim, t) for t in subs])
+    subs = [_ref_clean(t) for t in subs]
+    assert got.terms == _ref_substitute(_ref_clean(s), subs, out_dim)
+    assert got.eval(point) == _ref_eval(_ref_clean(s), [_ref_eval(t, point) for t in subs])
+
+
+@settings(max_examples=50, deadline=None)
+@given(_kernel_case())
+def test_kernel_form_is_canonical(case):
+    # the same polynomial by two routes: equal, with equal hashes
+    dim, s, t, c, a, _, _ = case
+    p, q = Polynomial(dim, s), Polynomial(dim, t)
+    routes = [
+        (p, Polynomial(dim, p.terms)),
+        (p, (p + q) - q),
+        (p * q, q * p),
+        (p, p.shift(a).shift([-x for x in a])),
+        (p * c + q * c, (p + q) * c),
+        (p.deriv(0) * q + p * q.deriv(0), (p * q).deriv(0)),
+    ]
+    if not c.is_zero():
+        routes.append((p, (p * c) * (GQ(1) / c)))
+    for x, y in routes:
+        assert x == y and hash(x) == hash(y)
+        assert x.terms == y.terms
+    zero = Polynomial.zero(dim)
+    assert p - p == zero and hash(p - p) == hash(zero)
+
+
+def test_equality_reads_the_denominator():
+    p = Polynomial.linear(2, [1, 2], 3)
+    for c in (Fraction(1, 2), GQ(0, Fraction(1, 3)), GQ(2), GQ(-1)):
+        assert p * c != p and DiffOp.from_symbol(p * c) != DiffOp.from_symbol(p)
+    assert p * Fraction(1, 2) == Polynomial.linear(2, [Fraction(1, 2), 1], Fraction(3, 2))
+
+
+def test_diffop_shares_the_kernel():
+    for _ in range(20):
+        dim = rng.randint(1, 3)
+        p = rand_poly(rng, dim, 3)
+        u = DiffOp.from_symbol(p)
+        assert u.symbol() is p and u.terms == p.terms
+        assert DiffOp(dim, p.terms) == u and hash(DiffOp(dim, p.terms)) == hash(u)
+        # apply against derivatives taken one coordinate at a time
+        q = rand_poly(rng, dim, 4)
+        want = Polynomial.zero(dim)
+        for gamma, c in u.terms.items():
+            want = want + c * q.deriv_multi(gamma)
+        assert u.apply(q) == want
+
+
+# -- the evaluation filter of divide_out --------------------------------------
+
+
+def _ref_divides(coeffs, const, s):
+    """Whether the form divides the polynomial s (a reference dict): s
+    vanishes on the hyperplane, that is after z_k -> -(rest)/c_k."""
+    dim = len(coeffs)
+    k = next(i for i, c in enumerate(coeffs) if not c.is_zero())
+    subs = []
+    for i in range(dim):
+        if i == k:
+            root = {(0,) * dim: -const / coeffs[k]}
+            for j, c in enumerate(coeffs):
+                if j != k:
+                    root[tuple(1 if m == j else 0 for m in range(dim))] = -c / coeffs[k]
+            subs.append(_ref_clean(root))
+        else:
+            subs.append({tuple(1 if m == i else 0 for m in range(dim)): GQ(1)})
+    return not _ref_substitute(s, subs, dim)
+
+
+@st.composite
+def _division_case(draw):
+    dim = draw(st.integers(1, 3))
+    coeffs = draw(st.lists(_gq, min_size=dim, max_size=dim).filter(lambda c: any(not x.is_zero() for x in c)))
+    return dim, coeffs, draw(_gq), draw(_terms(dim, most=4, deg=2)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_division_case())
+def test_filter_never_refuses_a_divisor(case):
+    dim, coeffs, const, s, k = case
+    s = _ref_clean(s)
+    assume(s and not _ref_divides(coeffs, const, s))
+    q = Polynomial(dim, s)
+    ell = Polynomial.linear(dim, coeffs, const)
+    assert (ell**k * q).divide_out(coeffs, const) == (q, k)
+    if k:
+        assert (ell**k * q).divide_by_linear(coeffs, const) == ell ** (k - 1) * q
+    assert q.divide_by_linear(coeffs, const) is None
+
+
+def _filter_point(coeffs, const):
+    """The point of the hyperplane of the form that the filter evaluates at:
+    z_j = j + 2 off the first variable k of the form, and z_k on the
+    hyperplane."""
+    k = next(i for i, c in enumerate(coeffs) if not c.is_zero())
+    point = [GQ(j + 2) for j in range(len(coeffs))]
+    rest = const + sum((c * x for j, (c, x) in enumerate(zip(coeffs, point)) if j != k), GQ(0))
+    point[k] = -rest / coeffs[k]
+    return k, point
+
+
+@pytest.mark.parametrize("coeffs", [(GQ(2, 1), GQ(-1)), (GQ(0), GQ(3), GQ(1, -2)), (GQ(1), GQ(0), GQ(-2, 1))])
+def test_exact_division_decides_when_the_filter_passes(coeffs, monkeypatch):
+    # q vanishes at the filter point without the form dividing it, so the
+    # filter passes and the exact division must refuse
+    dim = len(coeffs)
+    const = GQ(Fraction(1, 2), -3)
+    k, point = _filter_point(coeffs, const)
+    j = next(i for i in range(dim) if i != k)
+    ell = Polynomial.linear(dim, coeffs, const)
+    q = (Polynomial.variable(dim, j) - point[j]) * (rand_poly(rng, dim, 2) + Polynomial.variable(dim, k))
+    assert q.eval(point) == 0
+    # free of z_k, a polynomial vanishing at the filter point is refused too
+    assert (Polynomial.variable(dim, j) - point[j]).divide_out(coeffs, const) == (Polynomial.variable(dim, j) - point[j], 0)
+    assert not _ref_divides(list(coeffs), const, dict(q.terms))
+    exact = []
+    quotient = poly._exact_quotient
+    monkeypatch.setattr(poly, "_exact_quotient", lambda *a: exact.append(quotient(*a)) or exact[-1])
+    for n in range(3):
+        exact.clear()
+        assert (ell**n * q).divide_out(coeffs, const) == (q, n)
+        assert len(exact) == n + 1 and exact[-1] is None
+
+
+@settings(max_examples=50, deadline=None)
+@given(_division_case(), _gq)
+def test_filter_refuses_without_dividing(case, value):
+    # q = (z_k - r) s + value has the value at the filter point, and the
+    # form does not divide it: the filter refuses it without a division
+    dim, coeffs, const, s, _ = case
+    assume(not value.is_zero())
+    k, point = _filter_point(coeffs, const)
+    ell = Polynomial.linear(dim, coeffs, const)
+    assert ell.eval(point) == 0
+    calls = []
+    quotient = poly._exact_quotient
+    poly._exact_quotient = lambda *a: calls.append(a) or quotient(*a)
+    try:
+        # a drawn value, a purely imaginary and a real one
+        for v in (value, GQ(0, 1), GQ(Fraction(-3, 2))):
+            q = (Polynomial.variable(dim, k) - point[k]) * (Polynomial(dim, s) + 1) + v
+            assert q.eval(point) == v
+            assert q.divide_out(coeffs, const) == (q, 0)
+            assert q.divide_by_linear(coeffs, const) is None
+    finally:
+        poly._exact_quotient = quotient
+    assert not calls
