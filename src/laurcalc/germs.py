@@ -9,7 +9,7 @@ represented object is jet(w) / prod <xi, w>^d(xi), w = z - a.
 from __future__ import annotations
 
 from .config import Hyperplane, XSubspace, canonical_normal
-from .poly import ArityError, Polynomial, Space, quotient_rule
+from .poly import ArityError, Polynomial, Space, quotient_rule, same_space
 from .scalars import GQ
 
 
@@ -136,12 +136,6 @@ def germ_diff(v, g: Germ) -> Germ:
 # ---------------------------------------------------------------------------
 
 
-def _same_space(s1: Space, s2: Space) -> bool:
-    """Equal inner products, so a hyperplane cuts out the same form on both
-    (the Gram matrix also fixes the dimension)."""
-    return s1 is s2 or s1.ip == s2.ip
-
-
 class RationalFn:
     """numerator / prod l_H^k over a finite set of hyperplanes."""
 
@@ -170,7 +164,7 @@ class RationalFn:
 
     def __add__(self, other):
         if isinstance(other, RationalFn):
-            if not _same_space(self.space, other.space):
+            if not same_space(self.space, other.space):
                 raise ArityError("rational functions over different spaces")
             den, [(p1, _), (p2, _)] = _over_common_denominator(
                 [(self.numerator, self.denominator), (other.numerator, other.denominator)],
@@ -234,7 +228,7 @@ class RationalFn:
     def __eq__(self, other):
         if not isinstance(other, RationalFn):
             return NotImplemented
-        if not _same_space(self.space, other.space):
+        if not same_space(self.space, other.space):
             return False
         return (self - other).numerator.is_zero()
 

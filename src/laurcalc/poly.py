@@ -128,6 +128,13 @@ class Space:
         return out
 
 
+def same_space(s1: Space, s2: Space) -> bool:
+    """Equal inner products, so a hyperplane cuts out the same form on both
+    and exponents pair the same way (the Gram matrix also fixes the
+    dimension)."""
+    return s1 is s2 or s1.ip == s2.ip
+
+
 # ---------------------------------------------------------------------------
 # multi-index and Gaussian-integer helpers
 # ---------------------------------------------------------------------------

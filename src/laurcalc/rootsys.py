@@ -11,8 +11,9 @@ itself.
 
 ``Lattice`` alone decides Z.Delta questions (membership, coordinates,
 the order by nonnegative integer combinations, least upper bounds) with
-an integer inverse of the Gram matrix of Delta computed once; root
-systems, parabolic walls and exponential series each keep their own.
+an integer inverse of the Gram matrix of Delta computed once.  Lattices
+are immutable, and parabolic walls, exponential series and the
+``*_delta`` functions share one per Delta from a bounded table.
 
 What does not change is computed once per process: ``builtin_system``
 builds and validates each built-in on its first call and returns that
@@ -25,8 +26,9 @@ elements, root tuples), and the public functions hand out new lists.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import le, mul
 
 from . import linalg
 from .poly import Space
@@ -356,7 +358,7 @@ class ParabolicData:
         self.delta_r = [self.restrict(rs.simple[i]) for i in self.delta_rest_indices]
         if len(set(self.delta_r)) != len(self.delta_r):
             raise ValueError("restricted simple roots not pairwise distinct")
-        self.lattice = Lattice(self.delta_r, len(self.basis), "restricted simple roots")
+        self.lattice = _lattice(self.delta_r, len(self.basis), "restricted simple roots")
 
     def restrict(self, v):
         """The functional on the wall: values on the wall basis."""
@@ -573,28 +575,40 @@ class Lattice:
     delta is held as int rows N over one denominator E, and the left
     inverse E (N N^T)^-1 N as int rows over one denominator, so a query is
     integer dot products plus an exact check that the coordinates give the
-    vector back.  ``name`` names delta in error messages.
+    vector back.  ``name`` names delta in error messages.  A lattice is
+    immutable and equal to every lattice of the same delta and ``dim``;
+    ``_lattice`` hands out one per delta.
     """
+
+    __slots__ = ("name", "dim", "_e", "_rows", "_left", "_den")
 
     def __init__(self, delta, dim=None, name="delta"):
         delta = [_vec(d) for d in delta]
-        self.name = name
-        self.dim = len(delta[0]) if dim is None and delta else dim
-        if any(len(d) != self.dim for d in delta):
-            raise ValueError(f"{name} has a vector of length other than {self.dim}")
-        k, n = len(delta), self.dim
-        flat, self._e = _scaled([x for d in delta for x in d])
-        self._rows = [flat[i * n : (i + 1) * n] for i in range(k)]
+        dim = len(delta[0]) if dim is None and delta else dim
+        if any(len(d) != dim for d in delta):
+            raise ValueError(f"{name} has a vector of length other than {dim}")
+        k, n = len(delta), dim
+        flat, e = _scaled([x for d in delta for x in d])
+        rows = tuple(flat[i * n : (i + 1) * n] for i in range(k))
         try:
-            inv = linalg.invert([[sum(map(mul, r, s)) for s in self._rows] for r in self._rows])
+            inv = linalg.invert([[sum(map(mul, r, s)) for s in rows] for r in rows])
         except ValueError:
             raise ValueError(f"{name} not linearly independent") from None
         flat, den = _scaled([x.rational() for row in inv for x in row])
-        cols = list(zip(*self._rows))
-        left = [[sum(map(mul, flat[i * k : (i + 1) * k], c)) * self._e for c in cols] for i in range(k)]
+        left = [[sum(map(mul, flat[i * k : (i + 1) * k], c)) * e for c in zip(*rows)] for i in range(k)]
         g = gcd(den, *(x for row in left for x in row))
-        self._left = [tuple(x // g for x in row) for row in left]
-        self._den = den // g
+        left = tuple(tuple(x // g for x in row) for row in left)
+        for slot, value in zip(Lattice.__slots__, (name, dim, e, rows, left, den // g)):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Lattice is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, Lattice) and (self.dim, self._e, self._rows) == (other.dim, other._e, other._rows)
+
+    def __hash__(self):
+        return hash((self.dim, self._e, self._rows))
 
     def _solve(self, iv):
         """Ints c with iv = sum c_i delta_i / den for an int vector iv, or
@@ -605,14 +619,33 @@ class Lattice:
             back = [b - ci * r for b, r in zip(back, row)]
         return None if any(back) else c
 
+    def _ints(self, v):
+        """``_gq_ints`` of v, after checking its length against delta."""
+        if self.dim is not None and len(v) != self.dim:
+            raise ValueError(f"a vector of length {len(v)} against {self.name} of length {self.dim}")
+        return _gq_ints(v)
+
     def _split(self, v):
         """(re, im, q): ints with v = sum (re_i + i im_i) delta_i / q, or None
         when v is off the complex span."""
-        if self.dim is not None and len(v) != self.dim:
-            raise ValueError(f"a vector of length {len(v)} against {self.name} of length {self.dim}")
-        re, im, e = _gq_ints(v)
+        re, im, e = self._ints(v)
         re, im = self._solve(re), self._solve(im)
         return None if re is None or im is None else (re, im, self._den * e)
+
+    def coset(self, v):
+        """(class, k) of a complex vector v: k the floors of the real parts of
+        its delta-coordinates (of its projection to the span), class the ints
+        (re, im, q) of v - sum k_i delta_i in lowest terms.  Classes are equal
+        exactly when the vectors are equivalent mod Z.delta."""
+        return self._coset(*self._ints(v))
+
+    def _coset(self, re, im, e):
+        """``coset`` of the vector (re + i im) / e given as ints, e > 0."""
+        k = tuple(sum(map(mul, row, re)) // (self._den * e) for row in self._left)
+        re = [self._e * x - e * sum(map(mul, k, col)) for x, *col in zip(re, *self._rows)]
+        im, q = [self._e * x for x in im], self._e * e
+        g = gcd(q, *re, *im)
+        return (tuple(x // g for x in re), tuple(x // g for x in im), q // g), k
 
     def span_coords(self, v):
         """The coordinates of v over delta as GQs, or None."""
@@ -626,52 +659,61 @@ class Lattice:
             return None
         return [x // s[2] for x in s[0]]
 
-    def _diff(self, a, b):
-        if len(a) != len(b):
-            raise ValueError(f"vectors of lengths {len(a)} and {len(b)} compared over {self.name}")
-        return [GQ.of(y) - GQ.of(x) for x, y in zip(a, b)]
-
     def equiv(self, a, b) -> bool:
         """Whether b - a lies in Z.delta."""
-        return self.coords(self._diff(a, b)) is not None
+        return self.coset(a)[0] == self.coset(b)[0]
 
     def height(self, a, b):
         """The coordinate sum of b - a when a precedes b, else None."""
-        c = self.coords(self._diff(a, b))
-        return None if c is None or any(x < 0 for x in c) else sum(c)
+        (ca, ka), (cb, kb) = self.coset(a), self.coset(b)
+        return sum(kb) - sum(ka) if ca == cb and all(map(le, ka, kb)) else None
 
     def preceq(self, a, b) -> bool:
         return self.height(a, b) is not None
 
     def lub(self, omega):
-        """Least upper bound of a lattice-equivalent family: componentwise
-        maximum of the delta-coordinates relative to the first member."""
+        """Least upper bound of a lattice-equivalent family: its class plus
+        the componentwise maximum of the members' k."""
         if not omega:
             raise ValueError("empty family has no least upper bound")
-        coords = [self.coords(self._diff(omega[0], xi)) for xi in omega]
-        if None in coords:
+        keys = [self.coset(xi) for xi in omega]
+        (re, im, q), e = keys[0][0], self._e
+        if any(c != keys[0][0] for c, _ in keys):
             raise ValueError("family members are not lattice equivalent")
-        out = [GQ.of(x) for x in omega[0]]
-        for m, row in zip(map(max, zip(*coords)), self._rows):
-            out = [x + _mk(m * r, 0, self._e) for x, r in zip(out, row)]
-        return tuple(out)
+        top = [max(c) for c in zip(*(k for _, k in keys))]
+        return tuple(_mk(r * e + q * sum(map(mul, top, col)), i * e, q * e) for r, i, *col in zip(re, im, *self._rows))
+
+
+_LATTICES = 64  # the bound of the shared table; a series workload meets a few dozen deltas
+
+
+@lru_cache(maxsize=_LATTICES)
+def _table(rows, dim, name):
+    return Lattice([[Fraction(x, e) for x in r] for r, e in rows], dim, name)
+
+
+def _lattice(delta, dim=None, name="delta") -> Lattice:
+    """The shared ``Lattice(delta, dim, name)``, from a bounded table keyed
+    by the normalized int rows of delta."""
+    rows = [_vec(d) for d in delta]
+    return _table(tuple(map(_scaled, rows)), len(rows[0]) if dim is None and rows else dim, name)
 
 
 def delta_coords(delta, v):
     """Coordinates of v over the independent set delta, or None."""
-    return Lattice(delta).span_coords(v)
+    return _lattice(delta).span_coords(v)
 
 
 def preceq_delta(delta, xi1, xi2) -> bool:
     """Whether xi2 - xi1 is a nonnegative integer combination of delta."""
-    return Lattice(delta).preceq(xi1, xi2)
+    return _lattice(delta).preceq(xi1, xi2)
 
 
 def equiv_delta(delta, xi1, xi2) -> bool:
     """Whether xi2 - xi1 lies in the integer lattice of delta."""
-    return Lattice(delta).equiv(xi1, xi2)
+    return _lattice(delta).equiv(xi1, xi2)
 
 
 def class_lub(delta, omega):
     """Least upper bound of a lattice-equivalent family (``Lattice.lub``)."""
-    return Lattice(delta).lub(omega)
+    return _lattice(delta).lub(omega)

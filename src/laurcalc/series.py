@@ -6,12 +6,20 @@ regrouping of exponents along a wall.
 Exponents are vectors paired with directions through the ambient inner
 product: xi(H) = <xi, H>.  Coefficients are vectors of polynomials in the
 logarithmic coordinates.
+
+A series keeps each exponent with its key (class, k) from
+``Lattice.coset``: its class mod Z.Delta and its integer Delta-coordinates.
+xi lies at height h below a leader exactly when the classes are equal and
+k(leader) - k(xi) is >= 0 with sum h, so heights, the order, pruning and
+splitting compare ints.  Series over one Delta share one ``Lattice``.
 """
 
 from __future__ import annotations
 
-from .poly import ArityError, DiffOp, Polynomial, Space
-from .rootsys import Lattice
+from operator import add, le
+
+from .poly import ArityError, DiffOp, Polynomial, Space, same_space
+from .rootsys import _lattice
 from .scalars import GQ
 
 
@@ -19,10 +27,10 @@ def _exp_key(xi):
     return tuple(GQ.of(x) for x in xi)
 
 
-def _heights(lattice, leaders, xi):
-    """The lattice heights of xi below each leader it lies below."""
-    hs = (lattice.height(xi, lead) for lead in leaders)
-    return [h for h in hs if h is not None]
+def _depths(lead, key):
+    """The heights of the exponent with key below the leader keys in lead."""
+    c, k = key
+    return [sum(lk) - sum(k) for lc, lk in lead if lc == c and all(map(le, k, lk))]
 
 
 class ExpPolySeries:
@@ -31,80 +39,85 @@ class ExpPolySeries:
     terms maps an exponent to a tuple of coefficient polynomials (one per
     coordinate of the value space).  Every exponent must lie within
     lattice height <= trunc below one of the leaders.  ``lattice`` is the
-    ``Lattice`` of delta; a series derived from another shares it.
+    shared ``Lattice`` of delta.  The terms are held as ``_t``, which maps
+    the (class, k) of each exponent to (exponent, coefficients); ``terms``
+    is built from it on first read.
     """
 
     def __init__(self, space: Space, delta, leaders, trunc, vdim, terms):
         delta = [tuple(x) for x in delta]
-        self._setup(space, delta, Lattice(delta, space.dim), leaders, trunc, vdim, terms)
+        lattice = _lattice(delta, space.dim)
+        leaders = [_exp_key(x) for x in leaders]
+        t = {}
+        for xi, polys in dict(terms).items():
+            polys = tuple(polys)
+            if len(polys) != int(vdim):
+                raise ArityError("coefficient vector has wrong length")
+            if any(p.dim != space.dim for p in polys):
+                raise ArityError("coefficient polynomial arity mismatch")
+            xi = _exp_key(xi)
+            t[lattice.coset(xi)] = (xi, polys)
+        lead = [lattice.coset(x) for x in leaders]
+        self._setup(space, delta, lattice, leaders, lead, trunc, vdim, t, True)
 
-    def _like(self, leaders, trunc, vdim, terms):
+    def _like(self, leaders, lead, trunc, vdim, t, check):
         """A series over the space and delta of self, sharing its lattice."""
         out = ExpPolySeries.__new__(ExpPolySeries)
-        out._setup(self.space, self.delta, self.lattice, leaders, trunc, vdim, terms)
+        out._setup(self.space, self.delta, self.lattice, leaders, lead, trunc, vdim, t, check)
         return out
 
-    def _setup(self, space, delta, lattice, leaders, trunc, vdim, terms):
-        self.space = space
-        self.delta = delta
-        self.lattice = lattice
-        self.leaders = [_exp_key(x) for x in leaders]
-        self.trunc = int(trunc)
-        self.vdim = int(vdim)
-        self.terms = {}
-        for xi, polys in dict(terms).items():
-            xi = _exp_key(xi)
-            polys = tuple(polys)
-            if len(polys) != self.vdim:
-                raise ArityError("coefficient vector has wrong length")
-            for p in polys:
-                if p.dim != space.dim:
-                    raise ArityError("coefficient polynomial arity mismatch")
+    def _setup(self, space, delta, lattice, leaders, lead, trunc, vdim, t, check):
+        """lead holds the leaders' keys and t the terms by key.  Zero terms
+        are dropped; with check, a term deeper than trunc below every leader
+        is refused (operations in range by construction pass False)."""
+        self.space, self.delta, self.lattice = space, delta, lattice
+        self.leaders, self._lead = leaders, lead
+        self.trunc, self.vdim = int(trunc), int(vdim)
+        self._t, self._terms = {}, None
+        for key, (xi, polys) in t.items():
             if all(p.is_zero() for p in polys):
                 continue
-            if self._height(xi) is None:
+            if check and not any(h <= self.trunc for h in _depths(lead, key)):
                 raise ValueError(f"exponent {xi} outside the truncated cosets")
-            self.terms[xi] = polys
+            self._t[key] = (xi, tuple(polys))
 
-    def _height(self, xi):
-        """Smallest lattice height of xi below a leader within trunc."""
-        return min(
-            (h for h in _heights(self.lattice, self.leaders, xi) if h <= self.trunc),
-            default=None,
-        )
+    @property
+    def terms(self):
+        if self._terms is None:
+            self._terms = dict(self._t.values())
+        return self._terms
 
     def is_zero(self):
-        return not self.terms
+        return not self._t
+
+    def _check_shape(self, other):
+        if self.vdim != other.vdim or self.lattice != other.lattice:
+            raise ArityError("series shapes differ")
+        if not same_space(self.space, other.space):
+            raise ArityError("series over different inner products")
 
     def __add__(self, other):
-        if (
-            self.space.dim != other.space.dim
-            or self.vdim != other.vdim
-            or self.delta != other.delta
-        ):
-            raise ArityError("series shapes differ")
-        terms = {k: list(v) for k, v in self.terms.items()}
-        for xi, polys in other.terms.items():
-            if xi in terms:
-                terms[xi] = [a + b for a, b in zip(terms[xi], polys)]
+        self._check_shape(other)
+        t = dict(self._t)
+        for key, (xi, polys) in other._t.items():
+            if key in t:
+                t[key] = (xi, [a + b for a, b in zip(t[key][1], polys)])
             else:
-                terms[xi] = list(polys)
-        leaders = list(dict.fromkeys(self.leaders + other.leaders))
-        return self._like(leaders, min(self.trunc, other.trunc), self.vdim, terms)
+                t[key] = (xi, polys)
+        lead = dict(zip(self._lead + other._lead, self.leaders + other.leaders))
+        return self._like(list(lead.values()), list(lead), min(self.trunc, other.trunc), self.vdim, t, True)
 
     def scale(self, c):
         c = GQ.of(c)
-        terms = {xi: [p * c for p in polys] for xi, polys in self.terms.items()}
-        return self._like(self.leaders, self.trunc, self.vdim, terms)
+        t = {key: (xi, [p * c for p in polys]) for key, (xi, polys) in self._t.items()}
+        return self._like(self.leaders, self._lead, self.trunc, self.vdim, t, False)
 
     def __eq__(self, other):
         if not isinstance(other, ExpPolySeries):
             return NotImplemented
-        return (
-            self.space.dim == other.space.dim
-            and self.vdim == other.vdim
-            and self.terms == {k: tuple(v) for k, v in other.terms.items()}
-        )
+        if self.vdim != other.vdim or not same_space(self.space, other.space):
+            return False
+        return self._t == other._t if self.lattice == other.lattice else self.terms == other.terms
 
     def __repr__(self):
         bits = [f"a^{xi} * {polys}" for xi, polys in sorted(self.terms.items(), key=repr)]
@@ -113,15 +126,9 @@ class ExpPolySeries:
 
 def series_exponents(F: ExpPolySeries):
     """The exponent set and its maximal elements in the lattice order."""
-    exps = sorted(F.terms, key=repr)
-    leading = [
-        xi
-        for xi in exps
-        if not any(
-            eta != xi and F.lattice.preceq(xi, eta) for eta in exps
-        )
-    ]
-    return exps, leading
+    keys = sorted(F._t, key=lambda key: repr(F._t[key][0]))
+    leading = [F._t[a][0] for a in keys if not any(b != a and _depths([b], a) for b in keys)]
+    return [F._t[a][0] for a in keys], leading
 
 
 def series_diffop(u: DiffOp, F: ExpPolySeries) -> ExpPolySeries:
@@ -130,47 +137,56 @@ def series_diffop(u: DiffOp, F: ExpPolySeries) -> ExpPolySeries:
     if u.dim != F.space.dim:
         raise ArityError("operator arity mismatch")
     n = F.space.dim
-    terms = {}
-    for xi, polys in F.terms.items():
-        acc = [Polynomial.zero(n) for _ in range(F.vdim)]
+    t = {}
+    for key, (xi, polys) in F._t.items():
+        lam = F.space.form_coeffs(xi)  # xi(H) for each coordinate direction H
+        acc = [Polynomial.zero(n)] * F.vdim
         for gamma, c in u.terms.items():
-            cur = list(polys)
+            cur = polys
             for i, g in enumerate(gamma):
-                lam = F.space.inner(xi, [GQ(1) if j == i else GQ(0) for j in range(n)])
                 for _ in range(g):
-                    cur = [lam * p + p.deriv(i) for p in cur]
+                    cur = [lam[i] * p + p.deriv(i) for p in cur]
             acc = [a + c * p for a, p in zip(acc, cur)]
-        terms[xi] = acc
-    return F._like(F.leaders, F.trunc, F.vdim, terms)
+        t[key] = (xi, acc)
+    return F._like(F.leaders, F._lead, F.trunc, F.vdim, t, False)
+
+
+def _key_sum(lattice, sums, a, b):
+    """The (class, k) of the sum of two exponents with (class, k) a and b;
+    sums keeps the split of each sum of two classes."""
+    (ca, ka), (cb, kb) = a, b
+    s = sums.get((ca, cb))
+    if s is None:
+        (r1, i1, q1), (r2, i2, q2) = ca, cb
+        s = sums[ca, cb] = lattice._coset(
+            [x * q2 + y * q1 for x, y in zip(r1, r2)], [x * q2 + y * q1 for x, y in zip(i1, i2)], q1 * q2
+        )
+    return s[0], tuple(x + y + z for x, y, z in zip(ka, kb, s[1]))
 
 
 def series_mul(F: ExpPolySeries, G: ExpPolySeries):
     """Convolution of two scalar series over exponent pairs.  Terms whose
     validity cannot be guaranteed at the joint truncation are pruned."""
-    if F.space.dim != G.space.dim or F.delta != G.delta:
-        raise ArityError("series shapes differ")
     if F.vdim != 1 or G.vdim != 1:
         raise ArityError("series_mul multiplies scalar series (vdim 1) only")
+    F._check_shape(G)
     trunc = min(F.trunc, G.trunc)
-    leaders = []
-    for x in F.leaders:
-        for y in G.leaders:
-            key = tuple(a + b for a, b in zip(x, y))
-            if key not in leaders:
-                leaders.append(key)
-    terms = {}
-    for xi, (p,) in F.terms.items():
-        for eta, (q,) in G.terms.items():
-            nu = tuple(a + b for a, b in zip(xi, eta))
-            terms[nu] = terms[nu] + p * q if nu in terms else p * q
-    # prune exponents whose height below any containing leader exceeds
-    # the joint truncation: deeper contributions may be missing
-    kept = {}
-    for nu, pq in terms.items():
-        hs = _heights(F.lattice, leaders, nu)
-        if hs and max(hs) <= trunc:
-            kept[nu] = [pq]
-    return F._like(leaders, trunc, 1, kept)
+    sums, lead, acc = {}, {}, {}
+    for x, a in zip(F.leaders, F._lead):
+        for y, b in zip(G.leaders, G._lead):
+            lead.setdefault(_key_sum(F.lattice, sums, a, b), tuple(map(add, x, y)))
+    for a, (xi, (p,)) in F._t.items():
+        for b, (eta, (q,)) in G._t.items():
+            key = _key_sum(F.lattice, sums, a, b)
+            if key in acc:
+                acc[key][1] = acc[key][1] + p * q
+            else:
+                acc[key] = [tuple(map(add, xi, eta)), p * q]
+    # prune exponents whose height below any containing leader exceeds the
+    # joint truncation: deeper contributions may be missing.  xi + eta lies
+    # below the sum of the leaders above xi and eta, so what stays is in range
+    kept = {key: (nu, [pq]) for key, (nu, pq) in acc.items() if max(_depths(lead, key)) <= trunc}
+    return F._like(list(lead.values()), list(lead), trunc, 1, kept, False)
 
 
 def series_split(F: ExpPolySeries, S):
@@ -179,20 +195,18 @@ def series_split(F: ExpPolySeries, S):
     S must be pairwise lattice-inequivalent; each exponent of F must lie
     below exactly one member of S.
     """
-    S = [_exp_key(s) for s in S]
-    for i, s1 in enumerate(S):
-        for s2 in S[i + 1 :]:
-            if F.lattice.equiv(s1, s2):
-                raise ValueError("coset leaders are lattice equivalent")
-    out = {}
-    for s in S:
-        out[s] = {}
-    for xi, polys in F.terms.items():
-        owners = [s for s in S if F.lattice.preceq(xi, s)]
-        if not owners:
-            raise ValueError(f"exponent {xi} lies in no given coset")
-        out[owners[0]][xi] = polys
-    return {s: F._like([s], F.trunc, F.vdim, terms) for s, terms in out.items()}
+    owners = {}
+    for s in map(_exp_key, S):
+        c, k = F.lattice.coset(s)
+        if c in owners:
+            raise ValueError("coset leaders are lattice equivalent")
+        owners[c] = (s, k, {})
+    for key, term in F._t.items():
+        owner = owners.get(key[0])
+        if owner is None or not all(map(le, key[1], owner[1])):
+            raise ValueError(f"exponent {term[0]} lies in no given coset")
+        owner[2][key] = term
+    return {s: F._like([s], [(c, k)], F.trunc, F.vdim, t, True) for c, (s, k, t) in owners.items()}
 
 
 class RestrictedSeries:
@@ -239,12 +253,13 @@ class RestrictedSeries:
         F = self.base
         n = F.space.dim
         wall_half = [Polynomial.variable(n, i) for i in range(n)] + [Polynomial.zero(n)] * n
-        terms = {
-            xi: [q.substitute(wall_half) for q in self.shifted_coeff(xi)]
+        keys = {xi: key for key, (xi, _) in F._t.items()}
+        t = {
+            keys[xi]: (xi, [q.substitute(wall_half) for q in self.shifted_coeff(xi)])
             for xis in self.groups.values()
             for xi in xis
         }
-        return F._like(F.leaders, F.trunc, F.vdim, terms)
+        return F._like(F.leaders, F._lead, F.trunc, F.vdim, t, True)
 
 
 def series_restrict(F: ExpPolySeries, wall_basis) -> RestrictedSeries:

@@ -352,6 +352,74 @@ def test_lattice_rejects_bad_input():
         class_lub([(1, 0)], [[GQ(0), GQ(0)], [GQ(1)]])
 
 
+@given(lattice_cases())
+def test_coset_split_against_coords(case):
+    """The (class, k) split answers equiv, height and preceq as the
+    coordinates of the difference do, on and off the span of delta."""
+    from laurcalc.series import _depths
+
+    n, delta, c, c2, r, base = case
+    L = Lattice(delta, n)
+    family = [base, _plus(base, _comb(delta, c, n)), _plus(base, _comb(delta, r, n))]
+    family.append(_plus(family[1], [GQ(0, 1) * x for x in _comb(delta, c2, n)]))
+    family += [_plus(family[1], off) for off in linalg.nullspace(delta, ncols=n)]
+    zero = ((0,) * n, (0,) * n, 1)
+    assert L.coset(_comb(delta, c, n)) == (zero, tuple(c))
+    for a in family:
+        ka = L.coset(a)
+        # the class is the representative with real coordinates in [0, 1)
+        (re, im, q), k = ka
+        assert L.coset([GQ(x, y) / q for x, y in zip(re, im)]) == (ka[0], (0,) * len(k))
+        shifted = L.coset(_plus(a, _comb(delta, c2, n)))
+        assert shifted == (ka[0], tuple(x + y for x, y in zip(ka[1], c2)))
+        for b in family:
+            kb = L.coset(b)
+            diff = L.coords([y - x for x, y in zip(a, b)])
+            height = None if diff is None or min(diff, default=0) < 0 else sum(diff)
+            assert (ka[0] == kb[0]) == L.equiv(a, b) == (diff is not None)
+            assert L.height(a, b) == height
+            assert L.preceq(a, b) == (height is not None)
+            assert _depths([kb], ka) == ([] if height is None else [height])
+            if diff is not None:
+                assert [y - x for x, y in zip(ka[1], kb[1])] == diff
+
+
+def test_lattice_is_immutable_and_shared():
+    L = rootsys._lattice([(1, 0), (1, 1)])
+    for name in ("dim", "name", "_rows", "_left", "_den", "_e", "other"):
+        with pytest.raises(AttributeError):
+            setattr(L, name, None)
+    assert isinstance(L._rows, tuple) and all(isinstance(row, tuple) for row in L._rows)
+    spellings = (
+        [(1, 0), (1, 1)],
+        [(Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))],
+        [("1", "0"), ("1", "1")],
+        [(GQ(1), GQ(0)), (GQ(1), GQ(1))],
+        ((GQ(1), 0), ["1", Fraction(1)]),
+    )
+    assert all(rootsys._lattice(d) is L for d in spellings)
+    named = rootsys._lattice(spellings[0], 2, "roots")
+    assert named is not L and named == L and named.name == "roots"
+    assert ParabolicData(builtin_system("A2"), [0]).lattice is ParabolicData(builtin_system("A2"), [0]).lattice
+    assert Lattice([(1, 0), (1, 1)]) == L != Lattice([(1, 1), (1, 0)])
+    assert hash(Lattice([(1, 0), (1, 1)])) == hash(L)
+
+
+def test_lattice_table_is_bounded():
+    for m in range(1, 3 * rootsys._LATTICES):
+        rootsys._lattice([(m, 1)])
+        assert rootsys._table.cache_info().currsize <= rootsys._LATTICES
+    assert rootsys._table.cache_info().currsize == rootsys._LATTICES
+    assert equiv_delta([(5, 1)], [GQ(0), GQ(0)], [GQ(-5), GQ(-1)])
+
+
+def test_lub_refuses_inequivalent_family():
+    with pytest.raises(ValueError, match="not lattice equivalent"):
+        class_lub([(1, 0)], [[GQ(0), GQ(0)], [GQ(1, 1), GQ(0)]])
+    with pytest.raises(ValueError, match="not lattice equivalent"):
+        class_lub([(2, 0)], [[GQ(0), GQ(0)], [GQ(1), GQ(0)]])
+
+
 # -- what is computed once per process -----------------------------------
 
 

@@ -18,7 +18,11 @@ Example, from the root of the change checkout:
         --traced residue:1 --claim "residue tasks_per_s ..." --out BENCH_13.json
 
 The file is rewritten after every pair, so an interrupted run keeps
-the pairs it finished.  Only the standard library is used.
+the pairs it finished.  The summary gives per workload whether all
+digests agreed and the failed tasks per side; after the file is
+written, the exit status is 1 if any pair's digests differ, any run
+failed a task or any run was not correct.  Only the standard library is
+used.
 """
 
 from __future__ import annotations
@@ -73,9 +77,25 @@ def spread(values):
     return {"median": round(statistics.median(values), 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
+def faults(entry):
+    """What is wrong with one pair: differing digests, failed tasks or a
+    run that reported incorrect output."""
+    out = [] if entry["digest_parent"] == entry["digest_change"] else ["digests differ"]
+    for side in ("parent", "change"):
+        if entry[side]["failed"]:
+            out.append(f"{entry[side]['failed']} failed on the {side} side")
+        if entry[side]["correct"] is not True:
+            out.append(f"the {side} side is not correct")
+    return out
+
+
 def summarize(runs, spec):
-    """Per end-to-end metric: both sides' spread, wins and the median ratio."""
-    out = {}
+    """Per end-to-end metric: both sides' spread, wins and the median ratio;
+    whether every pair's digests agree and the failed tasks per side."""
+    out = {
+        "digests_equal": all(r["digest_parent"] == r["digest_change"] for r in runs),
+        "failed": {side: sum(r[side]["failed"] for r in runs) for side in ("parent", "change")},
+    }
     for metric in spec["end_to_end"]:
         name, better = metric["name"], metric["better"]
         pairs = [(r["parent"]["metrics"][name]["value"], r["change"]["metrics"][name]["value"]) for r in runs]
@@ -140,12 +160,14 @@ def main(argv=None):
             json.dump(doc, f, indent=1)
             f.write("\n")
 
+    checked = []  # (label, pair) of every pair run
     for key, specs in (("runs", args.pairs), ("held_out", args.held_out)):
         for item in specs:
             workload, seeds = parse_seeds(item)
             runs = doc["runs"].setdefault(workload, []) if key == "runs" else doc["held_out"].setdefault("runs", [])
             for seed in seeds:
                 entry = run_pair(args, workload, seed)
+                checked.append((f"{workload} seed {seed}", entry))
                 if key == "held_out":
                     entry = {"workload": workload, **entry}
                 runs.append(entry)
@@ -157,6 +179,7 @@ def main(argv=None):
     for item in args.traced:
         workload, (seed,) = parse_seeds(item)
         entry = run_pair(args, workload, seed, trace=1)
+        checked.append((f"{workload} traced seed {seed}", entry))
         doc["traced"][workload] = {
             "seed": seed,
             "first": entry["first"],
@@ -167,7 +190,10 @@ def main(argv=None):
         }
         write()
     write()
-    return 0
+    bad = [f"{label}: {fault}" for label, entry in checked for fault in faults(entry)]
+    for line in bad:
+        print(f"bench_pairs: {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
