@@ -5,60 +5,83 @@ localized products of linear forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import linalg
 from .poly import Polynomial, Space
-from .scalars import GQ, _triple
+from .scalars import GQ, _fractions, _mk, _real_over_lcm, _triple
+
+
+def _canonical(v):
+    """(canon, g, d) for a real vector v = g/d * canon, canon the primitive
+    int vector with positive first nonzero coordinate, as a tuple of
+    Fraction."""
+    ints, d = _real_over_lcm(v)
+    if not any(ints):
+        raise ValueError("zero vector has no canonical representative")
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(Fraction(x // g) for x in ints), g, d
+
+
+def _order(k, field):
+    """The int k, a multiplicity, power or pole order read from ``field``;
+    a negative one is a ValueError naming the field."""
+    k = int(k)
+    if k < 0:
+        raise ValueError(f"{field} must be nonnegative, got {k}")
+    return k
 
 
 def canonical_normal(v):
     """Scale a nonzero rational vector to the primitive integer vector with
     positive first nonzero coordinate.  Returns (canonical, scalar) with
     v = scalar * canonical."""
-    nums, dens = [], []
-    for x in v:
-        x = GQ.of(x)
-        a, b, d = _triple(x)
-        if b:
-            raise ValueError(f"{x} is not real")
-        nums.append(a)
-        dens.append(d)
-    if not any(nums):
-        raise ValueError("zero vector has no canonical representative")
-    # v = ints / denlcm and ints = g * canon, so the scalar is g / denlcm
-    denlcm = lcm(*dens)
-    ints = [a * (denlcm // d) for a, d in zip(nums, dens)]
-    g = gcd(*ints)
-    if next(x for x in ints if x) < 0:
-        g = -g
-    canon = tuple(Fraction(x // g) for x in ints)
-    return canon, Fraction(g, denlcm)
+    canon, g, d = _canonical(v)
+    return canon, Fraction(g, d)
 
 
-@dataclass(frozen=True)
 class Hyperplane:
     """The zero set of z -> <normal, z> - offset, with a real rational
-    normal stored in canonical primitive form."""
+    normal stored in canonical primitive form (a tuple of Fraction).
+    Immutable; equality, hash and repr are those of the pair
+    (normal, offset), and the hash is computed once."""
 
-    normal: tuple  # Fractions
-    offset: GQ
+    __slots__ = ("normal", "offset", "_hash")
+
+    def __init__(self, normal, offset):
+        for name, value in zip(Hyperplane.__slots__, (normal, offset, hash((normal, offset)))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Hyperplane is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not Hyperplane:
+            return NotImplemented
+        return (self.normal, self.offset) == (other.normal, other.offset)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Hyperplane(normal={self.normal!r}, offset={self.offset!r})"
 
     @staticmethod
     def make(normal, offset) -> "Hyperplane":
-        canon, scalar = canonical_normal(normal)
-        return Hyperplane(canon, GQ.of(offset) / GQ(scalar))
+        canon, g, d = _canonical(normal)
+        return Hyperplane(canon, GQ.of(offset) / _mk(g, 0, d))
 
     @staticmethod
     def from_form(space: Space, coeffs, const):
         """The hyperplane of the form z -> sum coeffs[j] z_j + const, as
         (h, scalar) with the form equal to scalar * h.form(space)."""
-        # the form is <beta, z> + const with beta = G^{-1} coeffs
-        beta = linalg.solve(space.ip, coeffs)
-        canon, scalar = canonical_normal(beta)
-        scalar = GQ(scalar)
+        # the form is <beta, z> + const with G beta = coeffs, and G is the
+        # int Gram matrix over e, so beta is e times the solution over it
+        canon, g, d = _canonical(linalg.solve(space._g, coeffs))
+        scalar = _mk(g * space._e, 0, d)
         return Hyperplane(canon, -GQ.of(const) / scalar), scalar
 
     @property
@@ -85,8 +108,8 @@ class Configuration:
                     raise ValueError("hyperplane dimension mismatch")
                 if h in self.multiplicity:
                     raise ValueError(f"duplicate hyperplane {h}")
-                self.multiplicity[h] = int(mult)
-        self.x_set = [tuple(GQ.of(c).rational() for c in v) for v in (x_set or [])]
+                self.multiplicity[h] = _order(mult, f"mult of {h}")
+        self.x_set = [_fractions(*_real_over_lcm(v)) for v in (x_set or [])]
         if any(not any(v) for v in self.x_set):
             raise ValueError("x_set holds the zero vector, which has no canonical representative")
 
@@ -139,18 +162,13 @@ def subspace_from(space: Space, hyps) -> XSubspace:
 
     Raises ValueError when the linear system is inconsistent.
     """
-    rows = [space.form_coeffs(h.normal) for h in hyps]
-    rhs = [h.offset for h in hyps]
-    if rows:
-        z0 = linalg.solve(rows, rhs)
-        if z0 is None:
-            raise ValueError("hyperplanes have empty intersection")
-    else:
-        z0 = [GQ(0)] * space.dim
-    basis = space.orth_complement([h.normal for h in hyps])
-    # central point: the unique point of L orthogonal to the direction space
-    proj = space.project_onto(z0, basis)
-    center = [a - b for a, b in zip(z0, proj)]
+    # the central point is the point of L in the span of the normals
+    normals = [h.normal for h in hyps]
+    c = linalg.solve([[space.inner(a, b) for b in normals] for a in normals], [h.offset for h in hyps])
+    if c is None:
+        raise ValueError("hyperplanes have empty intersection")
+    center = [sum((x * GQ(n[i]) for x, n in zip(c, normals)), GQ(0)) for i in range(space.dim)]
+    basis = space.orth_complement(normals)
     return XSubspace(space, hyps, basis, center)
 
 
@@ -197,15 +215,16 @@ def induced_config(cfg: Configuration, L: XSubspace) -> Configuration:
 def pi_omega_d(cfg: Configuration, center, radius2) -> Polynomial:
     """Product of l_H^mult over hyperplanes meeting the open ball of given
     center and squared radius, by the exact squared-distance test."""
-    radius2 = Fraction(radius2) if not isinstance(radius2, GQ) else radius2.rational()
+    (r,), rd = _real_over_lcm([radius2])
     center = [GQ.of(x) for x in center]
     p = Polynomial.const(cfg.space.dim, GQ(1))
     for h in cfg.hyperplanes:
         k = cfg.mult(h)
         if not k:
             continue
-        val = cfg.space.inner(h.normal, center) - h.offset
-        a2 = cfg.space.inner(h.normal, h.normal).rational()
-        if val.norm2() < radius2 * a2:
+        # |<normal, center> - offset|^2 < radius2 <normal, normal>, in ints
+        va, vb, vd = _triple(cfg.space.inner(h.normal, center) - h.offset)
+        na, _, nd = _triple(cfg.space.inner(h.normal, h.normal))
+        if (va * va + vb * vb) * rd * nd < r * na * vd * vd:
             p = p * h.form(cfg.space) ** k
     return p

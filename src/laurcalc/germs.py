@@ -8,7 +8,7 @@ represented object is jet(w) / prod <xi, w>^d(xi), w = z - a.
 
 from __future__ import annotations
 
-from .config import Hyperplane, XSubspace, canonical_normal
+from .config import Hyperplane, XSubspace, _order, canonical_normal
 from .poly import ArityError, Polynomial, Space, quotient_rule, same_space
 from .scalars import GQ
 
@@ -21,11 +21,12 @@ class Germ:
         self.base = tuple(GQ.of(x) for x in base)
         self.pole = {}
         for xi, k in dict(pole).items():
+            k = _order(k, f"pole order along {xi}")
             if k:
                 canon, scalar = canonical_normal(xi)
                 if scalar != 1:
                     raise ValueError("pole directions must be canonical primitive vectors")
-                self.pole[canon] = int(k)
+                self.pole[canon] = k
         self.jet = jet.truncate(order)
         self.order = int(order)
 
@@ -148,8 +149,9 @@ class RationalFn:
         self.numerator = numerator
         self.denominator = {}
         for h, k in dict(denominator or {}).items():
+            k = _order(k, f"power of {h}")
             if k:
-                self.denominator[h] = int(k)
+                self.denominator[h] = k
 
     @staticmethod
     def const(space, c):

@@ -12,7 +12,7 @@ are never chosen silently.
 from __future__ import annotations
 
 from . import linalg
-from .config import XSubspace, canonical_normal
+from .config import XSubspace, _order, canonical_normal
 from .germs import (
     Germ,
     RationalFn,
@@ -22,7 +22,7 @@ from .germs import (
     rationalfn_restrict,
 )
 from .poly import ArityError, DiffOp, Polynomial, Space, factorial_multi, leibniz_flatten, pi_product, quotient_rule
-from .scalars import GQ
+from .scalars import GQ, _fractions, _real_over_lcm
 
 
 class LaurentOrderError(ValueError):
@@ -36,8 +36,8 @@ class LFSummand:
 
     def __init__(self, support, x_list, d_max, u: DiffOp):
         self.support = tuple(GQ.of(x) for x in support)
-        self.x_list = [tuple(GQ.of(c).rational() for c in v) for v in x_list]
-        self.d_max = [int(k) for k in d_max]
+        self.x_list = [_fractions(*_real_over_lcm(v)) for v in x_list]
+        self.d_max = [_order(k, "d_max") for k in d_max]
         if len(self.d_max) != len(self.x_list):
             raise ValueError("pole index must be parallel to the root list")
         self.u = u
@@ -186,7 +186,7 @@ def lf_pushforward(iota, L0: LaurentFunctional, space_V: Space) -> LaurentFuncti
     summands = [
         LFSummand(
             push_point(s.support),
-            [tuple(x.rational() for x in push_point(xi)) for xi in s.x_list],
+            [push_point(xi) for xi in s.x_list],
             s.d_max,
             DiffOp.from_symbol(s.u.symbol().substitute(subs)),
         )

@@ -1,17 +1,19 @@
 """Multivariate polynomials over Q(i), constant-coefficient differential
 operators, and the Leibniz-flattening kernel.
 
-A polynomial keeps its coefficients as Python ints over one shared
-denominator: a dict from exponent multi-indices (tuples of naturals) to
-pairs (a, b) of ints, and a positive int d, so that the coefficient of a
-monomial is (a + b*i)/d.  No pair is (0, 0) and gcd(d, every a, every b)
-is 1, so every polynomial has exactly one representation, equality
-compares ints and hashing needs no GQ.  Sums, products, derivatives,
-truncation, substitution, evaluation, the binomial Taylor shift and exact
-division by a linear form all work on the ints.  ``terms`` is a read-only
-view of the same coefficients as GQ values, built when first read.  A
-differential operator sum c_gamma * d^gamma wraps the polynomial of its
-symbol, sum c_gamma * z^gamma.
+A space holds its Gram matrix as ints over one denominator and reads
+positive definiteness from the pivots of the integer elimination in
+``linalg``.  A polynomial keeps its coefficients as Python ints over one
+shared denominator: a dict from exponent multi-indices (tuples of
+naturals) to pairs (a, b) of ints, and a positive int d, so that the
+coefficient of a monomial is (a + b*i)/d.  No pair is (0, 0) and
+gcd(d, every a, every b) is 1, so every polynomial has exactly one
+representation, equality compares ints and hashing needs no GQ.  Sums,
+products, derivatives, truncation, substitution, evaluation, the binomial
+Taylor shift and exact division by a linear form all work on the ints.
+``terms`` is a read-only view of the same coefficients as GQ values, built
+when first read.  A differential operator sum c_gamma * d^gamma wraps the
+polynomial of its symbol, sum c_gamma * z^gamma.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import add, sub
 from types import MappingProxyType
 
 from . import linalg
-from .scalars import GQ, ZERO, _mk, _triple
+from .scalars import GQ, ZERO, _mk, _over_lcm, _parts, _real_over_lcm
 
 
 class ArityError(ValueError):
@@ -38,44 +40,43 @@ class ArityError(ValueError):
 
 class Space:
     """Ambient real space: a dimension and a symmetric positive definite
-    rational inner product matrix (identity by default)."""
+    rational inner product matrix (identity by default), held as ints over
+    one denominator; ``ip`` gives it back as rows of Fraction."""
 
     def __init__(self, dim: int, ip=None):
         self.dim = dim
         if ip is None:
-            ip = [[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
-        self.ip = [[Fraction(x) if not isinstance(x, GQ) else x.rational() for x in row] for row in ip]
-        if len(self.ip) != dim or any(len(row) != dim for row in self.ip):
+            ip = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+        if len(ip) != dim or any(len(row) != dim for row in ip):
             raise ValueError(f"inner product matrix must be {dim} x {dim}")
+        flat, self._e = _real_over_lcm([x for row in ip for x in row])
+        g = [flat[i * dim : (i + 1) * dim] for i in range(dim)]
         for i in range(dim):
             for j in range(dim):
-                if self.ip[i][j] != self.ip[j][i]:
+                if g[i][j] != g[j][i]:
                     raise ValueError("inner product matrix must be symmetric")
-        # Sylvester's criterion by Bareiss elimination of the matrix scaled to
-        # ints: the k-th pivot is the k-th leading principal minor times e^k
-        e = math.lcm(*(x.denominator for row in self.ip for x in row))
-        m = [[x.numerator * (e // x.denominator) for x in row] for row in self.ip]
-        prev = 1
+        # Sylvester's criterion: pivots taken down the diagonal are the
+        # leading principal minors of the int matrix, e^k times those of ip
+        pivots, _ = linalg._eliminate([[(x, 0) for x in row] for row in g])
         for k in range(dim):
-            if m[k][k] <= 0:
+            if k == len(pivots) or pivots[k][:2] != (k, k) or pivots[k][2][0] <= 0:
                 raise ValueError(f"inner product matrix must be positive definite (leading minor {k + 1})")
-            for i in range(k + 1, dim):
-                for j in range(k + 1, dim):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
+        self._g = tuple(map(tuple, g))
+        self._ip = None
         # the nonzero Gram entries as ints over the common denominator e
-        self._e = e
-        self._entries = [
-            (i, j, x.numerator * (e // x.denominator))
-            for i, row in enumerate(self.ip)
-            for j, x in enumerate(row)
-            if x
-        ]
+        self._entries = [(i, j, x) for i, row in enumerate(g) for j, x in enumerate(row) if x]
+
+    @property
+    def ip(self):
+        """The Gram matrix as rows of Fraction."""
+        if self._ip is None:
+            self._ip = [[Fraction(x, self._e) for x in row] for row in self._g]
+        return self._ip
 
     def subspace(self, basis) -> "Space":
         """span(basis) in the coordinates of the basis, with the inherited
         inner product."""
-        return Space(len(basis), [[self.inner(bi, bj).rational() for bj in basis] for bi in basis])
+        return Space(len(basis), [[self.inner(bi, bj) for bj in basis] for bi in basis])
 
     def inner(self, u, v) -> GQ:
         u, du = _over_lcm(u)
@@ -114,25 +115,12 @@ class Space:
         rows = [self.form_coeffs(v) for v in vectors]
         return linalg.nullspace(rows, ncols=self.dim)
 
-    def project_onto(self, v, basis):
-        """Orthogonal projection of v onto span(basis)."""
-        if not basis:
-            return [GQ(0)] * self.dim
-        gram = [[self.inner(bi, bj) for bj in basis] for bi in basis]
-        rhs = [self.inner(bi, v) for bi in basis]
-        coeffs = linalg.solve(gram, rhs)
-        out = [GQ(0)] * self.dim
-        for c, b in zip(coeffs, basis):
-            for i in range(self.dim):
-                out[i] = out[i] + c * GQ.of(b[i])
-        return out
-
 
 def same_space(s1: Space, s2: Space) -> bool:
     """Equal inner products, so a hyperplane cuts out the same form on both
     and exponents pair the same way (the Gram matrix also fixes the
     dimension)."""
-    return s1 is s2 or s1.ip == s2.ip
+    return s1 is s2 or (s1._e, s1._g) == (s2._e, s2._g)
 
 
 # ---------------------------------------------------------------------------
@@ -169,24 +157,6 @@ def _powers(xa, xb, xd, m):
         out.append((pa * s, pb * s))
         pa, pb = pa * xa - pb * xb, pa * xb + pb * xa
     return out
-
-
-def _parts(x):
-    """(a, b, d) with x = (a + b*i)/d in lowest terms, for a GQ-coercible x."""
-    if type(x) is GQ:
-        return _triple(x)
-    if type(x) is Fraction:
-        return x.numerator, 0, x.denominator
-    return _triple(GQ.of(x))
-
-
-def _over_lcm(values):
-    """GQ-coercible values as int pairs over their least common denominator."""
-    triples = [_parts(x) for x in values]
-    d = lcm(*[e for _, _, e in triples])
-    if d == 1:
-        return [(a, b) for a, b, _ in triples], 1
-    return [(a * (d // e), b * (d // e)) for a, b, e in triples], d
 
 
 def _pack(re, im):

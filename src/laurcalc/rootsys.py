@@ -3,11 +3,15 @@ combinatorics, and the genericity tests for translated exponent cosets.
 
 Root systems are stored in the coordinate basis of their simple roots
 (or any rational basis), with the geometry carried by a rational inner
-product matrix, so every reflection is an exact rational matrix.  A Weyl
-element holds that matrix as Python ints over one common denominator
-(1 for every built-in system), so products, equality and hashing are
-integer operations; the Weyl layer looks elements up by the element
-itself.
+product matrix, so every reflection is an exact rational matrix.  Inside,
+every vector and matrix is Python ints over one common denominator (1 for
+every built-in system): the roots, each Weyl element, the wall basis and
+forms of a parabolic subgroup, and the rows of a lattice.  Products,
+equality, hashing, the root and closure checks and the (P, Q) signatures
+are integer operations, and ``linalg``'s integer elimination supplies the
+inverses and kernels; ``roots``, ``matrix``, ``act``, ``restrict`` and the
+other public names build their Fractions from the ints.  The Weyl layer
+looks elements up by the element itself.
 
 ``Lattice`` alone decides Z.Delta questions (membership, coordinates,
 the order by nonnegative integer combinations, least upper bounds) with
@@ -25,35 +29,27 @@ elements, root tuples), and the public functions hand out new lists.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-from operator import le, mul
+from itertools import islice
+from math import gcd
+from operator import le, mul, sub
 
 from . import linalg
 from .poly import Space
-from .scalars import GQ, _mk, _triple
+from .scalars import GQ, _fractions, _mk, _over_lcm, _real_over_lcm
 
 
-def _vec(v):
-    return tuple(
-        x if type(x) is Fraction else x.rational() if isinstance(x, GQ) else Fraction(x)
-        for x in v
-    )
+def _int_rows(vectors):
+    """Real vectors as tuples of ints over one denominator: (rows, e)."""
+    vectors = [tuple(v) for v in vectors]
+    flat, e = _real_over_lcm([x for v in vectors for x in v])
+    it = iter(flat)
+    return tuple(tuple(islice(it, len(v))) for v in vectors), e
 
 
-def _scaled(v):
-    """Ints iv and e > 0 with v = iv / e, for a sequence of Fractions; the
-    lcm of reduced denominators leaves gcd(iv..., e) = 1."""
-    e = lcm(*(x.denominator for x in v))
-    return tuple(x.numerator * (e // x.denominator) for x in v), e
-
-
-def _gq_ints(v):
-    """Ints re, im and e > 0 with v = (re + i im) / e, for GQ-like v."""
-    t = [_triple(GQ.of(x)) for x in v]
-    e = lcm(*(d for _, _, d in t))
-    return [a * (e // d) for a, _, d in t], [b * (e // d) for _, b, d in t], e
+def _re_im(pairs):
+    """The real and the imaginary parts of int pairs, as two lists."""
+    return [a for a, _ in pairs], [b for _, b in pairs]
 
 
 class WeylElement:
@@ -70,15 +66,16 @@ class WeylElement:
     __slots__ = ("_m", "_d", "dim", "length")
 
     def __init__(self, matrix):
-        rows = [[Fraction(x) for x in row] for row in matrix]
-        _fill(self, *_scaled([x for row in rows for x in row]), len(rows), None)
+        rows = [tuple(row) for row in matrix]
+        m, d = _real_over_lcm([x for row in rows for x in row])
+        _fill(self, tuple(m), d, len(rows), None)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeylElement is immutable")
 
     @property
     def matrix(self):
-        return tuple(tuple(Fraction(x, self._d) for x in row) for row in self._rows())
+        return tuple(_fractions(row, self._d) for row in self._rows())
 
     def _rows(self):
         n, m = self.dim, self._m
@@ -89,12 +86,12 @@ class WeylElement:
         return [sum(map(mul, row, iv)) for row in self._rows()]
 
     def act(self, v):
-        iv, e = _scaled(_vec(v))
-        d = self._d * e
-        return tuple(Fraction(x, d) for x in self._apply(iv))
+        iv, e = _real_over_lcm(v)
+        return _fractions(self._apply(iv), self._d * e)
 
     def act_gq(self, v):
-        re, im, e = _gq_ints(v)
+        pairs, e = _over_lcm(v)
+        re, im = _re_im(pairs)
         d = self._d * e
         return tuple(_mk(a, b, d) for a, b in zip(self._apply(re), self._apply(im)))
 
@@ -109,8 +106,10 @@ class WeylElement:
         return _element(m, self._d * other._d, n)
 
     def inverse(self):
-        inv = linalg.invert([[GQ(x) for x in row] for row in self.matrix])
-        return WeylElement([[x.rational() for x in row] for row in inv])
+        # (m / d)^-1 = d m^-1 = d inv / det for the int inverse inv / det
+        inv, (det, _) = linalg._inverse([[(x, 0) for x in row] for row in self._rows()])
+        s = self._d if det > 0 else -self._d
+        return _element(tuple(s * x for row in inv for x, _ in row), abs(det), self.dim)
 
     def is_identity(self):
         return self._d == 1 and self._m == _identity_ints(self.dim)
@@ -156,14 +155,21 @@ class RootSystem:
     def __init__(self, dim, roots, ip=None, positive=None, simple=None, name=None):
         self.space = Space(dim, ip)
         self.dim = dim
-        self.roots = tuple(_vec(r) for r in roots)
+        self._roots, self._e = _int_rows(roots)
+        self.roots = tuple(_fractions(r, self._e) for r in self._roots)
         if positive is None:
             raise ValueError("a positive system must be specified")
         self.positive = tuple(self.roots[i] for i in positive)
-        self._positive = set(self.positive)
+        pos = [self._roots[i] for i in positive]
+        self._positive = set(pos)
         if simple is None:
-            simple = self._find_simple()
-        self.simple = tuple(_vec(s) for s in simple)
+            # the positive roots that are not a positive root plus another
+            simple = [
+                _fractions(a, self._e)
+                for a in pos
+                if not any(tuple(map(sub, a, b)) in self._positive for b in pos if b != a)
+            ]
+        self.simple = tuple(_fractions(*_real_over_lcm(s)) for s in simple)
         self.name = name
         self._weyl = None
         # W_Q and W^Q per Q.indices, the classes and double cosets per
@@ -173,16 +179,21 @@ class RootSystem:
 
     # -- geometry ----------------------------------------------------
 
-    def reflection(self, alpha) -> WeylElement:
-        alpha = _vec(alpha)
-        s = self._reflections.get(alpha)
-        return self._reflect(alpha) if s is None else s
+    def _key(self, v):
+        """The ints r with v = r / _e, or None when v has no such form (so v
+        is no root)."""
+        iv, d = _real_over_lcm(v)
+        return tuple(x * (self._e // d) for x in iv) if self._e % d == 0 else None
 
-    def _reflect(self, alpha) -> WeylElement:
-        # z -> z - 2 <alpha, z> alpha / <alpha, alpha>, with alpha and the
-        # form <alpha, .> scaled to ints a and b, so <alpha, alpha> ~ a . b
-        a, _ = _scaled(alpha)
-        b, _ = _scaled(_vec(self.space.form_coeffs(alpha)))
+    def reflection(self, alpha) -> WeylElement:
+        s = self._reflections.get(self._key(alpha))
+        return self._reflect(_real_over_lcm(alpha)[0]) if s is None else s
+
+    def _reflect(self, a) -> WeylElement:
+        # z -> z - 2 <alpha, z> alpha / <alpha, alpha> for alpha a multiple of
+        # the int vector a, with the form <a, .> scaled to ints b, so
+        # <alpha, alpha> ~ a . b
+        b = [x for x, _ in self.space._form_pairs(a)[0]]
         n2 = sum(map(mul, a, b))
         if n2 == 0:
             raise ValueError("cannot reflect in an isotropic vector")
@@ -194,36 +205,24 @@ class RootSystem:
 
     # -- validation --------------------------------------------------
 
-    def _find_simple(self):
-        simple = []
-        for a in self.positive:
-            decomposable = any(
-                tuple(x - y for x, y in zip(a, b)) in self._positive
-                for b in self.positive
-                if b != a
-            )
-            if not decomposable:
-                simple.append(a)
-        return simple
-
     def _validate(self):
-        rset = set(self.roots)
-        if len(rset) != len(self.roots):
+        rset = set(self._roots)
+        if len(rset) != len(self._roots):
             raise ValueError("duplicate roots")
-        for a in self.roots:
-            if all(x == 0 for x in a):
+        for a in self._roots:
+            if not any(a):
                 raise ValueError("zero is not a root")
             if tuple(-x for x in a) not in rset:
                 raise ValueError("root set not symmetric")
         # each root's reflection, built once and kept for ``reflection``
-        self._reflections = {a: self._reflect(a) for a in self.roots}
+        self._reflections = {a: self._reflect(a) for a in self._roots}
         for s in self._reflections.values():
-            for b in self.roots:
-                if s.act(b) not in rset:
-                    raise ValueError("root set not closed under reflections")
+            scaled = {tuple(s._d * x for x in a) for a in rset}
+            if any(tuple(s._apply(b)) not in scaled for b in self._roots):
+                raise ValueError("root set not closed under reflections")
         pset = self._positive
         if len(pset) * 2 != len(rset) or any(
-            (a in pset) == (tuple(-x for x in a) in pset) for a in self.roots
+            (a in pset) == (tuple(-x for x in a) in pset) for a in self._roots
         ):
             raise ValueError("invalid positive system")
         lattice = Lattice(self.simple, self.dim, "simple roots")
@@ -234,7 +233,7 @@ class RootSystem:
                 raise ValueError("positive root outside the nonnegative simple span")
 
     def is_positive(self, v):
-        return _vec(v) in self._positive
+        return self._key(v) in self._positive
 
     # -- Weyl group --------------------------------------------------
 
@@ -280,12 +279,9 @@ class RootSystem:
 
 
 def _span_system(name, gram, positive_coords):
-    roots = [tuple(Fraction(x) for x in c) for c in positive_coords]
-    roots = roots + [tuple(-x for x in r) for r in roots]
+    roots = positive_coords + [tuple(-x for x in r) for r in positive_coords]
     dim = len(gram)
-    simple = [
-        tuple(Fraction(1 if j == i else 0) for j in range(dim)) for i in range(dim)
-    ]
+    simple = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     return RootSystem(
         dim,
         roots,
@@ -345,13 +341,13 @@ class ParabolicData:
                     f"simple root index {i} out of range for {len(rs.simple)} simple roots"
                 )
         self.delta_Q = [rs.simple[i] for i in self.indices]
-        rows = [rs.space.form_coeffs(a) for a in self.delta_Q]
-        self.basis = [
-            tuple(x.rational() for x in v)
-            for v in linalg.nullspace(rows, ncols=rs.dim)
-        ]
-        # the forms <., b> for b in the basis, as ints over a denominator
-        self._forms = [_scaled(_vec(rs.space.form_coeffs(b))) for b in self.basis]
+        # the wall, the kernel of the forms <alpha, .> for alpha in Delta_Q, as
+        # int vectors over d; the forms <., b> for them, as ints over _den
+        basis, (d, _) = linalg._kernel([rs.space._form_pairs(a)[0] for a in self.delta_Q], rs.dim)
+        self._basis = [[x for x, _ in v] for v in basis]
+        self.basis = [_fractions(v, d) for v in self._basis]
+        self._forms = [[x for x, _ in rs.space._form_pairs(b)[0]] for b in self._basis]
+        self._den = rs.space._e * d
         self.delta_rest_indices = [
             i for i in range(len(rs.simple)) if i not in self.indices
         ]
@@ -360,15 +356,21 @@ class ParabolicData:
             raise ValueError("restricted simple roots not pairwise distinct")
         self.lattice = _lattice(self.delta_r, len(self.basis), "restricted simple roots")
 
+    def _restrict(self, iv):
+        """The ints of ``restrict`` for an int vector iv, over ``_den``."""
+        return [sum(map(mul, iv, f)) for f in self._forms]
+
     def restrict(self, v):
         """The functional on the wall: values on the wall basis."""
-        iv, e = _scaled(_vec(v))
-        return tuple(Fraction(sum(map(mul, iv, f)), e * d) for f, d in self._forms)
+        iv, e = _real_over_lcm(v)
+        return _fractions(self._restrict(iv), e * self._den)
 
     def restrict_gq(self, v):
         """``restrict`` for a vector of GQs."""
-        re, im, e = _gq_ints(v)
-        return tuple(_mk(sum(map(mul, re, f)), sum(map(mul, im, f)), e * d) for f, d in self._forms)
+        pairs, e = _over_lcm(v)
+        re, im = _re_im(pairs)
+        d = e * self._den
+        return tuple(_mk(sum(map(mul, re, f)), sum(map(mul, im, f)), d) for f in self._forms)
 
 
 def _per_walls(build):
@@ -393,8 +395,7 @@ def _per_walls(build):
 @_per_walls
 def _wq(rs, Q):
     W = rs._group()
-    basis = [_scaled(b)[0] for b in Q.basis]
-    centralizer = tuple(w for w in W if all(w._fixes(b) for b in basis))
+    centralizer = tuple(w for w in W if all(w._fixes(b) for b in Q._basis))
     gens = [rs.reflection(a) for a in Q.delta_Q]
     ident = rs.identity()
     seen = {ident}
@@ -422,7 +423,7 @@ def wq_subgroup(rs: RootSystem, Q: ParabolicData):
 @_per_walls
 def _coset_reps(rs, Q):
     W = rs._group()
-    reps = tuple(w for w in W if all(rs.is_positive(w.act(a)) for a in Q.delta_Q))
+    reps = tuple(w for w in W if all(rs.is_positive(w.act_gq(a)) for a in Q.delta_Q))
     wq = _wq(rs, Q)
     lengths = {w: w.length for w in W}
     seen = set()
@@ -452,8 +453,12 @@ def min_coset_reps(rs: RootSystem, Q: ParabolicData):
 
 def _pq_signature(rs, P: ParabolicData, Q: ParabolicData, w: WeylElement):
     """The composed map: wall-Q functionals, pushed by w, restricted to
-    wall P; as a matrix over the wall bases."""
-    return tuple(P.restrict(w.act(v)) for v in Q.basis)
+    wall P; as a matrix over the wall bases.  Its entries are ints over
+    w's denominator times one for the pair (P, Q), brought to lowest terms,
+    so equal maps give equal signatures."""
+    m = [x for b in Q._basis for x in P._restrict(w._apply(b))]
+    g = gcd(w._d, *m)
+    return tuple(x // g for x in m), w._d // g
 
 
 @_per_walls
@@ -583,23 +588,23 @@ class Lattice:
     __slots__ = ("name", "dim", "_e", "_rows", "_left", "_den")
 
     def __init__(self, delta, dim=None, name="delta"):
-        delta = [_vec(d) for d in delta]
-        dim = len(delta[0]) if dim is None and delta else dim
-        if any(len(d) != dim for d in delta):
+        self._build(*_int_rows(delta), dim, name)
+
+    def _build(self, rows, e, dim, name):
+        """Set up the lattice of the int rows over e."""
+        dim = len(rows[0]) if dim is None and rows else dim
+        if any(len(r) != dim for r in rows):
             raise ValueError(f"{name} has a vector of length other than {dim}")
-        k, n = len(delta), dim
-        flat, e = _scaled([x for d in delta for x in d])
-        rows = tuple(flat[i * n : (i + 1) * n] for i in range(k))
         try:
-            inv = linalg.invert([[sum(map(mul, r, s)) for s in rows] for r in rows])
+            inv, (den, _) = linalg._inverse([[(sum(map(mul, r, s)), 0) for s in rows] for r in rows])
         except ValueError:
             raise ValueError(f"{name} not linearly independent") from None
-        flat, den = _scaled([x.rational() for row in inv for x in row])
-        left = [[sum(map(mul, flat[i * k : (i + 1) * k], c)) * e for c in zip(*rows)] for i in range(k)]
+        left = [[sum(x * y for (x, _), y in zip(row, c)) * e for c in zip(*rows)] for row in inv]
         g = gcd(den, *(x for row in left for x in row))
         left = tuple(tuple(x // g for x in row) for row in left)
         for slot, value in zip(Lattice.__slots__, (name, dim, e, rows, left, den // g)):
             object.__setattr__(self, slot, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Lattice is immutable")
@@ -620,10 +625,12 @@ class Lattice:
         return None if any(back) else c
 
     def _ints(self, v):
-        """``_gq_ints`` of v, after checking its length against delta."""
+        """Ints re, im and e > 0 with v = (re + i im) / e, after checking the
+        length of v against delta."""
         if self.dim is not None and len(v) != self.dim:
             raise ValueError(f"a vector of length {len(v)} against {self.name} of length {self.dim}")
-        return _gq_ints(v)
+        pairs, e = _over_lcm(v)
+        return (*_re_im(pairs), e)
 
     def _split(self, v):
         """(re, im, q): ints with v = sum (re_i + i im_i) delta_i / q, or None
@@ -688,15 +695,15 @@ _LATTICES = 64  # the bound of the shared table; a series workload meets a few d
 
 
 @lru_cache(maxsize=_LATTICES)
-def _table(rows, dim, name):
-    return Lattice([[Fraction(x, e) for x in r] for r, e in rows], dim, name)
+def _table(rows, e, dim, name):
+    return Lattice.__new__(Lattice)._build(rows, e, dim, name)
 
 
 def _lattice(delta, dim=None, name="delta") -> Lattice:
     """The shared ``Lattice(delta, dim, name)``, from a bounded table keyed
-    by the normalized int rows of delta."""
-    rows = [_vec(d) for d in delta]
-    return _table(tuple(map(_scaled, rows)), len(rows[0]) if dim is None and rows else dim, name)
+    by the int rows of delta over their one denominator."""
+    rows, e = _int_rows(delta)
+    return _table(rows, e, len(rows[0]) if dim is None and rows else dim, name)
 
 
 def delta_coords(delta, v):

@@ -7,13 +7,18 @@ ints.  The arithmetic works on the ints alone; ``fractions.Fraction``
 appears only where a caller asks for one (``re``, ``im``, ``rational``,
 ``norm2``) and when a string is parsed.  There is no floating point
 anywhere.
+
+Vectors are held the same way inside the library: ``_over_lcm`` brings
+ints, Fractions, numeric strings or GQs to int pairs over their least
+common denominator, one form per vector, and ``_real_over_lcm`` is the one
+place that refuses a nonzero imaginary part.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 _MODULUS = sys.hash_info.modulus
 _INF = sys.hash_info.inf
@@ -255,6 +260,45 @@ def _mk(a, b, d):
 def _triple(x: GQ):
     """The normalized ints (a, b, d) with x = (a + b*i)/d."""
     return x._a, x._b, x._d
+
+
+def _parts(x):
+    """(a, b, d) with x = (a + b*i)/d in lowest terms, for an int, Fraction,
+    numeric string or GQ."""
+    if type(x) is GQ:
+        return x._a, x._b, x._d
+    if type(x) is Fraction:
+        return x.numerator, 0, x.denominator
+    n, d = _ratio(x)
+    return n, 0, d
+
+
+def _over_lcm(values):
+    """(pairs, d): the values as int pairs (a, b) over their least common
+    denominator d, value k being (a_k + b_k*i)/d.  The lcm of reduced
+    denominators leaves gcd(d, every a, every b) = 1, so a vector has one
+    such form."""
+    triples = [_parts(x) for x in values]
+    d = lcm(*[e for _, _, e in triples])
+    if d == 1:
+        return [(a, b) for a, b, _ in triples], 1
+    return [(a * (d // e), b * (d // e)) for a, b, e in triples], d
+
+
+def _real_over_lcm(values):
+    """(ints, d): ``_over_lcm`` for real values; a value with a nonzero
+    imaginary part is a ValueError naming it."""
+    pairs, d = _over_lcm(values)
+    for a, b in pairs:
+        if b:
+            raise ValueError(f"{_mk(a, b, d)} is not real")
+    return [a for a, _ in pairs], d
+
+
+def _fractions(ints, d):
+    """The vector ints / d as a tuple of Fraction, for the names that hand
+    out Fractions."""
+    return tuple(Fraction(x, d) for x in ints)
 
 
 ZERO = GQ(0)

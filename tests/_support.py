@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: random generators over the Gaussian
-rationals and an independent one-variable Laurent expansion oracle built
-from polynomial shifting and power series inversion only.
+rationals, an independent one-variable Laurent expansion oracle built
+from polynomial shifting and power series inversion only, and a reference
+Gauss-Jordan elimination with exact GQ pivots.
 """
 
 from fractions import Fraction
@@ -132,3 +133,31 @@ def rational_from_factors(num_coeffs, factors):
         h = Hyperplane.make((1,), b)
         den[h] = den.get(h, 0) + k
     return RationalFn(sp, num, den)
+
+
+# -- reference elimination: plain Gauss-Jordan with GQ pivots ---------------
+
+
+def rref(rows):
+    """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
+    m = [[GQ.of(x) for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if not m[i][c].is_zero()), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = GQ(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and not m[i][c].is_zero():
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots

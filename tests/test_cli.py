@@ -97,6 +97,58 @@ def test_precondition_error_exit_2(files, capsys, tmp_path):
     assert json.loads(out)["error"] == "precondition"
 
 
+_LINE = {"dim": 1, "inner_product": [["1"]]}
+_ORIGIN = {"normal": ["1"], "offset": "0"}
+
+
+@pytest.mark.parametrize(
+    "doc, argv, field",
+    [
+        pytest.param(
+            {"space": _LINE, "numerator": {"dim": 1, "terms": [{"idx": [0], "re": "1"}]},
+             "denominator": [dict(_ORIGIN, power=-1)]},
+            ["germ", "localize", "--fn", "{}", "--point", "1", "--order", "2"], "power", id="power",
+        ),
+        pytest.param(
+            dict(_LINE, hyperplanes=[dict(_ORIGIN, mult=-2)], x_set=[["1"]]),
+            ["config", "induced", "--config", "{}", "--hyperplanes", "0"], "mult", id="mult-induced",
+        ),
+        pytest.param(
+            dict(_LINE, hyperplanes=[dict(_ORIGIN, mult=-2)]),
+            ["config", "ball-product", "--config", "{}", "--center", "0", "--radius2", "1"], "mult", id="mult-ball",
+        ),
+        pytest.param(
+            {"space": _LINE, "base": ["0"], "pole": [{"direction": ["1"], "power": -1}],
+             "jet": {"dim": 1, "terms": [{"idx": [0], "re": "1"}]}, "order": 2},
+            ["germ", "normalize", "--germ", "{}"], "pole", id="pole",
+        ),
+        pytest.param(
+            {"space": _LINE, "summands": [{"support": ["0"], "x_set": [["1"]], "d_max": [-1],
+                                           "u": {"dim": 1, "terms": [{"idx": [0], "re": "1"}]}}]},
+            ["laurent", "apply", "--functional", "{}", "--germ", "{}"], "d_max", id="d_max",
+        ),
+    ],
+)
+def test_negative_orders_exit_2_naming_the_field(doc, argv, field, tmp_path, capsys):
+    """A negative multiplicity, denominator power, pole order or d_max is a
+    precondition failure that names its field, where it used to be read as
+    given (a power of -1 localized as if the factor were absent)."""
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(doc))
+    code, out = _run([str(p) if a == "{}" else a for a in argv], capsys)
+    err = json.loads(out)
+    assert (code, err["error"]) == (2, "precondition")
+    assert field in err["detail"] and "nonnegative" in err["detail"]
+
+
+def test_cli_import_leaves_out_dataclasses():
+    """A cold start does not pay for importing dataclasses."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = "import sys, laurcalc.cli; print('dataclasses' in sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
 def test_byte_stable_output(files, capsys):
     _, out1 = _run(["poly", "deriv", "--poly", files["p.json"], "--index", "0"], capsys)
     _, out2 = _run(["poly", "deriv", "--poly", files["p.json"], "--index", "0"], capsys)

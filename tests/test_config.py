@@ -10,6 +10,7 @@ from laurcalc import (
     Configuration,
     Hyperplane,
     Polynomial,
+    RationalFn,
     Space,
     canonical_normal,
     hyperplanes_through,
@@ -17,6 +18,8 @@ from laurcalc import (
     pi_omega_d,
     subspace_from,
 )
+
+from laurcalc import io as lio
 
 from _support import rand_gq, rand_point
 
@@ -113,3 +116,29 @@ def test_zero_vector_in_x_set_rejected():
     assert Configuration(sp, [], [(1, 0)]).x_set == [(Fraction(1), Fraction(0))]
     with pytest.raises(ValueError, match="x_set holds the zero vector"):
         Configuration(sp, [], [(1, 0), (0, 0)])
+
+
+def test_hyperplane_is_an_immutable_value_whose_repr_orders_the_writers():
+    hyps = [
+        Hyperplane.make(n, o)
+        for n, o in (((2, 0), 1), ((0, -3), GQ(1, 1)), ((1, 1), Fraction(-1, 2)), ((3, -6), 0))
+    ]
+    h = hyps[0]
+    assert repr(h) == "Hyperplane(normal=(Fraction(1, 1), Fraction(0, 1)), offset=1/2)"
+    assert repr(hyps[1]) == "Hyperplane(normal=(Fraction(0, 1), Fraction(1, 1)), offset=-1/3 - 1/3*i)"
+    assert hash(h) == hash((h.normal, h.offset))
+    assert h == Hyperplane((Fraction(1), Fraction(0)), GQ(Fraction(1, 2))) != hyps[1]
+    assert h != (h.normal, h.offset)
+    for name in ("normal", "offset", "other"):
+        with pytest.raises(AttributeError):
+            setattr(h, name, None)
+    # both writers list hyperplanes in the order of their repr
+    cfg = Configuration(Space(2), [(x, 1) for x in hyps])
+    assert [(d["normal"], d["offset"]) for d in lio.config_to_json(cfg)["hyperplanes"]] == [
+        (["0/1", "1/1"], "-1/3 - 1/3 i"),
+        (["1/1", "-2/1"], "0/1"),
+        (["1/1", "0/1"], "1/2"),
+        (["1/1", "1/1"], "-1/2"),
+    ]
+    f = RationalFn(Space(2), Polynomial.const(2, 1), {x: k + 1 for k, x in enumerate(hyps)})
+    assert [d["power"] for d in lio.rationalfn_to_json(f)["denominator"]] == [2, 4, 1, 3]

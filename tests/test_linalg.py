@@ -3,10 +3,13 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, strategies as st
+
 from laurcalc import GQ
 from laurcalc import linalg
 
-from _support import rand_gq
+from _support import rand_gq, rref as reference_rref
 
 rng = random.Random(11)
 
@@ -56,6 +59,58 @@ def test_invert_roundtrip():
                 assert prod[i][j] == (GQ(1) if i == j else GQ(0))
 
 
+def test_nullspace_of_no_rows_needs_ncols():
+    assert linalg.nullspace([], 2) == [[GQ(1), GQ(0)], [GQ(0), GQ(1)]]
+    with pytest.raises(ValueError, match="ncols required"):
+        linalg.nullspace([])
+
+
+def test_invert_refuses_a_matrix_that_is_not_square():
+    for rows in ([[1, 0, 0], [0, 1, 0]], [[1], [0]]):
+        with pytest.raises(ValueError, match="not square"):
+            linalg.invert(rows)
+
+
 def test_rank_bounds():
     A = [[GQ(Fraction(1, 2)), GQ(1)], [GQ(1), GQ(2)]]
     assert linalg.rank(A) == 1
+
+
+part = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+gq = st.builds(GQ, part, part | st.just(0))
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Gaussian-rational matrices up to 4 x 6, wide, tall or 0 x n; some
+    all zero, some with a last row that combines the others."""
+    n = draw(st.integers(0 if not square else 1, 4))
+    m = n if square else draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["random", "deficient", "zero"]))
+    if kind == "zero":
+        return [[GQ(0)] * m for _ in range(n)]
+    rows = [[draw(gq) for _ in range(m)] for _ in range(n)]
+    if kind == "deficient" and n > 1:
+        cs = [draw(gq) for _ in range(n - 1)]
+        rows[-1] = [sum((c * row[j] for c, row in zip(cs, rows)), GQ(0)) for j in range(m)]
+    return rows
+
+
+@given(matrices())
+def test_rref_equals_reference_elimination(rows):
+    """The fraction-free elimination gives the rows and pivots of plain
+    Gauss-Jordan with GQ pivots, exactly."""
+    assert linalg.rref(rows) == reference_rref(rows)
+    assert linalg.rank(rows) == len(reference_rref(rows)[1])
+
+
+@given(matrices(square=True))
+def test_invert_refuses_exactly_the_singular(rows):
+    n = len(rows)
+    if len(reference_rref(rows)[1]) < n:
+        with pytest.raises(ValueError, match="singular"):
+            linalg.invert(rows)
+    else:
+        inv = linalg.invert(rows)
+        prod = [[sum((a * b for a, b in zip(row, col)), GQ(0)) for col in zip(*inv)] for row in rows]
+        assert prod == [[GQ(1) if j == i else GQ(0) for j in range(n)] for i in range(n)]

@@ -532,6 +532,21 @@ def test_shared_elements_are_immutable():
     assert sorted(x.length for x in min_coset_reps(rs, Q)) == [0, 1, 2]
 
 
+@pytest.mark.parametrize(
+    "roots, positive, simple, message",
+    [
+        ([(1,), (-1,), (1,)], [0], None, "duplicate roots"),
+        ([(0,), (1,), (-1,)], [1], None, "zero is not a root"),
+        ([(1,), (2,)], [0], None, "root set not symmetric"),
+        ([(1,), (-1,)], [0, 1], None, "invalid positive system"),
+        ([(1,), (-1,)], [0], [(-1,)], "positive root outside the nonnegative simple span"),
+    ],
+)
+def test_invalid_root_systems_are_refused(roots, positive, simple, message):
+    with pytest.raises(ValueError, match=message):
+        RootSystem(1, roots, positive=positive, simple=simple)
+
+
 def test_failed_builtin_build_stores_nothing(monkeypatch):
     monkeypatch.setattr(rootsys, "_BUILT", {})
     gram, positive = rootsys._BUILTINS["A2"]
@@ -543,6 +558,9 @@ def test_failed_builtin_build_stores_nothing(monkeypatch):
     assert rootsys._BUILT == {}
     monkeypatch.setitem(rootsys._BUILTINS, "A2", (gram, positive))
     assert len(builtin_system("A2").weyl_group()) == 6
+
+
+_GROUP = RootSystem._group  # the real closure, under the fake that breaks its lengths
 
 
 @pytest.mark.parametrize(
@@ -559,6 +577,10 @@ def test_failed_builtin_build_stores_nothing(monkeypatch):
         pytest.param(
             rootsys, ("_pq_signature", lambda rs, P, Q, w: w), lambda rs, P, Q: equiv_PQ(rs, P, Q),
             "classes not left invariant", id="invariance",
+        ),
+        pytest.param(
+            RootSystem, ("_group", lambda self: tuple(rootsys._element(w._m, w._d, w.dim, 1) for w in _GROUP(self))),
+            lambda rs, P, Q: [min_coset_reps(rs, Q)], "length additivity fails", id="coset-lengths",
         ),
     ],
 )
