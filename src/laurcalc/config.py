@@ -9,51 +9,62 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .poly import Polynomial, Space
-from .scalars import GQ, _fractions, _mk, _real_over_lcm, _triple
+from .poly import Polynomial, Space, _affine
+from .scalars import GQ, _fractions, _mk, _over_lcm, _real_over_lcm, _triple
 
 
-def _canonical(v):
-    """(canon, g, d) for a real vector v = g/d * canon, canon the primitive
-    int vector with positive first nonzero coordinate, as a tuple of
-    Fraction."""
-    ints, d = _real_over_lcm(v)
+def _primitive(ints):
+    """(canon, g) for a nonzero int vector ints = g * canon, canon the
+    primitive int tuple with positive first nonzero coordinate."""
     if not any(ints):
         raise ValueError("zero vector has no canonical representative")
     g = gcd(*ints)
     if next(x for x in ints if x) < 0:
         g = -g
-    return tuple(Fraction(x // g) for x in ints), g, d
+    return tuple(x // g for x in ints), g
 
 
-def _order(k, field):
-    """The int k, a multiplicity, power or pole order read from ``field``;
-    a negative one is a ValueError naming the field."""
+def _canonical(v):
+    """(canon, g, d) for a real rational vector v = g/d * canon: where a
+    direction enters the library; past it, directions are keyed by canon."""
+    ints, d = _real_over_lcm(v)
+    return (*_primitive(ints), d)
+
+
+def _order(k, field, *args):
+    """The int k, a multiplicity, power or pole order read from the field
+    ``field.format(*args)``; a negative one is a ValueError naming the
+    field, which is formatted only then."""
     k = int(k)
     if k < 0:
-        raise ValueError(f"{field} must be nonnegative, got {k}")
+        raise ValueError(f"{field.format(*args)} must be nonnegative, got {k}")
     return k
 
 
 def canonical_normal(v):
     """Scale a nonzero rational vector to the primitive integer vector with
     positive first nonzero coordinate.  Returns (canonical, scalar) with
-    v = scalar * canonical."""
+    v = scalar * canonical, the canonical vector as a tuple of Fraction."""
     canon, g, d = _canonical(v)
-    return canon, Fraction(g, d)
+    return _fractions(canon, 1), Fraction(g, d)
 
 
 class Hyperplane:
     """The zero set of z -> <normal, z> - offset, with a real rational
-    normal stored in canonical primitive form (a tuple of Fraction).
-    Immutable; equality, hash and repr are those of the pair
-    (normal, offset), and the hash is computed once."""
+    normal in canonical primitive form, a tuple of Fraction, kept also as
+    the int tuple that keys it inside the library (equal, and equal in
+    hash, to the Fraction tuple).  Immutable; equality, hash and repr are
+    those of the pair (normal, offset), and the hash is computed once."""
 
-    __slots__ = ("normal", "offset", "_hash")
+    __slots__ = ("normal", "offset", "_hash", "_ints")
 
     def __init__(self, normal, offset):
-        for name, value in zip(Hyperplane.__slots__, (normal, offset, hash((normal, offset)))):
-            object.__setattr__(self, name, value)
+        """normal is the canonical primitive vector, as ints or integral
+        Fractions; ``make`` and ``from_form`` find it."""
+        canon, g, d = _canonical(normal)
+        if g != d:
+            raise ValueError("hyperplane normals must be canonical primitive vectors")
+        _hyperplane(canon, offset, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hyperplane is immutable")
@@ -61,7 +72,7 @@ class Hyperplane:
     def __eq__(self, other):
         if other.__class__ is not Hyperplane:
             return NotImplemented
-        return (self.normal, self.offset) == (other.normal, other.offset)
+        return self._ints == other._ints and self.offset == other.offset
 
     def __hash__(self):
         return self._hash
@@ -72,7 +83,7 @@ class Hyperplane:
     @staticmethod
     def make(normal, offset) -> "Hyperplane":
         canon, g, d = _canonical(normal)
-        return Hyperplane(canon, GQ.of(offset) / _mk(g, 0, d))
+        return _hyperplane(canon, GQ.of(offset) / _mk(g, 0, d))
 
     @staticmethod
     def from_form(space: Space, coeffs, const):
@@ -80,19 +91,29 @@ class Hyperplane:
         (h, scalar) with the form equal to scalar * h.form(space)."""
         # the form is <beta, z> + const with G beta = coeffs, and G is the
         # int Gram matrix over e, so beta is e times the solution over it
-        canon, g, d = _canonical(linalg.solve(space._g, coeffs))
+        ints, d = _real_over_lcm(linalg.solve(space._g, coeffs))
+        canon, g = _primitive(ints)
         scalar = _mk(g * space._e, 0, d)
-        return Hyperplane(canon, -GQ.of(const) / scalar), scalar
+        return _hyperplane(canon, -GQ.of(const) / scalar), scalar
 
     @property
     def dim(self):
-        return len(self.normal)
+        return len(self._ints)
 
     def form(self, space: Space) -> Polynomial:
-        return space.linear_form(self.normal, self.offset)
+        return _affine(space.dim, *space._key_form(self._ints, self.offset))
 
     def contains(self, space: Space, point) -> bool:
-        return (space.inner(self.normal, point) - self.offset).is_zero()
+        return (space._key_inner(self._ints, *_over_lcm(point)) - self.offset).is_zero()
+
+
+def _hyperplane(ints, offset, h=None) -> Hyperplane:
+    """The hyperplane of the canonical primitive int normal ints, which is
+    not checked; h is set up when given."""
+    h = object.__new__(Hyperplane) if h is None else h
+    for name, value in zip(Hyperplane.__slots__, (_fractions(ints, 1), offset, hash((ints, offset)), ints)):
+        object.__setattr__(h, name, value)
+    return h
 
 
 class Configuration:
@@ -108,7 +129,7 @@ class Configuration:
                     raise ValueError("hyperplane dimension mismatch")
                 if h in self.multiplicity:
                     raise ValueError(f"duplicate hyperplane {h}")
-                self.multiplicity[h] = _order(mult, f"mult of {h}")
+                self.multiplicity[h] = _order(mult, "mult of {}", h)
         self.x_set = [_fractions(*_real_over_lcm(v)) for v in (x_set or [])]
         if any(not any(v) for v in self.x_set):
             raise ValueError("x_set holds the zero vector, which has no canonical representative")
@@ -163,7 +184,7 @@ def subspace_from(space: Space, hyps) -> XSubspace:
     Raises ValueError when the linear system is inconsistent.
     """
     # the central point is the point of L in the span of the normals
-    normals = [h.normal for h in hyps]
+    normals = [h._ints for h in hyps]
     c = linalg.solve([[space.inner(a, b) for b in normals] for a in normals], [h.offset for h in hyps])
     if c is None:
         raise ValueError("hyperplanes have empty intersection")
@@ -177,7 +198,7 @@ def hyperplanes_through(cfg: Configuration, L: XSubspace):
     out = []
     for h in cfg.hyperplanes:
         normal_in_perp = all(
-            cfg.space.inner(h.normal, b).is_zero() for b in L.basis_VL
+            cfg.space.inner(h._ints, b).is_zero() for b in L.basis_VL
         )
         if normal_in_perp and h.contains(cfg.space, L.center):
             out.append(h)
@@ -204,9 +225,9 @@ def induced_config(cfg: Configuration, L: XSubspace) -> Configuration:
     for v in cfg.x_set:
         hL = restrict(v, GQ(0))
         if hL is not None:
-            x_r.add(hL.normal)
+            x_r.add(hL._ints)
     for h in cfg.hyperplanes:
-        hL = restrict(h.normal, h.offset)
+        hL = restrict(h._ints, h.offset)
         if hL is not None:
             found[hL] = max(found.get(hL, 0), cfg.mult(h))
     return Configuration(sub, list(found.items()), x_set=sorted(x_r))
@@ -223,8 +244,8 @@ def pi_omega_d(cfg: Configuration, center, radius2) -> Polynomial:
         if not k:
             continue
         # |<normal, center> - offset|^2 < radius2 <normal, normal>, in ints
-        va, vb, vd = _triple(cfg.space.inner(h.normal, center) - h.offset)
-        na, _, nd = _triple(cfg.space.inner(h.normal, h.normal))
+        va, vb, vd = _triple(cfg.space.inner(h._ints, center) - h.offset)
+        na, _, nd = _triple(cfg.space.inner(h._ints, h._ints))
         if (va * va + vb * vb) * rd * nd < r * na * vd * vd:
             p = p * h.form(cfg.space) ** k
     return p

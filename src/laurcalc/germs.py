@@ -8,37 +8,48 @@ represented object is jet(w) / prod <xi, w>^d(xi), w = z - a.
 
 from __future__ import annotations
 
-from .config import Hyperplane, XSubspace, _order, canonical_normal
-from .poly import ArityError, Polynomial, Space, quotient_rule, same_space
-from .scalars import GQ
+from math import comb
+
+from .config import Hyperplane, XSubspace, _canonical, _order
+from .poly import ArityError, Polynomial, Space, _affine, _form, _mul_terms, _powers, _reduced, quotient_rule, same_space
+from .scalars import GQ, _over_lcm, _parts
 
 
 class Germ:
+    """A germ at ``base``: ``jet`` over the product of <xi, w>^k for the
+    entries xi: k of ``pole``, with w = z - base.  The keys of ``pole`` are
+    canonical primitive int tuples, which equal and hash like the tuples
+    of Fraction with the same entries."""
+
     __slots__ = ("space", "base", "pole", "jet", "order")
 
     def __init__(self, space: Space, base, pole, jet: Polynomial, order: int):
-        self.space = space
-        self.base = tuple(GQ.of(x) for x in base)
-        self.pole = {}
+        order = _order(order, "order")
+        keys = {}
         for xi, k in dict(pole).items():
-            k = _order(k, f"pole order along {xi}")
+            k = _order(k, "pole order along {}", xi)
             if k:
-                canon, scalar = canonical_normal(xi)
-                if scalar != 1:
+                canon, g, d = _canonical(xi)
+                if g != d:
                     raise ValueError("pole directions must be canonical primitive vectors")
-                self.pole[canon] = k
-        self.jet = jet.truncate(order)
-        self.order = int(order)
+                keys[canon] = k
+        _germ(space, tuple(GQ.of(x) for x in base), keys, jet.truncate(order), order, self)
 
-    def copy_with(self, **kw):
-        data = dict(
-            space=self.space, base=self.base, pole=self.pole, jet=self.jet, order=self.order
-        )
-        data.update(kw)
-        return Germ(**data)
+    def copy_with(self, jet: Polynomial) -> "Germ":
+        """The germ with the same base, pole and order and a new jet."""
+        return _germ(self.space, self.base, dict(self.pole), jet.truncate(self.order), self.order)
 
     def is_holomorphic(self):
         return not self.pole
+
+
+def _germ(space, base, pole, jet, order, g=None) -> Germ:
+    """The germ of canonical int keys with positive powers and a jet
+    truncated to the order, none of which is checked; g is set up when
+    given."""
+    g = object.__new__(Germ) if g is None else g
+    g.space, g.base, g.pole, g.jet, g.order = space, base, pole, jet, order
+    return g
 
 
 def _over_common_denominator(parts, form):
@@ -69,14 +80,14 @@ def germ_constant(space: Space, base, value, order: int) -> Germ:
 
 
 def _cancel_poles(num, powers, form):
-    """Divide num by the form(key) = (coeffs, const) of each pole key, at most
+    """Divide num by the prepared form(key) of each pole key, at most
     to its power.  Returns the quotient, the remaining powers and the number
     of factors divided out.  Distinct keys give coprime forms, so one pass
     each suffices."""
     powers = dict(powers)
     removed = 0
     for key in list(powers):
-        num, n = num.divide_out(*form(key), most=powers[key])
+        num, n = num._divide_out(form(key), most=powers[key])
         removed += n
         powers[key] -= n
         if powers[key] == 0:
@@ -87,9 +98,11 @@ def _cancel_poles(num, powers, form):
 def germ_normalize(g: Germ) -> Germ:
     """Cancel linear factors of the jet against the pole until minimal."""
     if g.jet.is_zero():
-        return Germ(g.space, g.base, {}, g.jet, g.order)
-    jet, pole, removed = _cancel_poles(g.jet, g.pole, lambda xi: (g.space.form_coeffs(xi), GQ(0)))
-    return Germ(g.space, g.base, pole, jet, g.order - removed)
+        return _germ(g.space, g.base, {}, g.jet, g.order)
+    dim = g.space.dim
+    jet, pole, removed = _cancel_poles(g.jet, g.pole, lambda xi: _form(dim, *g.space._key_form(xi)))
+    # each factor divided out lowers the degree of the jet by one
+    return _germ(g.space, g.base, pole, jet, g.order - removed)
 
 
 def germ_mul(g1: Germ, g2: Germ) -> Germ:
@@ -100,7 +113,7 @@ def germ_mul(g1: Germ, g2: Germ) -> Germ:
     for xi, k in g2.pole.items():
         pole[xi] = pole.get(xi, 0) + k
     jet = (g1.jet * g2.jet).truncate(order)
-    return Germ(g1.space, g1.base, pole, jet, order)
+    return _germ(g1.space, g1.base, pole, jet, order)
 
 
 def germ_add(g1: Germ, g2: Germ) -> Germ:
@@ -108,11 +121,12 @@ def germ_add(g1: Germ, g2: Germ) -> Germ:
     if g1.base != g2.base:
         raise ValueError("germ base points differ")
     # the poles pass through the base point: the forms <xi, w> have no offset
+    dim = g1.space.dim
     pole, [(p1, e1), (p2, e2)] = _over_common_denominator(
-        [(g1.jet, g1.pole), (g2.jet, g2.pole)], g1.space.linear_form
+        [(g1.jet, g1.pole), (g2.jet, g2.pole)], lambda xi: _affine(dim, *g1.space._key_form(xi))
     )
     order = min(g1.order + e1, g2.order + e2)
-    return Germ(g1.space, g1.base, pole, (p1 + p2).truncate(order), order)
+    return _germ(g1.space, g1.base, pole, (p1 + p2).truncate(order), order)
 
 
 def germ_diff(v, g: Germ) -> Germ:
@@ -121,15 +135,15 @@ def germ_diff(v, g: Germ) -> Germ:
     if g.order < 1:
         raise ValueError("jet order must be at least 1 to differentiate")
     v = [GQ.of(x) for x in v]
+    space, vp = g.space, _over_lcm(v)
     # the poles pass through the base point: the forms <xi, w> have no offset
     P, Q = quotient_rule(
-        g.space.dim,
-        [(g.space.linear_form(xi), GQ(d) * g.space.inner(xi, v)) for xi, d in g.pole.items()],
+        space.dim, [(_affine(space.dim, *space._key_form(xi)), d * space._key_inner(xi, *vp)) for xi, d in g.pole.items()]
     )
     order = g.order + len(g.pole) - 1
     numerator = (P * g.jet.directional(v) - Q * g.jet).truncate(order)
     pole = {xi: d + 1 for xi, d in g.pole.items()}
-    return germ_normalize(Germ(g.space, g.base, pole, numerator, order))
+    return germ_normalize(_germ(g.space, g.base, pole, numerator, order))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +163,7 @@ class RationalFn:
         self.numerator = numerator
         self.denominator = {}
         for h, k in dict(denominator or {}).items():
-            k = _order(k, f"power of {h}")
+            k = _order(k, "power of {}", h)
             if k:
                 self.denominator[h] = k
 
@@ -159,8 +173,9 @@ class RationalFn:
 
     def cancel(self) -> "RationalFn":
         """Divide out exact common linear factors."""
+        dim = self.space.dim
         num, den, _ = _cancel_poles(
-            self.numerator, self.denominator, lambda h: (self.space.form_coeffs(h.normal), -h.offset)
+            self.numerator, self.denominator, lambda h: _form(dim, *self.space._key_form(h._ints, h.offset))
         )
         return RationalFn(self.space, num, den)
 
@@ -194,9 +209,10 @@ class RationalFn:
     def directional_deriv(self, v) -> "RationalFn":
         """Quotient rule; output denominator powers raised by one."""
         v = [GQ.of(x) for x in v]
+        vp = _over_lcm(v)
         P, Q = quotient_rule(
             self.space.dim,
-            [(h.form(self.space), GQ(k) * self.space.inner(h.normal, v)) for h, k in self.denominator.items()],
+            [(h.form(self.space), k * self.space._key_inner(h._ints, *vp)) for h, k in self.denominator.items()],
         )
         out = P * self.numerator.directional(v) - Q * self.numerator
         den = {h: k + 1 for h, k in self.denominator.items()}
@@ -205,8 +221,9 @@ class RationalFn:
     def eval(self, point) -> GQ:
         point = [GQ.of(x) for x in point]
         val = self.numerator.eval(point)
+        pp = _over_lcm(point)
         for h, k in self.denominator.items():
-            d = self.space.inner(h.normal, point) - h.offset
+            d = self.space._key_inner(h._ints, *pp) - h.offset
             if d.is_zero():
                 raise ZeroDivisionError("evaluation on a pole hyperplane")
             val = val / d**k
@@ -244,24 +261,36 @@ class RationalFn:
 def rationalfn_germ_at(f: RationalFn, a, order: int) -> Germ:
     """Localize at a: pole index from the hyperplanes through a; all other
     denominator factors are Taylor-inverted into the jet."""
+    order = _order(order, "order")
     a = [GQ.of(x) for x in a]
+    ap = _over_lcm(a)
     pole = {}
     jet = f.numerator.shift(a).truncate(order)
     for h, k in f.denominator.items():
-        c0 = f.space.inner(h.normal, a) - h.offset
+        c0 = f.space._key_inner(h._ints, *ap) - h.offset
         if c0.is_zero():
-            pole[h.normal] = pole.get(h.normal, 0) + k
+            pole[h._ints] = pole.get(h._ints, 0) + k
         else:
-            # 1/(c0 + l0(w)) = (1/c0) sum (-l0/c0)^j, truncated
-            l0 = f.space.linear_form(h.normal, GQ(0))
-            inv = Polynomial.zero(f.space.dim)
-            t = Polynomial.const(f.space.dim, GQ(1) / c0)
-            for _ in range(order + 1):
-                inv = inv + t
-                t = (t * l0 * (GQ(-1) / c0)).truncate(order)
-            for _ in range(k):
-                jet = (jet * inv).truncate(order)
-    return Germ(f.space, a, pole, jet, order)
+            jet = (jet * _inverse_power(*f.space._key_form(h._ints)[::2], c0, k, order)).truncate(order)
+    return _germ(f.space, tuple(a), pole, jet, order)
+
+
+def _inverse_power(pairs, d, c0, k, order) -> Polynomial:
+    """(c0 + l0)^(-k) to degree ``order``, for the form l0 = pairs/d with
+    real int pairs: sum_j C(k+j-1, j) c0^(-k) (-1/c0)^j l0^j, over the
+    common denominator n^(k+order) d^order where 1/c0 = (p + q*i)/n."""
+    dim = len(pairs)
+    ca, cb, cd = _parts(c0)
+    n, p, q = ca * ca + cb * cb, cd * ca, -cd * cb
+    wa, wb = _powers(p, q, 1, k)[k]
+    lin = {tuple(int(j == i) for j in range(dim)): (x, 0) for i, (x, _) in enumerate(pairs) if x}
+    power, t = {(0,) * dim: (1, 0)}, {}
+    for j, (ya, yb) in enumerate(_powers(-p, -q, n, order)):
+        s = comb(k + j - 1, j) * d ** (order - j)
+        ya, yb = s * (ya * wa - yb * wb), s * (ya * wb + yb * wa)
+        t.update({idx: (x * ya, x * yb) for idx, (x, _) in power.items()})
+        power = _mul_terms(power, lin)
+    return _reduced(dim, t, n ** (k + order) * d**order)
 
 
 def rationalfn_pullback(f: RationalFn, target: Space, cols, point, vanishing_msg) -> RationalFn:
@@ -276,10 +305,11 @@ def rationalfn_pullback(f: RationalFn, target: Space, cols, point, vanishing_msg
         for i in range(f.space.dim)
     ]
     num = f.numerator.substitute(subs)
+    colp, pp = [_over_lcm(c) for c in cols], _over_lcm(point)
     den = {}
     for h, k in f.denominator.items():
-        coeffs = [f.space.inner(h.normal, c) for c in cols]
-        const = f.space.inner(h.normal, point) - h.offset
+        coeffs = [f.space._key_inner(h._ints, *c) for c in colp]
+        const = f.space._key_inner(h._ints, *pp) - h.offset
         if all(c.is_zero() for c in coeffs):
             if const.is_zero():
                 raise ValueError(vanishing_msg)

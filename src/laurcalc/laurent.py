@@ -12,7 +12,7 @@ are never chosen silently.
 from __future__ import annotations
 
 from . import linalg
-from .config import XSubspace, _order, canonical_normal
+from .config import XSubspace, _order, _primitive
 from .germs import (
     Germ,
     RationalFn,
@@ -21,8 +21,10 @@ from .germs import (
     rationalfn_pullback,
     rationalfn_restrict,
 )
-from .poly import ArityError, DiffOp, Polynomial, Space, factorial_multi, leibniz_flatten, pi_product, quotient_rule
-from .scalars import GQ, _fractions, _real_over_lcm
+from .poly import (
+    ArityError, DiffOp, Polynomial, Space, _affine, _form, factorial_multi, leibniz_flatten, pi_product, quotient_rule,
+)
+from .scalars import GQ, _fractions, _mk, _over_lcm, _real_over_lcm
 
 
 class LaurentOrderError(ValueError):
@@ -30,40 +32,38 @@ class LaurentOrderError(ValueError):
 
 
 class LFSummand:
-    """One support point: roots, top pole index, and the top operator."""
+    """One support point: roots, top pole index, and the top operator.
+    Not changed after it is built: the totals of d_max per canonical
+    direction (canonical int tuples) and the scalar relating the stored
+    product of forms to the canonical one are computed here, once."""
 
-    __slots__ = ("support", "x_list", "d_max", "u")
+    __slots__ = ("support", "x_list", "d_max", "u", "_totals", "_scalar")
 
     def __init__(self, support, x_list, d_max, u: DiffOp):
         self.support = tuple(GQ.of(x) for x in support)
-        self.x_list = [_fractions(*_real_over_lcm(v)) for v in x_list]
-        self.d_max = [_order(k, "d_max") for k in d_max]
-        if len(self.d_max) != len(self.x_list):
+        x_list = [_real_over_lcm(v) for v in x_list]
+        self.x_list = tuple(_fractions(*v) for v in x_list)
+        self.d_max = tuple(_order(k, "d_max") for k in d_max)
+        if len(self.d_max) != len(x_list):
             raise ValueError("pole index must be parallel to the root list")
         self.u = u
-
-    def canonical_totals(self):
-        """Totals of d_max per canonical direction, plus the scalar relating
-        the stored product of forms to the canonical one."""
-        totals = {}
-        scalar = GQ(1)
-        for v, k in zip(self.x_list, self.d_max):
-            if k == 0:
-                continue
-            canon, s = canonical_normal(v)
-            totals[canon] = totals.get(canon, 0) + k
-            scalar = scalar * GQ(s) ** k
-        return totals, scalar
+        self._totals = {}
+        self._scalar = GQ(1)
+        for (ints, d), k in zip(x_list, self.d_max):
+            if k:
+                canon, g = _primitive(ints)
+                self._totals[canon] = self._totals.get(canon, 0) + k
+                self._scalar = self._scalar * _mk(g, 0, d) ** k
 
     def leftover(self, pole, message):
         """The capacity of d_max left per canonical direction after the
         canonical pole index ``pole``, plus the canonical scalar.  Raises
         LaurentOrderError(message) when d_max does not cover the pole."""
-        totals, scalar = self.canonical_totals()
+        totals = self._totals
         if any(totals.get(dir_, 0) < k for dir_, k in pole.items()):
             raise LaurentOrderError(message)
         rest = {dir_: cap - pole.get(dir_, 0) for dir_, cap in totals.items()}
-        return {dir_: k for dir_, k in rest.items() if k}, scalar
+        return {dir_: k for dir_, k in rest.items() if k}, self._scalar
 
 
 class LaurentFunctional:
@@ -80,15 +80,16 @@ class LaurentFunctional:
 def _apply_summand(space: Space, s: LFSummand, g: Germ) -> GQ:
     gn = germ_normalize(g)
     leftover, scalar = s.leftover(gn.pole, "functional order insufficient for the germ's pole")
-    q = Polynomial.const(space.dim, scalar)
-    hom_deg = 0
-    for dir_, k in leftover.items():
-        q = q * space.linear_form(dir_) ** k
-        hom_deg += k
-    if s.u.order() > gn.order + hom_deg:
+    m = s.u.order()
+    if m > gn.order + sum(leftover.values()):
         raise ValueError("jet order too small for the operator order")
-    prod = (q * gn.jet).truncate(s.u.order())
-    return s.u.apply(prod).eval([GQ(0)] * space.dim)
+    # u only reads degrees <= m, and the leftover forms are homogeneous
+    prod = gn.jet.truncate(m)
+    for dir_, k in leftover.items():
+        form = _affine(space.dim, *space._key_form(dir_))
+        for _ in range(k):
+            prod = (prod * form).truncate(m)
+    return scalar * s.u._at_zero(prod)
 
 
 def lf_apply(L: LaurentFunctional, g: Germ) -> GQ:
@@ -139,9 +140,7 @@ def lf_from_evaluation(space: Space, a, X, d_max) -> LaurentFunctional:
     homogeneous contribution equals 1.
     """
     pi = pi_product(space, X, a, d_max).shift(a)  # homogeneous in w
-    norm = GQ(0)
-    for gamma, c in pi.terms.items():
-        norm = norm + GQ(factorial_multi(gamma)) * c * c
+    norm = DiffOp.from_symbol(pi)._at_zero(pi)  # sum gamma! c_gamma^2
     if norm.is_zero():
         # X empty: pi = 1, evaluation is the identity operator
         u = DiffOp.identity(space.dim)
@@ -165,28 +164,15 @@ def lf_pushforward(iota, L0: LaurentFunctional, space_V: Space) -> LaurentFuncti
     n0 = L0.space.dim
     n = space_V.dim
     cols = [[GQ.of(iota[i][j]) for i in range(n)] for j in range(n0)]
-    if linalg.rank([[c for c in col] for col in cols]) < n0:
+    if linalg.rank(cols) < n0:
         raise ValueError("embedding is not injective")
-    # pulled-back inner product must match the source space
-    for j in range(n0):
-        for k in range(n0):
-            got = space_V.inner(cols[j], cols[k])
-            want = GQ(L0.space.ip[j][k])
-            if got != want:
-                raise ValueError("source space does not carry the pulled-back inner product")
-
-    def push_point(a0):
-        out = [GQ(0)] * n
-        for j in range(n0):
-            for i in range(n):
-                out[i] = out[i] + GQ.of(a0[j]) * cols[j][i]
-        return out
-
+    if space_V.subspace(cols).ip != L0.space.ip:
+        raise ValueError("source space does not carry the pulled-back inner product")
     subs = [Polynomial.linear(n, [cols[j][i] for i in range(n)]) for j in range(n0)]
     summands = [
         LFSummand(
-            push_point(s.support),
-            [push_point(xi) for xi in s.x_list],
+            linalg.matvec(iota, s.support),
+            [linalg.matvec(iota, xi) for xi in s.x_list],
             s.d_max,
             DiffOp.from_symbol(s.u.symbol().substitute(subs)),
         )
@@ -209,7 +195,7 @@ def lf_pullback_fn(iota, f: RationalFn, space_V0: Space) -> RationalFn:
 # ---------------------------------------------------------------------------
 
 
-def _psi_germ_at(psi, support, order, space) -> Germ:
+def _psi_germ_at(psi, support, order) -> Germ:
     if isinstance(psi, Germ):
         if psi.base != support:
             raise ValueError("multiplier germ based at a different point")
@@ -225,7 +211,7 @@ def lf_mul_action(psi, L: LaurentFunctional) -> LaurentFunctional:
     summands = []
     for s in L.summands:
         order_needed = s.u.order() + sum(s.d_max)
-        g = germ_normalize(_psi_germ_at(psi, s.support, order_needed, L.space))
+        g = germ_normalize(_psi_germ_at(psi, s.support, order_needed))
         if g.order < s.u.order():
             raise ValueError("multiplier jet order too small")
         new_totals, scalar = s.leftover(g.pole, "multiplier pole exceeds the functional order")
@@ -235,7 +221,7 @@ def lf_mul_action(psi, L: LaurentFunctional) -> LaurentFunctional:
         jet_order = g.order
         if not jet.is_zero():
             for dir_ in new_totals:
-                jet, extra = jet.divide_out(L.space.form_coeffs(dir_))
+                jet, extra = jet._divide_out(_form(L.space.dim, *L.space._key_form(dir_)))
                 new_totals[dir_] += extra
                 jet_order -= extra
         if jet_order < s.u.order():
@@ -253,19 +239,19 @@ def lf_diff_action(v, L: LaurentFunctional) -> LaurentFunctional:
     """The transpose of differentiation along v: the result satisfies
     result(phi) = L(d_v phi)."""
     v = [GQ.of(x) for x in v]
-    space = L.space
+    space, vp = L.space, _over_lcm(v)
     dv = DiffOp.directional(space.dim, v)
     summands = []
     for s in L.summands:
-        totals, scalar = s.canonical_totals()
+        totals, scalar, sp = s._totals, s._scalar, _over_lcm(s.support)
         # the quotient rule over one power of every canonical form, in the z
         # variable; leibniz_flatten is linear in its multiplier, so Q is
         # flattened once
         P, Q = quotient_rule(
             space.dim,
             [
-                (space.linear_form(dir_, space.inner(dir_, s.support)), GQ(k) * space.inner(dir_, v))
-                for dir_, k in totals.items()
+                (_affine(space.dim, *space._key_form(d, space._key_inner(d, *sp))), k * space._key_inner(d, *vp))
+                for d, k in totals.items()
             ],
         )
         u_new = scalar * (
@@ -375,16 +361,16 @@ def laurent_operator_apply(
         den = {}
         pole = {}  # canonical transverse direction -> power
         for h, pw in g.denominator.items():
-            if h.offset.is_zero() and not any(h.normal[:ns]):
+            if h.offset.is_zero() and not any(h._ints[:ns]):
                 # pure transverse pole at the support point
-                pole[h.normal[ns:]] = pole.get(h.normal[ns:], 0) + pw
+                pole[h._ints[ns:]] = pole.get(h._ints[ns:], 0) + pw
             else:
                 den[h] = pw
         leftover, scalar = s.leftover(pole, "pole order along the subspace exceeds the functional order")
         # multiply by the regularizing product: leftover canonical forms
         q = Polynomial.const(total, scalar)
         for dir_, rest in leftover.items():
-            q = q * st.linear_form([GQ(0)] * ns + list(dir_)) ** rest
+            q = q * _affine(total, *st._key_form((0,) * ns + dir_)) ** rest
         expr = RationalFn(st, g.numerator * q, den).cancel()
         # apply the operator in the transverse coordinates
         acc = None

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import comb, gcd
 from operator import add, sub
 from types import MappingProxyType
@@ -76,11 +76,14 @@ class Space:
     def subspace(self, basis) -> "Space":
         """span(basis) in the coordinates of the basis, with the inherited
         inner product."""
-        return Space(len(basis), [[self.inner(bi, bj) for bj in basis] for bi in basis])
+        basis = [_over_lcm(b) for b in basis]
+        return Space(len(basis), [[self._inner(*u, *v) for v in basis] for u in basis])
 
     def inner(self, u, v) -> GQ:
-        u, du = _over_lcm(u)
-        v, dv = _over_lcm(v)
+        return self._inner(*_over_lcm(u), *_over_lcm(v))
+
+    def _inner(self, u, du, v, dv) -> GQ:
+        """<u, v> for vectors held as int pairs over du and dv."""
         re = im = 0
         for i, j, g in self._entries:
             (a, b), (c, e) = u[i], v[j]
@@ -88,27 +91,35 @@ class Space:
             im += g * (a * e + b * c)
         return _mk(re, im, self._e * du * dv)
 
-    def _form_pairs(self, alpha):
-        """The coefficients of z -> <alpha, z> as int pairs over one
-        denominator: (pairs, d)."""
-        alpha, d = _over_lcm(alpha)
-        re, im = [0] * self.dim, [0] * self.dim
-        for i, j, g in self._entries:
-            a, b = alpha[i]
-            re[j] += g * a
-            im[j] += g * b
-        return list(zip(re, im)), d * self._e
+    def _key_inner(self, key, v, dv) -> GQ:
+        """<key, v> for an int vector key and v held as int pairs over dv."""
+        return self._inner([(x, 0) for x in key], 1, v, dv)
 
     def form_coeffs(self, alpha):
         """Coefficients of the linear form z -> <alpha, z>."""
-        pairs, d = self._form_pairs(alpha)
+        pairs, _, d = self._linear(*_over_lcm(alpha))
         return [_mk(a, b, d) for a, b in pairs]
 
     def linear_form(self, alpha, offset=GQ(0)) -> "Polynomial":
         """The polynomial z -> <alpha, z> - offset."""
-        pairs, d = self._form_pairs(alpha)
+        return _affine(self.dim, *self._linear(*_over_lcm(alpha), offset))
+
+    def _linear(self, alpha, d, offset=ZERO):
+        """z -> <alpha, z> - offset for alpha held as int pairs over d, as
+        (pairs, const, denominator) in ints."""
         oa, ob, od = _parts(offset)
-        return _affine(self.dim, [(a * od, b * od) for a, b in pairs], (-oa * d, -ob * d), d * od)
+        d *= self._e
+        re, im = [0] * self.dim, [0] * self.dim
+        for i, j, g in self._entries:
+            a, b = alpha[i]
+            re[j] += g * a * od
+            im[j] += g * b * od
+        return list(zip(re, im)), (-oa * d, -ob * d), d * od
+
+    def _key_form(self, key, offset=ZERO):
+        """z -> <key, z> - offset for an int vector key, as the int parts
+        (pairs, const, d) that ``_affine`` and ``_form`` take."""
+        return self._linear([(x, 0) for x in key], 1, offset)
 
     def orth_complement(self, vectors):
         """Basis of the orthogonal complement of span(vectors)."""
@@ -397,6 +408,8 @@ class Polynomial:
         return _mk(*_value(self._t, tables), d)
 
     def deriv(self, i) -> "Polynomial":
+        if not 0 <= i < self.dim:
+            raise ValueError(f"index {i} out of range for a polynomial in {self.dim} variables")
         gamma = [0] * self.dim
         gamma[i] = 1
         return self.deriv_multi(gamma)
@@ -475,6 +488,17 @@ class Polynomial:
             t = _pack(re, im)
         return self if t is self._t else _reduced(self.dim, t, d)
 
+    def _split(self) -> "Polynomial":
+        """p(x + y) in the 2n variables (x, y): z^alpha is the sum over
+        j <= alpha of prod C(alpha_i, j_i) x^j y^(alpha - j), and no two
+        (alpha, j) give the same monomial."""
+        t = {}
+        for idx, (a, b) in self._t.items():
+            for js in product(*[range(e + 1) for e in idx]):
+                c = math.prod(map(comb, idx, js))
+                t[js + tuple(map(sub, idx, js))] = (a * c, b * c)
+        return _reduced(2 * self.dim, t, self._d)
+
     def truncate(self, order: int) -> "Polynomial":
         t = {idx: ab for idx, ab in self._t.items() if sum(idx) <= order}
         return self if len(t) == len(self._t) else _reduced(self.dim, t, self._d)
@@ -485,15 +509,20 @@ class Polynomial:
         The polynomial is first evaluated at one fixed point where the form
         vanishes (see ``_form``): a nonzero value proves that the form does
         not divide, and only a zero value goes on to the division."""
-        return _divide(self, _form(self.dim, coeffs, const))
+        q, n = self.divide_out(coeffs, const, 1)
+        return q if n else None
 
     def divide_out(self, coeffs, const=GQ(0), most=None):
         """(quotient, count): divide by the form sum(coeffs[i]*z_i) + const
         as often as it divides exactly, at most ``most`` times.  The zero
         polynomial divides any number of times, so it needs a bound."""
+        pairs, d = _over_lcm([*coeffs, const])
+        return self._divide_out(_form(self.dim, pairs[:-1], pairs[-1], d), most)
+
+    def _divide_out(self, form, most=None):
+        """``divide_out`` by a form prepared by ``_form``."""
         if most is None and self.is_zero():
             raise ValueError("the zero polynomial has no largest power of a linear factor")
-        form = _form(self.dim, coeffs, const)
         q, count = self, 0
         while most is None or count < most:
             nxt = _divide(q, form)
@@ -520,28 +549,26 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _form(dim, coeffs, const):
-    """The form l = sum(coeffs[j]*z_j) + const, prepared for division.
+def _form(dim, pairs, const, d):
+    """The form l = sum(C_j*z_j) + E over D, given as the int pairs C_j and E
+    and the int D, prepared for division.
 
-    Over one denominator D the coefficients are Gaussian integers C_j and
-    E.  With k the first j where C_k != 0 and N = |C_k|^2,
+    With k the first j where C_k != 0 and N = |C_k|^2,
     l = (C_k/D) (z_k + M/N), where M = (sum_(j != k) C_j z_j + E) conj(C_k)
     is free of z_k, and 1/(C_k/D) = D conj(C_k)/N.  The filter point has
     z_j = j + 2 for j != k and the z_k on which l vanishes.  Returns k, the
     int terms of M, N, the real and imaginary numerators over N of z_k at
     the filter point, and the pair D conj(C_k)."""
-    coeffs = list(coeffs)
-    pairs, d = _over_lcm([*coeffs, const])
-    k = next((j for j, (a, b) in enumerate(pairs[:-1]) if a or b), None)
+    k = next((j for j, (a, b) in enumerate(pairs) if a or b), None)
     if k is None:
         raise ValueError("not a linear form")
     ca, cb = pairs[k]
     m, ra, rb = {}, 0, 0
-    for j, (a, b) in enumerate(pairs):
+    for j, (a, b) in enumerate([*pairs, const]):
         if j != k and (a or b):
             idx = [0] * dim
             x = 1  # the monomial's value at the filter point
-            if j < len(coeffs):
+            if j < len(pairs):
                 idx[j] = 1
                 x = j + 2
             a, b = a * ca + b * cb, b * ca - a * cb
@@ -556,7 +583,7 @@ def _divide(p, form):
     t = p._t
     if not t:
         return p
-    k, mu, md, ra, rb = form[:5]
+    k, _, md, ra, rb = form[:5]
     n = p._degree_in(k)
     if not n:
         return None
@@ -684,6 +711,18 @@ class DiffOp:
     def __hash__(self):
         return hash(self._p)
 
+    def _at_zero(self, p: Polynomial) -> GQ:
+        """u(p) at 0: sum gamma! c_gamma p_gamma over the terms c_gamma d^gamma of u."""
+        if p.dim != self.dim:
+            raise ArityError("operator/polynomial arity mismatch")
+        re = im = 0
+        for idx, (a, b) in self._p._t.items():
+            c, e = p._t.get(idx, (0, 0))
+            f = factorial_multi(idx)
+            re += f * (a * c - b * e)
+            im += f * (a * e + b * c)
+        return _mk(re, im, self._p._d * p._d)
+
     def apply(self, p: Polynomial) -> Polynomial:
         if p.dim != self.dim:
             raise ArityError("operator/polynomial arity mismatch")
@@ -743,11 +782,11 @@ def pi_product(space: Space, X, a, d) -> Polynomial:
 
     ``d`` is a list of naturals parallel to X.
     """
-    p = Polynomial.const(space.dim, GQ(1))
+    p, ap = Polynomial.const(space.dim, GQ(1)), _over_lcm(a)
     for xi, k in zip(X, d):
         if k:
-            form = space.linear_form(xi, space.inner(xi, a))
-            p = p * form**k
+            xp = _over_lcm(xi)
+            p = p * _affine(space.dim, *space._linear(*xp, space._inner(*xp, *ap))) ** k
     return p
 
 

@@ -193,7 +193,7 @@ class RootSystem:
         # z -> z - 2 <alpha, z> alpha / <alpha, alpha> for alpha a multiple of
         # the int vector a, with the form <a, .> scaled to ints b, so
         # <alpha, alpha> ~ a . b
-        b = [x for x, _ in self.space._form_pairs(a)[0]]
+        b = [x for x, _ in self.space._key_form(a)[0]]
         n2 = sum(map(mul, a, b))
         if n2 == 0:
             raise ValueError("cannot reflect in an isotropic vector")
@@ -343,10 +343,10 @@ class ParabolicData:
         self.delta_Q = [rs.simple[i] for i in self.indices]
         # the wall, the kernel of the forms <alpha, .> for alpha in Delta_Q, as
         # int vectors over d; the forms <., b> for them, as ints over _den
-        basis, (d, _) = linalg._kernel([rs.space._form_pairs(a)[0] for a in self.delta_Q], rs.dim)
+        basis, (d, _) = linalg._kernel([rs.space._linear(*_over_lcm(a))[0] for a in self.delta_Q], rs.dim)
         self._basis = [[x for x, _ in v] for v in basis]
         self.basis = [_fractions(v, d) for v in self._basis]
-        self._forms = [[x for x, _ in rs.space._form_pairs(b)[0]] for b in self._basis]
+        self._forms = [[x for x, _ in rs.space._key_form(b)[0]] for b in self._basis]
         self._den = rs.space._e * d
         self.delta_rest_indices = [
             i for i in range(len(rs.simple)) if i not in self.indices

@@ -240,12 +240,7 @@ class RestrictedSeries:
     def shifted_coeff(self, xi):
         """q_xi with its argument split: a polynomial in 2n variables,
         the wall log part first, evaluated at the sum of the halves."""
-        n = self.base.space.dim
-        subs = [
-            Polynomial.variable(2 * n, i) + Polynomial.variable(2 * n, n + i)
-            for i in range(n)
-        ]
-        return tuple(p.substitute(subs) for p in self.base.terms[xi])
+        return tuple(p._split() for p in self.base.terms[xi])
 
     def reassemble(self) -> ExpPolySeries:
         """The series rebuilt from the groups and the split coefficients,

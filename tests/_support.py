@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: random generators over the Gaussian
 rationals, an independent one-variable Laurent expansion oracle built
-from polynomial shifting and power series inversion only, and a reference
-Gauss-Jordan elimination with exact GQ pivots.
+from polynomial shifting and power series inversion only, a reference
+Gauss-Jordan elimination with exact GQ pivots, and the localization of a
+rational function by iterative Taylor inversion.
 """
 
 from fractions import Fraction
@@ -10,6 +11,7 @@ from math import comb
 from laurcalc import (
     GQ,
     DiffOp,
+    Germ,
     Hyperplane,
     Polynomial,
     RationalFn,
@@ -161,3 +163,29 @@ def rref(rows):
         if r == nrows:
             break
     return m, pivots
+
+
+# -- reference localization: iterative Taylor inversion ---------------------
+
+
+def germ_at_by_iteration(f, a, order):
+    """The germ of f at a, as ``rationalfn_germ_at`` computed it before its
+    closed-form inverse: 1/(c0 + l0) is summed as (1/c0) sum (-l0/c0)^j,
+    one truncated product per step, and multiplied into the jet k times."""
+    a = [GQ.of(x) for x in a]
+    pole = {}
+    jet = f.numerator.shift(a).truncate(order)
+    for h, k in f.denominator.items():
+        c0 = f.space.inner(h.normal, a) - h.offset
+        if c0.is_zero():
+            pole[h.normal] = pole.get(h.normal, 0) + k
+        else:
+            l0 = f.space.linear_form(h.normal, GQ(0))
+            inv = Polynomial.zero(f.space.dim)
+            t = Polynomial.const(f.space.dim, GQ(1) / c0)
+            for _ in range(order + 1):
+                inv = inv + t
+                t = (t * l0 * (GQ(-1) / c0)).truncate(order)
+            for _ in range(k):
+                jet = (jet * inv).truncate(order)
+    return Germ(f.space, a, pole, jet, order)

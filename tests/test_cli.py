@@ -141,6 +141,71 @@ def test_negative_orders_exit_2_naming_the_field(doc, argv, field, tmp_path, cap
     assert field in err["detail"] and "nonnegative" in err["detail"]
 
 
+@pytest.mark.parametrize("index", ["-1", "5"])
+def test_deriv_index_out_of_range_exit_2(index, files, capsys):
+    """--index -1 used to differentiate in the last variable (exit 0) and 5
+    ended in an IndexError (exit 3)."""
+    code, out = _run(["poly", "deriv", "--poly", files["p.json"], f"--index={index}"], capsys)
+    err = json.loads(out)
+    assert (code, err["error"]) == (2, "precondition")
+    assert f"index {index} out of range" in err["detail"]
+
+
+def test_localize_negative_order_exit_2(files, capsys):
+    """--order -1 used to print a germ of order -1 with an empty jet."""
+    code, out = _run(["germ", "localize", "--fn", files["f.json"], "--point", "1", "--order=-1"], capsys)
+    err = json.loads(out)
+    assert (code, err["error"]) == (2, "precondition")
+    assert "order must be nonnegative, got -1" in err["detail"]
+
+
+def test_germ_file_with_negative_order_exit_2(capsys, tmp_path):
+    """A germ of order -2 used to normalize to a zero jet, which the witness
+    then called holomorphic."""
+    doc = {"space": _LINE, "base": ["0"], "pole": [{"direction": ["1"], "power": 1}],
+           "jet": {"dim": 1, "terms": [{"idx": [0], "re": "1"}]}, "order": -2}
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(doc))
+    code, out = _run(["laurent", "witness", "--germ", str(p)], capsys)
+    err = json.loads(out)
+    assert (code, err["error"]) == (2, "precondition")
+    assert "order must be nonnegative, got -2" in err["detail"]
+
+
+_BAD_U = {"space": _LINE, "summands": [{"support": ["0"], "x_set": [["1"]], "d_max": [1],
+                                        "u": {"dim": 2, "terms": [{"idx": [0, 0], "re": "1"}]}}]}
+_HOLO = {"space": _LINE, "base": ["0"], "pole": [], "jet": {"dim": 1, "terms": [{"idx": [0], "re": "1"}]}, "order": 2}
+
+
+@pytest.mark.parametrize("argv", [["apply", "--germ", "g.json"], ["apply-fn", "--fn", "f.json"]], ids=lambda a: a[0])
+def test_functional_operator_of_another_dimension_exit_2(argv, files, tmp_path, capsys):
+    """A summand operator in 2 variables on a line is an arity mismatch,
+    not the value 0."""
+    (tmp_path / "bad.json").write_text(json.dumps(_BAD_U))
+    (tmp_path / "g.json").write_text(json.dumps(_HOLO))
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out = _run(["laurent", argv[0], "--functional", str(tmp_path / "bad.json"), *args[1:]], capsys)
+    err = json.loads(out)
+    assert (code, err["error"]) == (2, "precondition")
+    assert "arity mismatch" in err["detail"]
+
+
+def test_germ_diff_orders_round_trip(tmp_path, capsys):
+    """Differentiating an order-1 germ gives an order-0 germ that the other
+    germ commands read back; an order-0 germ cannot be differentiated."""
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(dict(_HOLO, jet={"dim": 1, "terms": [{"idx": [1], "re": "3"}]}, order=1)))
+    code, out = _run(["germ", "diff", "--germ", str(p), "--vector", "1"], capsys)
+    assert code == 0 and json.loads(out)["order"] == 0
+    p.write_text(out)
+    code, out = _run(["germ", "normalize", "--germ", str(p)], capsys)
+    assert code == 0 and json.loads(out)["jet"]["terms"] == [{"idx": [0], "im": "0/1", "re": "3/1"}]
+    code, out = _run(["germ", "diff", "--germ", str(p), "--vector", "1"], capsys)
+    err = json.loads(out)
+    assert (code, err["error"]) == (2, "precondition")
+    assert "jet order must be at least 1" in err["detail"]
+
+
 def test_cli_import_leaves_out_dataclasses():
     """A cold start does not pay for importing dataclasses."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -44,6 +44,14 @@ def test_hyperplane_make_scales_offset():
     assert h.contains(sp, [GQ(3), GQ(1)])
 
 
+@pytest.mark.parametrize("normal", [(Fraction(1, 2),), (2, 0), (-1, 1), (0, 0)], ids=repr)
+def test_hyperplane_constructor_refuses_a_normal_that_is_not_canonical(normal):
+    """A non-canonical normal used to make a second object for the same
+    hyperplane: Hyperplane((2,), 2) != Hyperplane.make((1,), 1)."""
+    with pytest.raises(ValueError, match="canonical"):
+        Hyperplane(normal, GQ(1))
+
+
 def test_subspace_center_orthogonal():
     sp = Space(2)
     h = Hyperplane.make((1, 1), GQ(2))

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laurcalc import (
     ArityError,
@@ -24,6 +25,7 @@ from laurcalc import (
 )
 
 from _support import (
+    germ_at_by_iteration,
     laurent_coefficients,
     rand_gq,
     rand_nonzero_gq,
@@ -161,3 +163,51 @@ def test_rationalfn_restrict_pointwise():
         z = L.param_point(s)
         if f.is_regular_at(z) and r.is_regular_at(s):
             assert f.eval(z) == r.eval(s)
+
+
+_q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_c = st.builds(GQ, _q, _q)
+
+
+@st.composite
+def _localizations(draw):
+    """(f, a, order) in 1-3 variables with orders 0-5: each denominator
+    form takes a complex value c0 at a (0 for a pole) and has power 1-3."""
+    dim = draw(st.integers(1, 3))
+    sp = Space(dim, [[draw(st.integers(1, 3)) if j == i else 0 for j in range(dim)] for i in range(dim)])
+    a = [draw(_c) for _ in range(dim)]
+    den = {}
+    for _ in range(draw(st.integers(1, 3))):
+        v = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any))
+        h = Hyperplane.make(v, sp.inner(v, a) - draw(_c))
+        den[h] = den.get(h, 0) + draw(st.integers(1, 3))
+    num = Polynomial(dim, draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * dim), _c, max_size=4)))
+    return RationalFn(sp, num, den), a, draw(st.integers(0, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_localizations())
+def test_germ_at_matches_iterative_inversion(case):
+    """The closed-form (c0 + l0)^(-k) gives the germ that k products of the
+    iteratively inverted 1/(c0 + l0) gave."""
+    f, a, order = case
+    got, want = rationalfn_germ_at(f, a, order), germ_at_by_iteration(f, a, order)
+    assert (got.pole, got.jet, got.order) == (want.pole, want.jet, want.order)
+
+
+def test_pole_keys_are_int_tuples_equal_to_fraction_tuples():
+    sp = Space(2)
+    f = RationalFn(sp, Polynomial.const(2, 1), {Hyperplane.make((Fraction(-2, 3), Fraction(4, 3)), 0): 2})
+    g = rationalfn_germ_at(f, [0, 0], 3)
+    assert g.pole == {(Fraction(1), Fraction(-2)): 2}
+    assert all(type(x) is int for xi in g.pole for x in xi)
+    assert hash((1, -2)) == hash((Fraction(1), Fraction(-2)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda sp, jet: Germ(sp, [0], {}, jet, -1),
+    lambda sp, jet: rationalfn_germ_at(RationalFn(sp, jet), [0], -1),
+])
+def test_negative_jet_order_is_refused(build):
+    with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
+        build(Space(1), Polynomial.const(1, 1))

@@ -3,6 +3,7 @@ actions, push-forward, operators on rational functions and the diagonal
 action."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from laurcalc import (
     GQ,
     DiffOp,
+    Germ,
     Hyperplane,
     LaurentFunctional,
     LaurentOrderError,
@@ -17,7 +19,11 @@ from laurcalc import (
     Polynomial,
     RationalFn,
     Space,
+    germ_add,
     germ_constant,
+    germ_diff,
+    germ_mul,
+    germ_normalize,
     laurent_operator_apply,
     lf_annihilator_witness,
     lf_apply,
@@ -33,6 +39,7 @@ from laurcalc import (
     subspace_from,
     transverse_space,
 )
+from laurcalc import config
 
 from _support import rand_diffop, rand_gq, rand_poly
 
@@ -242,3 +249,39 @@ def test_diagonal_apply_cross_pole():
     )
     out = lf_diagonal_apply(L, f, Lsub)
     assert out.eval([GQ(7)]) == GQ(1) / GQ(7)
+
+
+def test_germ_and_laurent_builders_do_not_recanonicalize(monkeypatch):
+    """A direction is made canonical once, where it enters (a public
+    constructor or a reader); germ arithmetic, localization and the Laurent
+    operators carry the canonical int tuples on and never call
+    config._canonical again.  The inputs are built before it is counted."""
+    sp = Space(3, [[2, 1, 0], [1, 2, 0], [0, 0, 1]])
+    a = [GQ(1), GQ(0, 1), GQ(Fraction(1, 2))]
+    through = [Hyperplane.make(v, sp.inner(v, a)) for v in [(1, -1, 0), (0, 0, 2)]]
+    num = Polynomial(3, {(0, 0, 0): GQ(1), (1, 0, 1): GQ(2, -1), (0, 2, 0): GQ(Fraction(1, 3))})
+    f = RationalFn(sp, num, {through[0]: 2, through[1]: 1, Hyperplane.make((1, 1, 1), GQ(3, 1)): 1})
+    u = DiffOp(3, {(1, 0, 0): GQ(1), (0, 0, 0): GQ(2)})
+    L = LaurentFunctional(sp, [LFSummand(a, [(1, -1, 0), (0, 0, 1)], [2, 1], u)])
+    g1 = rationalfn_germ_at(f, a, 6)
+    g2 = rationalfn_germ_at(RationalFn(sp, Polynomial.variable(3, 0), {through[0]: 1}), a, 6)
+    line = Space(2)
+    Lsub = subspace_from(line, [Hyperplane.make((0, 1), GQ(0))])
+    Lt = lf_residue(transverse_space(Lsub), [0], [(1,)], [1])
+    ft = RationalFn(
+        line, Polynomial.const(2, 1), {Hyperplane.make((0, 1), GQ(0)): 1, Hyperplane.make((1, -1), GQ(0)): 1}
+    )
+
+    calls = []
+    original = config._canonical
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("laurcalc") and getattr(module, "_canonical", None) is original:
+            monkeypatch.setattr(module, "_canonical", lambda v: calls.append(v) or original(v))
+    germ_normalize(germ_add(germ_mul(g1, g2), g2))
+    germ_diff([1, 0, 2], g1)
+    lf_apply_rational(L, f)
+    laurent_operator_apply(Lt, ft, Lsub)
+    assert calls == []
+    # the counter is live: a public constructor canonicalizes its pole
+    Germ(sp, a, {(1, -1, 0): 1}, num, 2)
+    assert len(calls) == 1

@@ -67,6 +67,15 @@ def test_deriv_product_rule():
         assert (a * b).deriv(i) == a.deriv(i) * b + a * b.deriv(i)
 
 
+@pytest.mark.parametrize("i", [-1, 2, 5])
+def test_deriv_refuses_an_index_outside_the_variables(i):
+    """-1 used to differentiate in the last variable and 2 or 5 raised an
+    IndexError; each is now a ValueError naming the index."""
+    p = Polynomial(2, {(1, 1): GQ(3), (0, 2): GQ(1)})
+    with pytest.raises(ValueError, match=f"index {i} out of range"):
+        p.deriv(i)
+
+
 def test_divide_by_linear():
     p = Polynomial(2, {(1, 0): GQ(1), (0, 1): GQ(-1)})  # x - y
     q = rand_poly(rng, 2, 2)
