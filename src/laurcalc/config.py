@@ -9,8 +9,8 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .poly import Polynomial, Space, _affine
-from .scalars import GQ, _fractions, _mk, _over_lcm, _real_over_lcm, _triple
+from .poly import Polynomial, Space
+from .scalars import GQ, _fractions, _mk, _real_over_lcm, _triple
 
 
 def _primitive(ints):
@@ -101,10 +101,10 @@ class Hyperplane:
         return len(self._ints)
 
     def form(self, space: Space) -> Polynomial:
-        return _affine(space.dim, *space._key_form(self._ints, self.offset))
+        return space._key_form(self._ints, self.offset)
 
     def contains(self, space: Space, point) -> bool:
-        return (space._key_inner(self._ints, *_over_lcm(point)) - self.offset).is_zero()
+        return (space._key_inner(self._ints, *space._vector(point)) - self.offset).is_zero()
 
 
 def _hyperplane(ints, offset, h=None) -> Hyperplane:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from math import comb
 
 from .config import Hyperplane, XSubspace, _canonical, _order
-from .poly import ArityError, Polynomial, Space, _affine, _form, _mul_terms, _powers, _reduced, quotient_rule, same_space
-from .scalars import GQ, _over_lcm, _parts
+from .poly import ArityError, Polynomial, Space, _mul_terms, _powers, _reduced, quotient_rule, same_space
+from .scalars import GQ, _parts
 
 
 class Germ:
@@ -80,7 +80,7 @@ def germ_constant(space: Space, base, value, order: int) -> Germ:
 
 
 def _cancel_poles(num, powers, form):
-    """Divide num by the prepared form(key) of each pole key, at most
+    """Divide num by the linear form(key) of each pole key, at most
     to its power.  Returns the quotient, the remaining powers and the number
     of factors divided out.  Distinct keys give coprime forms, so one pass
     each suffices."""
@@ -99,8 +99,7 @@ def germ_normalize(g: Germ) -> Germ:
     """Cancel linear factors of the jet against the pole until minimal."""
     if g.jet.is_zero():
         return _germ(g.space, g.base, {}, g.jet, g.order)
-    dim = g.space.dim
-    jet, pole, removed = _cancel_poles(g.jet, g.pole, lambda xi: _form(dim, *g.space._key_form(xi)))
+    jet, pole, removed = _cancel_poles(g.jet, g.pole, g.space._key_form)
     # each factor divided out lowers the degree of the jet by one
     return _germ(g.space, g.base, pole, jet, g.order - removed)
 
@@ -121,10 +120,7 @@ def germ_add(g1: Germ, g2: Germ) -> Germ:
     if g1.base != g2.base:
         raise ValueError("germ base points differ")
     # the poles pass through the base point: the forms <xi, w> have no offset
-    dim = g1.space.dim
-    pole, [(p1, e1), (p2, e2)] = _over_common_denominator(
-        [(g1.jet, g1.pole), (g2.jet, g2.pole)], lambda xi: _affine(dim, *g1.space._key_form(xi))
-    )
+    pole, [(p1, e1), (p2, e2)] = _over_common_denominator([(g1.jet, g1.pole), (g2.jet, g2.pole)], g1.space._key_form)
     order = min(g1.order + e1, g2.order + e2)
     return _germ(g1.space, g1.base, pole, (p1 + p2).truncate(order), order)
 
@@ -135,11 +131,9 @@ def germ_diff(v, g: Germ) -> Germ:
     if g.order < 1:
         raise ValueError("jet order must be at least 1 to differentiate")
     v = [GQ.of(x) for x in v]
-    space, vp = g.space, _over_lcm(v)
+    space, vp = g.space, g.space._vector(v)
     # the poles pass through the base point: the forms <xi, w> have no offset
-    P, Q = quotient_rule(
-        space.dim, [(_affine(space.dim, *space._key_form(xi)), d * space._key_inner(xi, *vp)) for xi, d in g.pole.items()]
-    )
+    P, Q = quotient_rule(space.dim, [(space._key_form(xi), d * space._key_inner(xi, *vp)) for xi, d in g.pole.items()])
     order = g.order + len(g.pole) - 1
     numerator = (P * g.jet.directional(v) - Q * g.jet).truncate(order)
     pole = {xi: d + 1 for xi, d in g.pole.items()}
@@ -173,10 +167,7 @@ class RationalFn:
 
     def cancel(self) -> "RationalFn":
         """Divide out exact common linear factors."""
-        dim = self.space.dim
-        num, den, _ = _cancel_poles(
-            self.numerator, self.denominator, lambda h: _form(dim, *self.space._key_form(h._ints, h.offset))
-        )
+        num, den, _ = _cancel_poles(self.numerator, self.denominator, lambda h: h.form(self.space))
         return RationalFn(self.space, num, den)
 
     def __add__(self, other):
@@ -209,7 +200,7 @@ class RationalFn:
     def directional_deriv(self, v) -> "RationalFn":
         """Quotient rule; output denominator powers raised by one."""
         v = [GQ.of(x) for x in v]
-        vp = _over_lcm(v)
+        vp = self.space._vector(v)
         P, Q = quotient_rule(
             self.space.dim,
             [(h.form(self.space), k * self.space._key_inner(h._ints, *vp)) for h, k in self.denominator.items()],
@@ -221,7 +212,7 @@ class RationalFn:
     def eval(self, point) -> GQ:
         point = [GQ.of(x) for x in point]
         val = self.numerator.eval(point)
-        pp = _over_lcm(point)
+        pp = self.space._vector(point)
         for h, k in self.denominator.items():
             d = self.space._key_inner(h._ints, *pp) - h.offset
             if d.is_zero():
@@ -263,7 +254,7 @@ def rationalfn_germ_at(f: RationalFn, a, order: int) -> Germ:
     denominator factors are Taylor-inverted into the jet."""
     order = _order(order, "order")
     a = [GQ.of(x) for x in a]
-    ap = _over_lcm(a)
+    ap = f.space._vector(a)
     pole = {}
     jet = f.numerator.shift(a).truncate(order)
     for h, k in f.denominator.items():
@@ -271,25 +262,25 @@ def rationalfn_germ_at(f: RationalFn, a, order: int) -> Germ:
         if c0.is_zero():
             pole[h._ints] = pole.get(h._ints, 0) + k
         else:
-            jet = (jet * _inverse_power(*f.space._key_form(h._ints)[::2], c0, k, order)).truncate(order)
+            jet = (jet * _inverse_power(f.space._key_form(h._ints), c0, k, order)).truncate(order)
     return _germ(f.space, tuple(a), pole, jet, order)
 
 
-def _inverse_power(pairs, d, c0, k, order) -> Polynomial:
-    """(c0 + l0)^(-k) to degree ``order``, for the form l0 = pairs/d with
-    real int pairs: sum_j C(k+j-1, j) c0^(-k) (-1/c0)^j l0^j, over the
+def _inverse_power(l0, c0, k, order) -> Polynomial:
+    """(c0 + l0)^(-k) to degree ``order``, for a real homogeneous linear l0
+    over the int d: sum_j C(k+j-1, j) c0^(-k) (-1/c0)^j l0^j, over the
     common denominator n^(k+order) d^order where 1/c0 = (p + q*i)/n."""
-    dim = len(pairs)
+    dim, d = l0.dim, l0._d
     ca, cb, cd = _parts(c0)
     n, p, q = ca * ca + cb * cb, cd * ca, -cd * cb
     wa, wb = _powers(p, q, 1, k)[k]
-    lin = {tuple(int(j == i) for j in range(dim)): (x, 0) for i, (x, _) in enumerate(pairs) if x}
     power, t = {(0,) * dim: (1, 0)}, {}
     for j, (ya, yb) in enumerate(_powers(-p, -q, n, order)):
         s = comb(k + j - 1, j) * d ** (order - j)
         ya, yb = s * (ya * wa - yb * wb), s * (ya * wb + yb * wa)
         t.update({idx: (x * ya, x * yb) for idx, (x, _) in power.items()})
-        power = _mul_terms(power, lin)
+        if j < order:
+            power = _mul_terms(power, l0._t)
     return _reduced(dim, t, n ** (k + order) * d**order)
 
 
@@ -305,7 +296,7 @@ def rationalfn_pullback(f: RationalFn, target: Space, cols, point, vanishing_msg
         for i in range(f.space.dim)
     ]
     num = f.numerator.substitute(subs)
-    colp, pp = [_over_lcm(c) for c in cols], _over_lcm(point)
+    colp, pp = [f.space._vector(c) for c in cols], f.space._vector(point)
     den = {}
     for h, k in f.denominator.items():
         coeffs = [f.space._key_inner(h._ints, *c) for c in colp]

@@ -158,12 +158,7 @@ def config_to_json(cfg: Configuration) -> dict:
         dict(hyperplane_to_json(h), mult=m)
         for h, m in sorted(cfg.multiplicity.items(), key=repr)
     ]
-    return {
-        "dim": cfg.space.dim,
-        "inner_product": [[frac_to_str(x) for x in row] for row in cfg.space.ip],
-        "hyperplanes": hyps,
-        "x_set": [[frac_to_str(x) for x in v] for v in cfg.x_set],
-    }
+    return dict(space_to_json(cfg.space), hyperplanes=hyps, x_set=[[frac_to_str(x) for x in v] for v in cfg.x_set])
 
 
 def config_from_json(d) -> Configuration:
@@ -265,13 +260,12 @@ def functional_from_json(d) -> LaurentFunctional:
 
 def rootsystem_to_json(rs: RootSystem) -> dict:
     index = {r: i for i, r in enumerate(rs.roots)}
-    return {
-        "dim": rs.dim,
-        "roots": [[frac_to_str(x) for x in r] for r in rs.roots],
-        "positive": [index[r] for r in rs.positive],
-        "simple": [[frac_to_str(x) for x in s] for s in rs.simple],
-        "inner_product": [[frac_to_str(x) for x in row] for row in rs.space.ip],
-    }
+    return dict(
+        space_to_json(rs.space),
+        roots=[[frac_to_str(x) for x in r] for r in rs.roots],
+        positive=[index[r] for r in rs.positive],
+        simple=[[frac_to_str(x) for x in s] for s in rs.simple],
+    )
 
 
 def rootsystem_from_json(d) -> RootSystem:

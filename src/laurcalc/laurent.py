@@ -22,9 +22,9 @@ from .germs import (
     rationalfn_restrict,
 )
 from .poly import (
-    ArityError, DiffOp, Polynomial, Space, _affine, _form, factorial_multi, leibniz_flatten, pi_product, quotient_rule,
+    ArityError, DiffOp, Polynomial, Space, _sized, factorial_multi, leibniz_flatten, pi_product, quotient_rule,
 )
-from .scalars import GQ, _fractions, _mk, _over_lcm, _real_over_lcm
+from .scalars import GQ, _fractions, _mk, _real_over_lcm
 
 
 class LaurentOrderError(ValueError):
@@ -72,6 +72,8 @@ class LaurentFunctional:
         self.summands = list(summands)
         seen = set()
         for s in self.summands:
+            for v in (s.support, *s.x_list):
+                _sized(v, space.dim)
             if s.support in seen:
                 raise ValueError("support points must be distinct")
             seen.add(s.support)
@@ -86,7 +88,7 @@ def _apply_summand(space: Space, s: LFSummand, g: Germ) -> GQ:
     # u only reads degrees <= m, and the leftover forms are homogeneous
     prod = gn.jet.truncate(m)
     for dir_, k in leftover.items():
-        form = _affine(space.dim, *space._key_form(dir_))
+        form = space._key_form(dir_)
         for _ in range(k):
             prod = (prod * form).truncate(m)
     return scalar * s.u._at_zero(prod)
@@ -221,7 +223,7 @@ def lf_mul_action(psi, L: LaurentFunctional) -> LaurentFunctional:
         jet_order = g.order
         if not jet.is_zero():
             for dir_ in new_totals:
-                jet, extra = jet._divide_out(_form(L.space.dim, *L.space._key_form(dir_)))
+                jet, extra = jet._divide_out(L.space._key_form(dir_))
                 new_totals[dir_] += extra
                 jet_order -= extra
         if jet_order < s.u.order():
@@ -239,18 +241,18 @@ def lf_diff_action(v, L: LaurentFunctional) -> LaurentFunctional:
     """The transpose of differentiation along v: the result satisfies
     result(phi) = L(d_v phi)."""
     v = [GQ.of(x) for x in v]
-    space, vp = L.space, _over_lcm(v)
+    space, vp = L.space, L.space._vector(v)
     dv = DiffOp.directional(space.dim, v)
     summands = []
     for s in L.summands:
-        totals, scalar, sp = s._totals, s._scalar, _over_lcm(s.support)
+        totals, scalar, sp = s._totals, s._scalar, space._vector(s.support)
         # the quotient rule over one power of every canonical form, in the z
         # variable; leibniz_flatten is linear in its multiplier, so Q is
         # flattened once
         P, Q = quotient_rule(
             space.dim,
             [
-                (_affine(space.dim, *space._key_form(d, space._key_inner(d, *sp))), k * space._key_inner(d, *vp))
+                (space._key_form(d, space._key_inner(d, *sp)), k * space._key_inner(d, *vp))
                 for d, k in totals.items()
             ],
         )
@@ -370,7 +372,7 @@ def laurent_operator_apply(
         # multiply by the regularizing product: leftover canonical forms
         q = Polynomial.const(total, scalar)
         for dir_, rest in leftover.items():
-            q = q * _affine(total, *st._key_form((0,) * ns + dir_)) ** rest
+            q = q * st._key_form((0,) * ns + dir_) ** rest
         expr = RationalFn(st, g.numerator * q, den).cancel()
         # apply the operator in the transverse coordinates
         acc = None

@@ -33,6 +33,13 @@ class ArityError(ValueError):
     """Raised when operands live in spaces of different dimension."""
 
 
+def _sized(v, dim):
+    """v, after checking that it is a vector of length dim."""
+    if len(v) != dim:
+        raise ArityError(f"a vector of length {len(v)} in a space of dimension {dim}")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # ambient space: dimension plus rational inner product
 # ---------------------------------------------------------------------------
@@ -73,14 +80,19 @@ class Space:
             self._ip = [[Fraction(x, self._e) for x in row] for row in self._g]
         return self._ip
 
+    def _vector(self, v):
+        """A point or direction of the space as int pairs over one
+        denominator (see ``_over_lcm``), after checking its length."""
+        return _over_lcm(_sized(v, self.dim))
+
     def subspace(self, basis) -> "Space":
         """span(basis) in the coordinates of the basis, with the inherited
         inner product."""
-        basis = [_over_lcm(b) for b in basis]
+        basis = [self._vector(b) for b in basis]
         return Space(len(basis), [[self._inner(*u, *v) for v in basis] for u in basis])
 
     def inner(self, u, v) -> GQ:
-        return self._inner(*_over_lcm(u), *_over_lcm(v))
+        return self._inner(*self._vector(u), *self._vector(v))
 
     def _inner(self, u, du, v, dv) -> GQ:
         """<u, v> for vectors held as int pairs over du and dv."""
@@ -97,12 +109,12 @@ class Space:
 
     def form_coeffs(self, alpha):
         """Coefficients of the linear form z -> <alpha, z>."""
-        pairs, _, d = self._linear(*_over_lcm(alpha))
+        pairs, _, d = self._linear(*self._vector(alpha))
         return [_mk(a, b, d) for a, b in pairs]
 
     def linear_form(self, alpha, offset=GQ(0)) -> "Polynomial":
         """The polynomial z -> <alpha, z> - offset."""
-        return _affine(self.dim, *self._linear(*_over_lcm(alpha), offset))
+        return _affine(self.dim, *self._linear(*self._vector(alpha), offset))
 
     def _linear(self, alpha, d, offset=ZERO):
         """z -> <alpha, z> - offset for alpha held as int pairs over d, as
@@ -116,10 +128,9 @@ class Space:
             im[j] += g * b * od
         return list(zip(re, im)), (-oa * d, -ob * d), d * od
 
-    def _key_form(self, key, offset=ZERO):
-        """z -> <key, z> - offset for an int vector key, as the int parts
-        (pairs, const, d) that ``_affine`` and ``_form`` take."""
-        return self._linear([(x, 0) for x in key], 1, offset)
+    def _key_form(self, key, offset=ZERO) -> "Polynomial":
+        """The polynomial z -> <key, z> - offset for an int vector key."""
+        return _affine(self.dim, *self._linear([(x, 0) for x in key], 1, offset))
 
     def orth_complement(self, vectors):
         """Basis of the orthogonal complement of span(vectors)."""
@@ -467,8 +478,8 @@ class Polynomial:
         """p(z + a) as a polynomial in z, by the binomial expansion of
         (z_i + a_i)^e one variable at a time."""
         t, d = self._t, self._d
-        for i in range(self.dim):
-            xa, xb, xd = _parts(a[i])
+        for i, x in enumerate(_sized(a, self.dim)):
+            xa, xb, xd = _parts(x)
             m = max((idx[i] for idx in t), default=0)
             if not m or not (xa or xb):
                 continue
@@ -516,11 +527,11 @@ class Polynomial:
         """(quotient, count): divide by the form sum(coeffs[i]*z_i) + const
         as often as it divides exactly, at most ``most`` times.  The zero
         polynomial divides any number of times, so it needs a bound."""
-        pairs, d = _over_lcm([*coeffs, const])
-        return self._divide_out(_form(self.dim, pairs[:-1], pairs[-1], d), most)
+        return self._divide_out(Polynomial.linear(self.dim, coeffs, const), most)
 
-    def _divide_out(self, form, most=None):
-        """``divide_out`` by a form prepared by ``_form``."""
+    def _divide_out(self, ell, most=None):
+        """``divide_out`` by the linear polynomial ell."""
+        form = _form(ell)
         if most is None and self.is_zero():
             raise ValueError("the zero polynomial has no largest power of a linear factor")
         q, count = self, 0
@@ -549,9 +560,9 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _form(dim, pairs, const, d):
-    """The form l = sum(C_j*z_j) + E over D, given as the int pairs C_j and E
-    and the int D, prepared for division.
+def _form(ell):
+    """The linear polynomial l = (sum(C_j*z_j) + E)/D, its int terms the
+    pairs C_j and E over D, prepared for division.
 
     With k the first j where C_k != 0 and N = |C_k|^2,
     l = (C_k/D) (z_k + M/N), where M = (sum_(j != k) C_j z_j + E) conj(C_k)
@@ -559,22 +570,20 @@ def _form(dim, pairs, const, d):
     z_j = j + 2 for j != k and the z_k on which l vanishes.  Returns k, the
     int terms of M, N, the real and imaginary numerators over N of z_k at
     the filter point, and the pair D conj(C_k)."""
-    k = next((j for j, (a, b) in enumerate(pairs) if a or b), None)
-    if k is None:
+    t = ell._t
+    lead = max(t, default=None)  # z_k sorts above the later variables and the constant
+    if lead is None or not any(lead):
         raise ValueError("not a linear form")
-    ca, cb = pairs[k]
+    k = lead.index(1)
+    ca, cb = t[lead]
     m, ra, rb = {}, 0, 0
-    for j, (a, b) in enumerate([*pairs, const]):
-        if j != k and (a or b):
-            idx = [0] * dim
-            x = 1  # the monomial's value at the filter point
-            if j < len(pairs):
-                idx[j] = 1
-                x = j + 2
+    for idx, (a, b) in t.items():
+        if idx != lead:
+            x = idx.index(1) + 2 if any(idx) else 1  # the monomial's value at the filter point
             a, b = a * ca + b * cb, b * ca - a * cb
-            m[tuple(idx)] = (a, b)
+            m[idx] = (a, b)
             ra, rb = ra - a * x, rb - b * x
-    return k, m, ca * ca + cb * cb, ra, rb, (d * ca, -d * cb)
+    return k, m, ca * ca + cb * cb, ra, rb, (ell._d * ca, -ell._d * cb)
 
 
 def _divide(p, form):
@@ -782,10 +791,10 @@ def pi_product(space: Space, X, a, d) -> Polynomial:
 
     ``d`` is a list of naturals parallel to X.
     """
-    p, ap = Polynomial.const(space.dim, GQ(1)), _over_lcm(a)
+    p, ap = Polynomial.const(space.dim, GQ(1)), space._vector(a)
     for xi, k in zip(X, d):
         if k:
-            xp = _over_lcm(xi)
+            xp = space._vector(xi)
             p = p * _affine(space.dim, *space._linear(*xp, space._inner(*xp, *ap))) ** k
     return p
 

@@ -35,7 +35,7 @@ from math import gcd
 from operator import le, mul, sub
 
 from . import linalg
-from .poly import Space
+from .poly import Space, _sized
 from .scalars import GQ, _fractions, _mk, _over_lcm, _real_over_lcm
 
 
@@ -86,11 +86,11 @@ class WeylElement:
         return [sum(map(mul, row, iv)) for row in self._rows()]
 
     def act(self, v):
-        iv, e = _real_over_lcm(v)
+        iv, e = _real_over_lcm(_sized(v, self.dim))
         return _fractions(self._apply(iv), self._d * e)
 
     def act_gq(self, v):
-        pairs, e = _over_lcm(v)
+        pairs, e = _over_lcm(_sized(v, self.dim))
         re, im = _re_im(pairs)
         d = self._d * e
         return tuple(_mk(a, b, d) for a, b in zip(self._apply(re), self._apply(im)))
@@ -191,9 +191,9 @@ class RootSystem:
 
     def _reflect(self, a) -> WeylElement:
         # z -> z - 2 <alpha, z> alpha / <alpha, alpha> for alpha a multiple of
-        # the int vector a, with the form <a, .> scaled to ints b, so
-        # <alpha, alpha> ~ a . b
-        b = [x for x, _ in self.space._key_form(a)[0]]
+        # the int vector a, with the form <a, .> scaled to the ints b = G a
+        # of the int Gram matrix G, so <alpha, alpha> ~ a . b
+        b = [sum(map(mul, row, a)) for row in self.space._g]
         n2 = sum(map(mul, a, b))
         if n2 == 0:
             raise ValueError("cannot reflect in an isotropic vector")
@@ -342,11 +342,11 @@ class ParabolicData:
                 )
         self.delta_Q = [rs.simple[i] for i in self.indices]
         # the wall, the kernel of the forms <alpha, .> for alpha in Delta_Q, as
-        # int vectors over d; the forms <., b> for them, as ints over _den
+        # int vectors over d; the forms <., b> for them, as the ints G b over _den
         basis, (d, _) = linalg._kernel([rs.space._linear(*_over_lcm(a))[0] for a in self.delta_Q], rs.dim)
         self._basis = [[x for x, _ in v] for v in basis]
         self.basis = [_fractions(v, d) for v in self._basis]
-        self._forms = [[x for x, _ in rs.space._key_form(b)[0]] for b in self._basis]
+        self._forms = [[sum(map(mul, row, b)) for row in rs.space._g] for b in self._basis]
         self._den = rs.space._e * d
         self.delta_rest_indices = [
             i for i in range(len(rs.simple)) if i not in self.indices
@@ -362,12 +362,12 @@ class ParabolicData:
 
     def restrict(self, v):
         """The functional on the wall: values on the wall basis."""
-        iv, e = _real_over_lcm(v)
+        iv, e = _real_over_lcm(_sized(v, self.rs.dim))
         return _fractions(self._restrict(iv), e * self._den)
 
     def restrict_gq(self, v):
         """``restrict`` for a vector of GQs."""
-        pairs, e = _over_lcm(v)
+        pairs, e = self.rs.space._vector(v)
         re, im = _re_im(pairs)
         d = e * self._den
         return tuple(_mk(sum(map(mul, re, f)), sum(map(mul, im, f)), d) for f in self._forms)

@@ -495,3 +495,51 @@ def test_internal_error_exit_3(exc, capsys, monkeypatch):
     code, out = _run(["rootsys", "weyl", "--system", "A2"], capsys)
     assert code == 3
     assert json.loads(out) == {"error": "internal", "detail": f"{type(exc).__name__}: {exc}"}
+
+
+_EVALUATION = ["laurent", "evaluation", "--space", CORPUS + "space_plane.json", "--point"]
+_GENERIC = ["rootsys", "generic", "--system", "A2", "--deltaP", "0"]
+_FLATTEN = ["poly", "flatten", "--poly", CORPUS + "poly_a.json", "--diffop", CORPUS + "diffop.json", "--point"]
+_BALL = ["config", "ball-product", "--config", CORPUS + "config.json", "--radius2", "1", "--center"]
+
+
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        pytest.param(_EVALUATION + ["0"], 1, id="evaluation-point-1"),
+        pytest.param(_EVALUATION + ["0,0,7"], 3, id="evaluation-point-3"),
+        pytest.param(_EVALUATION + ["0,0", "--x", "1", "--d", "1"], 1, id="evaluation-x-1"),
+        pytest.param(_EVALUATION + ["0,0", "--x", "1,0,0", "--d", "1"], 3, id="evaluation-x-3"),
+        pytest.param(_EVALUATION + ["0,0", "--x", "1,0,0", "--d", "0"], 3, id="evaluation-x-3-d-0"),
+        pytest.param(
+            ["laurent", "diff-action", "--functional", CORPUS + "functional_plane.json", "--vector", "1"], 1,
+            id="diff-action-vector-1",
+        ),
+        pytest.param(
+            ["laurent", "diff-action", "--functional", CORPUS + "functional_residue.json", "--vector", "1,2,3"], 3,
+            id="diff-action-vector-3",
+        ),
+        pytest.param(["germ", "diff", "--germ", CORPUS + "germ_axes.json", "--vector", "1"], 1, id="germ-diff-vector-1"),
+        pytest.param(["germ", "diff", "--germ", CORPUS + "germ_axes.json", "--vector", "1,2,3"], 3, id="germ-diff-vector-3"),
+        pytest.param(["germ", "localize", "--fn", CORPUS + "fn_plane.json", "--point", "1"], 1, id="localize-point-1"),
+        pytest.param(["germ", "localize", "--fn", CORPUS + "fn_plane.json", "--point", "1,2,3"], 3, id="localize-point-3"),
+        pytest.param(_FLATTEN + ["0"], 1, id="flatten-point-1"),
+        pytest.param(_FLATTEN + ["0,0,5"], 3, id="flatten-point-3"),
+        pytest.param(_BALL + ["0"], 1, id="ball-product-center-1"),
+        pytest.param(_BALL + ["0,0,0"], 3, id="ball-product-center-3"),
+        pytest.param(_GENERIC + ["--deltaQ", "1", "--lam", "1"], 1, id="generic-lam-1"),
+        pytest.param(_GENERIC + ["--deltaQ", "1", "--lam", "1,2,3"], 3, id="generic-lam-3"),
+        pytest.param(_GENERIC + ["--lam", "1,2", "--weights", "1"], 1, id="generic-weights-1"),
+        pytest.param(_GENERIC + ["--lam", "1,2", "--weights", "1,2,3"], 3, id="generic-weights-3"),
+    ],
+)
+def test_vector_of_the_wrong_length_exit_2(argv, n, capsys, monkeypatch):
+    # a point, direction, root or weight whose length is not the dimension
+    # is a precondition failure: never an IndexError (exit 3), never cut to
+    # length
+    monkeypatch.chdir(ROOT)
+    code, out = _run(argv, capsys)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "precondition"
+    assert doc["detail"].startswith(f"a vector of length {n} in ")

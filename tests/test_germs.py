@@ -23,6 +23,7 @@ from laurcalc import (
     rationalfn_restrict,
     subspace_from,
 )
+from laurcalc import germs
 
 from _support import (
     germ_at_by_iteration,
@@ -193,6 +194,17 @@ def test_germ_at_matches_iterative_inversion(case):
     f, a, order = case
     got, want = rationalfn_germ_at(f, a, order), germ_at_by_iteration(f, a, order)
     assert (got.pole, got.jet, got.order) == (want.pole, want.jet, want.order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 4])
+def test_inverse_power_builds_only_the_powers_it_uses(order, monkeypatch):
+    # (c0 + l0)^(-k) to degree ``order`` reads l0^0 .. l0^order, which take
+    # ``order`` products
+    calls = []
+    mul = germs._mul_terms
+    monkeypatch.setattr(germs, "_mul_terms", lambda *a: calls.append(a) or mul(*a))
+    germs._inverse_power(Space(2)._key_form((1, 2)), GQ(3, 1), 2, order)
+    assert len(calls) == order
 
 
 def test_pole_keys_are_int_tuples_equal_to_fraction_tuples():

@@ -1,9 +1,11 @@
 """Polynomials, differential operators, jets, the Leibniz transfer and
 its cocycle property."""
 
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -152,6 +154,24 @@ def test_space_accepts_exactly_the_positive_definite():
 def test_arity_mismatch():
     with pytest.raises(ArityError):
         Polynomial.variable(2, 0) + Polynomial.variable(3, 0)
+
+
+@pytest.mark.parametrize("v", [[1], [1, 2, 3]])
+def test_vector_of_another_length_is_refused(v):
+    # never cut to length or padded with zeros
+    sp = Space(2)
+    calls = [
+        lambda: sp.inner(v, [1, 1]),
+        lambda: sp.inner([1, 1], v),
+        lambda: sp.form_coeffs(v),
+        lambda: sp.linear_form(v),
+        lambda: sp.subspace([v]),
+        lambda: Polynomial.variable(2, 0).shift(v),
+        lambda: pi_product(sp, [], v, []),
+    ]
+    for call in calls:
+        with pytest.raises(ArityError, match=f"a vector of length {len(v)} in a space of dimension 2"):
+            call()
 
 
 def test_diffop_apply_composition():
@@ -475,8 +495,8 @@ def _division_case(draw):
 
 
 @settings(max_examples=50, deadline=None)
-@given(_division_case())
-def test_filter_never_refuses_a_divisor(case):
+@given(_division_case(), _gq.filter(lambda c: not c.is_zero()))
+def test_filter_never_refuses_a_divisor(case, c):
     dim, coeffs, const, s, k = case
     s = _ref_clean(s)
     assume(s and not _ref_divides(coeffs, const, s))
@@ -486,6 +506,44 @@ def test_filter_never_refuses_a_divisor(case):
     if k:
         assert (ell**k * q).divide_by_linear(coeffs, const) == ell ** (k - 1) * q
     assert q.divide_by_linear(coeffs, const) is None
+    # the division by c * ell, whatever the scale c of the form
+    scaled = [c * x for x in coeffs]
+    assert (ell**k * q).divide_out(scaled, c * const) == (q * (1 / c) ** k, k)
+    if k:
+        assert (ell**k * q).divide_by_linear(scaled, c * const) == ell ** (k - 1) * q * (1 / c)
+    assert q.divide_by_linear(scaled, c * const) is None
+
+
+@st.composite
+def _key_form_case(draw):
+    """A space with the positive definite Gram matrix A A^T + 1 for a drawn
+    A, an int vector key and an offset."""
+    dim = draw(st.integers(1, 3))
+    a = draw(st.lists(st.lists(_small, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
+    gram = [[sum(x * y for x, y in zip(a[i], a[j])) + (i == j) for j in range(dim)] for i in range(dim)]
+    key = draw(st.lists(st.integers(-5, 5), min_size=dim, max_size=dim))
+    return Space(dim, gram), key, draw(_gq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_key_form_case())
+def test_key_form_is_the_linear_form(case):
+    space, key, offset = case
+    assert space._key_form(key, offset) == space.linear_form(key, offset)
+    assert space._key_form(key) == space.linear_form(key)
+
+
+def test_only_poly_builds_forms_from_int_parts():
+    # poly owns the int parts of a linear form: no other module imports or
+    # reads _affine or _form
+    src = Path(poly.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            names += [node.attr] if isinstance(node, ast.Attribute) else []
+            assert not {"_affine", "_form"} & set(names), f"{path.name}:{node.lineno}"
 
 
 def _filter_point(coeffs, const):

@@ -13,6 +13,7 @@ from laurcalc import linalg, rootsys
 from laurcalc import (
     GQ,
     BUILTIN_NAMES,
+    ArityError,
     Lattice,
     ParabolicData,
     RootSystem,
@@ -33,6 +34,16 @@ from laurcalc import (
 rng = random.Random(59)
 
 ORDERS = {"A1": 2, "A1xA1": 4, "A2": 6, "B2": 8, "G2": 12, "A3": 24}
+
+
+@pytest.mark.parametrize("v", [[1], [1, 2, 3]])
+def test_weyl_action_and_restriction_refuse_a_vector_of_another_length(v):
+    rs = builtin_system("A2")
+    w = rs.reflection(rs.simple[0])
+    P = ParabolicData(rs, [0])
+    for call in (w.act, w.act_gq, P.restrict, P.restrict_gq):
+        with pytest.raises(ArityError, match=f"a vector of length {len(v)} in a space of dimension 2"):
+            call(v)
 
 
 def test_builtin_orders():
