@@ -6,8 +6,10 @@ internal error (any other exception, a bug in laurcalc).  Output is
 deterministic: identical inputs give byte-identical output.
 
 The verbs, their options and their ops are data: ``_OPTIONS`` says what
-each option holds, ``_OPS`` maps (verb, op) to a handler, and the argparse
-tree is built from them once per process, on the first ``run``.
+each option holds, ``_VERBS`` maps a verb to the builder of its op table,
+and the argparse tree is built from them once per process, on the first
+``run``.  A verb's builder imports the verb's layer on its first run, so a
+process loads only the layers of the verbs it runs.
 """
 
 from __future__ import annotations
@@ -19,21 +21,9 @@ import sys
 from fractions import Fraction
 
 from . import io as lio
-from .config import Hyperplane, hyperplanes_through, induced_config, pi_omega_d, subspace_from
-from .germs import RationalFn, germ_add, germ_diff, germ_mul, germ_normalize, rationalfn_germ_at, rationalfn_restrict
 from .io import ParseFailure
-from .laurent import (
-    LaurentOrderError, laurent_operator_apply, lf_annihilator_witness, lf_apply, lf_apply_rational,
-    lf_diagonal_apply, lf_diff_action, lf_from_evaluation, lf_mul_action, lf_pushforward, lf_residue,
-    transverse_space,
-)
 from .poly import ArityError, DiffOp, Polynomial, Space, j_map, leibniz_flatten
-from .rootsys import (
-    ParabolicData, builtin_system, class_lub, equiv_PQ, exponent_classify, generic_witness, min_coset_reps,
-    preceq_delta, wq_subgroup,
-)
 from .scalars import GQ, gq_from_string, gq_to_string
-from .series import ExpPolySeries, series_diffop, series_exponents, series_mul, series_restrict, series_split
 
 
 class _Options:
@@ -96,109 +86,186 @@ def _gq_strings(v):
     return [gq_to_string(x) for x in v]
 
 
-# -- op handlers -------------------------------------------------------------
+# -- the verbs -------------------------------------------------------------
 #
-# A handler takes the options and what its verb's prologue read (the
-# configuration or the root system, else None) and returns the JSON object
-# to print.  An option is read when the handler asks for it, so input errors
-# are reported in the order of the command's options; where a call takes its
+# A verb's builder imports its layer and returns its op table and prologue:
+# what the verb reads before its op is looked up (the configuration or the
+# root system), so that an error in it comes before an unknown-op error.  A
+# handler takes the options and what the prologue read and returns the JSON
+# object to print.  An option is read when the handler asks for it, so input
+# errors come in the order of the command's options; where a call takes its
 # inputs in another order, the handler passes them by keyword.
 
 
-def _config_subspace(o, cfg):
-    idx, hs = o.hyperplanes, cfg.hyperplanes
-    for i in idx:
-        if not 0 <= i < len(hs):
-            raise ValueError(f"hyperplane index {i} out of range: the configuration has {len(hs)} hyperplanes")
-    return subspace_from(cfg.space, [hs[i] for i in idx])
-
-
-def _germ_restrict(o, _):
-    f = o.fn
-    return lio.rationalfn_to_json(rationalfn_restrict(f, lio.subspace_from_json(f.space, o.subspace)))
-
-
-def _laurent_pushforward(o, _):
-    L0, data = o.functional, o.matrix
-    mat = lio.rows(data, "matrix")
-    return lio.functional_to_json(lf_pushforward(mat, L0, lio.space_from_json(lio.field(data, "space"))))
-
-
-def _laurent_operator(o, _):
-    L, f = o.functional, o.fn
-    return lio.rationalfn_to_json(laurent_operator_apply(L, f, lio.subspace_from_json(f.space, o.subspace)))
-
-
-def _laurent_diagonal(o, _):
-    L, f, data = o.functional, o.fn, o.subspace
-    Lsub = lio.subspace_from_json(lio.space_from_json(lio.field(data, "space")), data)
-    return lio.rationalfn_to_json(lf_diagonal_apply(L, f, Lsub))
-
-
-def _laurent_witness(o, _):
-    w = lf_annihilator_witness(o.germ)
-    return {"holomorphic": True} if w == "holomorphic" else lio.functional_to_json(w)
-
-
-def _rootsys_weyl(o, rs):
-    W = rs.weyl_group()
-    lengths = {}
-    for w in W:
-        lengths[w.length] = lengths.get(w.length, 0) + 1
-    return {"order": len(W), "by_length": {str(k): v for k, v in sorted(lengths.items())}}
-
-
-def _rootsys_cosets(o, rs):
-    Q = ParabolicData(rs, o.deltaQ)
-    reps = min_coset_reps(rs, Q)
-    sub = wq_subgroup(rs, Q)
-    return {"W^Q": len(reps), "W_Q": len(sub), "W": len(rs.weyl_group()), "lengths": sorted(w.length for w in reps)}
-
-
-def _parabolics(o, rs):
-    return ParabolicData(rs, o.deltaP), ParabolicData(rs, o.deltaQ)
-
-
-def _rootsys_equiv(o, rs):
-    classes = equiv_PQ(rs, *_parabolics(o, rs))
-    return {"classes": len(classes), "sizes": sorted(len(c) for c in classes)}
-
-
-def _rootsys_generic(o, rs):
-    w = generic_witness(rs, *_parabolics(o, rs), o.weights, o.lam)
-    if w is None:
-        return {"generic": True}
-    s1, s2, cert = w
+def _poly():
     return {
-        "generic": False,
-        "pair": [[[str(x) for x in row] for row in s.matrix] for s in (s1, s2)],
-        "certificate": {"sigma1": cert[0], "sigma2": cert[1], "lattice": [str(c) for c in cert[2]]},
-    }
+        "eval": lambda o, _: {"value": gq_to_string(o.poly.eval(o.point))},
+        "mul": lambda o, _: lio.poly_to_json(o.a * o.b),
+        "deriv": lambda o, _: lio.poly_to_json(o.poly.deriv(o.index)),
+        "flatten": lambda o, _: lio.diffop_to_json(leibniz_flatten(o.diffop, o.poly, o.point)),
+    }, None
 
 
-def _rootsys_classify(o, rs):
-    kind, payload, _classes = exponent_classify(rs, *_parabolics(o, rs), o.weights, o.lam, o.xi)
-    return {"result": kind, "classes": payload if kind == "ambiguous" else [payload]}
+def _config():
+    from .config import hyperplanes_through, induced_config, pi_omega_d, subspace_from
+
+    def subspace(o, cfg):
+        idx, hs = o.hyperplanes, cfg.hyperplanes
+        for i in idx:
+            if not 0 <= i < len(hs):
+                raise ValueError(f"hyperplane index {i} out of range: the configuration has {len(hs)} hyperplanes")
+        return subspace_from(cfg.space, [hs[i] for i in idx])
+
+    return {
+        "ball-product": lambda o, cfg: lio.poly_to_json(pi_omega_d(cfg, o.center, o.radius2)),
+        "induced": lambda o, cfg: lio.config_to_json(induced_config(cfg, subspace(o, cfg))),
+        "through": lambda o, cfg: {
+            "hyperplanes": [lio.hyperplane_to_json(h) for h in hyperplanes_through(cfg, subspace(o, cfg))]
+        },
+    }, lambda o: o.config
 
 
-def _series_exponents(o, _):
-    exps, leading = series_exponents(o.series)
-    return {"exponents": [_gq_strings(e) for e in exps], "leading": [_gq_strings(e) for e in leading]}
+def _germ():
+    from .germs import germ_add, germ_diff, germ_mul, germ_normalize, rationalfn_germ_at, rationalfn_restrict
+
+    def restrict(o, _):
+        f = o.fn
+        return lio.rationalfn_to_json(rationalfn_restrict(f, lio.subspace_from_json(f.space, o.subspace)))
+
+    return {
+        "normalize": lambda o, _: lio.germ_to_json(germ_normalize(o.germ)),
+        "mul": lambda o, _: lio.germ_to_json(germ_mul(o.a, o.b)),
+        "add": lambda o, _: lio.germ_to_json(germ_add(o.a, o.b)),
+        "diff": lambda o, _: lio.germ_to_json(germ_diff(g=o.germ, v=o.vector)),
+        "localize": lambda o, _: lio.germ_to_json(rationalfn_germ_at(o.fn, o.point, o.order)),
+        "restrict": restrict,
+    }, None
 
 
-def _series_restrict(o, _):
-    R = series_restrict(o.series, o.wall)
-    groups = []
-    for eta in R.outer_exponents():
-        inner = [
-            {
-                "exponent": _gq_strings(R.inner_exponent(xi)),
-                "coeff_poly": [lio.poly_to_json(p) for p in R.shifted_coeff(xi)],
-            }
-            for xi in R.groups[eta]
-        ]
-        groups.append({"outer": _gq_strings(eta), "inner": inner})
-    return {"groups": groups}
+def _laurent():
+    from .laurent import (
+        laurent_operator_apply, lf_annihilator_witness, lf_apply, lf_apply_rational, lf_diagonal_apply,
+        lf_diff_action, lf_from_evaluation, lf_mul_action, lf_pushforward,
+    )
+
+    def pushforward(o, _):
+        L0, data = o.functional, o.matrix
+        mat = lio.rows(data, "matrix")
+        return lio.functional_to_json(lf_pushforward(mat, L0, lio.space_from_json(lio.field(data, "space"))))
+
+    def operator(o, _):
+        L, f = o.functional, o.fn
+        return lio.rationalfn_to_json(laurent_operator_apply(L, f, lio.subspace_from_json(f.space, o.subspace)))
+
+    def diagonal(o, _):
+        L, f, data = o.functional, o.fn, o.subspace
+        Lsub = lio.subspace_from_json(lio.space_from_json(lio.field(data, "space")), data)
+        return lio.rationalfn_to_json(lf_diagonal_apply(L, f, Lsub))
+
+    def witness(o, _):
+        w = lf_annihilator_witness(o.germ)
+        return {"holomorphic": True} if w == "holomorphic" else lio.functional_to_json(w)
+
+    return {
+        "apply": lambda o, _: {"value": gq_to_string(lf_apply(o.functional, o.germ))},
+        "apply-fn": lambda o, _: {"value": gq_to_string(lf_apply_rational(o.functional, o.fn))},
+        "evaluation": lambda o, _: lio.functional_to_json(
+            lf_from_evaluation(space=o.space, X=o.x, d_max=o.d, a=o.point)
+        ),
+        "pushforward": pushforward,
+        "mul-action": lambda o, _: lio.functional_to_json(lf_mul_action(L=o.functional, psi=o.fn)),
+        "diff-action": lambda o, _: lio.functional_to_json(lf_diff_action(L=o.functional, v=o.vector)),
+        "operator": operator,
+        "diagonal": diagonal,
+        "witness": witness,
+    }, None
+
+
+def _rootsys():
+    from .rootsys import (
+        ParabolicData, builtin_system, class_lub, equiv_PQ, exponent_classify, generic_witness, min_coset_reps,
+        preceq_delta, wq_subgroup,
+    )
+
+    def weyl(o, rs):
+        W = rs.weyl_group()
+        lengths = {}
+        for w in W:
+            lengths[w.length] = lengths.get(w.length, 0) + 1
+        return {"order": len(W), "by_length": {str(k): v for k, v in sorted(lengths.items())}}
+
+    def cosets(o, rs):
+        Q = ParabolicData(rs, o.deltaQ)
+        reps = min_coset_reps(rs, Q)
+        sub = wq_subgroup(rs, Q)
+        return {"W^Q": len(reps), "W_Q": len(sub), "W": len(rs.weyl_group()), "lengths": sorted(w.length for w in reps)}
+
+    def parabolics(o, rs):
+        return ParabolicData(rs, o.deltaP), ParabolicData(rs, o.deltaQ)
+
+    def equiv(o, rs):
+        classes = equiv_PQ(rs, *parabolics(o, rs))
+        return {"classes": len(classes), "sizes": sorted(len(c) for c in classes)}
+
+    def generic(o, rs):
+        w = generic_witness(rs, *parabolics(o, rs), o.weights, o.lam)
+        if w is None:
+            return {"generic": True}
+        s1, s2, cert = w
+        return {
+            "generic": False,
+            "pair": [[[str(x) for x in row] for row in s.matrix] for s in (s1, s2)],
+            "certificate": {"sigma1": cert[0], "sigma2": cert[1], "lattice": [str(c) for c in cert[2]]},
+        }
+
+    def classify(o, rs):
+        kind, payload, _classes = exponent_classify(rs, *parabolics(o, rs), o.weights, o.lam, o.xi)
+        return {"result": kind, "classes": payload if kind == "ambiguous" else [payload]}
+
+    def system(o):
+        return lio.rootsystem_from_json(_load(o.system_file)) if o.system_file else builtin_system(o.system)
+
+    return {
+        "weyl": weyl,
+        "cosets": cosets,
+        "equiv": equiv,
+        "generic": generic,
+        "classify": classify,
+        "preceq": lambda o, _: {"preceq": preceq_delta(o.delta, o.a, o.b)},
+        "lub": lambda o, _: {"lub": _gq_strings(class_lub(o.delta, o.omega))},
+    }, system
+
+
+def _series():
+    from .series import series_diffop, series_exponents, series_mul, series_restrict, series_split
+
+    def exponents(o, _):
+        exps, leading = series_exponents(o.series)
+        return {"exponents": [_gq_strings(e) for e in exps], "leading": [_gq_strings(e) for e in leading]}
+
+    def restrict(o, _):
+        R = series_restrict(o.series, o.wall)
+        groups = []
+        for eta in R.outer_exponents():
+            inner = [
+                {
+                    "exponent": _gq_strings(R.inner_exponent(xi)),
+                    "coeff_poly": [lio.poly_to_json(p) for p in R.shifted_coeff(xi)],
+                }
+                for xi in R.groups[eta]
+            ]
+            groups.append({"outer": _gq_strings(eta), "inner": inner})
+        return {"groups": groups}
+
+    return {
+        "exponents": exponents,
+        "diff": lambda o, _: lio.series_to_json(series_diffop(F=o.series, u=o.diffop)),
+        "mul": lambda o, _: lio.series_to_json(series_mul(o.a, o.b)),
+        "split": lambda o, _: {
+            ",".join(_gq_strings(s)): lio.series_to_json(v) for s, v in series_split(o.series, o.leaders).items()
+        },
+        "restrict": restrict,
+    }, None
 
 
 # -- verify ----------------------------------------------------------------
@@ -207,6 +274,12 @@ def _series_restrict(o, _):
 def _verify_checks():
     """Small deterministic self-checks, one per module cluster."""
     import random
+
+    from .config import Hyperplane, subspace_from
+    from .germs import RationalFn
+    from .laurent import laurent_operator_apply, lf_apply_rational, lf_residue, transverse_space
+    from .rootsys import builtin_system
+    from .series import ExpPolySeries, series_diffop
 
     rng = random.Random(20240)
 
@@ -294,56 +367,18 @@ def _verify(o, _):
 
 # -- the tables ------------------------------------------------------------
 
-_OPS = {
-    ("poly", "eval"): lambda o, _: {"value": gq_to_string(o.poly.eval(o.point))},
-    ("poly", "mul"): lambda o, _: lio.poly_to_json(o.a * o.b),
-    ("poly", "deriv"): lambda o, _: lio.poly_to_json(o.poly.deriv(o.index)),
-    ("poly", "flatten"): lambda o, _: lio.diffop_to_json(leibniz_flatten(o.diffop, o.poly, o.point)),
-    ("config", "ball-product"): lambda o, cfg: lio.poly_to_json(pi_omega_d(cfg, o.center, o.radius2)),
-    ("config", "induced"): lambda o, cfg: lio.config_to_json(induced_config(cfg, _config_subspace(o, cfg))),
-    ("config", "through"): lambda o, cfg: {
-        "hyperplanes": [lio.hyperplane_to_json(h) for h in hyperplanes_through(cfg, _config_subspace(o, cfg))]
-    },
-    ("germ", "normalize"): lambda o, _: lio.germ_to_json(germ_normalize(o.germ)),
-    ("germ", "mul"): lambda o, _: lio.germ_to_json(germ_mul(o.a, o.b)),
-    ("germ", "add"): lambda o, _: lio.germ_to_json(germ_add(o.a, o.b)),
-    ("germ", "diff"): lambda o, _: lio.germ_to_json(germ_diff(g=o.germ, v=o.vector)),
-    ("germ", "localize"): lambda o, _: lio.germ_to_json(rationalfn_germ_at(o.fn, o.point, o.order)),
-    ("germ", "restrict"): _germ_restrict,
-    ("laurent", "apply"): lambda o, _: {"value": gq_to_string(lf_apply(o.functional, o.germ))},
-    ("laurent", "apply-fn"): lambda o, _: {"value": gq_to_string(lf_apply_rational(o.functional, o.fn))},
-    ("laurent", "evaluation"): lambda o, _: lio.functional_to_json(
-        lf_from_evaluation(space=o.space, X=o.x, d_max=o.d, a=o.point)
-    ),
-    ("laurent", "pushforward"): _laurent_pushforward,
-    ("laurent", "mul-action"): lambda o, _: lio.functional_to_json(lf_mul_action(L=o.functional, psi=o.fn)),
-    ("laurent", "diff-action"): lambda o, _: lio.functional_to_json(lf_diff_action(L=o.functional, v=o.vector)),
-    ("laurent", "operator"): _laurent_operator,
-    ("laurent", "diagonal"): _laurent_diagonal,
-    ("laurent", "witness"): _laurent_witness,
-    ("rootsys", "weyl"): _rootsys_weyl,
-    ("rootsys", "cosets"): _rootsys_cosets,
-    ("rootsys", "equiv"): _rootsys_equiv,
-    ("rootsys", "generic"): _rootsys_generic,
-    ("rootsys", "classify"): _rootsys_classify,
-    ("rootsys", "preceq"): lambda o, _: {"preceq": preceq_delta(o.delta, o.a, o.b)},
-    ("rootsys", "lub"): lambda o, _: {"lub": _gq_strings(class_lub(o.delta, o.omega))},
-    ("series", "exponents"): _series_exponents,
-    ("series", "diff"): lambda o, _: lio.series_to_json(series_diffop(F=o.series, u=o.diffop)),
-    ("series", "mul"): lambda o, _: lio.series_to_json(series_mul(o.a, o.b)),
-    ("series", "split"): lambda o, _: {
-        ",".join(_gq_strings(s)): lio.series_to_json(v) for s, v in series_split(o.series, o.leaders).items()
-    },
-    ("series", "restrict"): _series_restrict,
-    ("verify", None): _verify,
+_VERBS = {
+    "poly": _poly, "config": _config, "germ": _germ, "laurent": _laurent, "rootsys": _rootsys, "series": _series,
+    "verify": lambda: ({None: _verify}, None),
 }
 
-# what a verb reads before its op is looked up, so that an error in it comes
-# before an unknown-op error
-_PROLOGUE = {
-    "config": lambda o: o.config,
-    "rootsys": lambda o: lio.rootsystem_from_json(_load(o.system_file)) if o.system_file else builtin_system(o.system),
-}
+
+@functools.cache
+def _verb(verb):
+    """The op table and the prologue of a verb, built on the verb's first
+    run in a process and shared by every later one."""
+    return _VERBS[verb]()
+
 
 _POLY, _DIFFOP, _GERM = _file(lio.poly_from_json), _file(lio.diffop_from_json), _file(lio.germ_from_json)
 _FN, _SERIES = _file(lio.rationalfn_from_json), _file(lio.series_from_json)
@@ -401,10 +436,10 @@ def run(argv) -> int:
     try:
         ns = _parser().parse_args(argv)
         args = _Options(ns, _OPTIONS[ns.verb])
-        prologue = _PROLOGUE.get(ns.verb)
+        ops, prologue = _verb(ns.verb)
         before = prologue(args) if prologue else None
         op = getattr(ns, "op", None)
-        handler = _OPS.get((ns.verb, op))
+        handler = ops.get(op)
         if handler is None:
             raise ParseFailure(f"unknown {ns.verb} op {op!r}")
         out = handler(args, before)
@@ -417,7 +452,7 @@ def run(argv) -> int:
     except ParseFailure as e:
         _emit({"error": "parse", "detail": str(e)})
         return 1
-    except (LaurentOrderError, ArityError, ValueError, ZeroDivisionError) as e:
+    except (ArityError, ValueError, ZeroDivisionError) as e:
         _emit({"error": "precondition", "detail": str(e)})
         return 2
     except Exception as e:

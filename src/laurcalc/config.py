@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .poly import Polynomial, Space
+from .poly import Polynomial, Space, _sized
 from .scalars import GQ, _fractions, _mk, _real_over_lcm, _triple
 
 
@@ -156,7 +156,7 @@ class XSubspace:
     def param_point(self, s):
         """Ambient point center + sum s_j * b_j."""
         out = list(self.center)
-        for c, b in zip(s, self.basis_VL):
+        for c, b in zip(_sized(s, len(self.basis_VL)), self.basis_VL):
             c = GQ.of(c)
             for i in range(self.space.dim):
                 out[i] = out[i] + c * b[i]
@@ -171,7 +171,7 @@ class XSubspace:
         return self.space.orth_complement(self.basis_VL)
 
     def contains(self, point) -> bool:
-        diff = [GQ.of(p) - c for p, c in zip(point, self.center)]
+        diff = [GQ.of(p) - c for p, c in zip(_sized(point, self.space.dim), self.center)]
         # point - center must be orthogonal to every normal direction
         return all(
             self.space.inner(n, diff).is_zero() for n in self.normal_basis()

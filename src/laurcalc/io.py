@@ -1,19 +1,15 @@
 """JSON serialization for every domain type, with decimal-free "p/q"
 rational strings.  All writers sort keys and term lists so that identical
-objects produce byte-identical output.
+objects produce byte-identical output.  A reader imports the module of
+its type when it is called, so reading one layer's types loads no other.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .config import Configuration, Hyperplane, XSubspace, subspace_from
-from .germs import Germ, RationalFn
-from .laurent import LaurentFunctional, LFSummand
 from .poly import DiffOp, Polynomial, Space
-from .rootsys import RootSystem, builtin_system
 from .scalars import GQ, _ratio_str, _triple, gq_from_string, gq_to_string
-from .series import ExpPolySeries
 
 
 class ParseFailure(Exception):
@@ -148,6 +144,7 @@ def hyperplane_to_json(h: Hyperplane) -> dict:
 
 
 def hyperplane_from_json(d) -> Hyperplane:
+    from .config import Hyperplane
     return Hyperplane.make(
         [frac_from_str(x) for x in _items(d, "normal")], _gq_from_json(field(d, "offset"))
     )
@@ -162,6 +159,7 @@ def config_to_json(cfg: Configuration) -> dict:
 
 
 def config_from_json(d) -> Configuration:
+    from .config import Configuration
     space = space_from_json(d)
     hyps = [
         (hyperplane_from_json(h), _int_field(h, "mult", 1))
@@ -171,6 +169,7 @@ def config_from_json(d) -> Configuration:
 
 
 def subspace_from_json(space: Space, d) -> XSubspace:
+    from .config import subspace_from
     hyps = [hyperplane_from_json(h) for h in _items(d, "hyperplanes")]
     return subspace_from(space, hyps)
 
@@ -191,6 +190,7 @@ def rationalfn_to_json(f: RationalFn) -> dict:
 
 
 def rationalfn_from_json(d) -> RationalFn:
+    from .germs import RationalFn
     space = space_from_json(field(d, "space"))
     num = poly_from_json(field(d, "numerator"))
     den = {}
@@ -214,6 +214,7 @@ def germ_to_json(g: Germ) -> dict:
 
 
 def germ_from_json(d) -> Germ:
+    from .germs import Germ
     space = space_from_json(field(d, "space"))
     base = [_gq_from_json(x) for x in _items(d, "base")]
     pole = {
@@ -241,6 +242,7 @@ def functional_to_json(L: LaurentFunctional) -> dict:
 
 
 def functional_from_json(d) -> LaurentFunctional:
+    from .laurent import LaurentFunctional, LFSummand
     space = space_from_json(field(d, "space"))
     summands = []
     for s in _items(d, "summands"):
@@ -269,6 +271,7 @@ def rootsystem_to_json(rs: RootSystem) -> dict:
 
 
 def rootsystem_from_json(d) -> RootSystem:
+    from .rootsys import RootSystem, builtin_system
     if isinstance(d, str):
         return builtin_system(d)
     ip = rows(d, "inner_product", None)
@@ -306,6 +309,7 @@ def series_to_json(F: ExpPolySeries) -> dict:
 
 
 def series_from_json(d) -> ExpPolySeries:
+    from .series import ExpPolySeries
     space = space_from_json(field(d, "space"))
     delta = rows(d, "delta")
     leaders = rows(d, "leaders", convert=_gq_from_json)

@@ -331,7 +331,7 @@ class Polynomial:
 
     @staticmethod
     def linear(dim, coeffs, const=GQ(0)):
-        pairs, d = _over_lcm([*coeffs, const])
+        pairs, d = _over_lcm([*_sized(coeffs, dim), const])
         return _affine(dim, pairs[:-1], pairs[-1], d)
 
     # -- basic queries -----------------------------------------------

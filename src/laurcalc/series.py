@@ -19,7 +19,7 @@ from __future__ import annotations
 from operator import add, le
 
 from .poly import ArityError, DiffOp, Polynomial, Space, same_space
-from .rootsys import _lattice
+from .lattice import _lattice
 from .scalars import GQ
 
 

@@ -407,13 +407,16 @@ def test_runs_in_one_process_match_runs_alone(capsys, monkeypatch):
         ["poly"],
         ["poly", "eval", "--poly", CORPUS + "poly_a.json", "--point", "1/2,3+i"],
         ["config", "through", "--config", CORPUS + "config.json", "--hyperplanes", "0,2"],
+        ["series", "exponents", "--series", CORPUS + "series_a.json"],
+        ["germ", "localize", "--fn", CORPUS + "fn_plane.json", "--point", "0,0", "--order", "4"],
+        ["laurent", "apply-fn", "--functional", CORPUS + "functional_residue.json", "--fn", CORPUS + "fn_simple_pole.json"],
         ["verify", "--suite", "weyl-orders"],
     ]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for argv in sequence:
         alone = subprocess.run([sys.executable, "-m", "laurcalc.cli", *argv], cwd=ROOT, env=env, capture_output=True)
         assert _run(argv, capsys) == (alone.returncode, alone.stdout.decode()), argv
-    assert [_run(argv, capsys)[0] for argv in sequence] == [0, 1, 0, 0, 0]
+    assert [_run(argv, capsys)[0] for argv in sequence] == [0, 1, 0, 0, 0, 0, 0, 0]
 
 
 def test_parser_is_built_once(capsys, monkeypatch):
@@ -491,7 +494,7 @@ def test_internal_error_exit_3(exc, capsys, monkeypatch):
     def handler(o, rs):
         raise exc
 
-    monkeypatch.setitem(cli._OPS, ("rootsys", "weyl"), handler)
+    monkeypatch.setitem(cli._verb("rootsys")[0], "weyl", handler)
     code, out = _run(["rootsys", "weyl", "--system", "A2"], capsys)
     assert code == 3
     assert json.loads(out) == {"error": "internal", "detail": f"{type(exc).__name__}: {exc}"}

@@ -7,6 +7,7 @@ import pytest
 
 from laurcalc import (
     GQ,
+    ArityError,
     Configuration,
     Hyperplane,
     Polynomial,
@@ -62,6 +63,16 @@ def test_subspace_center_orthogonal():
         assert sp.inner(L.center, b).is_zero()
     s = [rand_gq(rng)]
     assert L.contains(L.param_point(s))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_subspace_refuses_a_vector_of_another_length(n):
+    # the line z0 = 0 in the plane: a point has 2 coordinates, a parameter 1
+    L = subspace_from(Space(2), [Hyperplane.make((1, 0), 0)])
+    with pytest.raises(ArityError, match=f"a vector of length {n} in a space of dimension 2"):
+        L.contains([0, 5, 7][:n])
+    with pytest.raises(ArityError, match=f"a vector of length {n - 1} in a space of dimension 1"):
+        L.param_point([GQ(1), GQ(2)][: n - 1])
 
 
 def test_subspace_inconsistent():

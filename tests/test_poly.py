@@ -174,6 +174,22 @@ def test_vector_of_another_length_is_refused(v):
             call()
 
 
+@pytest.mark.parametrize("v", [[1], [1, 2, 3]])
+def test_linear_coefficients_of_another_length_are_refused(v):
+    # Polynomial.linear and what builds on it; never z0 for [1] or an IndexError for [1, 2, 3]
+    p = Polynomial(2, {(1, 0): GQ(1), (0, 1): GQ(1)})
+    calls = [
+        lambda: Polynomial.linear(2, v),
+        lambda: DiffOp.directional(2, v),
+        lambda: p.directional(v),
+        lambda: p.divide_out(v, most=1),
+        lambda: p.divide_by_linear(v),
+    ]
+    for call in calls:
+        with pytest.raises(ArityError, match=f"a vector of length {len(v)} in a space of dimension 2"):
+            call()
+
+
 def test_diffop_apply_composition():
     for _ in range(20):
         dim = rng.randint(1, 3)

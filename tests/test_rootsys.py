@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from laurcalc import io as lio
-from laurcalc import linalg, rootsys
+from laurcalc import lattice, linalg, rootsys
 from laurcalc import (
     GQ,
     BUILTIN_NAMES,
@@ -396,7 +396,7 @@ def test_coset_split_against_coords(case):
 
 
 def test_lattice_is_immutable_and_shared():
-    L = rootsys._lattice([(1, 0), (1, 1)])
+    L = lattice._lattice([(1, 0), (1, 1)])
     for name in ("dim", "name", "_rows", "_left", "_den", "_e", "other"):
         with pytest.raises(AttributeError):
             setattr(L, name, None)
@@ -408,8 +408,8 @@ def test_lattice_is_immutable_and_shared():
         [(GQ(1), GQ(0)), (GQ(1), GQ(1))],
         ((GQ(1), 0), ["1", Fraction(1)]),
     )
-    assert all(rootsys._lattice(d) is L for d in spellings)
-    named = rootsys._lattice(spellings[0], 2, "roots")
+    assert all(lattice._lattice(d) is L for d in spellings)
+    named = lattice._lattice(spellings[0], 2, "roots")
     assert named is not L and named == L and named.name == "roots"
     assert ParabolicData(builtin_system("A2"), [0]).lattice is ParabolicData(builtin_system("A2"), [0]).lattice
     assert Lattice([(1, 0), (1, 1)]) == L != Lattice([(1, 1), (1, 0)])
@@ -417,10 +417,10 @@ def test_lattice_is_immutable_and_shared():
 
 
 def test_lattice_table_is_bounded():
-    for m in range(1, 3 * rootsys._LATTICES):
-        rootsys._lattice([(m, 1)])
-        assert rootsys._table.cache_info().currsize <= rootsys._LATTICES
-    assert rootsys._table.cache_info().currsize == rootsys._LATTICES
+    for m in range(1, 3 * lattice._LATTICES):
+        lattice._lattice([(m, 1)])
+        assert lattice._table.cache_info().currsize <= lattice._LATTICES
+    assert lattice._table.cache_info().currsize == lattice._LATTICES
     assert equiv_delta([(5, 1)], [GQ(0), GQ(0)], [GQ(-5), GQ(-1)])
 
 
