@@ -272,14 +272,9 @@ def _series():
 
 
 def _verify_checks():
-    """Small deterministic self-checks, one per module cluster."""
+    """Small deterministic self-checks, one per module cluster; each check
+    imports its own layer when it runs."""
     import random
-
-    from .config import Hyperplane, subspace_from
-    from .germs import RationalFn
-    from .laurent import laurent_operator_apply, lf_apply_rational, lf_residue, transverse_space
-    from .rootsys import builtin_system
-    from .series import ExpPolySeries, series_diffop
 
     rng = random.Random(20240)
 
@@ -302,12 +297,18 @@ def _verify_checks():
         return True
 
     def c_residue():
+        from .config import Hyperplane
+        from .germs import RationalFn
+        from .laurent import lf_apply_rational, lf_residue
         sp = Space(1)
         L = lf_residue(sp, [0], [(1,)], [1])
         f = RationalFn(sp, Polynomial(1, {(0,): GQ(1), (1,): GQ(2)}), {Hyperplane.make((1,), 0): 1})
         return lf_apply_rational(L, f) == GQ(1)
 
     def c_operator():
+        from .config import Hyperplane, subspace_from
+        from .germs import RationalFn
+        from .laurent import laurent_operator_apply, lf_residue, transverse_space
         sp = Space(2)
         Lsub = subspace_from(sp, [Hyperplane.make((0, 1), 0)])
         tsp = transverse_space(Lsub)
@@ -317,6 +318,7 @@ def _verify_checks():
         return out.eval([GQ(2)]) == GQ(Fraction(1, 2))
 
     def c_weyl():
+        from .rootsys import builtin_system
         want = {"A1": 2, "A1xA1": 4, "A2": 6, "B2": 8, "G2": 12, "A3": 24}
         for name, k in want.items():
             if len(builtin_system(name).weyl_group()) != k:
@@ -324,6 +326,7 @@ def _verify_checks():
         return True
 
     def c_series():
+        from .series import ExpPolySeries, series_diffop
         sp = Space(2)
         delta = [(1, 0), (0, 1)]
         lam = (GQ(Fraction(5, 2)), GQ(1))

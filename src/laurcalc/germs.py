@@ -98,7 +98,12 @@ def _cancel_poles(num, powers, form):
 def germ_normalize(g: Germ) -> Germ:
     """Cancel linear factors of the jet against the pole until minimal."""
     if g.jet.is_zero():
-        return _germ(g.space, g.base, {}, g.jet, g.order)
+        # 0 + O(w^(N+1)) over a pole of total K is O(w^(N+1-K)); with N < K
+        # the jet does not know enough to cancel the pole
+        total = sum(g.pole.values())
+        if g.order < total:
+            return g
+        return _germ(g.space, g.base, {}, g.jet, g.order - total)
     jet, pole, removed = _cancel_poles(g.jet, g.pole, g.space._key_form)
     # each factor divided out lowers the degree of the jet by one
     return _germ(g.space, g.base, pole, jet, g.order - removed)
@@ -161,10 +166,6 @@ class RationalFn:
             if k:
                 self.denominator[h] = k
 
-    @staticmethod
-    def const(space, c):
-        return RationalFn(space, Polynomial.const(space.dim, GQ.of(c)))
-
     def cancel(self) -> "RationalFn":
         """Divide out exact common linear factors."""
         num, den, _ = _cancel_poles(self.numerator, self.denominator, lambda h: h.form(self.space))
@@ -219,14 +220,6 @@ class RationalFn:
                 raise ZeroDivisionError("evaluation on a pole hyperplane")
             val = val / d**k
         return val
-
-    def shift(self, a) -> "RationalFn":
-        """The function z -> f(a + z)."""
-        n = self.space.dim
-        unit = [[GQ(1) if j == i else GQ(0) for j in range(n)] for i in range(n)]
-        return rationalfn_pullback(
-            self, self.space, unit, [GQ.of(x) for x in a], "pull-back has a denominator vanishing identically"
-        )
 
     def is_regular_at(self, point) -> bool:
         try:

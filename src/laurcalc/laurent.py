@@ -23,6 +23,7 @@ from .germs import (
 )
 from .poly import (
     ArityError, DiffOp, Polynomial, Space, _sized, factorial_multi, leibniz_flatten, pi_product, quotient_rule,
+    same_space,
 )
 from .scalars import GQ, _fractions, _mk, _real_over_lcm
 
@@ -79,14 +80,15 @@ class LaurentFunctional:
             seen.add(s.support)
 
 
-def _apply_summand(space: Space, s: LFSummand, g: Germ) -> GQ:
-    gn = germ_normalize(g)
-    leftover, scalar = s.leftover(gn.pole, "functional order insufficient for the germ's pole")
+def _evaluate(space: Space, s: LFSummand, g: Germ) -> GQ:
+    """The summand's value on a germ at its support whose pole is already
+    minimal; the jet is read as it stands, without normalizing it."""
+    leftover, scalar = s.leftover(g.pole, "functional order insufficient for the germ's pole")
     m = s.u.order()
-    if m > gn.order + sum(leftover.values()):
+    if m > g.order + sum(leftover.values()):
         raise ValueError("jet order too small for the operator order")
     # u only reads degrees <= m, and the leftover forms are homogeneous
-    prod = gn.jet.truncate(m)
+    prod = g.jet.truncate(m)
     for dir_, k in leftover.items():
         form = space._key_form(dir_)
         for _ in range(k):
@@ -101,24 +103,20 @@ def lf_apply(L: LaurentFunctional, g: Germ) -> GQ:
     out = GQ(0)
     for s in L.summands:
         if s.support == g.base:
-            out = out + _apply_summand(L.space, s, g)
+            out = out + _evaluate(L.space, s, germ_normalize(g))
     return out
 
 
-# jet orders kept beyond the operator order plus the pole order when a
-# rational function is localized at a support point
-_JET_MARGIN = 2
-
-
 def lf_apply_rational(L: LaurentFunctional, f: RationalFn) -> GQ:
-    """Localize f at every support point and sum the summand values."""
+    """Cancel f once, localize it at every support point and sum the
+    summand values.  Cancelled, f has its exact pole at each point, and the
+    operator reads the jet only up to its own order."""
     if f.space.dim != L.space.dim:
         raise ArityError("function and functional live in different dimensions")
+    f = f.cancel()
     out = GQ(0)
     for s in L.summands:
-        order = s.u.order() + sum(s.d_max) + _JET_MARGIN
-        g = rationalfn_germ_at(f, s.support, order)
-        out = out + _apply_summand(L.space, s, g)
+        out = out + _evaluate(L.space, s, rationalfn_germ_at(f, s.support, s.u.order()))
     return out
 
 
@@ -142,12 +140,8 @@ def lf_from_evaluation(space: Space, a, X, d_max) -> LaurentFunctional:
     homogeneous contribution equals 1.
     """
     pi = pi_product(space, X, a, d_max).shift(a)  # homogeneous in w
-    norm = DiffOp.from_symbol(pi)._at_zero(pi)  # sum gamma! c_gamma^2
-    if norm.is_zero():
-        # X empty: pi = 1, evaluation is the identity operator
-        u = DiffOp.identity(space.dim)
-    else:
-        u = DiffOp(space.dim, {g: c / norm for g, c in pi.terms.items()})
+    norm = DiffOp.from_symbol(pi)._at_zero(pi)  # sum gamma! c_gamma^2 > 0, pi being nonzero and real
+    u = DiffOp(space.dim, {g: c / norm for g, c in pi.terms.items()})
     return LaurentFunctional(space, [LFSummand(a, X, d_max, u)])
 
 
@@ -168,7 +162,7 @@ def lf_pushforward(iota, L0: LaurentFunctional, space_V: Space) -> LaurentFuncti
     cols = [[GQ.of(iota[i][j]) for i in range(n)] for j in range(n0)]
     if linalg.rank(cols) < n0:
         raise ValueError("embedding is not injective")
-    if space_V.subspace(cols).ip != L0.space.ip:
+    if not same_space(space_V.subspace(cols), L0.space):
         raise ValueError("source space does not carry the pulled-back inner product")
     subs = [Polynomial.linear(n, [cols[j][i] for i in range(n)]) for j in range(n0)]
     summands = [
@@ -197,44 +191,36 @@ def lf_pullback_fn(iota, f: RationalFn, space_V0: Space) -> RationalFn:
 # ---------------------------------------------------------------------------
 
 
-def _psi_germ_at(psi, support, order) -> Germ:
-    if isinstance(psi, Germ):
-        if psi.base != support:
-            raise ValueError("multiplier germ based at a different point")
-        return psi
-    if isinstance(psi, RationalFn):
-        return rationalfn_germ_at(psi, support, order)
-    raise TypeError("multiplier must be a germ or a rational function")
-
-
-def lf_mul_action(psi, L: LaurentFunctional) -> LaurentFunctional:
+def lf_mul_action(psi: RationalFn, L: LaurentFunctional) -> LaurentFunctional:
     """The transpose of multiplication: the result satisfies
     result(phi) = L(psi * phi) on all admissible arguments."""
+    if not isinstance(psi, RationalFn):
+        raise TypeError("multiplier must be a rational function")
+    psi = psi.cancel()
+    space = L.space
     summands = []
     for s in L.summands:
-        order_needed = s.u.order() + sum(s.d_max)
-        g = germ_normalize(_psi_germ_at(psi, s.support, order_needed))
-        if g.order < s.u.order():
-            raise ValueError("multiplier jet order too small")
+        # e_d, the zero order of psi along each direction d of the functional:
+        # the power of the form through the support dividing the numerator
+        num, zeros, sp = psi.numerator, {}, space._vector(s.support)
+        if not num.is_zero():
+            for d in s._totals:
+                num, zeros[d] = num._divide_out(space._key_form(d, space._key_inner(d, *sp)))
+        g = rationalfn_germ_at(RationalFn(psi.space, num, psi.denominator), s.support, s.u.order())
         new_totals, scalar = s.leftover(g.pole, "multiplier pole exceeds the functional order")
-        # zeros of the multiplier raise the capacity left; g is normalized,
-        # so it has none along a direction whose capacity its pole uses up
-        jet = g.jet
-        jet_order = g.order
-        if not jet.is_zero():
-            for dir_ in new_totals:
-                jet, extra = jet._divide_out(L.space._key_form(dir_))
-                new_totals[dir_] += extra
-                jet_order -= extra
-        if jet_order < s.u.order():
-            raise ValueError("multiplier jet order too small")
-        jet_z = (scalar * jet).shift([-x for x in s.support])
+        # zeros of the multiplier raise the capacity left; psi is cancelled,
+        # so it has no zero along a direction of its own pole, and every d
+        # with e_d > 0 is in the leftover
+        for d, e in zeros.items():
+            if e:
+                new_totals[d] += e
+        jet_z = (scalar * g.jet).shift([-x for x in s.support])
         u_new = leibniz_flatten(s.u, jet_z, s.support)
         dirs = sorted(new_totals)
         summands.append(
             LFSummand(s.support, dirs, [new_totals[d] for d in dirs], u_new)
         )
-    return LaurentFunctional(L.space, summands)
+    return LaurentFunctional(space, summands)
 
 
 def lf_diff_action(v, L: LaurentFunctional) -> LaurentFunctional:
@@ -336,7 +322,7 @@ def laurent_operator_apply(
     total = ns + nt
     if L.space.dim != nt:
         raise ValueError("functional arity does not match the transverse coordinates")
-    if space.subspace(perp).ip != L.space.ip:
+    if not same_space(space.subspace(perp), L.space):
         raise ValueError("functional space does not carry the transverse inner product")
 
     # one space over the combined (s, tau) coordinates; its Gram matrix has

@@ -134,6 +134,28 @@ def _identity_ints(n):
     return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
 
 
+def _closure(gens, ident):
+    """The group generated by gens, in breadth-first order from ident; each
+    element carries its depth, the word length in gens, as its length."""
+    seen = {ident: ident}
+    frontier = [ident]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                m = w * g
+                if m not in seen:
+                    m = _element(m._m, m._d, m.dim, depth)
+                    seen[m] = m
+                    nxt.append(m)
+        frontier = nxt
+        if len(seen) > 100000:
+            raise ValueError("group closure did not terminate; invalid input")
+    return tuple(seen.values())
+
+
 class RootSystem:
     def __init__(self, dim, roots, ip=None, positive=None, simple=None, name=None):
         self.space = Space(dim, ip)
@@ -230,25 +252,8 @@ class RootSystem:
         equals the word length, and the identity comes first."""
         if self._weyl is not None:
             return self._weyl
-        gens = [self.reflection(a) for a in self.simple]
         ident = _element(_identity_ints(self.dim), 1, self.dim, length=0)
-        seen = {ident: ident}
-        frontier = [ident]
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt = []
-            for w in frontier:
-                for g in gens:
-                    m = w * g
-                    if m not in seen:
-                        m = _element(m._m, m._d, m.dim, depth)
-                        seen[m] = m
-                        nxt.append(m)
-            frontier = nxt
-            if len(seen) > 100000:
-                raise ValueError("group closure did not terminate; invalid input")
-        self._weyl = tuple(seen.values())
+        self._weyl = _closure([self.reflection(a) for a in self.simple], ident)
         return self._weyl
 
     def identity(self):
@@ -379,20 +384,7 @@ def _per_walls(build):
 def _wq(rs, Q):
     W = rs._group()
     centralizer = tuple(w for w in W if all(w._fixes(b) for b in Q._basis))
-    gens = [rs.reflection(a) for a in Q.delta_Q]
-    ident = rs.identity()
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                m = w * g
-                if m not in seen:
-                    seen.add(m)
-                    nxt.append(m)
-        frontier = nxt
-    if set(centralizer) != seen:
+    if set(centralizer) != set(_closure([rs.reflection(a) for a in Q.delta_Q], rs.identity())):
         raise ValueError("centralizer and reflection subgroup disagree")
     return centralizer
 

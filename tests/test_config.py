@@ -114,6 +114,27 @@ def test_induced_config_forms_restrict():
     assert ambient.is_zero() == restricted.is_zero()
 
 
+def test_induced_config_restricts_x_set():
+    # Gram [[2, 1], [1, 3]] and L = {z1 = 1}: L is z = (s - 1/2, 1) with
+    # inner product 2 s s'.  Every root but a multiple of the normal
+    # (1, -2) pairs with the direction (1, 0) to 2 v0 + v1 != 0, so it
+    # restricts to the one direction (1,).  z0 = 0 cuts L at s = 1/2 and
+    # z0 + z1 = 2 at s = 3/2, the forms 2 s = 1 and 2 s = 3; L itself
+    # restricts to a constant and drops out.
+    sp = Space(2, [[2, 1], [1, 3]])
+    H = Hyperplane.from_form(sp, [0, 1], -1)[0]
+    h0 = Hyperplane.from_form(sp, [1, 0], 0)[0]
+    h1 = Hyperplane.from_form(sp, [1, 1], -2)[0]
+    L = subspace_from(sp, [H])
+    cfg = Configuration(sp, [(H, 2), (h0, 1), (h1, 3)], [(1, 0), (0, 1), (1, 1), (2, -1)])
+    out = induced_config(cfg, L)
+    assert out.space.ip == [[Fraction(2)]]
+    assert out.x_set == [(Fraction(1),)]
+    assert out.multiplicity == {Hyperplane.make((1,), 1): 1, Hyperplane.make((1,), 3): 3}
+    assert induced_config(Configuration(sp, [], [(1, -2), (2, -1)]), L).x_set == [(Fraction(1),)]
+    assert induced_config(Configuration(sp, [], [(1, -2)]), L).x_set == []
+
+
 def test_multiplicity_zero_off_configuration():
     sp = Space(1)
     cfg = Configuration(sp, [(Hyperplane.make((1,), GQ(0)), 3)], [])

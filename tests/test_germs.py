@@ -131,6 +131,17 @@ def test_normalize_cancels_shared_factor():
     assert gn.jet == Polynomial(1, {(0,): GQ(2), (1,): GQ(3)})
 
 
+def test_normalize_zero_jet_cancels_only_a_covered_pole():
+    # 0 + O(w^(N+1)) over w^3 is O(w^(N-2)) when N >= 3, and unknown below
+    sp = Space(1)
+    gn = germ_normalize(Germ(sp, [0], {(1,): 3}, Polynomial.zero(1), 5))
+    assert (gn.pole, gn.jet, gn.order) == ({}, Polynomial.zero(1), 2)
+    gn = germ_normalize(Germ(sp, [0], {(1,): 3}, Polynomial.zero(1), 3))
+    assert (gn.pole, gn.order) == ({}, 0)
+    gn = germ_normalize(Germ(sp, [0], {(1,): 3}, Polynomial.zero(1), 2))
+    assert (gn.pole, gn.jet, gn.order) == ({(1,): 3}, Polynomial.zero(1), 2)
+
+
 def test_rationalfn_equality_cross_multiplied():
     sp = Space(1)
     h = Hyperplane.make((1,), GQ(0))

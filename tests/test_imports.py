@@ -113,6 +113,11 @@ def test_verb_loads_only_its_layer(argv, absent):
     assert argv[0] in loaded and not loaded & absent
 
 
+def test_verify_check_loads_only_its_layer():
+    loaded = _after_run(["verify", "--suite", "weyl-orders"])
+    assert {"rootsys", "lattice"} <= loaded and not loaded & {"config", "germs", "laurent", "series"}
+
+
 def test_poly_verb_loads_no_layer_above_poly():
     argv = ["poly", "mul", "--a", CORPUS + "poly_a.json", "--b", CORPUS + "poly_b.json"]
     assert _after_run(argv) == {"scalars", "linalg", "poly", "io", "cli"}

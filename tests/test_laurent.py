@@ -41,7 +41,7 @@ from laurcalc import (
 )
 from laurcalc import config
 
-from _support import rand_diffop, rand_gq, rand_poly
+from _support import rand_diffop, rand_direction, rand_gq, rand_point, rand_poly
 
 rng = random.Random(53)
 
@@ -100,6 +100,14 @@ def test_evaluation_functional_empty_x():
     assert lf_apply(L, g) == GQ(9)
 
 
+def test_apply_normalizes_the_germ_it_is_given():
+    # z (2 + 3z) / z^2 has a simple pole, which order 1 covers
+    sp = Space(1)
+    L = lf_residue(sp, [0], [(1,)], [1])
+    g = Germ(sp, [0], {(1,): 2}, Polynomial(1, {(1,): GQ(2), (2,): GQ(3)}), 4)
+    assert lf_apply(L, g) == GQ(2)
+
+
 def test_mul_action_identity():
     sp = Space(1)
     L = lf_residue(sp, [0], [(1,)], [2])
@@ -126,6 +134,86 @@ def test_mul_action_pole_exceeds_order():
     psi = _simple_pole_fn(sp, Polynomial.const(1, GQ(1)), (1,), power=2)
     with pytest.raises(LaurentOrderError):
         lf_mul_action(psi, L)
+
+
+def test_rational_function_is_read_after_cancelling():
+    # z^k / z^k is the constant 1 for every k, however far k is above the
+    # operator order
+    sp = Space(1)
+    z, H = Polynomial.variable(1, 0), Hyperplane.make((1,), 0)
+    E = lf_from_evaluation(sp, [0], [], [])
+    for k in range(1, 7):
+        assert lf_apply_rational(E, RationalFn(sp, z**k, {H: k})) == GQ(1)
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 6])
+def test_uncovered_pole_is_refused_whatever_the_numerator_degree(e):
+    # (x + y^e) / x^2 has a double pole along x = 0 for every e; the
+    # functional covers a simple one only
+    sp = Space(2)
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    L = lf_residue(sp, [0, 0], [(1, 0)], [1])
+    f = RationalFn(sp, x + y**e, {Hyperplane.make((1, 0), 0): 2})
+    with pytest.raises(LaurentOrderError):
+        lf_apply_rational(L, f)
+
+
+def test_mul_action_cancels_the_multiplier():
+    sp = Space(1)
+    z, H = Polynomial.variable(1, 0), Hyperplane.make((1,), 0)
+    E = lf_from_evaluation(sp, [0], [], [])
+    psi = RationalFn(sp, z**3, {H: 3})
+    phi = RationalFn(sp, Polynomial.const(1, GQ(5)))
+    assert lf_apply_rational(lf_mul_action(psi, E), phi) == GQ(5)
+    assert lf_apply_rational(E, psi * phi) == GQ(5)
+
+
+def test_germ_multiplier_is_refused():
+    sp = Space(1)
+    L = lf_residue(sp, [0], [(1,)], [1])
+    with pytest.raises(TypeError, match="multiplier must be a rational function"):
+        lf_mul_action(germ_constant(sp, [0], 2, 3), L)
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type and message of the refusal."""
+    try:
+        return fn(*args)
+    except LaurentOrderError as e:
+        return type(e), str(e)
+
+
+def test_a_common_factor_changes_neither_value_nor_refusal():
+    # f and f * H^k / H^k, not cancelled, are the same function: for H
+    # through the support and off it, and for k beyond sum(d_max) + 2
+    prng = random.Random(59)
+    grams = {1: [[3]], 2: [[2, 1], [1, 3]]}
+    for case in range(32):
+        n = prng.randint(1, 2)
+        sp = Space(n) if case % 3 else Space(n, grams[n])
+        a = rand_point(prng, n)
+        dirs = [rand_direction(prng, n) for _ in range(prng.randint(1, n))]
+        d_max = [prng.randint(0, 2) for _ in dirs]
+        L = LaurentFunctional(sp, [LFSummand(a, dirs, d_max, rand_diffop(prng, n, 2))])
+        through = [Hyperplane.make(xi, sp.inner(xi, a)) for xi in dirs]
+        den = {h: prng.randint(0, 2) for h in through}
+        f = RationalFn(sp, rand_poly(prng, n, 2), den)
+        xi = prng.choice(dirs) if prng.random() < 0.5 else rand_direction(prng, n)
+        offset = sp.inner(xi, a) + (0 if case % 2 else prng.randint(1, 3))
+        H = Hyperplane.make(xi, offset)
+        top = sum(d_max) + 2
+        k = prng.randint(top + 1, top + 3) if case % 4 < 2 else prng.randint(1, top)
+        blown = RationalFn(sp, f.numerator * H.form(sp) ** k, {**f.denominator, H: f.denominator.get(H, 0) + k})
+        assert _outcome(lf_apply_rational, L, blown) == _outcome(lf_apply_rational, L, f)
+        phi = RationalFn(sp, rand_poly(prng, n, 2), {h: prng.randint(0, 1) for h in through})
+        M, M_blown = _outcome(lf_mul_action, f, L), _outcome(lf_mul_action, blown, L)
+        if isinstance(M, tuple):
+            assert M_blown == M
+        else:
+            value = _outcome(lf_apply_rational, M, phi)
+            assert _outcome(lf_apply_rational, M_blown, phi) == value
+            if not isinstance(value, tuple):
+                assert lf_apply_rational(L, f * phi) == value
 
 
 def test_diff_action_identity():
