@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import comb
 
 from .config import Hyperplane, XSubspace, _canonical, _order
-from .poly import ArityError, Polynomial, Space, _mul_terms, _powers, _reduced, quotient_rule, same_space
+from .poly import ArityError, Polynomial, Space, _mul_terms, _powers, _reduced, quotient_rule
 from .scalars import GQ, _parts
 
 
@@ -110,6 +110,8 @@ def germ_normalize(g: Germ) -> Germ:
 
 
 def germ_mul(g1: Germ, g2: Germ) -> Germ:
+    if g1.space is not g2.space:
+        raise ArityError("germs over different inner products")
     if g1.base != g2.base:
         raise ValueError("germ base points differ")
     order = min(g1.order, g2.order)
@@ -122,6 +124,8 @@ def germ_mul(g1: Germ, g2: Germ) -> Germ:
 
 def germ_add(g1: Germ, g2: Germ) -> Germ:
     """Sum over the common denominator, at the compatible truncation."""
+    if g1.space is not g2.space:
+        raise ArityError("germs over different inner products")
     if g1.base != g2.base:
         raise ValueError("germ base points differ")
     # the poles pass through the base point: the forms <xi, w> have no offset
@@ -173,7 +177,7 @@ class RationalFn:
 
     def __add__(self, other):
         if isinstance(other, RationalFn):
-            if not same_space(self.space, other.space):
+            if self.space is not other.space:
                 raise ArityError("rational functions over different spaces")
             den, [(p1, _), (p2, _)] = _over_common_denominator(
                 [(self.numerator, self.denominator), (other.numerator, other.denominator)],
@@ -190,6 +194,8 @@ class RationalFn:
 
     def __mul__(self, other):
         if isinstance(other, RationalFn):
+            if self.space is not other.space:
+                raise ArityError("rational functions over different inner products")
             den = dict(self.denominator)
             for h, k in other.denominator.items():
                 den[h] = den.get(h, 0) + k
@@ -231,7 +237,7 @@ class RationalFn:
     def __eq__(self, other):
         if not isinstance(other, RationalFn):
             return NotImplemented
-        if not same_space(self.space, other.space):
+        if self.space is not other.space:
             return False
         return (self - other).numerator.is_zero()
 

@@ -23,7 +23,6 @@ from .germs import (
 )
 from .poly import (
     ArityError, DiffOp, Polynomial, Space, _sized, factorial_multi, leibniz_flatten, pi_product, quotient_rule,
-    same_space,
 )
 from .scalars import GQ, _fractions, _mk, _real_over_lcm
 
@@ -98,8 +97,8 @@ def _evaluate(space: Space, s: LFSummand, g: Germ) -> GQ:
 
 def lf_apply(L: LaurentFunctional, g: Germ) -> GQ:
     """Apply to a single germ; summands supported elsewhere contribute 0."""
-    if g.space.dim != L.space.dim:
-        raise ArityError("germ and functional live in different dimensions")
+    if g.space is not L.space:
+        raise ArityError("germ and functional over different inner products")
     out = GQ(0)
     for s in L.summands:
         if s.support == g.base:
@@ -111,8 +110,8 @@ def lf_apply_rational(L: LaurentFunctional, f: RationalFn) -> GQ:
     """Cancel f once, localize it at every support point and sum the
     summand values.  Cancelled, f has its exact pole at each point, and the
     operator reads the jet only up to its own order."""
-    if f.space.dim != L.space.dim:
-        raise ArityError("function and functional live in different dimensions")
+    if f.space is not L.space:
+        raise ArityError("function and functional over different inner products")
     f = f.cancel()
     out = GQ(0)
     for s in L.summands:
@@ -162,7 +161,7 @@ def lf_pushforward(iota, L0: LaurentFunctional, space_V: Space) -> LaurentFuncti
     cols = [[GQ.of(iota[i][j]) for i in range(n)] for j in range(n0)]
     if linalg.rank(cols) < n0:
         raise ValueError("embedding is not injective")
-    if not same_space(space_V.subspace(cols), L0.space):
+    if space_V.subspace(cols) is not L0.space:
         raise ValueError("source space does not carry the pulled-back inner product")
     subs = [Polynomial.linear(n, [cols[j][i] for i in range(n)]) for j in range(n0)]
     summands = [
@@ -196,6 +195,8 @@ def lf_mul_action(psi: RationalFn, L: LaurentFunctional) -> LaurentFunctional:
     result(phi) = L(psi * phi) on all admissible arguments."""
     if not isinstance(psi, RationalFn):
         raise TypeError("multiplier must be a rational function")
+    if psi.space is not L.space:
+        raise ArityError("multiplier and functional over different inner products")
     psi = psi.cancel()
     space = L.space
     summands = []
@@ -320,9 +321,7 @@ def laurent_operator_apply(
     perp = [tuple(GQ.of(x) for x in u) for u in perp]
     ns, nt = sub.dim, len(perp)
     total = ns + nt
-    if L.space.dim != nt:
-        raise ValueError("functional arity does not match the transverse coordinates")
-    if not same_space(space.subspace(perp), L.space):
+    if space.subspace(perp) is not L.space:
         raise ValueError("functional space does not carry the transverse inner product")
 
     # one space over the combined (s, tau) coordinates; its Gram matrix has
@@ -392,12 +391,9 @@ def _product_space(space: Space) -> Space:
     """The doubled space with half the block-diagonal inner product, so
     that the diagonal embedding is isometric."""
     n = space.dim
-    half = [[x / 2 for x in row] for row in space.ip]
     out = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = half[i][j]
-            out[n + i][n + j] = half[i][j]
+    for i, j, x in space._entries:
+        out[i][j] = out[n + i][n + j] = _mk(x, 0, 2 * space._e)
     return Space(2 * n, out)
 
 

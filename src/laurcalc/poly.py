@@ -3,7 +3,8 @@ operators, and the Leibniz-flattening kernel.
 
 A space holds its Gram matrix as ints over one denominator and reads
 positive definiteness from the pivots of the integer elimination in
-``linalg``.  A polynomial keeps its coefficients as Python ints over one
+``linalg``; there is one live space per inner product, so spaces compare
+by identity.  A polynomial keeps its coefficients as Python ints over one
 shared denominator: a dict from exponent multi-indices (tuples of
 naturals) to pairs (a, b) of ints, and a positive int d, so that the
 coefficient of a monomial is (a + b*i)/d.  No pair is (0, 0) and
@@ -19,6 +20,7 @@ polynomial of its symbol, sum c_gamma * z^gamma.
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 from itertools import chain, product
 from math import comb, gcd
@@ -30,7 +32,7 @@ from .scalars import GQ, ZERO, _mk, _over_lcm, _parts, _real_over_lcm
 
 
 class ArityError(ValueError):
-    """Raised when operands live in spaces of different dimension."""
+    """Raised when operands live in spaces of different dimension or inner product."""
 
 
 def _sized(v, dim):
@@ -44,41 +46,51 @@ def _sized(v, dim):
 # ambient space: dimension plus rational inner product
 # ---------------------------------------------------------------------------
 
+# the live spaces by their Gram matrix as (e, int rows over e), each kept while it lives
+_SPACES = weakref.WeakValueDictionary()
+
 
 class Space:
     """Ambient real space: a dimension and a symmetric positive definite
     rational inner product matrix (identity by default), held as ints over
-    one denominator; ``ip`` gives it back as rows of Fraction."""
+    one denominator; ``ip`` gives it back as rows of Fraction.  A space is
+    immutable, and one inner product has one live space, checked once."""
 
-    def __init__(self, dim: int, ip=None):
-        self.dim = dim
+    __slots__ = ("dim", "_e", "_g", "_entries", "__weakref__")
+
+    def __new__(cls, dim: int, ip=None):
         if ip is None:
             ip = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
         if len(ip) != dim or any(len(row) != dim for row in ip):
             raise ValueError(f"inner product matrix must be {dim} x {dim}")
-        flat, self._e = _real_over_lcm([x for row in ip for x in row])
-        g = [flat[i * dim : (i + 1) * dim] for i in range(dim)]
-        for i in range(dim):
-            for j in range(dim):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("inner product matrix must be symmetric")
+        flat, e = _real_over_lcm([x for row in ip for x in row])
+        g = tuple(tuple(flat[i * dim : (i + 1) * dim]) for i in range(dim))
+        self = _SPACES.get((e, g))
+        if self is not None:
+            return self
+        if g != tuple(zip(*g)):
+            raise ValueError("inner product matrix must be symmetric")
         # Sylvester's criterion: pivots taken down the diagonal are the
         # leading principal minors of the int matrix, e^k times those of ip
         pivots, _ = linalg._eliminate([[(x, 0) for x in row] for row in g])
         for k in range(dim):
             if k == len(pivots) or pivots[k][:2] != (k, k) or pivots[k][2][0] <= 0:
                 raise ValueError(f"inner product matrix must be positive definite (leading minor {k + 1})")
-        self._g = tuple(map(tuple, g))
-        self._ip = None
+        self = object.__new__(cls)
         # the nonzero Gram entries as ints over the common denominator e
-        self._entries = [(i, j, x) for i, row in enumerate(g) for j, x in enumerate(row) if x]
+        entries = tuple((i, j, x) for i, row in enumerate(g) for j, x in enumerate(row) if x)
+        for slot, value in zip(Space.__slots__, (dim, e, g, entries)):
+            object.__setattr__(self, slot, value)
+        _SPACES[e, g] = self
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Space is immutable")
 
     @property
     def ip(self):
-        """The Gram matrix as rows of Fraction."""
-        if self._ip is None:
-            self._ip = [[Fraction(x, self._e) for x in row] for row in self._g]
-        return self._ip
+        """The Gram matrix as new rows of Fraction."""
+        return [[Fraction(x, self._e) for x in row] for row in self._g]
 
     def _vector(self, v):
         """A point or direction of the space as int pairs over one
@@ -136,13 +148,6 @@ class Space:
         """Basis of the orthogonal complement of span(vectors)."""
         rows = [self.form_coeffs(v) for v in vectors]
         return linalg.nullspace(rows, ncols=self.dim)
-
-
-def same_space(s1: Space, s2: Space) -> bool:
-    """Equal inner products, so a hyperplane cuts out the same form on both
-    and exponents pair the same way (the Gram matrix also fixes the
-    dimension)."""
-    return s1 is s2 or (s1._e, s1._g) == (s2._e, s2._g)
 
 
 # ---------------------------------------------------------------------------
@@ -689,20 +694,11 @@ class DiffOp:
     def symbol(self) -> Polynomial:
         return self._p
 
-    def is_zero(self):
-        return self._p.is_zero()
-
     def order(self) -> int:
         return max((sum(idx) for idx in self._p._t), default=0)
 
-    def __add__(self, other):
-        return _op(self._p + other._p)
-
     def __sub__(self, other):
         return _op(self._p - other._p)
-
-    def __neg__(self):
-        return _op(-self._p)
 
     def __mul__(self, other):
         """Composition; constant-coefficient operators commute."""

@@ -177,8 +177,8 @@ class RootSystem:
         self.simple = tuple(_fractions(*_real_over_lcm(s)) for s in simple)
         self.name = name
         self._weyl = None
-        # W_Q and W^Q per Q.indices, the classes and double cosets per
-        # (P.indices, Q.indices); see ``_per_walls``
+        # the parabolic data, W_Q and W^Q per Q.indices, the classes and
+        # double cosets per (P.indices, Q.indices); see ``_per_walls``
         self._pairs = {}
         self._validate()
 
@@ -317,32 +317,40 @@ def builtin_system(name: str) -> RootSystem:
 
 
 class ParabolicData:
-    """A subset of the simple roots, the wall it cuts out, and the
-    restricted simple roots on that wall."""
+    """A subset of the simple roots, the wall it cuts out and the restricted
+    simple roots on that wall, as tuples; one per set of indices of a system."""
 
-    def __init__(self, rs: RootSystem, delta_q_indices):
-        self.rs = rs
-        self.indices = sorted(set(delta_q_indices))
-        for i in self.indices:
+    def __new__(cls, rs: RootSystem, delta_q_indices):
+        indices = tuple(sorted(set(delta_q_indices)))
+        key = ("ParabolicData", indices)
+        self = rs._pairs.get(key)
+        if self is not None:
+            return self
+        for i in indices:
             if i not in range(len(rs.simple)):
                 raise ValueError(
                     f"simple root index {i} out of range for {len(rs.simple)} simple roots"
                 )
-        self.delta_Q = [rs.simple[i] for i in self.indices]
+        self = object.__new__(cls)
+        self.rs = rs
+        self.indices = indices
+        self.delta_Q = tuple(rs.simple[i] for i in indices)
         # the wall, the kernel of the forms <alpha, .> for alpha in Delta_Q, as
         # int vectors over d; the forms <., b> for them, as the ints G b over _den
         basis, (d, _) = linalg._kernel([rs.space._linear(*_over_lcm(a))[0] for a in self.delta_Q], rs.dim)
-        self._basis = [[x for x, _ in v] for v in basis]
-        self.basis = [_fractions(v, d) for v in self._basis]
-        self._forms = [[sum(map(mul, row, b)) for row in rs.space._g] for b in self._basis]
+        self._basis = tuple(tuple(x for x, _ in v) for v in basis)
+        self.basis = tuple(_fractions(v, d) for v in self._basis)
+        self._forms = tuple(tuple(sum(map(mul, row, b)) for row in rs.space._g) for b in self._basis)
         self._den = rs.space._e * d
-        self.delta_rest_indices = [
-            i for i in range(len(rs.simple)) if i not in self.indices
-        ]
-        self.delta_r = [self.restrict(rs.simple[i]) for i in self.delta_rest_indices]
+        self.delta_rest_indices = tuple(
+            i for i in range(len(rs.simple)) if i not in indices
+        )
+        self.delta_r = tuple(self.restrict(rs.simple[i]) for i in self.delta_rest_indices)
         if len(set(self.delta_r)) != len(self.delta_r):
             raise ValueError("restricted simple roots not pairwise distinct")
         self.lattice = _lattice(self.delta_r, len(self.basis), "restricted simple roots")
+        rs._pairs[key] = self
+        return self
 
     def _restrict(self, iv):
         """The ints of ``restrict`` for an int vector iv, over ``_den``."""
@@ -371,7 +379,7 @@ def _per_walls(build):
         for X in walls:
             if X.rs is not rs:
                 raise ValueError("parabolic data built for another root system")
-        key = (build.__name__, *(tuple(X.indices) for X in walls))
+        key = (build.__name__, *(X.indices for X in walls))
         out = rs._pairs.get(key)
         if out is None:
             out = rs._pairs[key] = build(rs, *walls)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from operator import add, le
 
-from .poly import ArityError, DiffOp, Polynomial, Space, same_space
+from .poly import ArityError, DiffOp, Polynomial, Space
 from .lattice import _lattice
 from .scalars import GQ
 
@@ -93,7 +93,7 @@ class ExpPolySeries:
     def _check_shape(self, other):
         if self.vdim != other.vdim or self.lattice != other.lattice:
             raise ArityError("series shapes differ")
-        if not same_space(self.space, other.space):
+        if self.space is not other.space:
             raise ArityError("series over different inner products")
 
     def __add__(self, other):
@@ -115,7 +115,7 @@ class ExpPolySeries:
     def __eq__(self, other):
         if not isinstance(other, ExpPolySeries):
             return NotImplemented
-        if self.vdim != other.vdim or not same_space(self.space, other.space):
+        if self.vdim != other.vdim or self.space is not other.space:
             return False
         return self._t == other._t if self.lattice == other.lattice else self.terms == other.terms
 

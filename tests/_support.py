@@ -1,8 +1,9 @@
 """Shared helpers for the test suite: random generators over the Gaussian
 rationals, an independent one-variable Laurent expansion oracle built
 from polynomial shifting and power series inversion only, a reference
-Gauss-Jordan elimination with exact GQ pivots, and the localization of a
-rational function by iterative Taylor inversion.
+Gauss-Jordan elimination with exact GQ pivots, the localization of a
+rational function by iterative Taylor inversion, and one function read
+over two inner products.
 """
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ from laurcalc import (
     Polynomial,
     RationalFn,
     Space,
+    rationalfn_germ_at,
 )
 
 
@@ -189,3 +191,12 @@ def germ_at_by_iteration(f, a, order):
             for _ in range(k):
                 jet = (jet * inv).truncate(order)
     return Germ(f.space, a, pole, jet, order)
+
+
+def over_two_inner_products():
+    """1 / <(1,), z> over the line with <z, w> = 4zw, which is 1/(4z), and
+    over the standard line, which is 1/z; then each localized at 0 to order 2."""
+    h = Hyperplane.make((1,), 0)
+    f4 = RationalFn(Space(1, [[4]]), Polynomial.const(1, 1), {h: 1})
+    f1 = RationalFn(Space(1), Polynomial.const(1, 1), {h: 1})
+    return f4, f1, rationalfn_germ_at(f4, [0], 2), rationalfn_germ_at(f1, [0], 2)

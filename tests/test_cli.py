@@ -23,6 +23,8 @@ from laurcalc import cli
 from laurcalc import io as lio
 from laurcalc.cli import run
 
+from _support import over_two_inner_products
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -188,6 +190,35 @@ def test_functional_operator_of_another_dimension_exit_2(argv, files, tmp_path, 
     err = json.loads(out)
     assert (code, err["error"]) == (2, "precondition")
     assert "arity mismatch" in err["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["laurent", "apply-fn", "--functional", "L.json", "--fn", "f4.json"],
+        ["laurent", "apply", "--functional", "L.json", "--germ", "a.json"],
+        ["laurent", "mul-action", "--functional", "L.json", "--fn", "f4.json"],
+        ["germ", "mul", "--a", "a.json", "--b", "b.json"],
+        ["germ", "add", "--a", "a.json", "--b", "b.json"],
+    ],
+    ids=lambda a: " ".join(a[:2]),
+)
+def test_two_inner_products_exit_2(argv, tmp_path, capsys):
+    """Files over the standard line and over <z, w> = 4zw do not combine:
+    read in one space they gave a wrong value with exit 0."""
+    f4, _, a, b = over_two_inner_products()
+    docs = {
+        "L.json": lio.functional_to_json(lf_residue(Space(1), [0], [(1,)], [1])),
+        "f4.json": lio.rationalfn_to_json(f4),
+        "a.json": lio.germ_to_json(a),
+        "b.json": lio.germ_to_json(b),
+    }
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    code, out = _run([str(tmp_path / x) if x in docs else x for x in argv], capsys)
+    err = json.loads(out)
+    assert (code, err["error"]) == (2, "precondition")
+    assert "different inner products" in err["detail"]
 
 
 def test_germ_diff_orders_round_trip(tmp_path, capsys):

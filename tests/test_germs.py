@@ -28,6 +28,7 @@ from laurcalc import germs
 from _support import (
     germ_at_by_iteration,
     laurent_coefficients,
+    over_two_inner_products,
     rand_gq,
     rand_nonzero_gq,
     rand_point,
@@ -160,6 +161,21 @@ def test_rationalfn_space_mismatch():
     assert f == RationalFn(Space(1, [[2]]), Polynomial.const(1, 1), {h: 1})
     with pytest.raises(ArityError):
         f + g
+
+
+def test_germs_over_different_inner_products_do_not_combine():
+    """Read in one space, the product would be 1/(16w^2) or 1/w^2 and the
+    sum 2/(4w), where the true values are 1/(4w^2) and 5/(4w)."""
+    f4, _, a, b = over_two_inner_products()
+    other = RationalFn(Space(1), Polynomial.const(1, 1), {Hyperplane.make((1,), -1): 1})
+    for combine in (lambda: germ_mul(a, b), lambda: germ_mul(b, a), lambda: germ_add(a, b), lambda: germ_add(b, a),
+                    lambda: f4 * other, lambda: other * f4):
+        with pytest.raises(ArityError, match="different inner products"):
+            combine()
+    assert germ_mul(a, a).pole == {(1,): 2}
+    # over one inner product the product is taken: 1/(4z) * z = 1/4
+    z = RationalFn(f4.space, Polynomial.variable(1, 0))
+    assert f4 * z == RationalFn(f4.space, Polynomial.const(1, GQ(Fraction(1, 4))))
 
 
 def test_rationalfn_restrict_pointwise():

@@ -10,6 +10,7 @@ import pytest
 
 from laurcalc import (
     GQ,
+    ArityError,
     DiffOp,
     Germ,
     Hyperplane,
@@ -41,7 +42,7 @@ from laurcalc import (
 )
 from laurcalc import config
 
-from _support import rand_diffop, rand_direction, rand_gq, rand_point, rand_poly
+from _support import over_two_inner_products, rand_diffop, rand_direction, rand_gq, rand_point, rand_poly
 
 rng = random.Random(53)
 
@@ -70,6 +71,21 @@ def test_dimension_mismatch_raises():
     f = RationalFn(Space(2), Polynomial.const(2, GQ(1)))
     with pytest.raises(ValueError):
         lf_apply_rational(L, f)
+
+
+def test_functional_and_argument_over_different_inner_products_are_refused():
+    """L reads 1/(4z) over <z, w> = 4zw as 1/z unless the inner products
+    are compared; written over L's own line the function gives 1/4."""
+    f4, f1, a, _ = over_two_inner_products()
+    L = lf_residue(Space(1), [0], [(1,)], [1])
+    for apply in (
+        lambda: lf_apply_rational(L, f4),
+        lambda: lf_apply(L, a),
+        lambda: lf_mul_action(f4, lf_residue(Space(1), [0], [(1,)], [2])),
+    ):
+        with pytest.raises(ArityError, match="different inner products"):
+            apply()
+    assert lf_apply_rational(L, f1 * GQ(Fraction(1, 4))) == GQ(Fraction(1, 4))
 
 
 def test_higher_order_extracts_deeper_coefficient():
@@ -315,6 +331,19 @@ def test_operator_inert_denominator_survives():
     )
     out = laurent_operator_apply(L, f, Lsub)
     assert out.eval([GQ(5)]) == GQ(1) / GQ(2)
+
+
+def test_zero_operator_gives_the_zero_function():
+    sp = Space(2)
+    Lsub = subspace_from(sp, [Hyperplane.make((0, 1), GQ(0))])
+    L = LaurentFunctional(transverse_space(Lsub), [LFSummand([0], [(1,)], [1], DiffOp(1, {}))])
+    f = RationalFn(
+        sp,
+        Polynomial.const(2, GQ(1)),
+        {Hyperplane.make((0, 1), GQ(0)): 1, Hyperplane.make((1, -1), GQ(0)): 1},
+    )
+    out = laurent_operator_apply(L, f, Lsub)
+    assert out.numerator.is_zero() and not out.denominator and out.space is Lsub.induced_space()
 
 
 def test_diagonal_apply_cross_pole():

@@ -151,6 +151,46 @@ def test_space_accepts_exactly_the_positive_definite():
                 Space(n, g)
 
 
+def test_one_space_per_inner_product():
+    """Space hands out one live instance per Gram matrix, whatever form its
+    entries take, and the instance is immutable."""
+    g = Space(2, [[2, 1], [1, 2]])
+    assert g is Space(2, [[Fraction(2), 1], [1, "2"]]) is Space(2, [[GQ(2), 1], [GQ(1), Fraction(4, 2)]])
+    assert g is not Space(2) and g != Space(2) and {g: 1}[Space(2, [[2, 1], [1, 2]])] == 1
+    held = Space(2)
+    assert held.subspace([(1, 0), (0, 1)]) is held
+    assert Space(3).subspace([(1, 0, 0), (0, 0, 1)]) is held
+    for name in ("dim", "_e", "_g", "_entries", "ip", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+    # ip is a new list on every read, so changing it changes no space
+    ip = g.ip
+    ip[0][0] = Fraction(7)
+    assert g.ip == [[2, 1], [1, 2]] and g.ip is not g.ip
+
+
+def test_a_live_inner_product_is_checked_once(monkeypatch):
+    held = Space(2, [[3, 1], [1, 5]])
+    calls = []
+    real = poly.linalg._eliminate
+    monkeypatch.setattr(poly.linalg, "_eliminate", lambda *a: calls.append(a) or real(*a))
+    assert Space(2, [[Fraction(6, 2), 1], [1, 5]]) is held and calls == []
+    Space(2, [[3, 1], [1, 6]])
+    assert len(calls) == 1
+
+
+def test_a_space_that_dies_or_fails_is_not_kept():
+    def kept(g):
+        return any(sp._g == g for sp in list(poly._SPACES.values()))
+
+    Space(2, [[7, 1], [1, 7]])
+    assert not kept(((7, 1), (1, 7)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="positive definite"):
+            Space(2, [[1, 2], [2, 1]])
+    assert not kept(((1, 2), (2, 1)))
+
+
 def test_arity_mismatch():
     with pytest.raises(ArityError):
         Polynomial.variable(2, 0) + Polynomial.variable(3, 0)

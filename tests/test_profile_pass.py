@@ -35,7 +35,7 @@ def test_one_residue_round(capsys, monkeypatch):
     monkeypatch.setitem(tool.ROUNDS, "residue", 1)
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
     argv = ["--workload", "residue", "--seed", "1", "--passes", "1", "--top", "5",
-            "--count", "config._canonical", "--count", "Space.inner"]
+            "--count", "config._canonical", "--count", "Space.inner", "--count", "Polynomial.linear"]
     code = tool.main(argv)
     out = capsys.readouterr().out
     assert code == 0, out
@@ -46,6 +46,8 @@ def test_one_residue_round(capsys, monkeypatch):
     assert re.search(r"calls of config\._canonical: \d+", out)
     inner = int(re.search(r"calls of Space\.inner: (\d+)", out).group(1))
     assert inner > 0 and "laurcalc/poly.py" in out.split("calls of Space.inner")[1]
+    # a static method is found by its qualified name
+    assert int(re.search(r"calls of Polynomial\.linear: (\d+)", out).group(1)) > 0
     assert not any(str(getattr(m, "__file__", "")).endswith(os.path.join("perfbench", "run.py")) for m in list(sys.modules.values()))
     if cpus is not None:
         assert os.sched_getaffinity(0) == cpus

@@ -285,6 +285,36 @@ def test_bad_parabolic_indices():
             ParabolicData(rs, indices)
 
 
+def test_one_parabolic_data_per_wall(monkeypatch):
+    """A wall is built once per system and set of indices, in any order or
+    repetition, and holds tuples."""
+    rs = _fresh("A3")
+    calls = []
+    real = linalg._kernel
+    monkeypatch.setattr(linalg, "_kernel", lambda *a: calls.append(a) or real(*a))
+    P = ParabolicData(rs, [2, 0])
+    assert ParabolicData(rs, (0, 2, 2)) is P and len(calls) == 1
+    assert ParabolicData(_fresh("A3"), [0, 2]) is not P and len(calls) == 2
+    assert P.indices == (0, 2) and P.delta_rest_indices == (1,)
+    for field in (P.delta_Q, P.basis, P.delta_r, *P.basis, *P.delta_r):
+        assert isinstance(field, tuple)
+
+
+def test_failed_parabolic_data_stores_nothing(monkeypatch):
+    rs = _fresh("A2")
+    before = dict(rs._pairs)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="simple root index 2 out of range"):
+            ParabolicData(rs, [0, 2])
+    with monkeypatch.context() as m:
+        m.setattr(ParabolicData, "restrict", lambda self, v: (Fraction(0),) * len(self.basis))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="restricted simple roots not pairwise distinct"):
+                ParabolicData(rs, [])
+    assert rs._pairs == before
+    assert len(ParabolicData(rs, []).delta_r) == 2
+
+
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
@@ -592,6 +622,15 @@ _GROUP = RootSystem._group  # the real closure, under the fake that breaks its l
         pytest.param(
             RootSystem, ("_group", lambda self: tuple(rootsys._element(w._m, w._d, w.dim, 1) for w in _GROUP(self))),
             lambda rs, P, Q: [min_coset_reps(rs, Q)], "length additivity fails", id="coset-lengths",
+        ),
+        pytest.param(
+            RootSystem, ("is_positive", lambda self, v: False), lambda rs, P, Q: [min_coset_reps(rs, Q)],
+            "coset decomposition not surjective", id="coset-surjection",
+        ),
+        pytest.param(
+            # the left coset W_P w is left- but not right-invariant
+            rootsys, ("_pq_signature", lambda rs, P, Q, w: frozenset(p * w for p in wq_subgroup(rs, P))),
+            lambda rs, P, Q: equiv_PQ(rs, P, Q), "classes not right invariant", id="right-invariance",
         ),
     ],
 )

@@ -78,14 +78,16 @@ def _matches(func, name, qualnames):
 
 
 def _qualnames():
-    """pstats keys to qualified names, for the functions and methods of
-    every loaded module."""
+    """pstats keys to qualified names, for the functions and methods
+    (static and class methods and property getters too) of every loaded
+    module."""
     out = {}
     for mod in list(sys.modules.values()):
         for obj in list(vars(mod).values()):
             members = list(vars(obj).values()) if isinstance(obj, type) else [obj]
             for fn in members:
                 fn = fn.fget if isinstance(fn, property) else fn
+                fn = fn.__func__ if isinstance(fn, (staticmethod, classmethod)) else fn
                 if isinstance(fn, types.FunctionType):
                     code = fn.__code__
                     out[(code.co_filename, code.co_firstlineno, code.co_name)] = fn.__qualname__
