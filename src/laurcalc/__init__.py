@@ -8,9 +8,8 @@ so a process loads only the layers it uses.
 
 _EXPORTS = {
     "scalars": ("GQ", "gq_from_string", "gq_to_string"),
-    "poly": (
-        "ArityError", "DiffOp", "Polynomial", "Space", "j_map", "leibniz_flatten", "pi_product", "quotient_rule",
-    ),
+    "space": ("ArityError", "Space"),
+    "poly": ("DiffOp", "Polynomial", "j_map", "leibniz_flatten", "pi_product", "quotient_rule"),
     "config": (
         "Configuration", "Hyperplane", "XSubspace", "canonical_normal", "hyperplanes_through", "induced_config",
         "pi_omega_d", "subspace_from",

@@ -9,8 +9,9 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .poly import Polynomial, Space, _sized
+from .poly import Polynomial, _key_form
 from .scalars import GQ, _fractions, _mk, _real_over_lcm, _triple
+from .space import Space, _sized
 
 
 def _primitive(ints):
@@ -101,7 +102,7 @@ class Hyperplane:
         return len(self._ints)
 
     def form(self, space: Space) -> Polynomial:
-        return space._key_form(self._ints, self.offset)
+        return _key_form(space, self._ints, self.offset)
 
     def contains(self, space: Space, point) -> bool:
         return (space._key_inner(self._ints, *space._vector(point)) - self.offset).is_zero()

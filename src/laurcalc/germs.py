@@ -11,8 +11,9 @@ from __future__ import annotations
 from math import comb
 
 from .config import Hyperplane, XSubspace, _canonical, _order
-from .poly import ArityError, Polynomial, Space, _mul_terms, _powers, _reduced, quotient_rule
+from .poly import Polynomial, _key_form, _mul_terms, _powers, _reduced, quotient_rule
 from .scalars import GQ, _parts
+from .space import ArityError, Space
 
 
 class Germ:
@@ -104,7 +105,7 @@ def germ_normalize(g: Germ) -> Germ:
         if g.order < total:
             return g
         return _germ(g.space, g.base, {}, g.jet, g.order - total)
-    jet, pole, removed = _cancel_poles(g.jet, g.pole, g.space._key_form)
+    jet, pole, removed = _cancel_poles(g.jet, g.pole, lambda key: _key_form(g.space, key))
     # each factor divided out lowers the degree of the jet by one
     return _germ(g.space, g.base, pole, jet, g.order - removed)
 
@@ -129,7 +130,9 @@ def germ_add(g1: Germ, g2: Germ) -> Germ:
     if g1.base != g2.base:
         raise ValueError("germ base points differ")
     # the poles pass through the base point: the forms <xi, w> have no offset
-    pole, [(p1, e1), (p2, e2)] = _over_common_denominator([(g1.jet, g1.pole), (g2.jet, g2.pole)], g1.space._key_form)
+    pole, [(p1, e1), (p2, e2)] = _over_common_denominator(
+        [(g1.jet, g1.pole), (g2.jet, g2.pole)], lambda key: _key_form(g1.space, key)
+    )
     order = min(g1.order + e1, g2.order + e2)
     return _germ(g1.space, g1.base, pole, (p1 + p2).truncate(order), order)
 
@@ -142,7 +145,7 @@ def germ_diff(v, g: Germ) -> Germ:
     v = [GQ.of(x) for x in v]
     space, vp = g.space, g.space._vector(v)
     # the poles pass through the base point: the forms <xi, w> have no offset
-    P, Q = quotient_rule(space.dim, [(space._key_form(xi), d * space._key_inner(xi, *vp)) for xi, d in g.pole.items()])
+    P, Q = quotient_rule(space.dim, [(_key_form(space, xi), d * space._key_inner(xi, *vp)) for xi, d in g.pole.items()])
     order = g.order + len(g.pole) - 1
     numerator = (P * g.jet.directional(v) - Q * g.jet).truncate(order)
     pole = {xi: d + 1 for xi, d in g.pole.items()}
@@ -261,7 +264,7 @@ def rationalfn_germ_at(f: RationalFn, a, order: int) -> Germ:
         if c0.is_zero():
             pole[h._ints] = pole.get(h._ints, 0) + k
         else:
-            jet = (jet * _inverse_power(f.space._key_form(h._ints), c0, k, order)).truncate(order)
+            jet = (jet * _inverse_power(_key_form(f.space, h._ints), c0, k, order)).truncate(order)
     return _germ(f.space, tuple(a), pole, jet, order)
 
 

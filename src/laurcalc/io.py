@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import DiffOp, Polynomial, Space
 from .scalars import GQ, _ratio_str, _triple, gq_from_string, gq_to_string
+from .space import Space
 
 
 class ParseFailure(Exception):
@@ -106,6 +106,7 @@ def poly_to_json(p: Polynomial) -> dict:
 
 
 def poly_from_json(d) -> Polynomial:
+    from .poly import Polynomial
     terms = {}
     for t in _items(d, "terms"):
         idx = tuple(_int(i, "idx") for i in _items(t, "idx"))
@@ -118,6 +119,7 @@ def diffop_to_json(u: DiffOp) -> dict:
 
 
 def diffop_from_json(d) -> DiffOp:
+    from .poly import DiffOp
     return DiffOp.from_symbol(poly_from_json(d))
 
 

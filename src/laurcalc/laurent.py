@@ -21,10 +21,9 @@ from .germs import (
     rationalfn_pullback,
     rationalfn_restrict,
 )
-from .poly import (
-    ArityError, DiffOp, Polynomial, Space, _sized, factorial_multi, leibniz_flatten, pi_product, quotient_rule,
-)
+from .poly import DiffOp, Polynomial, _key_form, factorial_multi, leibniz_flatten, pi_product, quotient_rule
 from .scalars import GQ, _fractions, _mk, _real_over_lcm
+from .space import ArityError, Space, _sized
 
 
 class LaurentOrderError(ValueError):
@@ -89,7 +88,7 @@ def _evaluate(space: Space, s: LFSummand, g: Germ) -> GQ:
     # u only reads degrees <= m, and the leftover forms are homogeneous
     prod = g.jet.truncate(m)
     for dir_, k in leftover.items():
-        form = space._key_form(dir_)
+        form = _key_form(space, dir_)
         for _ in range(k):
             prod = (prod * form).truncate(m)
     return scalar * s.u._at_zero(prod)
@@ -206,7 +205,7 @@ def lf_mul_action(psi: RationalFn, L: LaurentFunctional) -> LaurentFunctional:
         num, zeros, sp = psi.numerator, {}, space._vector(s.support)
         if not num.is_zero():
             for d in s._totals:
-                num, zeros[d] = num._divide_out(space._key_form(d, space._key_inner(d, *sp)))
+                num, zeros[d] = num._divide_out(_key_form(space, d, space._key_inner(d, *sp)))
         g = rationalfn_germ_at(RationalFn(psi.space, num, psi.denominator), s.support, s.u.order())
         new_totals, scalar = s.leftover(g.pole, "multiplier pole exceeds the functional order")
         # zeros of the multiplier raise the capacity left; psi is cancelled,
@@ -239,7 +238,7 @@ def lf_diff_action(v, L: LaurentFunctional) -> LaurentFunctional:
         P, Q = quotient_rule(
             space.dim,
             [
-                (space._key_form(d, space._key_inner(d, *sp)), k * space._key_inner(d, *vp))
+                (_key_form(space, d, space._key_inner(d, *sp)), k * space._key_inner(d, *vp))
                 for d, k in totals.items()
             ],
         )
@@ -314,6 +313,8 @@ def laurent_operator_apply(
     embedding it parametrizes, which is how the diagonal action is built.
     """
     space = Lsub.space
+    if f.space is not space:
+        raise ArityError("function and subspace over different inner products")
     f = f.cancel()
     sub = Lsub.induced_space()
     if perp is None:
@@ -357,7 +358,7 @@ def laurent_operator_apply(
         # multiply by the regularizing product: leftover canonical forms
         q = Polynomial.const(total, scalar)
         for dir_, rest in leftover.items():
-            q = q * st._key_form((0,) * ns + dir_) ** rest
+            q = q * _key_form(st, (0,) * ns + dir_) ** rest
         expr = RationalFn(st, g.numerator * q, den).cancel()
         # apply the operator in the transverse coordinates
         acc = None

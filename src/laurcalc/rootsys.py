@@ -31,8 +31,8 @@ from operator import mul, sub
 
 from . import linalg
 from .lattice import Lattice, _int_rows, _lattice, _re_im
-from .poly import Space, _sized
 from .scalars import GQ, _fractions, _mk, _over_lcm, _real_over_lcm
+from .space import Space, _sized
 
 
 class WeylElement:

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from operator import add, le
 
-from .poly import ArityError, DiffOp, Polynomial, Space
+from .poly import DiffOp, Polynomial
 from .lattice import _lattice
 from .scalars import GQ
+from .space import ArityError, Space
 
 
 def _exp_key(xi):

@@ -230,7 +230,7 @@ def test_inverse_power_builds_only_the_powers_it_uses(order, monkeypatch):
     calls = []
     mul = germs._mul_terms
     monkeypatch.setattr(germs, "_mul_terms", lambda *a: calls.append(a) or mul(*a))
-    germs._inverse_power(Space(2)._key_form((1, 2)), GQ(3, 1), 2, order)
+    germs._inverse_power(germs._key_form(Space(2), (1, 2)), GQ(3, 1), 2, order)
     assert len(calls) == order
 
 

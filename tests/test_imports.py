@@ -18,7 +18,8 @@ CORPUS = "perfbench/corpus/files/"
 # eagerly, by the module that defined each name then
 EXPORTS = {
     "scalars": ["GQ", "gq_from_string", "gq_to_string"],
-    "poly": ["ArityError", "DiffOp", "Polynomial", "Space", "j_map", "leibniz_flatten", "pi_product", "quotient_rule"],
+    "space": ["ArityError", "Space"],
+    "poly": ["DiffOp", "Polynomial", "j_map", "leibniz_flatten", "pi_product", "quotient_rule"],
     "config": [
         "Configuration", "Hyperplane", "XSubspace", "canonical_normal", "hyperplanes_through", "induced_config",
         "pi_omega_d", "subspace_from",
@@ -95,10 +96,12 @@ def test_cli_import_loads_no_layer():
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        pytest.param(["rootsys", "weyl", "--system", "A3"], {"config", "germs", "laurent", "series"}, id="rootsys"),
+        pytest.param(
+            ["rootsys", "weyl", "--system", "A3"], {"poly", "config", "germs", "laurent", "series"}, id="rootsys"
+        ),
         pytest.param(
             ["rootsys", "cosets", "--system-file", CORPUS + "rootsys_b2.json", "--deltaQ", "0"],
-            {"config", "germs", "laurent", "series"},
+            {"poly", "config", "germs", "laurent", "series"},
             id="rootsys-file",
         ),
         pytest.param(
@@ -115,9 +118,15 @@ def test_verb_loads_only_its_layer(argv, absent):
 
 def test_verify_check_loads_only_its_layer():
     loaded = _after_run(["verify", "--suite", "weyl-orders"])
-    assert {"rootsys", "lattice"} <= loaded and not loaded & {"config", "germs", "laurent", "series"}
+    assert {"rootsys", "lattice"} <= loaded and not loaded & {"poly", "config", "germs", "laurent", "series"}
 
 
 def test_poly_verb_loads_no_layer_above_poly():
     argv = ["poly", "mul", "--a", CORPUS + "poly_a.json", "--b", CORPUS + "poly_b.json"]
-    assert _after_run(argv) == {"scalars", "linalg", "poly", "io", "cli"}
+    assert _after_run(argv) == {"scalars", "linalg", "space", "poly", "io", "cli"}
+
+
+def test_rootsys_verb_loads_no_polynomial_code():
+    assert _after_run(["rootsys", "weyl", "--system", "A3"]) == {
+        "scalars", "linalg", "space", "io", "cli", "lattice", "rootsys",
+    }

@@ -346,6 +346,16 @@ def test_zero_operator_gives_the_zero_function():
     assert out.numerator.is_zero() and not out.denominator and out.space is Lsub.induced_space()
 
 
+@pytest.mark.parametrize("dim", [3, 1])
+def test_function_over_another_space_than_the_subspace_is_refused(dim):
+    # never an IndexError or a complaint about a vector's length from the pull-back
+    Lsub = subspace_from(Space(2), [Hyperplane.make((0, 1), GQ(0))])
+    L = lf_residue(transverse_space(Lsub), [0], [(1,)], [1])
+    f = RationalFn(Space(dim), Polynomial.const(dim, GQ(1)), {Hyperplane.make((1,) * dim, GQ(0)): 1})
+    with pytest.raises(ArityError, match="function and subspace over different inner products"):
+        laurent_operator_apply(L, f, Lsub)
+
+
 def test_diagonal_apply_cross_pole():
     # evaluation-type coefficient extraction across the two factors
     sp = Space(2)

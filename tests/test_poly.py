@@ -21,6 +21,7 @@ from laurcalc import (
     pi_product,
     poly,
     quotient_rule,
+    space,
 )
 
 from _support import rand_diffop, rand_gq, rand_point, rand_poly
@@ -172,16 +173,32 @@ def test_one_space_per_inner_product():
 def test_a_live_inner_product_is_checked_once(monkeypatch):
     held = Space(2, [[3, 1], [1, 5]])
     calls = []
-    real = poly.linalg._eliminate
-    monkeypatch.setattr(poly.linalg, "_eliminate", lambda *a: calls.append(a) or real(*a))
+    real = space.linalg._eliminate
+    monkeypatch.setattr(space.linalg, "_eliminate", lambda *a: calls.append(a) or real(*a))
     assert Space(2, [[Fraction(6, 2), 1], [1, 5]]) is held and calls == []
     Space(2, [[3, 1], [1, 6]])
     assert len(calls) == 1
 
 
+def test_an_inner_product_is_checked_once_while_it_is_remembered(monkeypatch):
+    """A space that dies and comes back is not eliminated again; a matrix
+    that fails is eliminated on every try."""
+    Space(2, [[5, 2], [2, 7]])
+    assert all(sp._g != ((5, 2), (2, 7)) for sp in list(space._SPACES.values()))
+    calls = []
+    real = space.linalg._eliminate
+    monkeypatch.setattr(space.linalg, "_eliminate", lambda *a: calls.append(a) or real(*a))
+    Space(2, [[5, 2], [2, 7]])
+    assert calls == []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="positive definite"):
+            Space(2, [[2, 3], [3, 2]])
+    assert len(calls) == 2
+
+
 def test_a_space_that_dies_or_fails_is_not_kept():
     def kept(g):
-        return any(sp._g == g for sp in list(poly._SPACES.values()))
+        return any(sp._g == g for sp in list(space._SPACES.values()))
 
     Space(2, [[7, 1], [1, 7]])
     assert not kept(((7, 1), (1, 7)))
@@ -584,9 +601,9 @@ def _key_form_case(draw):
 @settings(max_examples=60, deadline=None)
 @given(_key_form_case())
 def test_key_form_is_the_linear_form(case):
-    space, key, offset = case
-    assert space._key_form(key, offset) == space.linear_form(key, offset)
-    assert space._key_form(key) == space.linear_form(key)
+    sp, key, offset = case
+    assert poly._key_form(sp, key, offset) == sp.linear_form(key, offset)
+    assert poly._key_form(sp, key) == sp.linear_form(key)
 
 
 def test_only_poly_builds_forms_from_int_parts():

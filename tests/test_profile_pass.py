@@ -45,7 +45,7 @@ def test_one_residue_round(capsys, monkeypatch):
     assert len(top) == 5 and all(" laurcalc/" in line for line in top)
     assert re.search(r"calls of config\._canonical: \d+", out)
     inner = int(re.search(r"calls of Space\.inner: (\d+)", out).group(1))
-    assert inner > 0 and "laurcalc/poly.py" in out.split("calls of Space.inner")[1]
+    assert inner > 0 and "laurcalc/space.py" in out.split("calls of Space.inner")[1]
     # a static method is found by its qualified name
     assert int(re.search(r"calls of Polynomial\.linear: (\d+)", out).group(1)) > 0
     assert not any(str(getattr(m, "__file__", "")).endswith(os.path.join("perfbench", "run.py")) for m in list(sys.modules.values()))

@@ -7,9 +7,17 @@ processes), the command runs once under ``python -X importtime -m
 laurcalc.cli`` from the root of the checkout.  Printed per entry: its exit
 status, the laurcalc modules it loaded in import order with the self time
 of each import, their sum, and the self time of every import of the
-process.  ``laurcalc.cli`` itself runs as ``__main__`` and is not an
-import, so it is not listed.  One run per entry, so each time is that of
-a single cold start.
+process.  Next to each module stand the lines of its source file and the
+time of one ``compile()`` of that source in this process.
+``laurcalc.cli`` itself runs as ``__main__`` and is not an import, so it
+has no import time, but it is compiled on every cold start too: its lines
+and compile time close the list.  One run per entry, so each time is that
+of a single cold start.
+
+With ``PYTHONDONTWRITEBYTECODE=1`` and no ``__pycache__`` in the
+checkout, every cold start compiles each module it imports from source,
+so the self time of an import is mostly its compile time; the compile
+column shows how much.
 
 Example, from the root of a checkout:
 
@@ -30,8 +38,10 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 PERFBENCH = os.path.join(ROOT, "perfbench")
 CORPUS = os.path.join(PERFBENCH, "corpus", "entries.json")
 
@@ -63,6 +73,18 @@ def import_times(argv):
     return p.returncode, rows
 
 
+def source_cost(module):
+    """(lines, ms of one ``compile()``) of the source file of a laurcalc
+    module, read from the checkout without importing it."""
+    path = os.path.join(SRC, *module.split("."))
+    path = os.path.join(path, "__init__.py") if os.path.isdir(path) else path + ".py"
+    with open(path) as fh:
+        source = fh.read()
+    start = time.perf_counter()
+    compile(source, path, "exec")
+    return source.count("\n"), (time.perf_counter() - start) * 1e3
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--entry", action="append", help="only this corpus entry (repeatable)")
@@ -78,8 +100,10 @@ def main(argv=None):
         ours = [(module, ms) for module, ms in rows if module.split(".")[0] == "laurcalc"]
         print(f"{workload} {name}: exit {code}, laurcalc {sum(ms for _, ms in ours):.1f} ms "
               f"of {sum(ms for _, ms in rows):.1f} ms of imports")
-        for module, ms in ours:
-            print(f"  {module:<20} {ms:7.2f} ms")
+        for module, ms in ours + [("laurcalc.cli", None)]:
+            lines, compile_ms = source_cost(module)
+            imported = "__main__" if ms is None else f"{ms:7.2f} ms"
+            print(f"  {module:<20} {imported:>10} {lines:5d} lines {compile_ms:6.2f} ms compile")
     return 0
 
 

@@ -13,7 +13,7 @@ the wrapper of every call the benchmark makes into ``laurcalc``, over
 the time of the passes), the top library functions by self time, and for
 each ``--count`` name the calls of every function of that name with
 their callers.  A name is a function name (``inner``) or a qualified one
-(``Space.inner``, ``poly.Space.inner``, ``config._canonical``).
+(``Space.inner``, ``space.Space.inner``, ``config._canonical``).
 
 Example, from the root of a checkout:
 
