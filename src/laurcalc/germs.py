@@ -13,7 +13,7 @@ from math import comb
 from .config import Hyperplane, XSubspace, _canonical, _order
 from .poly import Polynomial, _key_form, _mul_terms, _powers, _reduced, quotient_rule
 from .scalars import GQ, _parts
-from .space import ArityError, Space
+from .space import ArityError, Space, _sized
 
 
 class Germ:
@@ -26,15 +26,18 @@ class Germ:
 
     def __init__(self, space: Space, base, pole, jet: Polynomial, order: int):
         order = _order(order, "order")
+        if jet.dim != space.dim:
+            raise ArityError(f"a jet in {jet.dim} variables in a space of dimension {space.dim}")
         keys = {}
         for xi, k in dict(pole).items():
+            _sized(xi, space.dim)
             k = _order(k, "pole order along {}", xi)
             if k:
                 canon, g, d = _canonical(xi)
                 if g != d:
                     raise ValueError("pole directions must be canonical primitive vectors")
                 keys[canon] = k
-        _germ(space, tuple(GQ.of(x) for x in base), keys, jet.truncate(order), order, self)
+        _germ(space, tuple(GQ.of(x) for x in _sized(base, space.dim)), keys, jet.truncate(order), order, self)
 
     def copy_with(self, jet: Polynomial) -> "Germ":
         """The germ with the same base, pole and order and a new jet."""
@@ -169,6 +172,7 @@ class RationalFn:
         self.numerator = numerator
         self.denominator = {}
         for h, k in dict(denominator or {}).items():
+            _sized(h.normal, space.dim)
             k = _order(k, "power of {}", h)
             if k:
                 self.denominator[h] = k

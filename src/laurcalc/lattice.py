@@ -6,25 +6,11 @@ exponential series and the ``*_delta`` functions of ``rootsys``.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
 from math import gcd
 from operator import le, mul
 
 from . import linalg
-from .scalars import _mk, _over_lcm, _real_over_lcm
-
-
-def _int_rows(vectors):
-    """Real vectors as tuples of ints over one denominator: (rows, e)."""
-    vectors = [tuple(v) for v in vectors]
-    flat, e = _real_over_lcm([x for v in vectors for x in v])
-    it = iter(flat)
-    return tuple(tuple(islice(it, len(v))) for v in vectors), e
-
-
-def _re_im(pairs):
-    """The real and the imaginary parts of int pairs, as two lists."""
-    return [a for a, _ in pairs], [b for _, b in pairs]
+from .scalars import _int_rows, _mk, _over_lcm, _re_im
 
 
 class Lattice:

@@ -157,6 +157,8 @@ def lf_pushforward(iota, L0: LaurentFunctional, space_V: Space) -> LaurentFuncti
     """
     n0 = L0.space.dim
     n = space_V.dim
+    if len(iota) != n or any(len(row) != n0 for row in iota):
+        raise ArityError(f"embedding matrix must be {n} x {n0}, the target by the source dimension")
     cols = [[GQ.of(iota[i][j]) for i in range(n)] for j in range(n0)]
     if linalg.rank(cols) < n0:
         raise ValueError("embedding is not injective")
@@ -189,6 +191,13 @@ def lf_pullback_fn(iota, f: RationalFn, space_V0: Space) -> RationalFn:
 # ---------------------------------------------------------------------------
 
 
+def _summand(support, totals, u) -> LFSummand:
+    """The summand at support with the pole orders {direction: total}, its
+    directions in sorted order."""
+    dirs = sorted(totals)
+    return LFSummand(support, dirs, [totals[d] for d in dirs], u)
+
+
 def lf_mul_action(psi: RationalFn, L: LaurentFunctional) -> LaurentFunctional:
     """The transpose of multiplication: the result satisfies
     result(phi) = L(psi * phi) on all admissible arguments."""
@@ -216,10 +225,7 @@ def lf_mul_action(psi: RationalFn, L: LaurentFunctional) -> LaurentFunctional:
                 new_totals[d] += e
         jet_z = (scalar * g.jet).shift([-x for x in s.support])
         u_new = leibniz_flatten(s.u, jet_z, s.support)
-        dirs = sorted(new_totals)
-        summands.append(
-            LFSummand(s.support, dirs, [new_totals[d] for d in dirs], u_new)
-        )
+        summands.append(_summand(s.support, new_totals, u_new))
     return LaurentFunctional(space, summands)
 
 
@@ -247,10 +253,7 @@ def lf_diff_action(v, L: LaurentFunctional) -> LaurentFunctional:
             - leibniz_flatten(s.u, Q, s.support)
         )
         new_totals = {d: k - 1 for d, k in totals.items() if k > 1}
-        dirs = sorted(new_totals)
-        summands.append(
-            LFSummand(s.support, dirs, [new_totals[d] for d in dirs], u_new)
-        )
+        summands.append(_summand(s.support, new_totals, u_new))
     return LaurentFunctional(space, summands)
 
 
@@ -285,9 +288,7 @@ def lf_annihilator_witness(g: Germ):
         for _ in range(k):
             u = u * DiffOp.directional(space.dim, perp[j])
     u = u * (GQ(1) / (GQ(factorial_multi(gamma)) * c))
-    dirs = sorted(gn.pole)
-    s = LFSummand(gn.base, dirs, [gn.pole[d] for d in dirs], u)
-    return LaurentFunctional(space, [s])
+    return LaurentFunctional(space, [_summand(gn.base, gn.pole, u)])
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,8 @@ class Polynomial:
             if a or b:
                 if len(idx) != dim:
                     raise ArityError(f"multi-index {idx} has wrong arity for dim {dim}")
+                if any(k < 0 for k in idx):
+                    raise ValueError(f"multi-index {idx} has a negative exponent")
                 self._t[tuple(idx)] = (a, b)
         self.dim = dim
         self._view = None

@@ -30,15 +30,15 @@ from math import gcd
 from operator import mul, sub
 
 from . import linalg
-from .lattice import Lattice, _int_rows, _lattice, _re_im
-from .scalars import GQ, _fractions, _mk, _over_lcm, _real_over_lcm
+from .lattice import Lattice, _lattice
+from .scalars import GQ, _fractions, _int_rows, _mk, _over_lcm, _re_im, _real_over_lcm
 from .space import Space, _sized
 
 
 class WeylElement:
     """An orthogonal rational matrix permuting the root set.
 
-    The matrix is stored row by row as a flat tuple of ints ``_m`` over one
+    The matrix is stored as a tuple of int row tuples ``_m`` over one
     positive denominator ``_d`` with gcd(_m..., _d) = 1, so every element
     has exactly one representation.  ``matrix`` gives it back as rows of
     ``Fraction``; ``length`` is the word length when the element came out
@@ -49,24 +49,18 @@ class WeylElement:
     __slots__ = ("_m", "_d", "dim", "length")
 
     def __init__(self, matrix):
-        rows = [tuple(row) for row in matrix]
-        m, d = _real_over_lcm([x for row in rows for x in row])
-        _fill(self, tuple(m), d, len(rows), None)
+        _element(*_int_rows(matrix), len(matrix), None, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeylElement is immutable")
 
     @property
     def matrix(self):
-        return tuple(_fractions(row, self._d) for row in self._rows())
-
-    def _rows(self):
-        n, m = self.dim, self._m
-        return [m[i * n : (i + 1) * n] for i in range(n)]
+        return tuple(_fractions(row, self._d) for row in self._m)
 
     def _apply(self, iv):
         """The ints _m . iv, so that w(iv / e) = _apply(iv) / (_d * e)."""
-        return [sum(map(mul, row, iv)) for row in self._rows()]
+        return [sum(map(mul, row, iv)) for row in self._m]
 
     def act(self, v):
         iv, e = _real_over_lcm(_sized(v, self.dim))
@@ -83,16 +77,15 @@ class WeylElement:
         return self._apply(iv) == [self._d * x for x in iv]
 
     def __mul__(self, other):
-        n = self.dim
-        cols = [other._m[j::n] for j in range(n)]
-        m = tuple(sum(map(mul, row, col)) for row in self._rows() for col in cols)
-        return _element(m, self._d * other._d, n)
+        cols = list(zip(*other._m))
+        m = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self._m)
+        return _element(m, self._d * other._d, self.dim)
 
     def inverse(self):
         # (m / d)^-1 = d m^-1 = d inv / det for the int inverse inv / det
-        inv, (det, _) = linalg._inverse([[(x, 0) for x in row] for row in self._rows()])
+        inv, (det, _) = linalg._inverse([[(x, 0) for x in row] for row in self._m])
         s = self._d if det > 0 else -self._d
-        return _element(tuple(s * x for row in inv for x, _ in row), abs(det), self.dim)
+        return _element(tuple(tuple(s * x for x, _ in row) for row in inv), abs(det), self.dim)
 
     def is_identity(self):
         return self._d == 1 and self._m == _identity_ints(self.dim)
@@ -109,29 +102,22 @@ class WeylElement:
         return f"WeylElement({self.matrix}, l={self.length})"
 
 
-_set_m, _set_d, _set_dim, _set_length = (getattr(WeylElement, name).__set__ for name in WeylElement.__slots__)
-
-
-def _fill(w, m, d, dim, length):
-    _set_m(w, m)
-    _set_d(w, d)
-    _set_dim(w, dim)
-    _set_length(w, length)
+def _element(m, d, dim, length=None, w=None):
+    """The WeylElement with int rows m over d > 0, brought to lowest terms;
+    w is set up when given."""
+    if d != 1:
+        g = gcd(d, *(x for row in m for x in row))
+        if g != 1:
+            m = tuple(tuple(x // g for x in row) for row in m)
+            d //= g
+    w = object.__new__(WeylElement) if w is None else w
+    for slot, value in zip(WeylElement.__slots__, (m, d, dim, length)):
+        object.__setattr__(w, slot, value)
     return w
 
 
-def _element(m, d, dim, length=None):
-    """The WeylElement with ints m over d > 0, brought to lowest terms."""
-    if d != 1:
-        g = gcd(d, *m)
-        if g != 1:
-            m = tuple(x // g for x in m)
-            d //= g
-    return _fill(WeylElement.__new__(WeylElement), m, d, dim, length)
-
-
 def _identity_ints(n):
-    return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def _closure(gens, ident):
@@ -164,6 +150,9 @@ class RootSystem:
         self.roots = tuple(_fractions(r, self._e) for r in self._roots)
         if positive is None:
             raise ValueError("a positive system must be specified")
+        for i in positive:
+            if i not in range(len(self._roots)):
+                raise ValueError(f"positive root index {i} out of range for {len(self._roots)} roots")
         self.positive = tuple(self.roots[i] for i in positive)
         pos = [self._roots[i] for i in positive]
         self._positive = set(pos)
@@ -197,15 +186,14 @@ class RootSystem:
     def _reflect(self, a) -> WeylElement:
         # z -> z - 2 <alpha, z> alpha / <alpha, alpha> for alpha a multiple of
         # the int vector a, with the form <a, .> scaled to the ints b = G a
-        # of the int Gram matrix G, so <alpha, alpha> ~ a . b
+        # of the int Gram matrix G, so <alpha, alpha> ~ a . b, which is
+        # positive unless a = 0, for G is positive definite
         b = [sum(map(mul, row, a)) for row in self.space._g]
         n2 = sum(map(mul, a, b))
         if n2 == 0:
             raise ValueError("cannot reflect in an isotropic vector")
         n = self.dim
-        m = tuple((n2 if i == j else 0) - 2 * a[i] * b[j] for i in range(n) for j in range(n))
-        if n2 < 0:
-            m, n2 = tuple(-x for x in m), -n2
+        m = tuple(tuple((n2 if i == j else 0) - 2 * a[i] * b[j] for j in range(n)) for i in range(n))
         return _element(m, n2, n)
 
     # -- validation --------------------------------------------------
@@ -226,9 +214,7 @@ class RootSystem:
             if any(tuple(s._apply(b)) not in scaled for b in self._roots):
                 raise ValueError("root set not closed under reflections")
         pset = self._positive
-        if len(pset) * 2 != len(rset) or any(
-            (a in pset) == (tuple(-x for x in a) in pset) for a in self._roots
-        ):
+        if len(pset) * 2 != len(rset) or any((a in pset) == (tuple(-x for x in a) in pset) for a in self._roots):
             raise ValueError("invalid positive system")
         lattice = Lattice(self.simple, self.dim, "simple roots")
         # every positive root is a nonnegative integer combination of Delta
@@ -236,6 +222,8 @@ class RootSystem:
             c = lattice.coords(a)
             if c is None or any(x < 0 for x in c):
                 raise ValueError("positive root outside the nonnegative simple span")
+        if any(self._key(a) not in pset for a in self.simple):
+            raise ValueError("simple root that is not a positive root")
 
     def is_positive(self, v):
         return self._key(v) in self._positive
@@ -270,14 +258,7 @@ def _span_system(name, gram, positive_coords):
     roots = positive_coords + [tuple(-x for x in r) for r in positive_coords]
     dim = len(gram)
     simple = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-    return RootSystem(
-        dim,
-        roots,
-        ip=gram,
-        positive=list(range(len(positive_coords))),
-        simple=simple,
-        name=name,
-    )
+    return RootSystem(dim, roots, ip=gram, positive=list(range(len(positive_coords))), simple=simple, name=name)
 
 
 # name: (Gram matrix of the simple roots, positive roots in their coordinates)
@@ -328,9 +309,7 @@ class ParabolicData:
             return self
         for i in indices:
             if i not in range(len(rs.simple)):
-                raise ValueError(
-                    f"simple root index {i} out of range for {len(rs.simple)} simple roots"
-                )
+                raise ValueError(f"simple root index {i} out of range for {len(rs.simple)} simple roots")
         self = object.__new__(cls)
         self.rs = rs
         self.indices = indices
@@ -342,9 +321,7 @@ class ParabolicData:
         self.basis = tuple(_fractions(v, d) for v in self._basis)
         self._forms = tuple(tuple(sum(map(mul, row, b)) for row in rs.space._g) for b in self._basis)
         self._den = rs.space._e * d
-        self.delta_rest_indices = tuple(
-            i for i in range(len(rs.simple)) if i not in indices
-        )
+        self.delta_rest_indices = tuple(i for i in range(len(rs.simple)) if i not in indices)
         self.delta_r = tuple(self.restrict(rs.simple[i]) for i in self.delta_rest_indices)
         if len(set(self.delta_r)) != len(self.delta_r):
             raise ValueError("restricted simple roots not pairwise distinct")
@@ -498,27 +475,30 @@ def double_cosets(rs: RootSystem, P: ParabolicData, Q: ParabolicData):
     return [list(c) for c in _double_cosets(rs, P, Q)]
 
 
+def _translates(rs, P, Q, S, lam):
+    """The classes of (P, Q), the translate of lam by each class
+    representative restricted to wall P, and S restricted to wall P (the
+    zero functional when S is empty)."""
+    classes = _classes(rs, P, Q)
+    lam = [GQ.of(x) for x in lam]
+    S_r = [P.restrict_gq(s) for s in S] or [tuple(GQ(0) for _ in P.basis)]
+    return classes, [P.restrict_gq(cl[0].act_gq(lam)) for cl in classes], S_r
+
+
 def generic_witness(rs: RootSystem, P: ParabolicData, Q: ParabolicData, S, lam):
     """None when lam is generic; otherwise a violating pair of Weyl
     elements with its lattice certificate (i1, i2, c): the difference eta
     of their restricted translates of lam lies in S_r[i1] - S_r[i2] +
     Z.Delta_r(P), with integer coordinates c."""
-    reps = [cl[0] for cl in _classes(rs, P, Q)]
-    lam = [GQ.of(x) for x in lam]
-    S_r = [P.restrict_gq(s) for s in S] or [tuple(GQ(0) for _ in P.basis)]
-    for i, s1 in enumerate(reps):
-        for s2 in reps[i + 1 :]:
-            v1 = s1.act_gq(lam)
-            v2 = s2.act_gq(lam)
-            eta = tuple(
-                a - b
-                for a, b in zip(P.restrict_gq(v1), P.restrict_gq(v2))
-            )
+    classes, base, S_r = _translates(rs, P, Q, S, lam)
+    for i, v1 in enumerate(base):
+        for j in range(i + 1, len(base)):
+            eta = [a - b for a, b in zip(v1, base[j])]
             for i1, a in enumerate(S_r):
                 for i2, b in enumerate(S_r):
                     c = P.lattice.coords([e - (x - y) for e, x, y in zip(eta, a, b)])
                     if c is not None:
-                        return (s1, s2, (i1, i2, c))
+                        return (classes[i][0], classes[j][0], (i1, i2, c))
     return None
 
 
@@ -534,17 +514,16 @@ def exponent_classify(rs: RootSystem, P: ParabolicData, Q: ParabolicData, S, lam
     ("ambiguous", candidate indices, classes); raises when xi lies in no
     coset.
     """
-    classes = equiv_PQ(rs, P, Q)
-    lam = [GQ.of(x) for x in lam]
+    classes, base, S_r = _translates(rs, P, Q, S, lam)
     xi = [GQ.of(x) for x in xi]
-    S_r = [P.restrict_gq(s) for s in S] or [tuple(GQ(0) for _ in P.basis)]
-    candidates = []
-    for k, cl in enumerate(classes):
-        base = P.restrict_gq(cl[0].act_gq(lam))
-        if any(P.lattice.preceq(xi, [b + s for b, s in zip(base, s0)]) for s0 in S_r):
-            candidates.append(k)
+    candidates = [
+        k
+        for k, v in enumerate(base)
+        if any(P.lattice.preceq(xi, [b + s for b, s in zip(v, s0)]) for s0 in S_r)
+    ]
     if not candidates:
         raise ValueError("weight lies in no translated coset")
+    classes = [list(cl) for cl in classes]
     if len(candidates) == 1:
         return ("class", candidates[0], classes)
     return ("ambiguous", candidates, classes)

@@ -10,14 +10,16 @@ anywhere.
 
 Vectors are held the same way inside the library: ``_over_lcm`` brings
 ints, Fractions, numeric strings or GQs to int pairs over their least
-common denominator, one form per vector, and ``_real_over_lcm`` is the one
-place that refuses a nonzero imaginary part.
+common denominator, one form per vector, ``_real_over_lcm`` is the one
+place that refuses a nonzero imaginary part, and ``_int_rows`` does the
+same for the rows of a real matrix.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 _MODULUS = sys.hash_info.modulus
@@ -293,6 +295,19 @@ def _real_over_lcm(values):
         if b:
             raise ValueError(f"{_mk(a, b, d)} is not real")
     return [a for a, _ in pairs], d
+
+
+def _int_rows(vectors):
+    """Real vectors as tuples of ints over one denominator: (rows, e)."""
+    vectors = [tuple(v) for v in vectors]
+    flat, e = _real_over_lcm([x for v in vectors for x in v])
+    it = iter(flat)
+    return tuple(tuple(islice(it, len(v))) for v in vectors), e
+
+
+def _re_im(pairs):
+    """The real and the imaginary parts of int pairs, as two lists."""
+    return [a for a, _ in pairs], [b for _, b in pairs]
 
 
 def _fractions(ints, d):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .scalars import GQ, ZERO, _mk, _over_lcm, _parts, _real_over_lcm
+from .scalars import GQ, ZERO, _int_rows, _mk, _over_lcm, _parts
 
 
 class ArityError(ValueError):
@@ -62,8 +62,7 @@ class Space:
             ip = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
         if len(ip) != dim or any(len(row) != dim for row in ip):
             raise ValueError(f"inner product matrix must be {dim} x {dim}")
-        flat, e = _real_over_lcm([x for row in ip for x in row])
-        g = tuple(tuple(flat[i * dim : (i + 1) * dim]) for i in range(dim))
+        g, e = _int_rows(ip)
         self = _SPACES.get((e, g))
         if self is not None:
             return self

@@ -577,3 +577,50 @@ def test_vector_of_the_wrong_length_exit_2(argv, n, capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["error"] == "precondition"
     assert doc["detail"].startswith(f"a vector of length {n} in ")
+
+
+def _corpus_doc(name):
+    return json.loads((ROOT / CORPUS / name).read_text())
+
+
+@pytest.mark.parametrize("op", ["normalize", "diff", "add"])
+def test_germ_pole_direction_of_another_length_exit_2(op, capsys, tmp_path):
+    germ = _corpus_doc("germ_double.json")
+    germ["pole"][0]["direction"] = ["1/1"]
+    path = str(tmp_path / "g.json")
+    Path(path).write_text(json.dumps(germ))
+    argv = {"normalize": ["--germ", path], "diff": ["--germ", path, "--vector", "1,0"], "add": ["--a", path, "--b", path]}
+    code, out = _run(["germ", op, *argv[op]], capsys)
+    assert code == 2
+    assert json.loads(out) == {"error": "precondition", "detail": "a vector of length 1 in a space of dimension 2"}
+
+
+def test_pushforward_matrix_of_another_shape_exit_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    embedding = _corpus_doc("embedding_skew.json")
+    embedding["matrix"] = [["3/5", "3/5"]]
+    path = str(tmp_path / "m.json")
+    Path(path).write_text(json.dumps(embedding))
+    code, out = _run(["laurent", "pushforward", "--functional", CORPUS + "functional_residue.json", "--matrix", path], capsys)
+    assert code == 2
+    assert json.loads(out)["detail"] == "embedding matrix must be 2 x 1, the target by the source dimension"
+
+
+@pytest.mark.parametrize("index", [8, -1])
+def test_positive_root_index_out_of_range_exit_2(index, capsys, tmp_path):
+    system = _corpus_doc("rootsys_b2.json")
+    system["positive"][0] = index
+    path = tmp_path / "rs.json"
+    path.write_text(json.dumps(system))
+    code, out = _run(["rootsys", "weyl", "--system-file", str(path)], capsys)
+    assert code == 2
+    assert json.loads(out)["detail"] == f"positive root index {index} out of range for 8 roots"
+
+
+@pytest.mark.parametrize("op", ["generic", "classify"])
+def test_lam_of_another_length_exit_2_with_one_class(op, capsys):
+    # with P = Q = all simple roots there is one class and no pair of classes
+    argv = ["rootsys", op, "--system", "A2", "--deltaP", "0,1", "--deltaQ", "0,1", "--lam", "1"]
+    code, out = _run(argv + (["--xi", "0"] if op == "classify" else []), capsys)
+    assert code == 2
+    assert json.loads(out)["detail"] == "a vector of length 1 in a space of dimension 2"

@@ -1,0 +1,143 @@
+"""Seeded mutation of the golden CLI corpus: each run takes a corpus entry,
+mutates one of its input files (the JSON tree) or one of its vector or
+integer options, and replays it through ``cli.run`` in process.  Every
+mutated command must end with exit 0, 1 or 2 and JSON on stdout (PASS and
+FAIL lines for ``verify``): malformed input is a parse or precondition
+failure, never an internal error (exit 3) or a traceback."""
+
+import copy
+import json
+import random
+from pathlib import Path
+
+from laurcalc.cli import run
+
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "perfbench" / "corpus"
+# the entries with JSON on stdout; the argparse failures print nothing there
+ENTRIES = [e for e in json.loads((CORPUS / "entries.json").read_text()) if e.get("stdout", "-") != ""]
+SEED = 20231019
+RUNS = 2000
+
+# what a scalar, a list or an object of a corpus file may turn into
+_VALUES = [0, 1, -1, 2, 3, "0/1", "1/2", "-3/4", "i", "1 + i", "x", "1/0", "", None, True, [], {}, [0], ["1/1"], [[]]]
+# what one component of a vector option may turn into
+_COMPONENTS = ["0", "1", "-1", "2/3", "i", "1-i", "x", "1/0", "", "1e3"]
+# the options that hold lists of simple-root, hyperplane or order indices
+_INT_OPTIONS = {"--deltaQ", "--deltaP", "--hyperplanes", "--d"}
+# the options argparse reads as an int; they get small ints only, since
+# argparse refuses anything else with exit 1 and no JSON
+_ARGPARSE_INTS = {"--index", "--order"}
+
+
+def _paths(node, path=()):
+    """Every position in a JSON tree, as the path of keys leading to it."""
+    yield path
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _paths(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _paths(v, path + (i,))
+
+
+def _mutate_doc(doc, rnd):
+    """doc with one position replaced, dropped, duplicated or emptied."""
+    doc = copy.deepcopy(doc)
+    path = rnd.choice(list(_paths(doc))[1:] or [()])
+    if not path:
+        return rnd.choice(_VALUES)
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    key, node = path[-1], parent[path[-1]]
+    kind = rnd.randrange(5)
+    if kind == 0:
+        parent[key] = copy.deepcopy(rnd.choice(_VALUES))
+    elif kind == 1:
+        del parent[key]
+    elif kind == 2 and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(node))
+    elif kind == 3 and isinstance(node, list):
+        parent[key] = node[: rnd.randrange(len(node) + 1)] + [copy.deepcopy(rnd.choice(_VALUES))] * rnd.randrange(2)
+    elif isinstance(node, int) and not isinstance(node, bool):
+        parent[key] = node + rnd.choice([-2, -1, 1, 2])
+    else:
+        parent[key] = copy.deepcopy(rnd.choice(_VALUES))
+    return doc
+
+
+def _mutate_vector(text, rnd):
+    """A vector option (components split by commas, vectors by semicolons)
+    with one component changed, dropped or added."""
+    vectors = [v.split(",") for v in text.split(";")]
+    v = rnd.choice(vectors)
+    i = rnd.randrange(len(v))
+    kind = rnd.randrange(3)
+    if kind == 0:
+        v[i] = rnd.choice(_COMPONENTS)
+    elif kind == 1 and len(v) > 1:
+        del v[i]
+    else:
+        v.insert(i, rnd.choice(_COMPONENTS))
+    return ";".join(",".join(v) for v in vectors)
+
+
+def _mutate_ints(rnd):
+    return ",".join(str(rnd.randrange(-1, 5)) for _ in range(rnd.randrange(4)))
+
+
+def _mutated_argv(entry, rnd, tmp_path, k):
+    """The entry's argv with one input file or one option value mutated."""
+    argv = list(entry["argv"])
+    slots = [i for i in range(2, len(argv)) if argv[i - 1].startswith("--") and not argv[i].startswith("--")]
+    if not slots:
+        return argv + ["--suite", rnd.choice(["all", "weyl-orders", "weyl-orders,j-map-cocycle", "nothing", ""])]
+    i = rnd.choice(slots)
+    option, value = argv[i - 1], argv[i]
+    if value.endswith(".json"):
+        try:
+            doc = json.loads((ROOT / value).read_text())
+        except (OSError, ValueError):
+            return argv  # a missing or malformed file stays as it is
+        for _ in range(rnd.choice((1, 1, 2))):
+            doc = _mutate_doc(doc, rnd)
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps(doc))
+        value = str(path)
+    elif option in _ARGPARSE_INTS:
+        value = str(rnd.randrange(-2, 8))
+    elif option in _INT_OPTIONS:
+        value = _mutate_ints(rnd)
+    elif option not in ("--system", "--suite"):
+        value = _mutate_vector(value, rnd)
+    else:
+        value = rnd.choice(["A1", "A1xA1", "B2", "G2", "a2", "E8", ""])
+    # joined with "=", so that argparse does not read a value such as -1 as an option
+    argv[i - 1 : i + 1] = [f"{option}={value}"]
+    return argv
+
+
+def _shaped(verb, code, out):
+    """Whether stdout is one JSON object, or PASS and FAIL lines from a
+    ``verify`` run that got past its options."""
+    if verb == "verify" and code != 1:
+        return bool(out) and all(line.split(" ")[0] in ("PASS", "FAIL") for line in out.splitlines())
+    try:
+        return isinstance(json.loads(out), dict)
+    except ValueError:
+        return False
+
+
+def test_mutated_corpus_never_ends_in_an_internal_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    rnd = random.Random(SEED)
+    bad = []
+    for k in range(RUNS):
+        argv = _mutated_argv(rnd.choice(ENTRIES), rnd, tmp_path, k)
+        code = run(argv)
+        out = capsys.readouterr().out
+        if code not in (0, 1, 2) or not _shaped(argv[0], code, out):
+            mutated = tmp_path / f"{k}.json"
+            bad.append((argv, code, out.strip(), mutated.read_text() if mutated.exists() else None))
+    assert not bad, f"{len(bad)} of {RUNS} mutated commands failed; the first: {bad[:3]}"

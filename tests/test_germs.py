@@ -250,3 +250,25 @@ def test_pole_keys_are_int_tuples_equal_to_fraction_tuples():
 def test_negative_jet_order_is_refused(build):
     with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
         build(Space(1), Polynomial.const(1, 1))
+
+
+@pytest.mark.parametrize("base, pole, n", [
+    pytest.param([0], {}, 1, id="base-1"),
+    pytest.param([0, 0, 0], {}, 3, id="base-3"),
+    pytest.param([0, 0], {(1,): 1}, 1, id="pole-1"),
+    pytest.param([0, 0], {(1, 0, 0): 2}, 3, id="pole-3"),
+    pytest.param([0, 0], {(1,): 0}, 1, id="pole-1-of-order-0"),
+])
+def test_germ_refuses_a_base_or_pole_direction_of_another_length(base, pole, n):
+    with pytest.raises(ArityError, match=f"a vector of length {n} in a space of dimension 2"):
+        Germ(Space(2), base, pole, Polynomial.const(2, 1), 3)
+
+
+def test_germ_refuses_a_jet_of_another_dimension():
+    with pytest.raises(ArityError, match="a jet in 1 variables in a space of dimension 2"):
+        Germ(Space(2), [0, 0], {}, Polynomial.const(1, 1), 3)
+
+
+def test_rationalfn_refuses_a_denominator_normal_of_another_length():
+    with pytest.raises(ArityError, match="a vector of length 1 in a space of dimension 2"):
+        RationalFn(Space(2), Polynomial.const(2, 1), {Hyperplane.make((1,), 0): 1})

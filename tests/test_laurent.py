@@ -266,6 +266,18 @@ def test_pushforward_requires_isometry():
         lf_pushforward(iota, L0, sp2)
 
 
+@pytest.mark.parametrize("iota", [
+    pytest.param([["3/5", "3/5"]], id="1x2"),
+    pytest.param([["3/5"]], id="1x1"),
+    pytest.param([["3/5", "0"], ["4/5", "0"]], id="2x2"),
+    pytest.param([["3/5"], ["4/5"], ["0"]], id="3x1"),
+])
+def test_pushforward_refuses_an_embedding_of_another_shape(iota):
+    L0 = lf_residue(Space(1), [0], [(1,)], [1])
+    with pytest.raises(ArityError, match="embedding matrix must be 2 x 1, the target by the source dimension"):
+        lf_pushforward(iota, L0, Space(2))
+
+
 def test_pushforward_skew_isometric():
     sp1 = Space(1)
     sp2 = Space(2)

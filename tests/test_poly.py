@@ -330,6 +330,11 @@ def test_quotient_rule_defining_identity(case):
     assert D.directional(v) * P == Q * D
 
 
+def test_negative_exponent_in_a_multi_index_is_refused():
+    with pytest.raises(ValueError, match=r"multi-index \(1, -1\) has a negative exponent"):
+        Polynomial(2, {(1, -1): 1})
+
+
 def test_negative_power_raises():
     ell = Polynomial.linear(2, [1, 2], 3)
     with pytest.raises(ValueError, match="negative power"):

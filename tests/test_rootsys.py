@@ -581,6 +581,7 @@ def test_shared_elements_are_immutable():
         ([(1,), (2,)], [0], None, "root set not symmetric"),
         ([(1,), (-1,)], [0, 1], None, "invalid positive system"),
         ([(1,), (-1,)], [0], [(-1,)], "positive root outside the nonnegative simple span"),
+        ([(1,), (-1,)], [5], None, "positive root index 5 out of range for 2 roots"),
     ],
 )
 def test_invalid_root_systems_are_refused(roots, positive, simple, message):
@@ -671,3 +672,48 @@ def test_parabolic_of_another_system_is_refused():
             with pytest.raises(ValueError, match="parabolic data built for another root system"):
                 call()
     assert rs._pairs == before
+
+
+@pytest.mark.parametrize("index", [2, 5, -1, -2])
+def test_positive_index_outside_the_roots_is_refused(index):
+    # a negative index does not count from the end
+    with pytest.raises(ValueError, match=f"positive root index {index} out of range for 2 roots"):
+        RootSystem(1, [(1,), (-1,)], positive=[index])
+
+
+def test_simple_root_that_is_no_root_is_refused():
+    # (-1, 1) spans every positive root of B2 with nonnegative coordinates
+    # over (1, 0), but it is no root; its reflection generates no finite group
+    gram, positive = rootsys._BUILTINS["B2"]
+    roots = positive + [tuple(-x for x in r) for r in positive]
+    with pytest.raises(ValueError, match="simple root that is not a positive root"):
+        RootSystem(2, roots, ip=gram, positive=range(4), simple=[(1, 0), (-1, 1)])
+
+
+def test_generic_witness_acts_once_per_class(monkeypatch):
+    rs = builtin_system("G2")
+    P = Q = ParabolicData(rs, [])
+    act, calls = WeylElement.act_gq, []
+    monkeypatch.setattr(WeylElement, "act_gq", lambda self, v: calls.append(self) or act(self, v))
+    assert generic_witness(rs, P, Q, [(0, 0)], [Fraction(1, 7), Fraction(3, 11)]) is None
+    # one translate per class of W = 12 elements, not one per ordered pair
+    assert len(calls) == len(equiv_PQ(rs, P, Q)) == 12
+    assert len(set(calls)) == 12
+
+
+def test_lam_of_another_length_is_refused_with_one_class():
+    rs = builtin_system("A2")
+    P = Q = ParabolicData(rs, [0, 1])
+    assert len(equiv_PQ(rs, P, Q)) == 1
+    for call in (lambda: generic_witness(rs, P, Q, [], [1]), lambda: exponent_classify(rs, P, Q, [], [1], [])):
+        with pytest.raises(ArityError, match="a vector of length 1 in a space of dimension 2"):
+            call()
+
+
+def test_classify_reports_an_ambiguous_weight():
+    # xi = 0 lies below the translates of lam = 0 by both classes
+    rs = builtin_system("A2")
+    P = Q = ParabolicData(rs, [0])
+    kind, candidates, classes = exponent_classify(rs, P, Q, [], [0, 0], [0])
+    assert (kind, candidates) == ("ambiguous", [0, 1])
+    assert classes == equiv_PQ(rs, P, Q)
