@@ -11,8 +11,10 @@ are never chosen silently.
 
 from __future__ import annotations
 
+from math import comb
+
 from . import linalg
-from .config import XSubspace, _order, _primitive
+from .config import Hyperplane, XSubspace, _order, _primitive
 from .germs import (
     Germ,
     RationalFn,
@@ -308,10 +310,11 @@ def laurent_operator_apply(
     function on the ambient space; the result is a rational function on
     Lsub in its subspace coordinates.
 
-    L lives on the coordinates attached to perp (default: an orthogonal
-    complement basis of the direction space, i.e. transverse_space(Lsub)).
-    Passing a non-spanning perp applies the functional through the linear
-    embedding it parametrizes, which is how the diagonal action is built.
+    L lives on the coordinates attached to perp, which need not be
+    orthogonal to the direction space (default: an orthogonal complement
+    basis of it, i.e. transverse_space(Lsub)).  A non-spanning perp applies
+    the functional through the linear embedding it parametrizes, which is
+    how the diagonal action is built.
     """
     space = Lsub.space
     if f.space is not space:
@@ -326,61 +329,52 @@ def laurent_operator_apply(
     if space.subspace(perp) is not L.space:
         raise ValueError("functional space does not carry the transverse inner product")
 
-    # one space over the combined (s, tau) coordinates; its Gram matrix has
-    # the blocks sub.ip and L.space.ip because perp is orthogonal to the
-    # direction space
-    st = space.subspace(Lsub.basis_VL + perp)
-    unit = [tuple(GQ(1) if j == i else GQ(0) for j in range(total)) for i in range(total)]
-
-    result = None
+    # f's numerator along z = center + sum_j s_j b_j + sum_k tau_k u_k, and
+    # each of its forms along the map as a(s) + b(tau) + c0
+    cols = Lsub.basis_VL + perp
+    num = f.numerator.substitute([Polynomial.linear(total, r, z) for r, z in zip(zip(*cols), Lsub.center)])
+    colp, cp = [space._vector(c) for c in cols], space._vector(Lsub.center)
+    forms = []
+    for h, k in f.denominator.items():
+        ab = [space._key_inner(h._ints, *c) for c in colp]
+        forms.append((ab[:ns], ab[ns:], space._key_inner(h._ints, *cp) - h.offset, k))
+    zs, zt = [GQ(0)] * ns, [GQ(0)] * nt
+    tau = [Polynomial.variable(total, ns + k) for k in range(nt)]
+    at_zero = [Polynomial.variable(ns, j) for j in range(ns)] + [Polynomial.zero(ns)] * nt
+    result = RationalFn(sub, Polynomial.zero(ns))
     for s in L.summands:
-        # the ambient support point, center + a
-        point = list(Lsub.center)
-        for k in range(nt):
-            for i in range(space.dim):
-                point[i] = point[i] + s.support[k] * perp[k][i]
-        # z = center + a + sum_j s_j b_j + sum_k tau_k u_k
-        g = rationalfn_pullback(
-            f,
-            st,
-            Lsub.basis_VL + perp,
-            point,
-            "denominator hyperplane contains the shifted subspace",
-        )
-        den = {}
-        pole = {}  # canonical transverse direction -> power
-        for h, pw in g.denominator.items():
-            if h.offset.is_zero() and not any(h._ints[:ns]):
-                # pure transverse pole at the support point
-                pole[h._ints[ns:]] = pole.get(h._ints[ns:], 0) + pw
+        m = s.u.order()
+        p = num.shift(zs + list(s.support))  # tau -> tau + a: the map through the support point
+        den, pole, scale = {}, {}, GQ(1)  # over sub; canonical transverse direction -> power
+        for a, b, c0, k in forms:
+            c = c0 + sum(x * y for x, y in zip(b, s.support))
+            a0, b0 = (all(x.is_zero() for x in v) for v in (a, b))
+            if a0 and c.is_zero():
+                if b0:
+                    raise ValueError("denominator hyperplane contains the shifted subspace")
+                # a pole along the subspace, through the support point
+                h, scalar = Hyperplane.from_form(L.space, b, 0)
+                pole[h._ints] = pole.get(h._ints, 0) + k
             else:
-                den[h] = pw
+                A = Polynomial.linear(total, a + zt, c)
+                if not b0:
+                    # 1/(A + B)^k = sum_j C(k+j-1, j) (-B)^j / A^(k+j); u reads
+                    # tau-degrees up to m, so over A^(k+m) the sum stops at j = m
+                    B = Polynomial.linear(total, zs + [-x for x in b])
+                    p = p * sum(comb(k + j - 1, j) * B**j * A ** (m - j) for j in range(m + 1))
+                    k += m
+                if a0:
+                    scalar = c
+                else:
+                    h, scalar = Hyperplane.from_form(sub, a, c)
+                    den[h] = den.get(h, 0) + k
+            scale = scale / scalar**k
         leftover, scalar = s.leftover(pole, "pole order along the subspace exceeds the functional order")
-        # multiply by the regularizing product: leftover canonical forms
-        q = Polynomial.const(total, scalar)
+        # the regularizing product, then u in tau at tau = 0
         for dir_, rest in leftover.items():
-            q = q * _key_form(st, (0,) * ns + dir_) ** rest
-        expr = RationalFn(st, g.numerator * q, den).cancel()
-        # apply the operator in the transverse coordinates
-        acc = None
-        for gamma, c in s.u.terms.items():
-            e = expr
-            for k, n_k in enumerate(gamma):
-                for _ in range(n_k):
-                    e = e.directional_deriv(unit[ns + k])
-            e = e * c
-            acc = e if acc is None else acc + e
-        if acc is None:
-            continue  # the zero operator
-        # restrict to tau = 0, whose induced space is sub; acc is already
-        # reduced by directional_deriv and __add__, so only the pull-back
-        # is cancelled
-        part = rationalfn_pullback(
-            acc, sub, unit[:ns], [GQ(0)] * total, "denominator hyperplane contains the subspace"
-        ).cancel()
-        result = part if result is None else result + part
-    if result is None:
-        result = RationalFn(sub, Polynomial.zero(ns))
+            p = p * Polynomial.linear(total, zs + L.space.form_coeffs(dir_)) ** rest
+        u = DiffOp.from_symbol(s.u.symbol().substitute(tau))
+        result = result + RationalFn(sub, u.apply(p * (scale * scalar)).substitute(at_zero), den)
     return result
 
 

@@ -49,6 +49,9 @@ class WeylElement:
     __slots__ = ("_m", "_d", "dim", "length")
 
     def __init__(self, matrix):
+        lengths = [len(row) for row in matrix]
+        if any(k != len(matrix) for k in lengths):
+            raise ValueError(f"a Weyl element needs a square matrix, got rows of lengths {lengths}")
         _element(*_int_rows(matrix), len(matrix), None, self)
 
     def __setattr__(self, name, value):

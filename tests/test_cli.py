@@ -624,3 +624,22 @@ def test_lam_of_another_length_exit_2_with_one_class(op, capsys):
     code, out = _run(argv + (["--xi", "0"] if op == "classify" else []), capsys)
     assert code == 2
     assert json.loads(out)["detail"] == "a vector of length 1 in a space of dimension 2"
+
+
+def test_diagonal_with_a_denominator_containing_the_shifted_subspace_exit_2(capsys, tmp_path):
+    line = Hyperplane.make((0, 1), GQ(0))
+    docs = {
+        "L": lio.functional_to_json(lf_residue(Space(1), [0], [(1,)], [1])),
+        "f": lio.rationalfn_to_json(
+            RationalFn(Space(4), Polynomial.const(4, GQ(1)), {Hyperplane.make((0, 1, 0, -1), GQ(0)): 1})
+        ),
+        "sub": {"space": lio.space_to_json(Space(2)), "hyperplanes": [lio.hyperplane_to_json(line)]},
+    }
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = ["laurent", "diagonal", "--functional", "L", "--fn", "f", "--subspace", "sub"]
+    code, out = _run([str(tmp_path / f"{a}.json") if a in docs else a for a in argv], capsys)
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "precondition"
+    assert err["detail"] == "denominator hyperplane contains the shifted subspace"

@@ -41,6 +41,7 @@ from laurcalc import (
     transverse_space,
 )
 from laurcalc import config
+from laurcalc import laurent as laurent_module
 
 from _support import over_two_inner_products, rand_diffop, rand_direction, rand_gq, rand_point, rand_poly
 
@@ -424,3 +425,58 @@ def test_germ_and_laurent_builders_do_not_recanonicalize(monkeypatch):
     # the counter is live: a public constructor canonicalizes its pole
     Germ(sp, a, {(1, -1, 0): 1}, num, 2)
     assert len(calls) == 1
+
+
+def test_operator_reads_taylor_coefficients_without_pullback_or_derivatives(monkeypatch):
+    """The operator reads each form along the map and the Taylor
+    coefficients of one polynomial: no pull-back, no derivative of a
+    rational function and no space over the combined (s, tau) coordinates."""
+    sp = Space(3, [[2, 1, 0], [1, 2, 0], [0, 0, 1]])
+    Lsub = subspace_from(sp, [Hyperplane.make((0, 0, 1), GQ(1))])
+    tsp = transverse_space(Lsub)
+    u = DiffOp(1, {(2,): GQ(1), (1,): GQ(0, 1), (0,): GQ(3)})
+    L = LaurentFunctional(tsp, [LFSummand([Fraction(1, 2)], [(1,)], [3], u)])
+    f = RationalFn(
+        sp,
+        rand_poly(random.Random(5), 3, 2),
+        {Hyperplane.make((0, 0, 1), GQ(Fraction(3, 2))): 2, Hyperplane.make((1, 0, 1), GQ(2)): 1},
+    )
+    expected = laurent_operator_apply(L, f, Lsub)
+
+    def refused(*args, **kw):
+        raise AssertionError("called")
+
+    sizes = []
+    subspace = Space.subspace
+    monkeypatch.setattr(laurent_module, "rationalfn_pullback", refused)
+    monkeypatch.setattr(RationalFn, "directional_deriv", refused)
+    monkeypatch.setattr(Space, "subspace", lambda self, basis: sizes.append(len(basis)) or subspace(self, basis))
+    assert laurent_operator_apply(L, f, Lsub) == expected
+    assert sizes and 3 not in sizes
+
+
+def test_diagonal_refuses_a_denominator_containing_the_shifted_subspace():
+    # <(0, 1, 0, -1), z> vanishes along the diagonal copy (0, 1, 0, 1) of the transverse direction
+    Lsub = subspace_from(Space(2), [Hyperplane.make((0, 1), GQ(0))])
+    L = lf_residue(transverse_space(Lsub), [0], [(1,)], [1])
+    Phi = RationalFn(Space(4), Polynomial.const(4, GQ(1)), {Hyperplane.make((0, 1, 0, -1), GQ(0)): 1})
+    with pytest.raises(ValueError, match="denominator hyperplane contains the shifted subspace"):
+        lf_diagonal_apply(L, Phi, Lsub)
+
+
+def test_annihilator_witness_differentiates_along_the_complement():
+    # z2 / z1: the jet restricted to {z1 = 0} starts at z2, so the witness is d/dz2
+    sp = Space(2)
+    g = Germ(sp, [0, 0], {(1, 0): 1}, Polynomial.variable(2, 1), 4)
+    W = lf_annihilator_witness(g)
+    assert [s.u for s in W.summands] == [DiffOp(2, {(0, 1): GQ(1)})]
+    assert lf_apply(W, g) == GQ(1)
+    hol_rng = random.Random(11)
+    for _ in range(5):
+        assert lf_apply(W, Germ(sp, [0, 0], {}, rand_poly(hol_rng, 2, 3), 4)) == GQ(0)
+
+
+def test_pullback_fn_refuses_a_denominator_vanishing_along_the_map():
+    f = RationalFn(Space(2), Polynomial.const(2, GQ(1)), {Hyperplane.make((1, -1), GQ(0)): 1})
+    with pytest.raises(ValueError, match="pull-back has a denominator vanishing identically"):
+        lf_pullback_fn([[1], [1]], f, Space(1, [[2]]))

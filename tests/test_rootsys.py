@@ -2,6 +2,7 @@
 partial order."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -248,6 +249,12 @@ def test_weyl_element_contract():
         (Fraction(1, 2), Fraction(1, 3)),
         (Fraction(0), Fraction(1)),
     )
+
+
+@pytest.mark.parametrize("matrix, lengths", [([[1, 2]], "[2]"), ([[1, 0], [0]], "[2, 1]")])
+def test_weyl_element_refuses_a_matrix_that_is_not_square(matrix, lengths):
+    with pytest.raises(ValueError, match=re.escape(f"square matrix, got rows of lengths {lengths}")):
+        WeylElement(matrix)
 
 
 def test_weyl_layer_stays_on_ints(monkeypatch):
