@@ -46,7 +46,7 @@ def _load(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # also a UnicodeDecodeError or an int past the string limit
         raise ParseFailure(str(e))
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GQ, _ratio_str, _triple, gq_from_string, gq_to_string
+from .scalars import GQ, _fraction, _ratio_str, _triple, gq_from_string, gq_to_string
 from .space import Space
 
 
@@ -80,7 +80,7 @@ def frac_to_str(x: Fraction) -> str:
 
 
 def frac_from_str(s) -> Fraction:
-    return _number(Fraction, str(s))
+    return _number(_fraction, str(s))
 
 
 def _gq_from_json(x) -> GQ:

@@ -303,37 +303,38 @@ def transverse_space(L: XSubspace) -> Space:
     return L.space.subspace(L.normal_basis())
 
 
-def laurent_operator_apply(
-    L: LaurentFunctional, f: RationalFn, Lsub: XSubspace, perp=None
-) -> RationalFn:
+def _transverse(L: LaurentFunctional, Lsub: XSubspace):
+    """Lsub.normal_basis(), after checking that L lives on its coordinates."""
+    perp = Lsub.normal_basis()
+    if Lsub.space.subspace(perp) is not L.space:
+        raise ValueError("functional space does not carry the transverse inner product")
+    return perp
+
+
+def laurent_operator_apply(L: LaurentFunctional, f: RationalFn, Lsub: XSubspace) -> RationalFn:
     """Apply a functional in the transverse variables of Lsub to a rational
     function on the ambient space; the result is a rational function on
-    Lsub in its subspace coordinates.
-
-    L lives on the coordinates attached to perp, which need not be
-    orthogonal to the direction space (default: an orthogonal complement
-    basis of it, i.e. transverse_space(Lsub)).  A non-spanning perp applies
-    the functional through the linear embedding it parametrizes, which is
-    how the diagonal action is built.
+    Lsub in its subspace coordinates.  L lives on the coordinates of the
+    orthogonal complement basis of the direction space, transverse_space(Lsub).
     """
-    space = Lsub.space
-    if f.space is not space:
+    if f.space is not Lsub.space:
         raise ArityError("function and subspace over different inner products")
+    return _operator(L, f, Lsub.induced_space(), Lsub.center, Lsub.basis_VL, _transverse(L, Lsub))
+
+
+def _operator(L: LaurentFunctional, f: RationalFn, sub: Space, center, basis, perp) -> RationalFn:
+    """L applied in tau to f, read in its own space along the map
+    z = center + sum_j s_j basis_j + sum_k tau_k perp_k; a rational
+    function of s on sub."""
     f = f.cancel()
-    sub = Lsub.induced_space()
-    if perp is None:
-        perp = Lsub.normal_basis()
-    perp = [tuple(GQ.of(x) for x in u) for u in perp]
+    space = f.space
     ns, nt = sub.dim, len(perp)
     total = ns + nt
-    if space.subspace(perp) is not L.space:
-        raise ValueError("functional space does not carry the transverse inner product")
 
-    # f's numerator along z = center + sum_j s_j b_j + sum_k tau_k u_k, and
-    # each of its forms along the map as a(s) + b(tau) + c0
-    cols = Lsub.basis_VL + perp
-    num = f.numerator.substitute([Polynomial.linear(total, r, z) for r, z in zip(zip(*cols), Lsub.center)])
-    colp, cp = [space._vector(c) for c in cols], space._vector(Lsub.center)
+    # f's numerator along the map, and each of its forms as a(s) + b(tau) + c0
+    cols = basis + perp
+    num = f.numerator.substitute([Polynomial.linear(total, r, z) for r, z in zip(zip(*cols), center)])
+    colp, cp = [space._vector(c) for c in cols], space._vector(center)
     forms = []
     for h, k in f.denominator.items():
         ab = [space._key_inner(h._ints, *c) for c in colp]
@@ -393,44 +394,21 @@ def _product_space(space: Space) -> Space:
     return Space(2 * n, out)
 
 
-def lf_diagonal_apply(
-    L: LaurentFunctional, Phi: RationalFn, Lsub: XSubspace
-) -> RationalFn:
+def lf_diagonal_apply(L: LaurentFunctional, Phi: RationalFn, Lsub: XSubspace) -> RationalFn:
     """Apply a transverse functional diagonally to a rational function on
-    the doubled space, then pull back to the diagonal of Lsub."""
-    space = Lsub.space
-    n = space.dim
+    the doubled space: Phi is read along (center + B s + U tau, center +
+    B s' + U tau), B the basis of Lsub and U its orthogonal complement
+    basis, as a function of (s, s') over _product_space, then restricted to
+    s = s'; restricting first would lose the poles only (s, s') tells apart."""
+    n = Lsub.space.dim
     if Phi.space.dim != 2 * n:
         raise ValueError("the argument must live on the doubled space")
-    prod_sp = _product_space(space)
-    # doubled subspace L x L
-    basis2 = [tuple(list(b) + [GQ(0)] * n) for b in Lsub.basis_VL] + [
-        tuple([GQ(0)] * n + list(b)) for b in Lsub.basis_VL
-    ]
-    center2 = tuple(list(Lsub.center) + list(Lsub.center))
-    Lsub2 = XSubspace(prod_sp, [], basis2, center2)
-    perp = Lsub.normal_basis()
-    # the functional acts through the diagonal copies of the transverse
-    # basis vectors; the doubled inner product makes this isometric
-    perp_diag = [tuple(list(u) + list(u)) for u in perp]
-    # Phi must be reinterpreted over the doubled inner product; its
-    # denominators were built with hyperplanes over Phi.space, rebuild them
-    psi = rationalfn_pullback(
-        Phi,
-        prod_sp,
-        [[GQ(1) if j == i else GQ(0) for j in range(2 * n)] for i in range(2 * n)],
-        [GQ(0)] * (2 * n),
-        "pull-back has a denominator vanishing identically",
-    )
-    out2 = laurent_operator_apply(L, psi, Lsub2, perp=perp_diag)
-    # restrict to the diagonal of Lsub x Lsub
+    perp = _transverse(L, Lsub)
+    zero = (GQ(0),) * n
+    basis = [b + zero for b in Lsub.basis_VL] + [zero + b for b in Lsub.basis_VL]
+    sub2 = _product_space(Lsub.induced_space())
+    out2 = _operator(L, Phi, sub2, Lsub.center * 2, basis, [tuple(u) * 2 for u in perp])
     ns = len(Lsub.basis_VL)
-    sub2 = Lsub2.induced_space()
-    diag_basis = [
-        tuple(
-            GQ(1) if (j == i or j == ns + i) else GQ(0) for j in range(2 * ns)
-        )
-        for i in range(ns)
-    ]
-    diag = XSubspace(sub2, [], diag_basis, tuple([GQ(0)] * (2 * ns)))
+    diag_basis = [tuple(GQ(int(j % ns == i)) for j in range(2 * ns)) for i in range(ns)]
+    diag = XSubspace(sub2, [], diag_basis, (GQ(0),) * (2 * ns))
     return rationalfn_restrict(out2, diag)

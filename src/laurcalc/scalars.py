@@ -17,6 +17,7 @@ same for the rows of a real matrix.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -26,12 +27,20 @@ _MODULUS = sys.hash_info.modulus
 _INF = sys.hash_info.inf
 
 
+def _fraction(s: str) -> Fraction:
+    """Fraction(s), refusing a decimal exponent beyond the int string limit."""
+    m = re.search(r"[eE]([-+]?[\d_]+)\s*$", s)
+    if m and 0 < sys.get_int_max_str_digits() < abs(int(m[1])):
+        raise ValueError(f"exponent {m[1]} in {s!r} exceeds the int string limit {sys.get_int_max_str_digits()}")
+    return Fraction(s)
+
+
 def _ratio(x):
     """(numerator, denominator) of an int, Fraction or numeric string."""
     if isinstance(x, int):
         return x, 1
     if isinstance(x, str):
-        x = Fraction(x)
+        x = _fraction(x)
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
     raise TypeError(f"cannot build an exact rational from {x!r}")
@@ -325,7 +334,7 @@ def gq_from_string(s: str) -> GQ:
     """Parse "p/q", "p/q + r/s i", "p/q - r/s i" or "r/s i" into a GQ."""
     t = s.replace(" ", "")
     if "i" not in t:
-        return GQ(Fraction(t))
+        return GQ(_fraction(t))
     t = t[: t.rindex("i")]
     if t.endswith("*"):
         t = t[:-1]
@@ -342,9 +351,9 @@ def gq_from_string(s: str) -> GQ:
     elif im_part == "-":
         im = Fraction(-1)
     else:
-        im = Fraction(im_part)
-    re = Fraction(re_part) if re_part else Fraction(0)
-    return GQ(re, im)
+        im = _fraction(im_part)
+    real = _fraction(re_part) if re_part else Fraction(0)
+    return GQ(real, im)
 
 
 def _ratio_str(n, d):

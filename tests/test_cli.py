@@ -643,3 +643,48 @@ def test_diagonal_with_a_denominator_containing_the_shifted_subspace_exit_2(caps
     err = json.loads(out)
     assert err["error"] == "precondition"
     assert err["detail"] == "denominator hyperplane contains the shifted subspace"
+
+
+@pytest.mark.parametrize(
+    "content, detail",
+    [
+        pytest.param(b'\xff\xfe{"dim": 1, "terms": []}', "codec can't decode byte 0xff", id="not-utf-8"),
+        pytest.param(
+            b'{"dim": 1, "terms": [{"idx": [' + b"9" * 5000 + b'], "re": "1", "im": "0"}]}',
+            "integer string conversion",
+            id="5000-digit-int",
+        ),
+    ],
+)
+def test_unreadable_input_file_exit_1(content, detail, capsys, tmp_path):
+    # a file that does not decode, or holds an int too long to read, is a parse failure
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out = _run(["poly", "eval", "--poly", str(path), "--point", "1"], capsys)
+    assert code == 1
+    err = json.loads(out)
+    assert err["error"] == "parse"
+    assert detail in err["detail"]
+
+
+@pytest.mark.parametrize(
+    "point, field",
+    [
+        pytest.param("1e99999999", "1/1", id="option"),
+        pytest.param("1", "1e999999999", id="file-field"),
+        pytest.param("-1E-99999999", "1/1", id="negative-exponent"),
+    ],
+)
+def test_number_with_a_huge_exponent_exit_1_without_expanding_it(point, field, tmp_path):
+    # Fraction would build 10**exponent digit by digit; a subprocess with a
+    # timeout keeps a regression from hanging the suite
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"dim": 1, "terms": [{"idx": [1], "re": field, "im": "0"}]}))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "laurcalc.cli", "poly", "eval", "--poly", str(path), f"--point={point}"],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert done.returncode == 1
+    err = json.loads(done.stdout)
+    assert err["error"] == "parse"

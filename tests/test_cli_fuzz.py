@@ -1,9 +1,9 @@
 """Seeded mutation of the golden CLI corpus: each run takes a corpus entry,
-mutates one of its input files (the JSON tree) or one of its vector or
-integer options, and replays it through ``cli.run`` in process.  Every
-mutated command must end with exit 0, 1 or 2 and JSON on stdout (PASS and
-FAIL lines for ``verify``): malformed input is a parse or precondition
-failure, never an internal error (exit 3) or a traceback."""
+mutates one of its input files (the JSON tree or the raw bytes) or one of
+its vector or integer options, and replays it through ``cli.run`` in
+process.  Every mutated command must end with exit 0, 1 or 2 and JSON on
+stdout (PASS and FAIL lines for ``verify``): malformed input is a parse or
+precondition failure, never an internal error (exit 3) or a traceback."""
 
 import copy
 import json
@@ -18,6 +18,7 @@ CORPUS = ROOT / "perfbench" / "corpus"
 ENTRIES = [e for e in json.loads((CORPUS / "entries.json").read_text()) if e.get("stdout", "-") != ""]
 SEED = 20231019
 RUNS = 2000
+BYTE_RUNS = 600
 
 # what a scalar, a list or an object of a corpus file may turn into
 _VALUES = [0, 1, -1, 2, 3, "0/1", "1/2", "-3/4", "i", "1 + i", "x", "1/0", "", None, True, [], {}, [0], ["1/1"], [[]]]
@@ -87,6 +88,17 @@ def _mutate_ints(rnd):
     return ",".join(str(rnd.randrange(-1, 5)) for _ in range(rnd.randrange(4)))
 
 
+def _mutate_bytes(data, rnd):
+    """data with one bit flipped, cut short, or a 0xff byte inserted."""
+    i = rnd.randrange(len(data))
+    kind = rnd.randrange(3)
+    if kind == 0:
+        return data[:i] + bytes([data[i] ^ 1 << rnd.randrange(8)]) + data[i + 1 :]
+    if kind == 1:
+        return data[:i]
+    return data[:i] + b"\xff" + data[i:]
+
+
 def _mutated_argv(entry, rnd, tmp_path, k):
     """The entry's argv with one input file or one option value mutated."""
     argv = list(entry["argv"])
@@ -141,3 +153,32 @@ def test_mutated_corpus_never_ends_in_an_internal_error(tmp_path, monkeypatch, c
             mutated = tmp_path / f"{k}.json"
             bad.append((argv, code, out.strip(), mutated.read_text() if mutated.exists() else None))
     assert not bad, f"{len(bad)} of {RUNS} mutated commands failed; the first: {bad[:3]}"
+
+
+def test_byte_mutated_input_file_is_a_parse_failure_when_it_is_not_json(tmp_path, monkeypatch, capsys):
+    """The bytes of one input file mutated: every run ends with exit 0, 1 or
+    2 and JSON on stdout, and a file that json.loads no longer reads (bad
+    UTF-8, cut short, a stray byte) is a parse failure, exit 1."""
+    monkeypatch.chdir(ROOT)
+    rnd = random.Random(SEED)
+    files = [(e["argv"], i) for e in ENTRIES for i, a in enumerate(e["argv"]) if (ROOT / a).is_file()]
+    bad, unreadable = [], 0
+    for k in range(BYTE_RUNS):
+        argv, i = rnd.choice(files)
+        argv = list(argv)
+        data = _mutate_bytes((ROOT / argv[i]).read_bytes(), rnd)
+        argv[i] = str(tmp_path / f"{k}.json")
+        Path(argv[i]).write_bytes(data)
+        code = run(argv)
+        out = capsys.readouterr().out
+        try:
+            json.loads(data)
+        except ValueError:
+            unreadable += 1
+            ok = code == 1 and json.loads(out)["error"] == "parse"
+        else:
+            ok = code in (0, 1, 2) and _shaped(argv[0], code, out)
+        if not ok:
+            bad.append((argv, code, out.strip(), data))
+    assert unreadable > BYTE_RUNS // 4
+    assert not bad, f"{len(bad)} of {BYTE_RUNS} byte-mutated commands failed; the first: {bad[:3]}"

@@ -2,6 +2,7 @@
 actions, push-forward, operators on rational functions and the diagonal
 action."""
 
+import inspect
 import random
 import sys
 from fractions import Fraction
@@ -389,6 +390,33 @@ def test_diagonal_apply_cross_pole():
     )
     out = lf_diagonal_apply(L, f, Lsub)
     assert out.eval([GQ(7)]) == GQ(1) / GQ(7)
+
+
+def test_diagonal_reads_phi_in_its_own_space_without_a_pullback(monkeypatch):
+    """The diagonal action reads Phi along the doubled map in Phi's own
+    space; the only pull-back left is the final restriction to s = s',
+    which germs.rationalfn_restrict makes."""
+    Lsub = subspace_from(Space(2), [Hyperplane.make((0, 1), GQ(0))])
+    L = lf_residue(transverse_space(Lsub), [0], [(1,)], [2])
+    f = RationalFn(
+        Space(4),
+        Polynomial.const(4, GQ(1)),
+        {
+            Hyperplane.make((0, 1, 0, 0), GQ(0)): 1,
+            Hyperplane.make((0, 0, 0, 1), GQ(0)): 1,
+            Hyperplane.make((1, -1, 0, 0), GQ(0)): 1,
+        },
+    )
+
+    def refused(*args, **kw):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(laurent_module, "rationalfn_pullback", refused)
+    assert lf_diagonal_apply(L, f, Lsub).eval([GQ(7)]) == GQ(1) / GQ(7)
+
+
+def test_operator_takes_the_functional_the_function_and_the_subspace():
+    assert list(inspect.signature(laurent_operator_apply).parameters) == ["L", "f", "Lsub"]
 
 
 def test_germ_and_laurent_builders_do_not_recanonicalize(monkeypatch):

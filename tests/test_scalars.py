@@ -1,7 +1,11 @@
 """Field axioms and string round-trips for the Gaussian rational scalars."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -49,6 +53,30 @@ def test_parsing_forms():
     # a sign inside an exponent does not split off the real part
     assert gq_from_string("2+1e-3i") == GQ(2, Fraction(1, 1000))
     assert gq_from_string("2-1E+2i") == GQ(2, -100)
+
+
+def test_huge_exponent_is_refused_not_expanded():
+    """A decimal exponent beyond the int string limit is a ValueError
+    wherever a string becomes a Fraction.  Fraction itself would build the
+    power of ten, so the calls run in a subprocess with a timeout."""
+    probe = """
+import sys
+from laurcalc.io import ParseFailure, frac_from_str
+from laurcalc.scalars import GQ, gq_from_string
+limit = sys.get_int_max_str_digits()
+assert gq_from_string(f"1e{limit}") == GQ(10**limit)
+for parse, s in [(gq_from_string, "1e99999999"), (gq_from_string, "2+1e-99999999i"), (GQ, "-1E+99999999"),
+                 (frac_from_str, f"1e{limit + 1}")]:
+    try:
+        parse(s)
+    except (ValueError, ParseFailure) as e:
+        print(e.__cause__ or e)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0, done.stderr
+    exponents = ["99999999", "-99999999", "+99999999", str(sys.get_int_max_str_digits() + 1)]
+    assert [line.split(" in ")[0] for line in done.stdout.splitlines()] == [f"exponent {e}" for e in exponents]
 
 
 def test_norm_and_conjugate():

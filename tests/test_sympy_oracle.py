@@ -6,7 +6,8 @@ For a summand (a, X, d_max, u) the value on f is sum_gamma c_gamma
 d^gamma (pi * f)(a) with pi the product of <xi, w - a>^d_max(xi) over X.
 The Laurent operator applies this in the transverse variables tau of the
 map z = center + sum_j s_j b_j + sum_k tau_k u_k and reads the result as a
-function of s.
+function of s; the diagonal action reads a function on the doubled space
+along (center + B s + U tau, center + B s' + U tau) and sets s' = s after.
 """
 
 import random
@@ -22,10 +23,12 @@ from laurcalc import (  # noqa: E402
     Hyperplane,
     LaurentFunctional,
     LFSummand,
+    Polynomial,
     RationalFn,
     Space,
     laurent_operator_apply,
     lf_apply_rational,
+    lf_diagonal_apply,
     lf_from_evaluation,
     lf_residue,
     rationalfn_restrict,
@@ -189,3 +192,81 @@ def test_rationalfn_restrict_matches_substitution(case):
     ss = sympy.symbols(f"s0:{n - codim}")
     z = [_q(c) + x for c, x in zip(Lsub.center, _vec(sp, Lsub.basis_VL)(ss))]
     assert sympy.cancel(_expr(out, ss) - _expr(f, z)) == 0
+
+
+def _diagonal_case(rng, n):
+    """(L, Phi, Lsub): a functional on the transverse space of a hyperplane
+    of Space(n), and Phi over a doubled space of a random inner product
+    with poles through the diagonal copy of the support point, perhaps a
+    form vanishing on the diagonal off that point, and generic hyperplanes."""
+    sp = Space(n)
+    Lsub = subspace_from(sp, [Hyperplane.make([rng.randint(0, 2) or 1 for _ in range(n)], rng.randint(-2, 2))])
+    perp, tsp = Lsub.normal_basis(), transverse_space(Lsub)
+    m = [[rng.randint(-1, 1) for _ in range(2 * n)] for _ in range(2 * n)]
+    dsp = Space(2 * n, [[sum(r[i] * r[j] for r in m) + (i == j) for j in range(2 * n)] for i in range(2 * n)])
+    a = [Fraction(rng.randint(-2, 2), 2)]
+    point = [c + GQ(a[0]) * p for c, p in zip(Lsub.center, perp[0])] * 2
+    zero = [GQ(0)] * n
+    doubled = [list(b) + zero for b in Lsub.basis_VL] + [zero + list(b) for b in Lsub.basis_VL]
+    diagonal = [list(b) * 2 for b in Lsub.basis_VL]
+    den, order = {}, 0
+    for normals, shift, count in [(doubled, 0, rng.randint(1, 2)), (diagonal, 1, rng.randint(0, 1))]:
+        comp = dsp.orth_complement(normals)
+        for _ in range(count):
+            c = [GQ(rng.randint(-1, 1)) for _ in comp]
+            v = [sum((x * w[i] for x, w in zip(c, comp)), GQ(0)) for i in range(2 * n)]
+            if any(not x.is_zero() for x in v) and not dsp.inner(v, perp[0] * 2).is_zero():
+                k = rng.randint(1, 2)
+                den[Hyperplane.make(v, dsp.inner(v, point) + shift)] = k
+                order += k * (shift == 0)
+    while len(den) < 4:
+        den[Hyperplane.make([rng.randint(-2, 2) or 1 for _ in range(2 * n)], rng.randint(-3, 3))] = 1
+    kind = rng.randrange(3)
+    if kind == 2:
+        L = LaurentFunctional(tsp, [LFSummand(a, [(1,)], [order + 1], DiffOp(1, {(1,): GQ(1, 1), (0,): GQ(2)}))])
+    else:
+        L = (lf_residue, lf_from_evaluation)[kind](tsp, a, [(1,)], [order + rng.randint(0, 1)])
+    return L, RationalFn(dsp, rand_poly(rng, 2 * n, 2, 3), den), Lsub
+
+
+def _diagonal_value(L, Phi, Lsub, s):
+    """The defining formula at the exact point s: u applied in tau to
+    pi * Phi(center + B s + U tau, center + B s' + U tau) at tau = a, then
+    s' = s, with s' = s + (h, ..., h) and h set to 0 after cancelling;
+    None when pi * Phi is singular at tau = a there."""
+    h = sympy.Symbol("h")
+    ts = sympy.symbols(f"t0:{L.space.dim}")
+    U = _vec(Lsub.space, Lsub.normal_basis())(ts)
+    z = []
+    for shift in (0, h):
+        B = _vec(Lsub.space, Lsub.basis_VL)([_q(x) + shift for x in s])
+        z += [_q(c) + x + u for c, x, u in zip(Lsub.center, B, U)]
+    value = _summand_value(L.summands[0], L.space, _expr(Phi, z), ts)
+    return None if value is None else sympy.cancel(value).subs(h, 0)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_diagonal_action_matches_the_defining_formula(case):
+    rng = random.Random(f"diagonal:{case}")
+    L, Phi, Lsub = _diagonal_case(rng, 2 + case % 2)
+    out = lf_diagonal_apply(L, Phi, Lsub)
+    checked = 0
+    while checked < 2:
+        s = [Fraction(rng.randint(-7, 7), rng.randint(1, 3)) for _ in Lsub.basis_VL]
+        value = _diagonal_value(L, Phi, Lsub, s) if out.is_regular_at(s) else None
+        if value is not None:
+            assert sympy.expand(value - _q(out.eval(s))) == 0
+            checked += 1
+
+
+def test_diagonal_action_applies_before_it_restricts():
+    # Phi = 1/(x + y - x') along the map is 1/(s - s' + tau): regular in tau
+    # while s != s', so the residue is 0; restricting to s = s' first would
+    # give 1/tau and the value 1
+    Lsub = subspace_from(Space(2), [Hyperplane.make((0, 1), GQ(0))])
+    L = lf_residue(transverse_space(Lsub), [0], [(1,)], [1])
+    Phi = RationalFn(Space(4), Polynomial.const(4, GQ(1)), {Hyperplane.make((1, 1, -1, 0), GQ(0)): 1})
+    out = lf_diagonal_apply(L, Phi, Lsub)
+    assert out.numerator.is_zero()
+    for s in ([Fraction(3)], [Fraction(-5, 2)]):
+        assert _diagonal_value(L, Phi, Lsub, s) == 0
