@@ -44,8 +44,8 @@ class _Options:
 
 def _load(path):
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return json.loads(fh.read().decode("utf-8-sig"))  # UTF-8, an optional BOM dropped
     except (OSError, ValueError) as e:  # also a UnicodeDecodeError or an int past the string limit
         raise ParseFailure(str(e))
 

@@ -122,7 +122,7 @@ def germ_mul(g1: Germ, g2: Germ) -> Germ:
     pole = dict(g1.pole)
     for xi, k in g2.pole.items():
         pole[xi] = pole.get(xi, 0) + k
-    jet = (g1.jet * g2.jet).truncate(order)
+    jet = g1.jet._times(g2.jet, order)
     return _germ(g1.space, g1.base, pole, jet, order)
 
 
@@ -150,7 +150,7 @@ def germ_diff(v, g: Germ) -> Germ:
     # the poles pass through the base point: the forms <xi, w> have no offset
     P, Q = quotient_rule(space.dim, [(_key_form(space, xi), d * space._key_inner(xi, *vp)) for xi, d in g.pole.items()])
     order = g.order + len(g.pole) - 1
-    numerator = (P * g.jet.directional(v) - Q * g.jet).truncate(order)
+    numerator = P._times(g.jet.directional(v), order) - Q._times(g.jet, order)
     pole = {xi: d + 1 for xi, d in g.pole.items()}
     return germ_normalize(_germ(g.space, g.base, pole, numerator, order))
 
@@ -268,7 +268,7 @@ def rationalfn_germ_at(f: RationalFn, a, order: int) -> Germ:
         if c0.is_zero():
             pole[h._ints] = pole.get(h._ints, 0) + k
         else:
-            jet = (jet * _inverse_power(_key_form(f.space, h._ints), c0, k, order)).truncate(order)
+            jet = jet._times(_inverse_power(_key_form(f.space, h._ints), c0, k, order), order)
     return _germ(f.space, tuple(a), pole, jet, order)
 
 
@@ -290,31 +290,32 @@ def _inverse_power(l0, c0, k, order) -> Polynomial:
     return _reduced(dim, t, n ** (k + order) * d**order)
 
 
-def rationalfn_pullback(f: RationalFn, target: Space, cols, point, vanishing_msg) -> RationalFn:
-    """The function t -> f(point + sum_j t_j cols[j]) on target, without
-    cancelling.
-
-    Raises ValueError(vanishing_msg) when a denominator form vanishes
-    identically along the map.
-    """
-    subs = [
-        Polynomial.linear(target.dim, [GQ.of(c[i]) for c in cols], point[i])
-        for i in range(f.space.dim)
+def _along(f: RationalFn, dim, cols, point):
+    """f's numerator along t -> point + sum_j t_j cols[j] in dim variables, and
+    (coeffs, const, power) per denominator form, which is sum_j coeffs[j] t_j + const there."""
+    space = f.space
+    subs = [Polynomial.linear(dim, [GQ.of(c[i]) for c in cols], point[i]) for i in range(space.dim)]
+    colp, pp = [space._vector(c) for c in cols], space._vector(point)
+    return f.numerator.substitute(subs), [
+        ([space._key_inner(h._ints, *c) for c in colp], space._key_inner(h._ints, *pp) - h.offset, k)
+        for h, k in f.denominator.items()
     ]
-    num = f.numerator.substitute(subs)
-    colp, pp = [f.space._vector(c) for c in cols], f.space._vector(point)
+
+
+def rationalfn_pullback(f: RationalFn, target: Space, cols, point, vanishing_msg) -> RationalFn:
+    """t -> f(point + sum_j t_j cols[j]) on target, not cancelled; raises
+    ValueError(vanishing_msg) when a denominator form vanishes identically
+    along the map."""
+    num, forms = _along(f, target.dim, cols, point)
     den = {}
-    for h, k in f.denominator.items():
-        coeffs = [f.space._key_inner(h._ints, *c) for c in colp]
-        const = f.space._key_inner(h._ints, *pp) - h.offset
-        if all(c.is_zero() for c in coeffs):
-            if const.is_zero():
-                raise ValueError(vanishing_msg)
-            num = num * (GQ(1) / const) ** k
-            continue
-        h2, scalar = Hyperplane.from_form(target, coeffs, const)
-        den[h2] = den.get(h2, 0) + k
-        num = num * (GQ(1) / scalar) ** k
+    for coeffs, c0, k in forms:
+        # the form is c0 times the form of h2, or the constant c0
+        if not all(c.is_zero() for c in coeffs):
+            h2, c0 = Hyperplane.from_form(target, coeffs, c0)
+            den[h2] = den.get(h2, 0) + k
+        elif c0.is_zero():
+            raise ValueError(vanishing_msg)
+        num = num * (GQ(1) / c0) ** k
     return RationalFn(target, num, den)
 
 

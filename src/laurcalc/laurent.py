@@ -18,6 +18,7 @@ from .config import Hyperplane, XSubspace, _order, _primitive
 from .germs import (
     Germ,
     RationalFn,
+    _along,
     germ_normalize,
     rationalfn_germ_at,
     rationalfn_pullback,
@@ -88,12 +89,10 @@ def _evaluate(space: Space, s: LFSummand, g: Germ) -> GQ:
     if m > g.order + sum(leftover.values()):
         raise ValueError("jet order too small for the operator order")
     # u only reads degrees <= m, and the leftover forms are homogeneous
-    prod = g.jet.truncate(m)
+    prod = g.jet
     for dir_, k in leftover.items():
-        form = _key_form(space, dir_)
-        for _ in range(k):
-            prod = (prod * form).truncate(m)
-    return scalar * s.u._at_zero(prod)
+        prod = prod._times(_key_form(space, dir_) ** k, m)
+    return scalar * s.u._at_zero(prod).constant_term()
 
 
 def lf_apply(L: LaurentFunctional, g: Germ) -> GQ:
@@ -140,7 +139,7 @@ def lf_from_evaluation(space: Space, a, X, d_max) -> LaurentFunctional:
     homogeneous contribution equals 1.
     """
     pi = pi_product(space, X, a, d_max).shift(a)  # homogeneous in w
-    norm = DiffOp.from_symbol(pi)._at_zero(pi)  # sum gamma! c_gamma^2 > 0, pi being nonzero and real
+    norm = DiffOp.from_symbol(pi)._at_zero(pi).constant_term()  # sum gamma! c_gamma^2 > 0, pi being nonzero and real
     u = DiffOp(space.dim, {g: c / norm for g, c in pi.terms.items()})
     return LaurentFunctional(space, [LFSummand(a, X, d_max, u)])
 
@@ -274,12 +273,7 @@ def lf_annihilator_witness(g: Germ):
     xi = sorted(gn.pole)[0]
     perp = space.orth_complement([xi])
     # restrict the numerator jet to the orthocomplement of xi
-    sdim = len(perp)
-    subs = [
-        Polynomial.linear(sdim, [GQ.of(b[i]) for b in perp])
-        for i in range(space.dim)
-    ]
-    restricted = gn.jet.substitute(subs)
+    restricted, _ = _along(RationalFn(space, gn.jet), len(perp), perp, [GQ(0)] * space.dim)
     if restricted.is_zero():
         raise ValueError("jet order too small to certify the singularity")
     deg = min(sum(idx) for idx in restricted.terms)
@@ -327,27 +321,19 @@ def _operator(L: LaurentFunctional, f: RationalFn, sub: Space, center, basis, pe
     z = center + sum_j s_j basis_j + sum_k tau_k perp_k; a rational
     function of s on sub."""
     f = f.cancel()
-    space = f.space
     ns, nt = sub.dim, len(perp)
     total = ns + nt
 
     # f's numerator along the map, and each of its forms as a(s) + b(tau) + c0
-    cols = basis + perp
-    num = f.numerator.substitute([Polynomial.linear(total, r, z) for r, z in zip(zip(*cols), center)])
-    colp, cp = [space._vector(c) for c in cols], space._vector(center)
-    forms = []
-    for h, k in f.denominator.items():
-        ab = [space._key_inner(h._ints, *c) for c in colp]
-        forms.append((ab[:ns], ab[ns:], space._key_inner(h._ints, *cp) - h.offset, k))
+    num, forms = _along(f, total, basis + perp, center)
     zs, zt = [GQ(0)] * ns, [GQ(0)] * nt
-    tau = [Polynomial.variable(total, ns + k) for k in range(nt)]
-    at_zero = [Polynomial.variable(ns, j) for j in range(ns)] + [Polynomial.zero(ns)] * nt
     result = RationalFn(sub, Polynomial.zero(ns))
     for s in L.summands:
         m = s.u.order()
         p = num.shift(zs + list(s.support))  # tau -> tau + a: the map through the support point
         den, pole, scale = {}, {}, GQ(1)  # over sub; canonical transverse direction -> power
-        for a, b, c0, k in forms:
+        for coeffs, c0, k in forms:
+            a, b = coeffs[:ns], coeffs[ns:]
             c = c0 + sum(x * y for x, y in zip(b, s.support))
             a0, b0 = (all(x.is_zero() for x in v) for v in (a, b))
             if a0 and c.is_zero():
@@ -362,20 +348,18 @@ def _operator(L: LaurentFunctional, f: RationalFn, sub: Space, center, basis, pe
                     # 1/(A + B)^k = sum_j C(k+j-1, j) (-B)^j / A^(k+j); u reads
                     # tau-degrees up to m, so over A^(k+m) the sum stops at j = m
                     B = Polynomial.linear(total, zs + [-x for x in b])
-                    p = p * sum(comb(k + j - 1, j) * B**j * A ** (m - j) for j in range(m + 1))
+                    p = p._times(sum(comb(k + j - 1, j) * B**j * A ** (m - j) for j in range(m + 1)), m, ns)
                     k += m
-                if a0:
-                    scalar = c
-                else:
+                scalar = c
+                if not a0:
                     h, scalar = Hyperplane.from_form(sub, a, c)
                     den[h] = den.get(h, 0) + k
             scale = scale / scalar**k
         leftover, scalar = s.leftover(pole, "pole order along the subspace exceeds the functional order")
-        # the regularizing product, then u in tau at tau = 0
+        # the regularizing product to tau-degree m, then u in tau at tau = 0
         for dir_, rest in leftover.items():
-            p = p * Polynomial.linear(total, zs + L.space.form_coeffs(dir_)) ** rest
-        u = DiffOp.from_symbol(s.u.symbol().substitute(tau))
-        result = result + RationalFn(sub, u.apply(p * (scale * scalar)).substitute(at_zero), den)
+            p = p._times(Polynomial.linear(total, zs + L.space.form_coeffs(dir_)) ** rest, m, ns)
+        result = result + RationalFn(sub, s.u._at_zero(p) * (scale * scalar), den)
     return result
 
 

@@ -18,6 +18,7 @@ over one is built here (``_key_form``).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain, product
 from math import comb, gcd
@@ -102,12 +103,17 @@ def _add_terms(t, u, s):
     return t
 
 
-def _mul_terms(t1, t2):
+def _mul_terms(t1, t2, cap=None, lo=0):
     """The int terms of the product of two polynomials' int terms, over the
-    product of their denominators."""
+    product of their denominators; with a cap, a pair whose degree in the
+    variables from lo on passes it is skipped before it is multiplied."""
     re, im = {}, {}
+    if cap is not None:
+        t2 = sorted(t2.items(), key=lambda term: sum(term[0][lo:]))
+        degrees = [sum(i2[lo:]) for i2, _ in t2]
     for i1, (a1, b1) in t1.items():
-        for i2, (a2, b2) in t2.items():
+        pairs = t2.items() if cap is None else t2[: bisect_right(degrees, cap - sum(i1[lo:]))]
+        for i2, (a2, b2) in pairs:
             idx = tuple(map(add, i1, i2))
             if idx in re:
                 re[idx] += a1 * a2 - b1 * b2
@@ -273,6 +279,10 @@ class Polynomial:
         return _reduced(self.dim, _mul_terms(self._t, other._t), self._d * other._d)
 
     __rmul__ = __mul__
+
+    def _times(self, other, cap, lo=0):
+        """self * other without the terms of degree above cap in the variables from lo on."""
+        return _reduced(self.dim, _mul_terms(self._t, other._t, cap, lo), self._d * other._d)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -601,17 +611,21 @@ class DiffOp:
     def __hash__(self):
         return hash(self._p)
 
-    def _at_zero(self, p: Polynomial) -> GQ:
-        """u(p) at 0: sum gamma! c_gamma p_gamma over the terms c_gamma d^gamma of u."""
-        if p.dim != self.dim:
+    def _at_zero(self, p: Polynomial) -> Polynomial:
+        """u in p's last u.dim variables at 0 there, a polynomial in the others:
+        sum gamma! c_gamma p_(sigma, gamma) z^sigma over the terms c_gamma d^gamma of u."""
+        k = p.dim - self.dim
+        if k < 0:
             raise ArityError("operator/polynomial arity mismatch")
-        re = im = 0
-        for idx, (a, b) in self._p._t.items():
-            c, e = p._t.get(idx, (0, 0))
-            f = factorial_multi(idx)
-            re += f * (a * c - b * e)
-            im += f * (a * e + b * c)
-        return _mk(re, im, self._p._d * p._d)
+        u, re, im = self._p._t, {}, {}
+        for idx, (c, e) in p._t.items():
+            gamma = idx[k:]
+            if gamma in u:
+                a, b = u[gamma]
+                f, sigma = factorial_multi(gamma), idx[:k]
+                re[sigma] = re.get(sigma, 0) + f * (a * c - b * e)
+                im[sigma] = im.get(sigma, 0) + f * (a * e + b * c)
+        return _reduced(k, _pack(re, im), self._p._d * p._d)
 
     def apply(self, p: Polynomial) -> Polynomial:
         if p.dim != self.dim:

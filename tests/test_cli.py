@@ -667,6 +667,23 @@ def test_unreadable_input_file_exit_1(content, detail, capsys, tmp_path):
     assert detail in err["detail"]
 
 
+def test_utf8_bom_input_files_read_like_the_files_without_it(capsys, tmp_path, monkeypatch):
+    # input files are UTF-8; a leading byte-order mark is dropped, whatever the locale
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(root)
+    entries = json.loads((root / "perfbench" / "corpus" / "entries.json").read_text())
+    entry = next(e for e in entries if e["name"] == "laurent_operator")
+    argv = []
+    for arg in entry["argv"]:
+        if arg.endswith(".json"):
+            copy = tmp_path / Path(arg).name
+            copy.write_bytes(b"\xef\xbb\xbf" + Path(arg).read_bytes())
+            arg = str(copy)
+        argv.append(arg)
+    assert argv != entry["argv"]
+    assert _run(argv, capsys) == _run(entry["argv"], capsys) == (0, entry["stdout"])
+
+
 @pytest.mark.parametrize(
     "point, field",
     [

@@ -272,3 +272,11 @@ def test_germ_refuses_a_jet_of_another_dimension():
 def test_rationalfn_refuses_a_denominator_normal_of_another_length():
     with pytest.raises(ArityError, match="a vector of length 1 in a space of dimension 2"):
         RationalFn(Space(2), Polynomial.const(2, 1), {Hyperplane.make((1,), 0): 1})
+
+
+def test_rationalfn_repr():
+    sp = Space(2)
+    num = Polynomial(2, {(1, 0): GQ(2), (0, 0): GQ(1, -1)})
+    f = RationalFn(sp, num, {Hyperplane.make((1, -1), GQ(1)): 2, Hyperplane.make((0, 1), GQ(0)): 1})
+    assert repr(f) == "[(1 - 1*i) + (2)*z0] / [((-1) + (-1)*z1 + (1)*z0)^2 * ((1)*z1)^1]"
+    assert repr(RationalFn(sp, Polynomial.const(2, GQ(3)))) == "(3)"

@@ -317,6 +317,14 @@ def test_annihilator_witness_holomorphic():
     assert lf_annihilator_witness(g) == "holomorphic"
 
 
+def test_jet_order_below_the_operator_order_is_refused():
+    # a holomorphic germ known to order 0 cannot feed an operator of order 2
+    sp = Space(1)
+    L = LaurentFunctional(sp, [LFSummand([0], [(1,)], [1], DiffOp.partial(1, 0, 2))])
+    with pytest.raises(ValueError, match="jet order too small for the operator order"):
+        lf_apply(L, Germ(sp, [0], {}, Polynomial.const(1, GQ(1)), 0))
+
+
 def test_operator_residue_on_line():
     # residue in the transverse variable of {y = 0} applied to 1/(y(x-y))
     sp = Space(2)
@@ -345,6 +353,26 @@ def test_operator_inert_denominator_survives():
     )
     out = laurent_operator_apply(L, f, Lsub)
     assert out.eval([GQ(5)]) == GQ(1) / GQ(2)
+
+
+def test_operator_reads_tau_degrees_up_to_its_order_only(monkeypatch):
+    # an operator of order 2 and a denominator form x + y - 1 that depends on
+    # tau: u reads the numerator through _at_zero, and no term it is handed
+    # has tau-degree above 2
+    sp = Space(2)
+    Lsub = subspace_from(sp, [Hyperplane.make((0, 1), GQ(0))])
+    L = LaurentFunctional(transverse_space(Lsub), [LFSummand([0], [(1,)], [3], DiffOp.partial(1, 0, 2))])
+    num = Polynomial(2, {(0, 4): GQ(1), (3, 2): GQ(2), (1, 0): GQ(-1)})
+    f = RationalFn(sp, num, {Hyperplane.make((0, 1), GQ(0)): 1, Hyperplane.make((1, 1), GQ(1)): 2})
+    degrees, at_zero = [], DiffOp._at_zero
+
+    def spy(u, p):
+        degrees.extend(sum(idx[p.dim - u.dim :]) for idx in p.terms)
+        return at_zero(u, p)
+
+    monkeypatch.setattr(DiffOp, "_at_zero", spy)
+    laurent_operator_apply(L, f, Lsub)
+    assert degrees and max(degrees) == 2
 
 
 def test_zero_operator_gives_the_zero_function():

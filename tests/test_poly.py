@@ -79,6 +79,12 @@ def test_deriv_refuses_an_index_outside_the_variables(i):
         p.deriv(i)
 
 
+def test_diffop_repr():
+    u = DiffOp(2, {(2, 0): GQ(1, 2), (0, 1): GQ(0, -1), (0, 0): GQ(3)})
+    assert repr(u) == "(3) + (-1*i)D1 + (1 + 2*i)D0^2"
+    assert repr(DiffOp(2, {})) == "0"
+
+
 def test_divide_by_linear():
     p = Polynomial(2, {(1, 0): GQ(1), (0, 1): GQ(-1)})  # x - y
     q = rand_poly(rng, 2, 2)
@@ -468,12 +474,31 @@ def test_kernel_matches_reference(case):
     assert (p - q).terms == _ref_add(s, t, -1)
     assert (-p).terms == _ref_scale(s, GQ(-1))
     assert (p * q).terms == _ref_mul(s, t)
+    assert p._times(q, order, i).terms == {idx: v for idx, v in _ref_mul(s, t).items() if sum(idx[i:]) <= order}
     assert (p * c).terms == _ref_scale(s, c) == (c * p).terms
     assert p.deriv(i).terms == _ref_deriv(s, i)
     assert p.truncate(order).terms == _ref_truncate(s, order)
     assert p.shift(a).terms == _ref_shift(s, a)
     assert p.eval(a) == _ref_eval(s, a)
     assert p.constant_term() == s.get((0,) * dim, GQ(0))
+
+
+@st.composite
+def _at_zero_case(draw):
+    ns, nt = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    return ns, nt, draw(_terms(ns + nt, most=8)), draw(_terms(nt, most=4, deg=2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_at_zero_case())
+def test_at_zero_reads_the_last_variables(case):
+    # u in the last nt variables of p at 0 there, against the path it
+    # replaces: u embedded by substitution, applied, and tau = 0 substituted
+    ns, nt, s, t = case
+    p, u = Polynomial(ns + nt, s), DiffOp(nt, t)
+    tau = [Polynomial.variable(ns + nt, ns + k) for k in range(nt)]
+    at_zero = [Polynomial.variable(ns, j) for j in range(ns)] + [Polynomial.zero(ns)] * nt
+    assert u._at_zero(p) == DiffOp.from_symbol(u.symbol().substitute(tau)).apply(p).substitute(at_zero)
 
 
 @st.composite
@@ -622,6 +647,18 @@ def test_only_poly_builds_forms_from_int_parts():
             names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
             names += [node.attr] if isinstance(node, ast.Attribute) else []
             assert not {"_affine", "_form"} & set(names), f"{path.name}:{node.lineno}"
+
+
+def test_no_product_is_truncated_after_it_is_formed():
+    # a truncated product skips the pairs that pass the cap (Polynomial._times):
+    # no .truncate(...) in the library has a product in its receiver
+    def is_product(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+
+    for path in sorted(Path(poly.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "truncate":
+                assert not any(map(is_product, ast.walk(node.func.value))), f"{path.name}:{node.lineno}"
 
 
 def _filter_point(coeffs, const):
