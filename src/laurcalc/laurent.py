@@ -76,6 +76,8 @@ class LaurentFunctional:
         for s in self.summands:
             for v in (s.support, *s.x_list):
                 _sized(v, space.dim)
+            if s.u.dim != space.dim:
+                raise ArityError("operator/space arity mismatch")
             if s.support in seen:
                 raise ValueError("support points must be distinct")
             seen.add(s.support)
@@ -91,7 +93,9 @@ def _evaluate(space: Space, s: LFSummand, g: Germ) -> GQ:
     # u only reads degrees <= m, and the leftover forms are homogeneous
     prod = g.jet
     for dir_, k in leftover.items():
-        prod = prod._times(_key_form(space, dir_) ** k, m)
+        form = _key_form(space, dir_)
+        for _ in range(k):
+            prod = prod._times(form, m)
     return scalar * s.u._at_zero(prod).constant_term()
 
 
@@ -273,7 +277,8 @@ def lf_annihilator_witness(g: Germ):
     xi = sorted(gn.pole)[0]
     perp = space.orth_complement([xi])
     # restrict the numerator jet to the orthocomplement of xi
-    restricted, _ = _along(RationalFn(space, gn.jet), len(perp), perp, [GQ(0)] * space.dim)
+    subs = [Polynomial.linear(len(perp), [GQ.of(b[i]) for b in perp]) for i in range(space.dim)]
+    restricted = gn.jet.substitute(subs)
     if restricted.is_zero():
         raise ValueError("jet order too small to certify the singularity")
     deg = min(sum(idx) for idx in restricted.terms)
@@ -358,7 +363,9 @@ def _operator(L: LaurentFunctional, f: RationalFn, sub: Space, center, basis, pe
         leftover, scalar = s.leftover(pole, "pole order along the subspace exceeds the functional order")
         # the regularizing product to tau-degree m, then u in tau at tau = 0
         for dir_, rest in leftover.items():
-            p = p._times(Polynomial.linear(total, zs + L.space.form_coeffs(dir_)) ** rest, m, ns)
+            form = Polynomial.linear(total, zs + L.space.form_coeffs(dir_))
+            for _ in range(rest):
+                p = p._times(form, m, ns)
         result = result + RationalFn(sub, s.u._at_zero(p) * (scale * scalar), den)
     return result
 

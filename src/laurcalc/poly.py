@@ -645,21 +645,14 @@ class DiffOp:
 
 def quotient_rule(dim, pairs):
     """(P, Q) for (form l_k, scalar c_k) pairs: P = prod l_k and
-    Q = sum c_k prod_{j != k} l_j.
+    Q = sum c_k prod_{j != k} l_j, one pair at a time by the product rule.
 
     With c_k = d_k * d_v(l_k) this is the quotient rule
     d_v(N / prod l_k^d_k) = (P d_v(N) - Q N) / prod l_k^(d_k + 1).
     """
-    one = Polynomial.const(dim, GQ(1))
-    P, Q = one, Polynomial.zero(dim)
-    for k, (form, c) in enumerate(pairs):
-        P = P * form
-        if not c.is_zero():
-            rest = one
-            for j, (other, _) in enumerate(pairs):
-                if j != k:
-                    rest = rest * other
-            Q = Q + c * rest
+    P, Q = Polynomial.const(dim, GQ(1)), Polynomial.zero(dim)
+    for form, c in pairs:
+        P, Q = P * form, Q * form + c * P
     return P, Q
 
 

@@ -606,6 +606,36 @@ def test_pushforward_matrix_of_another_shape_exit_2(capsys, tmp_path, monkeypatc
     assert json.loads(out)["detail"] == "embedding matrix must be 2 x 1, the target by the source dimension"
 
 
+_POINT = {"hyperplanes": [{"normal": ["1", "0"], "offset": "0"}, {"normal": ["0", "1"], "offset": "0"}]}
+_XY = [{"normal": ["1", "0"], "offset": "0", "power": 1}, {"normal": ["0", "1"], "offset": "0", "power": 1}]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "--germ", CORPUS + "germ_axes.json"],
+        ["apply-fn", "--fn", "f.json"],
+        ["operator", "--fn", "f.json", "--subspace", "point.json"],
+    ],
+    ids=lambda a: a[0],
+)
+def test_functional_operator_in_fewer_variables_than_its_space_exit_2(argv, capsys, tmp_path, monkeypatch):
+    """d/dz in one variable in a functional on the plane is refused when the
+    functional is read; it must not be applied to the jet's last variable.
+    With its own operator the functional reads 1 on 1/(xy) in each verb."""
+    monkeypatch.chdir(ROOT)
+    functional = _corpus_doc("functional_plane.json")
+    one = {"dim": 2, "terms": [{"idx": [0, 0], "re": "1"}]}
+    one_over_xy = {"space": functional["space"], "numerator": one, "denominator": _XY}
+    functional["summands"][0]["u"] = {"dim": 1, "terms": [{"idx": [1], "re": "1"}]}
+    docs = {"L.json": functional, "f.json": one_over_xy, "point.json": _POINT}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    args = [str(tmp_path / a) if a in docs else a for a in argv[1:]]
+    code, out = _run(["laurent", argv[0], "--functional", str(tmp_path / "L.json"), *args], capsys)
+    assert (code, json.loads(out)) == (2, {"error": "precondition", "detail": "operator/space arity mismatch"})
+
+
 @pytest.mark.parametrize("index", [8, -1])
 def test_positive_root_index_out_of_range_exit_2(index, capsys, tmp_path):
     system = _corpus_doc("rootsys_b2.json")

@@ -325,6 +325,32 @@ def test_jet_order_below_the_operator_order_is_refused():
         lf_apply(L, Germ(sp, [0], {}, Polynomial.const(1, GQ(1)), 0))
 
 
+def test_functional_operator_in_fewer_variables_than_its_space_is_refused():
+    # d/dz in one variable on the plane would read the jet's last variable only
+    with pytest.raises(ArityError, match="operator/space arity mismatch"):
+        LaurentFunctional(Space(2), [LFSummand([0, 0], [(1, 0)], [1], DiffOp.partial(1, 0))])
+
+
+def test_capped_products_take_the_leftover_forms_one_at_a_time(monkeypatch):
+    # a factor handed to a capped product is at most one form beyond the cap,
+    # so no power of a leftover form is built only to be dropped
+    excess, times = [], Polynomial._times
+
+    def spy(p, other, cap, lo=0):
+        excess.append(max((sum(idx[lo:]) for idx in other.terms), default=0) - max(cap, 1))
+        return times(p, other, cap, lo)
+
+    monkeypatch.setattr(Polynomial, "_times", spy)
+    line, plane = Space(1), Space(2)
+    # the residue (order 0) of 1/z with d_max 4 leaves z^3
+    lf_apply(lf_residue(line, [0], [(1,)], [4]), Germ(line, [0], {(1,): 1}, Polynomial.const(1, GQ(1)), 3))
+    # the residue in tau of 1/y with d_max 4 on {y = 0} leaves tau^3
+    Lsub = subspace_from(plane, [Hyperplane.make((0, 1), GQ(0))])
+    f = RationalFn(plane, Polynomial.const(2, GQ(1)), {Hyperplane.make((0, 1), GQ(0)): 1})
+    laurent_operator_apply(lf_residue(transverse_space(Lsub), [0], [(1,)], [4]), f, Lsub)
+    assert excess and max(excess) <= 0
+
+
 def test_operator_residue_on_line():
     # residue in the transverse variable of {y = 0} applied to 1/(y(x-y))
     sp = Space(2)

@@ -501,6 +501,11 @@ def test_at_zero_reads_the_last_variables(case):
     assert u._at_zero(p) == DiffOp.from_symbol(u.symbol().substitute(tau)).apply(p).substitute(at_zero)
 
 
+def test_at_zero_refuses_a_polynomial_in_fewer_variables_than_the_operator():
+    with pytest.raises(ArityError, match="operator/polynomial arity mismatch"):
+        DiffOp.partial(2, 1)._at_zero(Polynomial.variable(1, 0))
+
+
 @st.composite
 def _substitution_case(draw):
     dim = draw(st.integers(1, 3))
