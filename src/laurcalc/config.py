@@ -7,10 +7,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from . import linalg
 from .poly import Polynomial, _key_form
-from .scalars import GQ, _fractions, _mk, _real_over_lcm, _triple
+from .scalars import GQ, _fractions, _mk, _re_im, _real_over_lcm, _triple
 from .space import Space, _sized
 
 
@@ -91,10 +92,15 @@ class Hyperplane:
         """The hyperplane of the form z -> sum coeffs[j] z_j + const, as
         (h, scalar) with the form equal to scalar * h.form(space)."""
         # the form is <beta, z> + const with G beta = coeffs, and G is the
-        # int Gram matrix over e, so beta is e times the solution over it
-        ints, d = _real_over_lcm(linalg.solve(space._g, coeffs))
-        canon, g = _primitive(ints)
-        scalar = _mk(g * space._e, 0, d)
+        # int Gram matrix over e, so beta is e G^-1 coeffs, G^-1 kept as ints over di
+        pairs, dc = space._vector(coeffs)
+        rows, di = space._inv
+        re, im = ([sum(map(mul, row, part)) for row in rows] for part in _re_im(pairs))
+        for a, b in zip(re, im):
+            if b:
+                raise ValueError(f"{_mk(a, b, di * dc)} is not real")
+        canon, g = _primitive(re)
+        scalar = _mk(g * space._e, 0, di * dc)
         return _hyperplane(canon, -GQ.of(const) / scalar), scalar
 
     @property
@@ -145,14 +151,22 @@ class Configuration:
 
 
 class XSubspace:
-    """Nonempty intersection of hyperplanes: direction space, orthogonal
-    basis-free central point, and an affine parametrization."""
+    """Nonempty intersection of hyperplanes: direction space, central point
+    and an affine parametrization.  Immutable, with tuple fields; its normal
+    basis and its induced and transverse spaces are computed when it is built."""
+
+    __slots__ = ("space", "defining", "basis_VL", "center", "_normal", "_induced", "_transverse")
 
     def __init__(self, space: Space, defining, basis_VL, center):
-        self.space = space
-        self.defining = list(defining)
-        self.basis_VL = [tuple(GQ.of(x) for x in b) for b in basis_VL]
-        self.center = tuple(GQ.of(x) for x in center)
+        basis_VL = tuple(tuple(GQ.of(x) for x in b) for b in basis_VL)
+        normal = tuple(map(tuple, space.orth_complement(basis_VL)))
+        center = tuple(GQ.of(x) for x in _sized(center, space.dim))
+        values = (space, tuple(defining), basis_VL, center, normal, space.subspace(basis_VL), space.subspace(normal))
+        for slot, value in zip(XSubspace.__slots__, values):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("XSubspace is immutable")
 
     def param_point(self, s):
         """Ambient point center + sum s_j * b_j."""
@@ -165,18 +179,16 @@ class XSubspace:
 
     def induced_space(self) -> Space:
         """Coordinates s on the subspace, with the inherited inner product."""
-        return self.space.subspace(self.basis_VL)
+        return self._induced
 
     def normal_basis(self):
         """Basis of the orthogonal complement of the direction space."""
-        return self.space.orth_complement(self.basis_VL)
+        return self._normal
 
     def contains(self, point) -> bool:
         diff = [GQ.of(p) - c for p, c in zip(_sized(point, self.space.dim), self.center)]
         # point - center must be orthogonal to every normal direction
-        return all(
-            self.space.inner(n, diff).is_zero() for n in self.normal_basis()
-        )
+        return all(self.space.inner(n, diff).is_zero() for n in self._normal)
 
 
 def subspace_from(space: Space, hyps) -> XSubspace:

@@ -299,15 +299,14 @@ def lf_annihilator_witness(g: Germ):
 
 def transverse_space(L: XSubspace) -> Space:
     """Coordinates on the orthogonal complement of the direction space."""
-    return L.space.subspace(L.normal_basis())
+    return L._transverse
 
 
 def _transverse(L: LaurentFunctional, Lsub: XSubspace):
     """Lsub.normal_basis(), after checking that L lives on its coordinates."""
-    perp = Lsub.normal_basis()
-    if Lsub.space.subspace(perp) is not L.space:
+    if Lsub._transverse is not L.space:
         raise ValueError("functional space does not carry the transverse inner product")
-    return perp
+    return Lsub._normal
 
 
 def laurent_operator_apply(L: LaurentFunctional, f: RationalFn, Lsub: XSubspace) -> RationalFn:
@@ -350,10 +349,14 @@ def _operator(L: LaurentFunctional, f: RationalFn, sub: Space, center, basis, pe
             else:
                 A = Polynomial.linear(total, a + zt, c)
                 if not b0:
-                    # 1/(A + B)^k = sum_j C(k+j-1, j) (-B)^j / A^(k+j); u reads
-                    # tau-degrees up to m, so over A^(k+m) the sum stops at j = m
+                    # 1/(A + B)^k = sum_j C(k+j-1, j) (-B)^j / A^(k+j); u reads tau-degrees up to
+                    # m, so over A^(k+m) the sum stops at j = m: Horner's rule in A, powers of B
                     B = Polynomial.linear(total, zs + [-x for x in b])
-                    p = p._times(sum(comb(k + j - 1, j) * B**j * A ** (m - j) for j in range(m + 1)), m, ns)
+                    S = Bj = Polynomial.const(total, 1)
+                    for j in range(1, m + 1):
+                        Bj = Bj * B
+                        S = S * A + comb(k + j - 1, j) * Bj
+                    p = p._times(S, m, ns)
                     k += m
                 scalar = c
                 if not a0:

@@ -135,10 +135,3 @@ def matvec(a, v):
     v = [GQ.of(x) for x in v]
     return [sum((row[j] * v[j] for j in range(len(v))), GQ(0)) for row in a]
 
-
-def invert(rows):
-    """Inverse of a square matrix; raises ValueError if singular."""
-    # row i scaled by e_i: the inverse of the scaled matrix times diag(e)
-    scaled = [_over_lcm(row) for row in rows]
-    inv, d = _inverse([pairs for pairs, _ in scaled])
-    return [[_gq((a * e, b * e), d) for (a, b), (_, e) in zip(row, scaled)] for row in inv]

@@ -287,8 +287,8 @@ class Polynomial:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError(f"negative power {k} of a polynomial")
-        out = Polynomial.const(self.dim, 1)
-        for _ in range(k):
+        out = self if k else Polynomial.const(self.dim, 1)
+        for _ in range(k - 1):
             out = out * self
         return out
 

@@ -9,8 +9,8 @@ every built-in system): the roots, each Weyl element, the wall basis and
 forms of a parabolic subgroup, and the rows of a lattice.  Products,
 equality, hashing, the root and closure checks and the (P, Q) signatures
 are integer operations, and ``linalg``'s integer elimination supplies the
-inverses and kernels; ``roots``, ``matrix``, ``act``, ``restrict`` and the
-other public names build their Fractions from the ints.  The Weyl layer
+inverses and kernels; ``roots``, ``matrix``, ``act``, ``delta_r`` and the
+other public names build their Fractions (or GQs) from the ints.  The Weyl layer
 looks elements up by the element itself.
 
 Z.Delta questions go to the shared ``Lattice`` of each Delta
@@ -325,7 +325,8 @@ class ParabolicData:
         self._forms = tuple(tuple(sum(map(mul, row, b)) for row in rs.space._g) for b in self._basis)
         self._den = rs.space._e * d
         self.delta_rest_indices = tuple(i for i in range(len(rs.simple)) if i not in indices)
-        self.delta_r = tuple(self.restrict(rs.simple[i]) for i in self.delta_rest_indices)
+        simple = [rs._key(rs.simple[i]) for i in self.delta_rest_indices]  # ints over rs._e
+        self.delta_r = tuple(_fractions(self._restrict(iv), rs._e * self._den) for iv in simple)
         if len(set(self.delta_r)) != len(self.delta_r):
             raise ValueError("restricted simple roots not pairwise distinct")
         self.lattice = _lattice(self.delta_r, len(self.basis), "restricted simple roots")
@@ -333,16 +334,11 @@ class ParabolicData:
         return self
 
     def _restrict(self, iv):
-        """The ints of ``restrict`` for an int vector iv, over ``_den``."""
+        """<iv, .> on the wall basis for an int vector iv, as ints over ``_den``."""
         return [sum(map(mul, iv, f)) for f in self._forms]
 
-    def restrict(self, v):
-        """The functional on the wall: values on the wall basis."""
-        iv, e = _real_over_lcm(_sized(v, self.rs.dim))
-        return _fractions(self._restrict(iv), e * self._den)
-
     def restrict_gq(self, v):
-        """``restrict`` for a vector of GQs."""
+        """The functional <v, .> on the wall: its values on the wall basis."""
         pairs, e = self.rs.space._vector(v)
         re, im = _re_im(pairs)
         d = e * self._den

@@ -36,26 +36,29 @@ _CHECKED = 256  # the bound of the checked Gram matrices; a residue workload mee
 
 @lru_cache(maxsize=_CHECKED)
 def _check_gram(g):
-    """Raise ValueError unless the int Gram matrix g is symmetric and
-    positive definite.  Only a matrix that passes is remembered, so a space
-    that dies and comes back is not eliminated again."""
+    """The inverse of the int Gram matrix g as (int rows, d); ValueError unless
+    g is symmetric and positive definite.  Only a matrix that passes is
+    remembered, so a space that dies and comes back is not eliminated again."""
     if g != tuple(zip(*g)):
         raise ValueError("inner product matrix must be symmetric")
-    # Sylvester's criterion: pivots taken down the diagonal are the
-    # leading principal minors of the int matrix, e^k times those of ip
-    pivots, _ = linalg._eliminate([[(x, 0) for x in row] for row in g])
-    for k in range(len(g)):
+    # Sylvester's criterion: pivots of [g | I] taken down g's diagonal are the leading
+    # principal minors of g, e^k times those of ip; [g | I] ends as [d I | d g^-1]
+    n = len(g)
+    aug = [[(x, 0) for x in row] + [(int(i == j), 0) for j in range(n)] for i, row in enumerate(g)]
+    pivots, (d, _) = linalg._eliminate(aug)
+    for k in range(n):
         if k == len(pivots) or pivots[k][:2] != (k, k) or pivots[k][2][0] <= 0:
             raise ValueError(f"inner product matrix must be positive definite (leading minor {k + 1})")
+    return tuple(tuple(x for x, _ in row[n:]) for row in aug), d
 
 
 class Space:
     """Ambient real space: a dimension and a symmetric positive definite
     rational inner product matrix (identity by default), held as ints over
-    one denominator; ``ip`` gives it back as rows of Fraction.  A space is
-    immutable, and one inner product has one live space."""
+    one denominator, and its inverse, as ints over another; ``ip`` gives it
+    back as rows of Fraction.  Immutable; one inner product has one live space."""
 
-    __slots__ = ("dim", "_e", "_g", "_entries", "__weakref__")
+    __slots__ = ("dim", "_e", "_g", "_entries", "_inv", "__weakref__")
 
     def __new__(cls, dim: int, ip=None):
         if ip is None:
@@ -66,11 +69,11 @@ class Space:
         self = _SPACES.get((e, g))
         if self is not None:
             return self
-        _check_gram(g)
+        inv = _check_gram(g)
         self = object.__new__(cls)
         # the nonzero Gram entries as ints over the common denominator e
         entries = tuple((i, j, x) for i, row in enumerate(g) for j, x in enumerate(row) if x)
-        for slot, value in zip(Space.__slots__, (dim, e, g, entries)):
+        for slot, value in zip(Space.__slots__, (dim, e, g, entries, inv)):
             object.__setattr__(self, slot, value)
         _SPACES[e, g] = self
         return self
@@ -135,6 +138,6 @@ class Space:
         return list(zip(re, im)), (-oa * d, -ob * d), d * od
 
     def orth_complement(self, vectors):
-        """Basis of the orthogonal complement of span(vectors)."""
-        rows = [self.form_coeffs(v) for v in vectors]
-        return linalg.nullspace(rows, ncols=self.dim)
+        """Basis of the orthogonal complement of span(vectors), the kernel of their int forms."""
+        basis, d = linalg._kernel([self._linear(*self._vector(v))[0] for v in vectors], self.dim)
+        return [[linalg._gq(x, d) for x in v] for v in basis]

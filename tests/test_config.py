@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laurcalc import (
     GQ,
@@ -13,6 +14,7 @@ from laurcalc import (
     Polynomial,
     RationalFn,
     Space,
+    XSubspace,
     canonical_normal,
     hyperplanes_through,
     induced_config,
@@ -21,6 +23,9 @@ from laurcalc import (
 )
 
 from laurcalc import io as lio
+from laurcalc import linalg
+from laurcalc.config import _primitive
+from laurcalc.scalars import _real_over_lcm
 
 from _support import rand_gq, rand_point
 
@@ -73,6 +78,91 @@ def test_subspace_refuses_a_vector_of_another_length(n):
         L.contains([0, 5, 7][:n])
     with pytest.raises(ArityError, match=f"a vector of length {n - 1} in a space of dimension 1"):
         L.param_point([GQ(1), GQ(2)][: n - 1])
+
+
+def test_subspace_refuses_a_center_of_another_length():
+    """A center of the wrong length used to build: param_point then ended in
+    an IndexError, and contains blamed the point it was given."""
+    with pytest.raises(ArityError, match="a vector of length 1 in a space of dimension 2"):
+        XSubspace(Space(2), [], [(1, 0)], (0,))
+    with pytest.raises(ArityError, match="a vector of length 1 in a space of dimension 2"):
+        XSubspace(Space(2), [], [(1,)], (0, 0))
+
+
+def test_subspace_is_an_immutable_value_with_tuple_fields():
+    L = subspace_from(Space(3, [[2, 1, 0], [1, 2, 0], [0, 0, 1]]), [Hyperplane.make((1, 0, 0), 1)])
+    for name in ("space", "defining", "basis_VL", "center", "_normal", "other"):
+        with pytest.raises(AttributeError, match="XSubspace is immutable"):
+            setattr(L, name, None)
+    assert not hasattr(L, "__dict__")
+    for field in (L.defining, L.basis_VL, L.center, *L.basis_VL, L.normal_basis(), *L.normal_basis()):
+        assert isinstance(field, tuple)
+    assert L.normal_basis() is L.normal_basis() and L.induced_space() is L.induced_space()
+    assert L.induced_space() is L.space.subspace(L.basis_VL)
+
+
+def reference_from_form(space, coeffs, const):
+    """from_form as it was: one linalg.solve with the int Gram matrix, and
+    the solution read back as ints."""
+    ints, d = _real_over_lcm(linalg.solve(space._g, coeffs))
+    canon, g = _primitive(ints)
+    scalar = GQ(Fraction(g * space._e, d))
+    return Hyperplane(canon, -GQ.of(const) / scalar), scalar
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def forms(draw):
+    """A positive definite Gram matrix (M M^T + I) / den, and the
+    coefficients and constant of a form, some complex, some all zero."""
+    n = draw(st.integers(1, 3))
+    m = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    den = draw(st.integers(1, 4))
+    ip = [[Fraction(sum(a * b for a, b in zip(m[i], m[j])) + (i == j), den) for j in range(n)] for i in range(n)]
+    imag = draw(st.sampled_from([st.just(0), small]))
+    coeffs = [GQ(draw(small), draw(imag)) for _ in range(n)]
+    return Space(n, ip), coeffs, GQ(draw(small), draw(small))
+
+
+@settings(max_examples=30, deadline=None)
+@given(forms())
+def test_from_form_equals_the_solve_of_the_gram_matrix(case):
+    sp, coeffs, const = case
+    got = outcome(Hyperplane.from_form, sp, coeffs, const)
+    assert got == outcome(reference_from_form, sp, coeffs, const)
+    if not all(c.is_real() for c in coeffs):
+        assert got.startswith("ValueError: ") and got.endswith(" is not real")
+    elif not all(c.is_zero() for c in coeffs):
+        h, scalar = got
+        assert h.form(sp) * scalar == Polynomial.linear(sp.dim, coeffs, const)
+
+
+def test_from_form_eliminates_nothing_once_its_space_exists(monkeypatch):
+    sp = Space(3, [[2, 1, 0], [1, 2, 0], [0, 0, 5]])
+    calls, real = [], linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda m: calls.append(m) or real(m))
+    h, scalar = Hyperplane.from_form(sp, [1, Fraction(1, 2), 3], 2)
+    assert calls == [] and h.form(sp) * scalar == Polynomial.linear(3, [1, Fraction(1, 2), 3], 2)
+    # the spy is live: a new Gram matrix is eliminated once
+    Space(2, [[97, 1], [1, 89]])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("coeffs", [[1], [1, 2, 3]])
+def test_from_form_refuses_coefficients_of_another_length(coeffs):
+    """The solve cut the coefficients to the space's length, or padded them
+    with a free coordinate: [1] in the plane gave z0 = 0 with scalar 1."""
+    with pytest.raises(ArityError, match=f"a vector of length {len(coeffs)} in a space of dimension 2"):
+        Hyperplane.from_form(Space(2), coeffs, 0)
 
 
 def test_subspace_inconsistent():

@@ -41,7 +41,7 @@ from laurcalc import (
     subspace_from,
     transverse_space,
 )
-from laurcalc import config
+from laurcalc import config, linalg
 from laurcalc import laurent as laurent_module
 
 from _support import over_two_inner_products, rand_diffop, rand_direction, rand_gq, rand_point, rand_poly
@@ -534,7 +534,34 @@ def test_operator_reads_taylor_coefficients_without_pullback_or_derivatives(monk
     monkeypatch.setattr(RationalFn, "directional_deriv", refused)
     monkeypatch.setattr(Space, "subspace", lambda self, basis: sizes.append(len(basis)) or subspace(self, basis))
     assert laurent_operator_apply(L, f, Lsub) == expected
-    assert sizes and 3 not in sizes
+    assert 3 not in sizes and sizes == []
+    # the spy is live: a subspace builds its induced and transverse spaces
+    subspace_from(sp, [Hyperplane.make((0, 0, 1), GQ(1))])
+    assert sizes == [2, 1]
+
+
+def test_a_subspace_computes_its_normal_basis_and_spaces_once(monkeypatch):
+    """Reading a subspace's normal basis, induced and transverse spaces, and
+    applying an operator on it, runs no kernel after it is built."""
+    sp = Space(3, [[2, 1, 0], [1, 2, 0], [0, 0, 1]])
+    Lsub = subspace_from(sp, [Hyperplane.make((0, 0, 1), GQ(1))])
+    L = lf_residue(transverse_space(Lsub), [Fraction(1, 2)], [(1,)], [1])
+    f = RationalFn(
+        sp,
+        rand_poly(random.Random(7), 3, 2),
+        {Hyperplane.make((0, 0, 1), GQ(Fraction(3, 2))): 1, Hyperplane.make((1, 0, 1), GQ(2)): 1},
+    )
+    calls, real = [], linalg._kernel
+    monkeypatch.setattr(linalg, "_kernel", lambda *a: calls.append(a) or real(*a))
+    first = laurent_operator_apply(L, f, Lsub)
+    for _ in range(2):
+        assert Lsub.normal_basis() is Lsub.normal_basis() and len(Lsub.normal_basis()) == 1
+        assert Lsub.induced_space().dim == 2 and transverse_space(Lsub) is L.space
+        assert laurent_operator_apply(L, f, Lsub) == first
+    assert calls == []
+    # the spy is live: building a subspace runs kernels
+    subspace_from(sp, [Hyperplane.make((1, 0, 0), GQ(0))])
+    assert calls
 
 
 def test_diagonal_refuses_a_denominator_containing_the_shifted_subspace():

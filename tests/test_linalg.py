@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from laurcalc import GQ
 from laurcalc import linalg
+from laurcalc.scalars import _over_lcm
 
 from _support import rand_gq, rref as reference_rref
 
@@ -46,17 +47,28 @@ def test_nullspace_annihilates():
             assert all(x.is_zero() for x in linalg.matvec(A, list(v)))
 
 
-def test_invert_roundtrip():
+def gaussian_rows(rows):
+    """Each row of GQs scaled to Gaussian integers, as (re, im) int pairs."""
+    return [_over_lcm(row)[0] for row in rows]
+
+
+def times_inverse(m):
+    """m times the inverse ``_inverse`` gives, over its denominator, as GQ rows."""
+    inv, d = linalg._inverse([list(row) for row in m])
+    cols = [[GQ(*x) for x in col] for col in zip(*inv)]
+    return [[sum((GQ(*a) * b for a, b in zip(row, col)), GQ(0)) for col in cols] for row in m], GQ(*d)
+
+
+def test_inverse_roundtrip():
     for _ in range(25):
         n = rng.randint(1, 4)
         A = rand_matrix(n, n)
         if linalg.rank(A) < n:
             continue
-        inv = linalg.invert(A)
-        prod = [[sum((A[i][k] * inv[k][j] for k in range(n)), GQ(0)) for j in range(n)] for i in range(n)]
+        prod, d = times_inverse(gaussian_rows(A))
         for i in range(n):
             for j in range(n):
-                assert prod[i][j] == (GQ(1) if i == j else GQ(0))
+                assert prod[i][j] == (d if i == j else GQ(0))
 
 
 def test_nullspace_of_no_rows_needs_ncols():
@@ -65,10 +77,10 @@ def test_nullspace_of_no_rows_needs_ncols():
         linalg.nullspace([])
 
 
-def test_invert_refuses_a_matrix_that_is_not_square():
+def test_inverse_refuses_a_matrix_that_is_not_square():
     for rows in ([[1, 0, 0], [0, 1, 0]], [[1], [0]]):
         with pytest.raises(ValueError, match="not square"):
-            linalg.invert(rows)
+            linalg._inverse(gaussian_rows(rows))
 
 
 def test_rank_bounds():
@@ -105,12 +117,11 @@ def test_rref_equals_reference_elimination(rows):
 
 
 @given(matrices(square=True))
-def test_invert_refuses_exactly_the_singular(rows):
+def test_inverse_refuses_exactly_the_singular(rows):
     n = len(rows)
     if len(reference_rref(rows)[1]) < n:
         with pytest.raises(ValueError, match="singular"):
-            linalg.invert(rows)
+            linalg._inverse(gaussian_rows(rows))
     else:
-        inv = linalg.invert(rows)
-        prod = [[sum((a * b for a, b in zip(row, col)), GQ(0)) for col in zip(*inv)] for row in rows]
-        assert prod == [[GQ(1) if j == i else GQ(0) for j in range(n)] for i in range(n)]
+        prod, d = times_inverse(gaussian_rows(rows))
+        assert prod == [[d if j == i else GQ(0) for j in range(n)] for i in range(n)]
