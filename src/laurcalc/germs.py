@@ -8,11 +8,9 @@ represented object is jet(w) / prod <xi, w>^d(xi), w = z - a.
 
 from __future__ import annotations
 
-from math import comb
-
 from .config import Hyperplane, XSubspace, _canonical, _order
-from .poly import Polynomial, _key_form, _mul_terms, _powers, _reduced, quotient_rule
-from .scalars import GQ, _parts
+from .poly import Polynomial, _inverse_sum, _key_form, quotient_rule
+from .scalars import GQ
 from .space import ArityError, Space, _sized
 
 
@@ -261,33 +259,17 @@ def rationalfn_germ_at(f: RationalFn, a, order: int) -> Germ:
     order = _order(order, "order")
     a = [GQ.of(x) for x in a]
     ap = f.space._vector(a)
-    pole = {}
+    pole, scale = {}, GQ(1)
     jet = f.numerator.shift(a).truncate(order)
     for h, k in f.denominator.items():
         c0 = f.space._key_inner(h._ints, *ap) - h.offset
         if c0.is_zero():
             pole[h._ints] = pole.get(h._ints, 0) + k
         else:
-            jet = jet._times(_inverse_power(_key_form(f.space, h._ints), c0, k, order), order)
-    return _germ(f.space, tuple(a), pole, jet, order)
-
-
-def _inverse_power(l0, c0, k, order) -> Polynomial:
-    """(c0 + l0)^(-k) to degree ``order``, for a real homogeneous linear l0
-    over the int d: sum_j C(k+j-1, j) c0^(-k) (-1/c0)^j l0^j, over the
-    common denominator n^(k+order) d^order where 1/c0 = (p + q*i)/n."""
-    dim, d = l0.dim, l0._d
-    ca, cb, cd = _parts(c0)
-    n, p, q = ca * ca + cb * cb, cd * ca, -cd * cb
-    wa, wb = _powers(p, q, 1, k)[k]
-    power, t = {(0,) * dim: (1, 0)}, {}
-    for j, (ya, yb) in enumerate(_powers(-p, -q, n, order)):
-        s = comb(k + j - 1, j) * d ** (order - j)
-        ya, yb = s * (ya * wa - yb * wb), s * (ya * wb + yb * wa)
-        t.update({idx: (x * ya, x * yb) for idx, (x, _) in power.items()})
-        if j < order:
-            power = _mul_terms(power, l0._t)
-    return _reduced(dim, t, n ** (k + order) * d**order)
+            # (c0 + l0)^(-k) in w is the sum over c0^(k+order), l0 = <h, w>
+            jet = jet._times(_inverse_sum(c0, -_key_form(f.space, h._ints), k, order), order)
+            scale = scale * c0 ** (k + order)
+    return _germ(f.space, tuple(a), pole, jet if scale == 1 else jet * (GQ(1) / scale), order)
 
 
 def _along(f: RationalFn, dim, cols, point):

@@ -11,8 +11,6 @@ are never chosen silently.
 
 from __future__ import annotations
 
-from math import comb
-
 from . import linalg
 from .config import Hyperplane, XSubspace, _order, _primitive
 from .germs import (
@@ -24,7 +22,9 @@ from .germs import (
     rationalfn_pullback,
     rationalfn_restrict,
 )
-from .poly import DiffOp, Polynomial, _key_form, factorial_multi, leibniz_flatten, pi_product, quotient_rule
+from .poly import (
+    DiffOp, Polynomial, _flatten, _inverse_sum, _key_form, _times_forms, factorial_multi, pi_product, quotient_rule,
+)
 from .scalars import GQ, _fractions, _mk, _real_over_lcm
 from .space import ArityError, Space, _sized
 
@@ -90,13 +90,8 @@ def _evaluate(space: Space, s: LFSummand, g: Germ) -> GQ:
     m = s.u.order()
     if m > g.order + sum(leftover.values()):
         raise ValueError("jet order too small for the operator order")
-    # u only reads degrees <= m, and the leftover forms are homogeneous
-    prod = g.jet
-    for dir_, k in leftover.items():
-        form = _key_form(space, dir_)
-        for _ in range(k):
-            prod = prod._times(form, m)
-    return scalar * s.u._at_zero(prod).constant_term()
+    # the regularizing product: u only reads degrees <= m
+    return scalar * s.u._at_zero(_times_forms(g.jet, space, leftover, m)).constant_term()
 
 
 def lf_apply(L: LaurentFunctional, g: Germ) -> GQ:
@@ -142,7 +137,8 @@ def lf_from_evaluation(space: Space, a, X, d_max) -> LaurentFunctional:
     applied as derivatives, normalized so that the single surviving
     homogeneous contribution equals 1.
     """
-    pi = pi_product(space, X, a, d_max).shift(a)  # homogeneous in w
+    space._vector(a)
+    pi = pi_product(space, X, (0,) * space.dim, d_max)  # the product through a, in w = z - a
     norm = DiffOp.from_symbol(pi)._at_zero(pi).constant_term()  # sum gamma! c_gamma^2 > 0, pi being nonzero and real
     u = DiffOp(space.dim, {g: c / norm for g, c in pi.terms.items()})
     return LaurentFunctional(space, [LFSummand(a, X, d_max, u)])
@@ -228,8 +224,7 @@ def lf_mul_action(psi: RationalFn, L: LaurentFunctional) -> LaurentFunctional:
         for d, e in zeros.items():
             if e:
                 new_totals[d] += e
-        jet_z = (scalar * g.jet).shift([-x for x in s.support])
-        u_new = leibniz_flatten(s.u, jet_z, s.support)
+        u_new = _flatten(s.u, scalar * g.jet)
         summands.append(_summand(s.support, new_totals, u_new))
     return LaurentFunctional(space, summands)
 
@@ -242,21 +237,12 @@ def lf_diff_action(v, L: LaurentFunctional) -> LaurentFunctional:
     dv = DiffOp.directional(space.dim, v)
     summands = []
     for s in L.summands:
-        totals, scalar, sp = s._totals, s._scalar, space._vector(s.support)
-        # the quotient rule over one power of every canonical form, in the z
-        # variable; leibniz_flatten is linear in its multiplier, so Q is
+        totals, scalar = s._totals, s._scalar
+        # the quotient rule over one power of every canonical form, in
+        # w = z - a; flattening is linear in its multiplier, so Q is
         # flattened once
-        P, Q = quotient_rule(
-            space.dim,
-            [
-                (_key_form(space, d, space._key_inner(d, *sp)), k * space._key_inner(d, *vp))
-                for d, k in totals.items()
-            ],
-        )
-        u_new = scalar * (
-            leibniz_flatten(DiffOp.from_symbol(s.u.symbol() * dv.symbol()), P, s.support)
-            - leibniz_flatten(s.u, Q, s.support)
-        )
+        P, Q = quotient_rule(space.dim, [(_key_form(space, d), k * space._key_inner(d, *vp)) for d, k in totals.items()])
+        u_new = scalar * (_flatten(DiffOp.from_symbol(s.u.symbol() * dv.symbol()), P) - _flatten(s.u, Q))
         new_totals = {d: k - 1 for d, k in totals.items() if k > 1}
         summands.append(_summand(s.support, new_totals, u_new))
     return LaurentFunctional(space, summands)
@@ -347,16 +333,10 @@ def _operator(L: LaurentFunctional, f: RationalFn, sub: Space, center, basis, pe
                 h, scalar = Hyperplane.from_form(L.space, b, 0)
                 pole[h._ints] = pole.get(h._ints, 0) + k
             else:
-                A = Polynomial.linear(total, a + zt, c)
                 if not b0:
-                    # 1/(A + B)^k = sum_j C(k+j-1, j) (-B)^j / A^(k+j); u reads tau-degrees up to
-                    # m, so over A^(k+m) the sum stops at j = m: Horner's rule in A, powers of B
-                    B = Polynomial.linear(total, zs + [-x for x in b])
-                    S = Bj = Polynomial.const(total, 1)
-                    for j in range(1, m + 1):
-                        Bj = Bj * B
-                        S = S * A + comb(k + j - 1, j) * Bj
-                    p = p._times(S, m, ns)
+                    # 1/(A + b(tau))^k over A^(k+m), A = a(s) + c: u reads tau-degrees up to m only
+                    A, B = Polynomial.linear(total, a + zt, c), Polynomial.linear(total, zs + [-x for x in b])
+                    p = p._times(_inverse_sum(A, B, k, m), m, ns)
                     k += m
                 scalar = c
                 if not a0:
@@ -365,10 +345,7 @@ def _operator(L: LaurentFunctional, f: RationalFn, sub: Space, center, basis, pe
             scale = scale / scalar**k
         leftover, scalar = s.leftover(pole, "pole order along the subspace exceeds the functional order")
         # the regularizing product to tau-degree m, then u in tau at tau = 0
-        for dir_, rest in leftover.items():
-            form = Polynomial.linear(total, zs + L.space.form_coeffs(dir_))
-            for _ in range(rest):
-                p = p._times(form, m, ns)
+        p = _times_forms(p, L.space, leftover, m)
         result = result + RationalFn(sub, s.u._at_zero(p) * (scale * scalar), den)
     return result
 

@@ -122,14 +122,6 @@ def solve(rows, rhs):
     return [_gq(x, d) for x in basis[-1][:n]]
 
 
-def nullspace(rows, ncols=None):
-    """Basis of the kernel of the matrix given by rows."""
-    if not rows and ncols is None:
-        raise ValueError("ncols required for an empty matrix")
-    basis, d = _kernel(_pairs(rows), ncols)
-    return [[_gq(x, d) for x in v] for v in basis]
-
-
 def matvec(a, v):
     a = [[GQ.of(x) for x in row] for row in a]
     v = [GQ.of(x) for x in v]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from functools import partial
 from itertools import chain, product
 from math import comb, gcd
 from operator import add, sub
@@ -88,6 +89,18 @@ def _key_form(space: Space, key, offset=ZERO) -> "Polynomial":
     return _affine(space.dim, *space._linear([(x, 0) for x in key], 1, offset))
 
 
+def _times_forms(p: "Polynomial", space: Space, powers, m) -> "Polynomial":
+    """p times <key, tau>^k over {key: k} for int keys, tau the last space.dim
+    variables of p, one form at a time and cut at degree m in tau."""
+    lo = p.dim - space.dim
+    for key, k in powers.items():
+        pairs, const, d = space._linear([(x, 0) for x in key], 1)
+        form = _affine(p.dim, [(0, 0)] * lo + pairs, const, d)
+        for _ in range(k):
+            p = p._times(form, m, lo)
+    return p
+
+
 def _add_terms(t, u, s):
     """t + s*u for int term dicts and an int s; t is updated and returned."""
     for idx, (a, b) in u.items():
@@ -101,6 +114,11 @@ def _add_terms(t, u, s):
             else:
                 del t[idx]
     return t
+
+
+def _scaled(t, a, b):
+    """The int terms t times the Gaussian integer a + b*i != 0."""
+    return {idx: (x * a - y * b, x * b + y * a) for idx, (x, y) in t.items()}
 
 
 def _mul_terms(t1, t2, cap=None, lo=0):
@@ -274,7 +292,8 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            other = Polynomial.const(self.dim, other)
+            a, b, d = _parts(other)
+            return _reduced(self.dim, _scaled(self._t, a, b) if a or b else {}, self._d * d)
         self._check(other)
         return _reduced(self.dim, _mul_terms(self._t, other._t), self._d * other._d)
 
@@ -365,10 +384,10 @@ class Polynomial:
             for scale, e in zip(scales, idx):
                 if not e:
                     a, b = a * scale, b * scale
-            cur = {one: (a, b)}
-            for table, e in zip(tables, idx):
-                if e:
-                    cur = _mul_terms(cur, table[e])
+            powers = [table[e] for table, e in zip(tables, idx) if e]
+            cur = _scaled(powers[0], a, b) if powers else {one: (a, b)}
+            for t in powers[1:]:
+                cur = _mul_terms(cur, t)
             for j, (x, y) in cur.items():
                 re[j] = re.get(j, 0) + x
                 im[j] = im.get(j, 0) + y
@@ -656,34 +675,58 @@ def quotient_rule(dim, pairs):
     return P, Q
 
 
+def _inverse_sum(A, B, k, m) -> Polynomial:
+    """sum_{j<=m} C(k+j-1, j) B^j A^(m-j), the numerator of (A - B)^(-k) over
+    A^(k+m) up to degree m in B, for a polynomial or nonzero scalar A, by
+    Horner's rule in A on ints: for A = At/ad and B = Bt/bd, the sum to j
+    over (ad bd)^j is N_j = N_(j-1) At bd + C(k+j-1, j) (Bt ad)^j.  A scalar
+    A only scales, so order m takes m products."""
+    bd = B._d
+    if isinstance(A, _SCALARS):
+        xa, xb, ad = _parts(A)
+        times_a = partial(_scaled, a=xa * bd, b=xb * bd)
+    else:
+        ad = A._d
+        times_a = partial(_mul_terms, t2=_scaled(A._t, bd, 0))
+    bt = _scaled(B._t, ad, 0)
+    s = power = {(0,) * B.dim: (1, 0)}
+    for j in range(1, m + 1):
+        power = _mul_terms(power, bt)
+        s = _add_terms(times_a(s), power, comb(k + j - 1, j))
+    return _reduced(B.dim, s, (ad * bd) ** m)
+
+
 # ---------------------------------------------------------------------------
 # Leibniz flattening and the transfer maps between pole orders
 # ---------------------------------------------------------------------------
 
 
-def leibniz_flatten(u: DiffOp, p: Polynomial, a) -> DiffOp:
-    """The unique operator u' with u'(h)(a) = u(p*h)(a) for all h.
+def _flatten(u: DiffOp, jet: Polynomial) -> DiffOp:
+    """The unique operator u' with u'(h)(a) = u(p*h)(a) for all h, from the
+    jet of the multiplier p at a in w = z - a, whose coefficient of w^gamma
+    is (d^gamma p)(a) / gamma!: by the Leibniz rule, c_beta d^beta puts
+    c_beta binom(beta, gamma) (d^gamma p)(a) on d^(beta - gamma)."""
+    return _op(_reduced(u.dim, _contract(u._p._t, jet._t), u._p._d * jet._d))
 
-    Expansion of the Leibniz rule: contributions are indexed by how many
-    derivatives fall on the multiplier p, with exact rational factors.
-    """
+
+def leibniz_flatten(u: DiffOp, p: Polynomial, a) -> DiffOp:
+    """``_flatten`` for a multiplier p in z, shifted to a."""
     if u.dim != p.dim:
         raise ArityError("operator/multiplier arity mismatch")
-    ps = p.shift(a)  # coeff of w^gamma is (d^gamma p)(a) / gamma!
-    # c_beta * binom(beta, gamma) * (d^gamma p)(a) applied as d^(beta - gamma)
-    return _op(_reduced(u.dim, _contract(u._p._t, ps._t), u._p._d * ps._d))
+    return _flatten(u, p.shift(a))
 
 
 def pi_product(space: Space, X, a, d) -> Polynomial:
-    """The product of <xi, z - a>^d(xi) over xi in X; 1 for empty X.
-
-    ``d`` is a list of naturals parallel to X.
-    """
+    """The product of <xi, z - a>^d(xi) over xi in X, 1 for empty X; ``d``
+    is a list of naturals parallel to X, and another length is refused."""
     p, ap = Polynomial.const(space.dim, GQ(1)), space._vector(a)
     for xi, k in zip(X, d):
         if k:
             xp = space._vector(xi)
             p = p * _affine(space.dim, *space._linear(*xp, space._inner(*xp, *ap))) ** k
+    # after the factors, so that a bad root among them is reported first
+    if len(X) != len(d):
+        raise ValueError("pole index must be parallel to the root list")
     return p
 
 
@@ -699,5 +742,8 @@ def j_map(space: Space, u: DiffOp, d, d_low, X0, a) -> DiffOp:
         if lo > hi:
             raise ValueError("lower pole index must be componentwise <= upper")
         diff.append(hi - lo)
-    p = pi_product(space, X0, a, diff)
-    return leibniz_flatten(u, p, a)
+    space._vector(a)
+    p = pi_product(space, X0, (0,) * space.dim, diff)  # the product through a, in w = z - a
+    if u.dim != space.dim:
+        raise ArityError("operator/multiplier arity mismatch")
+    return _flatten(u, p)

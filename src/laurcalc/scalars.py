@@ -200,14 +200,14 @@ class GQ:
         if not self._b:
             # gcd(a, d) = 1 gives gcd(a^k, d^k) = 1
             return _mk(self._a**k, 0, self._d**k)
-        out = ONE
-        base = self
+        # square and multiply on the Gaussian integer a + b*i, reduced once
+        a, b, pa, pb, d = self._a, self._b, 1, 0, self._d**k
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                pa, pb = pa * a - pb * b, pa * b + pb * a
+            a, b = a * a - b * b, 2 * a * b
             k >>= 1
-        return out
+        return _mk(pa, pb, d)
 
     def conj(self) -> "GQ":
         return _mk(self._a, -self._b, self._d)

@@ -1,9 +1,9 @@
 """Shared helpers for the test suite: random generators over the Gaussian
 rationals, an independent one-variable Laurent expansion oracle built
 from polynomial shifting and power series inversion only, a reference
-Gauss-Jordan elimination with exact GQ pivots, the localization of a
-rational function by iterative Taylor inversion, and one function read
-over two inner products.
+Gauss-Jordan elimination with exact GQ pivots, the integer kernel as GQ
+vectors, the localization of a rational function by iterative Taylor
+inversion, and one function read over two inner products.
 """
 
 from fractions import Fraction
@@ -17,6 +17,7 @@ from laurcalc import (
     Polynomial,
     RationalFn,
     Space,
+    linalg,
     rationalfn_germ_at,
 )
 
@@ -165,6 +166,14 @@ def rref(rows):
         if r == nrows:
             break
     return m, pivots
+
+
+def kernel(rows, ncols):
+    """A basis of the kernel of the matrix given by rows (``ncols`` columns
+    when there are none), as GQ vectors: ``linalg._kernel`` over its
+    denominator."""
+    basis, d = linalg._kernel(linalg._pairs(rows), ncols)
+    return [[linalg._gq(x, d) for x in v] for v in basis]
 
 
 # -- reference localization: iterative Taylor inversion ---------------------

@@ -579,6 +579,15 @@ def test_vector_of_the_wrong_length_exit_2(argv, n, capsys, monkeypatch):
     assert doc["detail"].startswith(f"a vector of length {n} in ")
 
 
+@pytest.mark.parametrize("x, d", [("1,0;0,1", "1"), ("1,0", "1,2")])
+def test_evaluation_pole_index_not_parallel_to_the_roots_exit_2(x, d, capsys, monkeypatch):
+    # refused by pi_product, with LFSummand's text
+    monkeypatch.chdir(ROOT)
+    code, out = _run(_EVALUATION + ["0,0", "--x", x, "--d", d], capsys)
+    assert code == 2
+    assert json.loads(out) == {"error": "precondition", "detail": "pole index must be parallel to the root list"}
+
+
 def _corpus_doc(name):
     return json.loads((ROOT / CORPUS / name).read_text())
 

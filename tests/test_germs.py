@@ -23,7 +23,7 @@ from laurcalc import (
     rationalfn_restrict,
     subspace_from,
 )
-from laurcalc import germs
+from laurcalc import poly
 
 from _support import (
     germ_at_by_iteration,
@@ -224,14 +224,33 @@ def test_germ_at_matches_iterative_inversion(case):
 
 
 @pytest.mark.parametrize("order", [0, 1, 4])
-def test_inverse_power_builds_only_the_powers_it_uses(order, monkeypatch):
+def test_inverse_sum_builds_only_the_powers_it_uses(order, monkeypatch):
     # (c0 + l0)^(-k) to degree ``order`` reads l0^0 .. l0^order, which take
-    # ``order`` products
+    # ``order`` products; the scalar c0 only scales
     calls = []
-    mul = germs._mul_terms
-    monkeypatch.setattr(germs, "_mul_terms", lambda *a: calls.append(a) or mul(*a))
-    germs._inverse_power(germs._key_form(Space(2), (1, 2)), GQ(3, 1), 2, order)
+    mul = poly._mul_terms
+    monkeypatch.setattr(poly, "_mul_terms", lambda *a: calls.append(a) or mul(*a))
+    l0 = poly._key_form(Space(2), (1, 2))
+    S = poly._inverse_sum(GQ(3, 1), -l0, 2, order)
     assert len(calls) == order
+    # over c0^(k + order), S is the inverse up to degree ``order``
+    one = (S * (GQ(1) / GQ(3, 1) ** (2 + order)))._times((l0 + GQ(3, 1)) ** 2, order)
+    assert one == Polynomial.const(2, 1)
+
+
+@pytest.mark.parametrize("order", [0, 1, 4])
+def test_inverse_sum_of_a_polynomial_A(order, monkeypatch):
+    # A = a(z0) and B = b(z1), as the Laurent operator reads a form along its
+    # map: (A - B)^k S = A^(k + order) up to degree ``order`` in z1, from
+    # 2 ``order`` products
+    calls = []
+    mul = poly._mul_terms
+    monkeypatch.setattr(poly, "_mul_terms", lambda *a, **kw: calls.append(a) or mul(*a, **kw))
+    A = Polynomial.linear(2, [GQ(2, -1), 0], GQ(Fraction(1, 3)))
+    B = Polynomial.linear(2, [0, GQ(Fraction(-3, 2), 1)])
+    S = poly._inverse_sum(A, B, 3, order)
+    assert len(calls) == 2 * order
+    assert ((A - B) ** 3)._times(S, order, 1) == A ** (3 + order)
 
 
 def test_pole_keys_are_int_tuples_equal_to_fraction_tuples():

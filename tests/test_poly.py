@@ -231,6 +231,7 @@ def test_vector_of_another_length_is_refused(v):
         lambda: sp.subspace([v]),
         lambda: Polynomial.variable(2, 0).shift(v),
         lambda: pi_product(sp, [], v, []),
+        lambda: j_map(sp, DiffOp.identity(2), [], [], [], v),
     ]
     for call in calls:
         with pytest.raises(ArityError, match=f"a vector of length {len(v)} in a space of dimension 2"):
@@ -305,6 +306,41 @@ def test_pi_product_value():
     sp = Space(2)
     p = pi_product(sp, [(Fraction(1), Fraction(0))], [GQ(0), GQ(0)], [2])
     assert p == Polynomial(2, {(2, 0): GQ(1)})
+
+
+@pytest.mark.parametrize("X, d", [([(1, 0), (0, 1)], [1]), ([(1, 0)], [1, 2])])
+def test_pi_product_refuses_a_pole_index_not_parallel_to_the_roots(X, d):
+    # never a product over the common prefix only (z0 for the first case)
+    with pytest.raises(ValueError, match="pole index must be parallel to the root list"):
+        pi_product(Space(2), X, [0, 0], d)
+
+
+def test_j_map_is_the_same_at_every_base_point():
+    # the product through a is built in w = z - a, so the operator does not
+    # depend on a; it flattens the product in z at a, as leibniz_flatten does
+    sp = Space(2, [[2, 1], [1, 3]])
+    X0 = [(Fraction(1), Fraction(-1)), (Fraction(1, 2), Fraction(3))]
+    for _ in range(10):
+        u = rand_diffop(rng, 2, 3)
+        d = [rng.randint(1, 3), rng.randint(1, 3)]
+        dl = [rng.randint(0, d[0]), rng.randint(0, d[1])]
+        a, b = rand_point(rng, 2), rand_point(rng, 2)
+        diff = [hi - lo for hi, lo in zip(d, dl)]
+        assert j_map(sp, u, d, dl, X0, a) == j_map(sp, u, d, dl, X0, b)
+        assert j_map(sp, u, d, dl, X0, a) == leibniz_flatten(u, pi_product(sp, X0, a, diff), a)
+
+
+def test_only_the_command_line_flattens_a_multiplier_in_z():
+    # the library builds every multiplier it flattens in w = z - a and calls
+    # poly._flatten; leibniz_flatten, which shifts a multiplier in z to a,
+    # is called by cli only
+    for path in sorted(Path(poly.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                assert name != "leibniz_flatten", f"{path.name}:{node.lineno}"
 
 
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
