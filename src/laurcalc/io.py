@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GQ, _fraction, _ratio_str, _triple, gq_from_string, gq_to_string
+from .scalars import GQ, _mk, _ratio_str, _read_ratio, gq_from_string, gq_to_string
 from .space import Space
 
 
@@ -75,12 +75,15 @@ def _int_field(d, key, default=_REQUIRED):
 
 
 def frac_to_str(x: Fraction) -> str:
-    x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
+def _ratio_from_json(x):
+    return _number(_read_ratio, str(x))
+
+
 def frac_from_str(s) -> Fraction:
-    return _number(_fraction, str(s))
+    return Fraction(*_ratio_from_json(s))
 
 
 def _gq_from_json(x) -> GQ:
@@ -98,10 +101,10 @@ def rows(d, key, default=_REQUIRED, convert=frac_from_str):
 
 
 def poly_to_json(p: Polynomial) -> dict:
-    terms = []
-    for idx, c in sorted(p.terms.items()):
-        a, b, d = _triple(c)
-        terms.append({"idx": list(idx), "re": _ratio_str(a, d), "im": _ratio_str(b, d)})
+    d = p._d
+    terms = [
+        {"idx": list(idx), "re": _ratio_str(a, d), "im": _ratio_str(b, d)} for idx, (a, b) in sorted(p._t.items())
+    ]
     return {"dim": p.dim, "terms": terms}
 
 
@@ -110,7 +113,9 @@ def poly_from_json(d) -> Polynomial:
     terms = {}
     for t in _items(d, "terms"):
         idx = tuple(_int(i, "idx") for i in _items(t, "idx"))
-        terms[idx] = GQ(frac_from_str(field(t, "re", "0/1")), frac_from_str(field(t, "im", "0/1")))
+        a, q = _ratio_from_json(field(t, "re", "0/1"))
+        b, r = _ratio_from_json(field(t, "im", "0/1"))
+        terms[idx] = _mk(a * r, b * q, q * r)
     return Polynomial(_int_field(d, "dim"), terms)
 
 

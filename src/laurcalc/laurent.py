@@ -23,7 +23,7 @@ from .germs import (
     rationalfn_restrict,
 )
 from .poly import (
-    DiffOp, Polynomial, _flatten, _inverse_sum, _key_form, _times_forms, factorial_multi, pi_product, quotient_rule,
+    DiffOp, Polynomial, _flatten, _inverse_sum, _key_form, _pole_product, _times_forms, factorial_multi, quotient_rule,
 )
 from .scalars import GQ, _fractions, _mk, _real_over_lcm
 from .space import ArityError, Space, _sized
@@ -138,7 +138,7 @@ def lf_from_evaluation(space: Space, a, X, d_max) -> LaurentFunctional:
     homogeneous contribution equals 1.
     """
     space._vector(a)
-    pi = pi_product(space, X, (0,) * space.dim, d_max)  # the product through a, in w = z - a
+    pi = _pole_product(space, X, d_max)  # the product through a, in w = z - a
     norm = DiffOp.from_symbol(pi)._at_zero(pi).constant_term()  # sum gamma! c_gamma^2 > 0, pi being nonzero and real
     u = DiffOp(space.dim, {g: c / norm for g, c in pi.terms.items()})
     return LaurentFunctional(space, [LFSummand(a, X, d_max, u)])

@@ -716,18 +716,24 @@ def leibniz_flatten(u: DiffOp, p: Polynomial, a) -> DiffOp:
     return _flatten(u, p.shift(a))
 
 
-def pi_product(space: Space, X, a, d) -> Polynomial:
-    """The product of <xi, z - a>^d(xi) over xi in X, 1 for empty X; ``d``
-    is a list of naturals parallel to X, and another length is refused."""
-    p, ap = Polynomial.const(space.dim, GQ(1)), space._vector(a)
+def _pole_product(space: Space, X, d, ap=None) -> Polynomial:
+    """The product of <xi, z>^d(xi), or <xi, z - a>^d(xi) for ap = space._vector(a), over
+    xi in X, 1 for empty X; ``d`` is a list of naturals parallel to X, another length refused."""
+    p = Polynomial.const(space.dim, GQ(1))
     for xi, k in zip(X, d):
         if k:
             xp = space._vector(xi)
-            p = p * _affine(space.dim, *space._linear(*xp, space._inner(*xp, *ap))) ** k
+            offset = ZERO if ap is None else space._inner(*xp, *ap)
+            p = p * _affine(space.dim, *space._linear(*xp, offset)) ** k
     # after the factors, so that a bad root among them is reported first
     if len(X) != len(d):
         raise ValueError("pole index must be parallel to the root list")
     return p
+
+
+def pi_product(space: Space, X, a, d) -> Polynomial:
+    """The product of <xi, z - a>^d(xi) over xi in X (``_pole_product``)."""
+    return _pole_product(space, X, d, space._vector(a))
 
 
 def j_map(space: Space, u: DiffOp, d, d_low, X0, a) -> DiffOp:
@@ -743,7 +749,7 @@ def j_map(space: Space, u: DiffOp, d, d_low, X0, a) -> DiffOp:
             raise ValueError("lower pole index must be componentwise <= upper")
         diff.append(hi - lo)
     space._vector(a)
-    p = pi_product(space, X0, (0,) * space.dim, diff)  # the product through a, in w = z - a
+    p = _pole_product(space, X0, diff)  # the product through a, in w = z - a
     if u.dim != space.dim:
         raise ArityError("operator/multiplier arity mismatch")
     return _flatten(u, p)

@@ -5,8 +5,8 @@ All arithmetic in the library happens over Q(i).  A scalar stores
 value has exactly one representation and equality compares the three
 ints.  The arithmetic works on the ints alone; ``fractions.Fraction``
 appears only where a caller asks for one (``re``, ``im``, ``rational``,
-``norm2``) and when a string is parsed.  There is no floating point
-anywhere.
+``norm2``) and when a string other than the canonical "p/q" is parsed
+(``_read_ratio``).  There is no floating point anywhere.
 
 Vectors are held the same way inside the library: ``_over_lcm`` brings
 ints, Fractions, numeric strings or GQs to int pairs over their least
@@ -27,12 +27,23 @@ _MODULUS = sys.hash_info.modulus
 _INF = sys.hash_info.inf
 
 
-def _fraction(s: str) -> Fraction:
-    """Fraction(s), refusing a decimal exponent beyond the int string limit."""
+def _read_ratio(s: str):
+    """(n, d) in lowest terms with d > 0 for a numeric string.  The form the
+    writers emit, [+-]digits[/digits] in ASCII with a nonzero denominator, is
+    read with int() and one gcd; any other string as Fraction(s) reads or
+    refuses it, but a decimal exponent past the int string limit is refused."""
+    num, slash, den = s.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if s.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+        n, d = int(num), int(den or 1)  # past the int string limit, int() refuses as it does in Fraction(s)
+        if d:
+            g = gcd(n, d)
+            return n // g, d // g
     m = re.search(r"[eE]([-+]?[\d_]+)\s*$", s)
     if m and 0 < sys.get_int_max_str_digits() < abs(int(m[1])):
         raise ValueError(f"exponent {m[1]} in {s!r} exceeds the int string limit {sys.get_int_max_str_digits()}")
-    return Fraction(s)
+    x = Fraction(s)
+    return x.numerator, x.denominator
 
 
 def _ratio(x):
@@ -40,7 +51,7 @@ def _ratio(x):
     if isinstance(x, int):
         return x, 1
     if isinstance(x, str):
-        x = _fraction(x)
+        return _read_ratio(x)
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
     raise TypeError(f"cannot build an exact rational from {x!r}")
@@ -334,7 +345,8 @@ def gq_from_string(s: str) -> GQ:
     """Parse "p/q", "p/q + r/s i", "p/q - r/s i" or "r/s i" into a GQ."""
     t = s.replace(" ", "")
     if "i" not in t:
-        return GQ(_fraction(t))
+        n, d = _read_ratio(t)
+        return _mk(n, 0, d)
     t = t[: t.rindex("i")]
     if t.endswith("*"):
         t = t[:-1]
@@ -346,14 +358,10 @@ def gq_from_string(s: str) -> GQ:
             break
     else:
         re_part, im_part = "", t
-    if im_part in ("", "+"):
-        im = Fraction(1)
-    elif im_part == "-":
-        im = Fraction(-1)
-    else:
-        im = _fraction(im_part)
-    real = _fraction(re_part) if re_part else Fraction(0)
-    return GQ(real, im)
+    # a bare "i", "+i" or "-i" has the coefficient 1 or -1
+    b, e = _read_ratio(im_part + "1" if im_part in ("", "+", "-") else im_part)
+    a, d = _read_ratio(re_part) if re_part else (0, 1)
+    return _mk(a * e, b * d, d * e)
 
 
 def _ratio_str(n, d):

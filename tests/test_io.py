@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,6 +116,61 @@ def test_byte_stability():
 def test_fraction_strings_decimal_free():
     assert lio.frac_to_str(Fraction(1, 3)) == "1/3"
     assert lio.frac_from_str("-7/2") == Fraction(-7, 2)
+
+
+CORPUS_FILES = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "files"
+
+
+def _embedding(d):
+    return lio.rows(d, "matrix"), lio.space_from_json(lio.field(d, "space"))
+
+
+# the reader of each corpus input, by the start of its name; the last three
+# are the malformed inputs of the corpus's error entries
+CORPUS_READERS = {
+    "config": lio.config_from_json,
+    "diagonal": lambda d: lio.subspace_from_json(lio.space_from_json(lio.field(d, "space")), d),
+    "diffop": lio.diffop_from_json,
+    "embedding": _embedding,
+    "fn_": lio.rationalfn_from_json,
+    "functional_": lio.functional_from_json,
+    "germ_": lio.germ_from_json,
+    "poly_": lio.poly_from_json,
+    "rootsys_": lio.rootsystem_from_json,
+    "series_": lio.series_from_json,
+    "space_": lio.space_from_json,
+    "subspace": lambda d: lio.subspace_from_json(Space(2), d),
+    "bad_json": None,
+    "poly_bad_re": None,
+    "poly_no_terms": None,
+}
+
+
+def test_canonical_numbers_are_read_and_written_without_fraction_strings(monkeypatch):
+    """Every corpus input holds canonical "p/q" numbers only, and its reader
+    reads them on ints: no Fraction is built from a string.  Writing a
+    polynomial builds no GQ view of its coefficients."""
+    from_strings = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kw):
+        if args and isinstance(args[0], str):
+            from_strings.append(args[0])
+        return real_new(cls, *args, **kw)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    read = []
+    for path in sorted(CORPUS_FILES.glob("*.json")):
+        prefix = max((k for k in CORPUS_READERS if path.stem.startswith(k)), key=len)
+        if CORPUS_READERS[prefix] is not None:
+            read.append(CORPUS_READERS[prefix](json.loads(path.read_text())))
+    assert len(read) == 29 and from_strings == []
+    polys = [p for p in read if isinstance(p, Polynomial)]
+    assert len(polys) == 3
+    for p in polys:
+        doc = lio.poly_to_json(p)
+        assert p._view is None
+        assert lio.poly_from_json(doc) == p
 
 
 def test_malformed_content_is_a_parse_failure():

@@ -330,6 +330,20 @@ def test_j_map_is_the_same_at_every_base_point():
         assert j_map(sp, u, d, dl, X0, a) == leibniz_flatten(u, pi_product(sp, X0, a, diff), a)
 
 
+def test_j_map_computes_no_inner_product(monkeypatch):
+    # the product through a is built at the base point, so no root is paired
+    # with a point: every offset is 0 without being computed
+    sp = Space(2, [[2, 1], [1, 3]])
+    X0 = [(Fraction(1), Fraction(-1)), (Fraction(1, 2), Fraction(3))]
+    u = rand_diffop(rng, 2, 3)
+    expect = leibniz_flatten(u, pi_product(sp, X0, [GQ(1, 2), GQ(-3)], [2, 1]), [GQ(1, 2), GQ(-3)])
+    calls = []
+    real_inner = Space._inner
+    monkeypatch.setattr(Space, "_inner", lambda *args: calls.append(args) or real_inner(*args))
+    assert j_map(sp, u, [3, 2], [1, 1], X0, [GQ(1, 2), GQ(-3)]) == expect
+    assert calls == []
+
+
 def test_only_the_command_line_flattens_a_multiplier_in_z():
     # the library builds every multiplier it flattens in w = z - a and calls
     # poly._flatten; leibniz_flatten, which shifts a multiplier in z to a,

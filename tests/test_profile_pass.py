@@ -1,4 +1,4 @@
-"""tools/profile_pass.py: one warm residue round under cProfile reports a
+"""tools/profile_pass.py: one warm residue round and one cli round under cProfile report a
 library share, library functions by self time and the calls of a named
 function, without importing perfbench/run.py (which pins the CPU)."""
 
@@ -51,3 +51,21 @@ def test_one_residue_round(capsys, monkeypatch):
     assert not any(str(getattr(m, "__file__", "")).endswith(os.path.join("perfbench", "run.py")) for m in list(sys.modules.values()))
     if cpus is not None:
         assert os.sched_getaffinity(0) == cpus
+
+
+def test_one_cli_round(capsys, monkeypatch):
+    tool = _tool()
+    monkeypatch.setitem(tool.ROUNDS, "cli", 1)
+    argv = ["--workload", "cli", "--seed", "1", "--passes", "1", "--top", "5",
+            "--count", "io.poly_from_json", "--count", "gq_from_string"]
+    code = tool.main(argv)
+    out = capsys.readouterr().out
+    assert code == 0, out
+    share = float(re.search(r"share ([0-9.]+)%", out).group(1))
+    assert 0 < share <= 100
+    top = out.split("by self time:\n")[1].split("calls of")[0].splitlines()[1:]
+    assert len(top) == 5 and all(" laurcalc/" in line for line in top)
+    # the corpus documents are read by the io readers, and the options by gq_from_string
+    assert int(re.search(r"calls of io\.poly_from_json: (\d+)", out).group(1)) > 0
+    assert "laurcalc/io.py" in out.split("calls of io.poly_from_json")[1]
+    assert int(re.search(r"calls of gq_from_string: (\d+)", out).group(1)) > 0

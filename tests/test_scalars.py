@@ -1,6 +1,7 @@
 """Field axioms and string round-trips for the Gaussian rational scalars."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,10 +9,11 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from laurcalc import GQ, gq_from_string, gq_to_string
-from laurcalc.scalars import _triple
+from laurcalc import io as lio
+from laurcalc.scalars import _ratio, _triple
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 gqs = st.builds(GQ, fracs, fracs)
@@ -196,3 +198,88 @@ def test_arithmetic_builds_no_fraction(monkeypatch):
             x + y, x - y, x * y, x / y, x == y, x + 1, 2 * x, x - q
         x**3, x ** (-2), -x, x.conj(), hash(x), x == q, x == 1
     assert built == []
+
+
+# -- the string reader against a Fraction-based reference ----------------
+
+
+def _reference_fraction(s):
+    """Fraction(s), refusing a decimal exponent beyond the int string limit:
+    the reader every string went through before the canonical form was read
+    on ints."""
+    m = re.search(r"[eE]([-+]?[\d_]+)\s*$", s)
+    if m and 0 < sys.get_int_max_str_digits() < abs(int(m[1])):
+        raise ValueError(f"exponent {m[1]} in {s!r} exceeds the int string limit {sys.get_int_max_str_digits()}")
+    return Fraction(s)
+
+
+def _reference_gq(s):
+    t = s.replace(" ", "")
+    if "i" not in t:
+        return GQ(_reference_fraction(t))
+    t = t[: t.rindex("i")]
+    if t.endswith("*"):
+        t = t[:-1]
+    for k in range(len(t) - 1, 0, -1):
+        if t[k] in "+-" and t[k - 1] not in "+-*/eE":
+            re_part, im_part = t[:k], t[k:]
+            break
+    else:
+        re_part, im_part = "", t
+    if im_part in ("", "+"):
+        im = Fraction(1)
+    elif im_part == "-":
+        im = Fraction(-1)
+    else:
+        im = _reference_fraction(im_part)
+    real = _reference_fraction(re_part) if re_part else Fraction(0)
+    return GQ(real, im)
+
+
+def _reference_frac_from_str(s):
+    try:
+        return _reference_fraction(s)
+    except (ValueError, ZeroDivisionError) as e:
+        raise lio.ParseFailure(f"not a number: {s!r}") from e
+
+
+def _outcome(read, s):
+    """The value read, as ints, or the exception's type and text, with those
+    of its cause."""
+    try:
+        x = read(s)
+    except Exception as e:  # noqa: BLE001 - the refusal is the outcome compared
+        cause = e.__cause__
+        return type(e), str(e), type(cause), str(cause)
+    return _triple(x) if isinstance(x, GQ) else (type(x), x)
+
+
+_LIMIT = sys.get_int_max_str_digits()
+_CANONICAL = st.from_regex(r"[+-]?\d+(/\d+)?([+-]\d*(/\d+)?\*?i)?", fullmatch=True)
+
+
+@given(st.one_of(st.text("0123456789+-/_ .eEi*", max_size=14), _CANONICAL))
+@example("1" * (_LIMIT + 1))
+@example("-" + "7" * (_LIMIT + 1) + "/3")
+@example("1/" + "2" * (_LIMIT + 1))
+@example("9" * _LIMIT + "/" + "6" * _LIMIT)
+@example(f"1e{_LIMIT + 1}")
+@example(f"2+1e-{_LIMIT + 1}i")
+@example("1/0")
+@example("-0/0003")
+@example("\u0661\u0662/\u0663")  # Arabic-Indic digits
+@example("\uff12")  # a fullwidth digit
+@example("\u00b2")  # a superscript digit, which int() refuses
+@example("1/-2")
+@example(" 3/4 ")
+def test_reader_matches_the_fraction_reference(s):
+    """_ratio, gq_from_string, GQ(str) and io.frac_from_str read every string
+    to the reference's value, or refuse it with the reference's exception
+    type and text."""
+    ratio = _outcome(_reference_fraction, s)
+    if ratio[0] is Fraction:
+        ratio = (tuple, (ratio[1].numerator, ratio[1].denominator))
+    assert _outcome(_ratio, s) == ratio
+    assert _outcome(gq_from_string, s) == _outcome(_reference_gq, s)
+    assert _outcome(GQ, s) == _outcome(lambda t: GQ(_reference_fraction(t)), s)
+    assert _outcome(lio.frac_from_str, s) == _outcome(_reference_frac_from_str, s)
