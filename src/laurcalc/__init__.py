@@ -26,7 +26,7 @@ _EXPORTS = {
     "lattice": ("Lattice",),
     "rootsys": (
         "BUILTIN_NAMES", "ParabolicData", "RootSystem", "WeylElement", "builtin_system", "class_lub",
-        "double_cosets", "equiv_PQ", "equiv_delta", "exponent_classify", "generic_witness", "is_generic",
+        "double_cosets", "equiv_PQ", "equiv_delta", "exponent_classify", "generic_witness",
         "min_coset_reps", "preceq_delta", "wq_subgroup",
     ),
     "series": (

@@ -14,20 +14,22 @@ other public names build their Fractions (or GQs) from the ints.  The Weyl layer
 looks elements up by the element itself.
 
 Z.Delta questions go to the shared ``Lattice`` of each Delta
-(``laurcalc.lattice``), here and in the ``*_delta`` functions.
+(``laurcalc.lattice``), here and in the ``*_delta`` functions; a genericity
+query keys each translate minus each S entry by its coset, so a dict finds
+the colliding pair and one lattice solve gives its certificate.
 
 What does not change is computed once per process: ``builtin_system``
 builds and validates each built-in on its first call and returns that
 system afterwards, and each system keeps W, W_Q and W^Q per Q and the
-restriction classes and double cosets per (P, Q), every theorem check
-run when its entry is built.  Everything shared is immutable (Weyl
+restriction classes, double cosets and translate maps per (P, Q), every
+theorem check run when its entry is built.  Everything shared is immutable (Weyl
 elements, root tuples), and the public functions hand out new lists.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from operator import mul, sub
+from operator import le, mul, sub
 
 from . import linalg
 from .lattice import Lattice, _lattice
@@ -318,9 +320,10 @@ class ParabolicData:
         self.indices = indices
         self.delta_Q = tuple(rs.simple[i] for i in indices)
         # the wall, the kernel of the forms <alpha, .> for alpha in Delta_Q, as
-        # int vectors over d; the forms <., b> for them, as the ints G b over _den
+        # int vectors over d > 0; the forms <., b> for them, as the ints G b over _den
         basis, (d, _) = linalg._kernel([rs.space._linear(*_over_lcm(a))[0] for a in self.delta_Q], rs.dim)
-        self._basis = tuple(tuple(x for x, _ in v) for v in basis)
+        self._basis = tuple(tuple(x if d > 0 else -x for x, _ in v) for v in basis)
+        d = abs(d)
         self.basis = tuple(_fractions(v, d) for v in self._basis)
         self._forms = tuple(tuple(sum(map(mul, row, b)) for row in rs.space._g) for b in self._basis)
         self._den = rs.space._e * d
@@ -337,12 +340,21 @@ class ParabolicData:
         """<iv, .> on the wall basis for an int vector iv, as ints over ``_den``."""
         return [sum(map(mul, iv, f)) for f in self._forms]
 
+    def _after(self, w):
+        """Restriction to the wall after the Weyl element w, as int rows over
+        ``w._d * _den``."""
+        return tuple(zip(*map(self._restrict, zip(*w._m)))), w._d * self._den
+
     def restrict_gq(self, v):
         """The functional <v, .> on the wall: its values on the wall basis."""
+        re, im, d = self._restricted(v)
+        return tuple(_mk(a, b, d) for a, b in zip(re, im))
+
+    def _restricted(self, v):
+        """``restrict_gq(v)`` as ints (re, im, d), d > 0."""
         pairs, e = self.rs.space._vector(v)
         re, im = _re_im(pairs)
-        d = e * self._den
-        return tuple(_mk(sum(map(mul, re, f)), sum(map(mul, im, f)), d) for f in self._forms)
+        return self._restrict(re), self._restrict(im), e * self._den
 
 
 def _per_walls(build):
@@ -474,35 +486,52 @@ def double_cosets(rs: RootSystem, P: ParabolicData, Q: ParabolicData):
     return [list(c) for c in _double_cosets(rs, P, Q)]
 
 
+@_per_walls
+def _translate_maps(rs, P, Q):
+    return tuple(P._after(cl[0]) for cl in _classes(rs, P, Q))
+
+
 def _translates(rs, P, Q, S, lam):
-    """The classes of (P, Q), the translate of lam by each class
-    representative restricted to wall P, and S restricted to wall P (the
-    zero functional when S is empty)."""
+    """The classes of (P, Q), the translate of lam by each class's kept map
+    to wall P, and S restricted to wall P (the zero functional when S is
+    empty), each vector as ints (re, im, d), d > 0."""
     classes = _classes(rs, P, Q)
     lam = [GQ.of(x) for x in lam]
-    S_r = [P.restrict_gq(s) for s in S] or [tuple(GQ(0) for _ in P.basis)]
-    return classes, [P.restrict_gq(cl[0].act_gq(lam)) for cl in classes], S_r
+    S_r = [P._restricted(s) for s in S] or [([0] * len(P.basis), [0] * len(P.basis), 1)]
+    pairs, e = rs.space._vector(lam)
+    re, im = _re_im(pairs)
+    maps = _translate_maps(rs, P, Q)
+    return classes, [([sum(map(mul, r, re)) for r in m], [sum(map(mul, r, im)) for r in m], d * e) for m, d in maps], S_r
+
+
+def _minus(u, v):
+    """u - v for vectors held as ints (re, im, d), d > 0."""
+    (ur, ui, ud), (vr, vi, vd) = u, v
+    return [a * vd - b * ud for a, b in zip(ur, vr)], [a * vd - b * ud for a, b in zip(ui, vi)], ud * vd
 
 
 def generic_witness(rs: RootSystem, P: ParabolicData, Q: ParabolicData, S, lam):
     """None when lam is generic; otherwise a violating pair of Weyl
     elements with its lattice certificate (i1, i2, c): the difference eta
     of their restricted translates of lam lies in S_r[i1] - S_r[i2] +
-    Z.Delta_r(P), with integer coordinates c."""
+    Z.Delta_r(P), with integer coordinates c.  The pair is the first
+    (i, j, i1, i2) with i < j where base[i] - S_r[i1] and base[j] - S_r[i2]
+    share a coset mod Z.Delta_r(P)."""
     classes, base, S_r = _translates(rs, P, Q, S, lam)
-    for i, v1 in enumerate(base):
-        for j in range(i + 1, len(base)):
-            eta = [a - b for a, b in zip(v1, base[j])]
-            for i1, a in enumerate(S_r):
-                for i2, b in enumerate(S_r):
-                    c = P.lattice.coords([e - (x - y) for e, x, y in zip(eta, a, b)])
-                    if c is not None:
-                        return (classes[i][0], classes[j][0], (i1, i2, c))
-    return None
-
-
-def is_generic(rs: RootSystem, P: ParabolicData, Q: ParabolicData, S, lam) -> bool:
-    return generic_witness(rs, P, Q, S, lam) is None
+    hits, seen = [], {}  # seen: coset -> the least (i, i1) of the rows before j
+    for j, v in enumerate(base):
+        keys = [P.lattice._coset(*_minus(v, s0))[0] for s0 in S_r]
+        hits += [(seen[k][0], j, seen[k][1], i2) for i2, k in enumerate(keys) if k in seen]
+        if hits and min(hits)[0] == 0:  # no later j gives a pair before it
+            break
+        for i1, k in enumerate(keys):
+            seen.setdefault(k, (j, i1))
+    if not hits:
+        return None
+    i, j, i1, i2 = min(hits)
+    re, im, d = _minus(_minus(base[i], S_r[i1]), _minus(base[j], S_r[i2]))
+    c = P.lattice.coords([_mk(a, b, d) for a, b in zip(re, im)])
+    return (classes[i][0], classes[j][0], (i1, i2, c))
 
 
 def exponent_classify(rs: RootSystem, P: ParabolicData, Q: ParabolicData, S, lam, xi):
@@ -514,12 +543,11 @@ def exponent_classify(rs: RootSystem, P: ParabolicData, Q: ParabolicData, S, lam
     coset.
     """
     classes, base, S_r = _translates(rs, P, Q, S, lam)
-    xi = [GQ.of(x) for x in xi]
-    candidates = [
-        k
-        for k, v in enumerate(base)
-        if any(P.lattice.preceq(xi, [b + s for b, s in zip(v, s0)]) for s0 in S_r)
-    ]
+    # xi precedes b + s exactly when xi - s precedes b: both share a coset and k_(xi - s) <= k_b
+    xi = P.lattice._ints([GQ.of(x) for x in xi])
+    below = [P.lattice._coset(*_minus(xi, s0)) for s0 in S_r]
+    cosets = [P.lattice._coset(*v) for v in base]
+    candidates = [k for k, (c, kv) in enumerate(cosets) if any(c == cb and all(map(le, kb, kv)) for cb, kb in below)]
     if not candidates:
         raise ValueError("weight lies in no translated coset")
     classes = [list(cl) for cl in classes]

@@ -3,7 +3,8 @@ rationals, an independent one-variable Laurent expansion oracle built
 from polynomial shifting and power series inversion only, a reference
 Gauss-Jordan elimination with exact GQ pivots, the integer kernel as GQ
 vectors, the localization of a rational function by iterative Taylor
-inversion, and one function read over two inner products.
+inversion, one function read over two inner products, and the genericity
+queries by a lattice solve per pair of classes.
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ from laurcalc import (
     Polynomial,
     RationalFn,
     Space,
+    equiv_PQ,
     linalg,
     rationalfn_germ_at,
 )
@@ -209,3 +211,45 @@ def over_two_inner_products():
     f4 = RationalFn(Space(1, [[4]]), Polynomial.const(1, 1), {h: 1})
     f1 = RationalFn(Space(1), Polynomial.const(1, 1), {h: 1})
     return f4, f1, rationalfn_germ_at(f4, [0], 2), rationalfn_germ_at(f1, [0], 2)
+
+
+# -- reference genericity queries: a lattice solve per pair -----------------
+
+
+def _pairwise_translates(rs, P, Q, S, lam):
+    classes = equiv_PQ(rs, P, Q)
+    lam = [GQ.of(x) for x in lam]
+    S_r = [P.restrict_gq(s) for s in S] or [tuple(GQ(0) for _ in P.basis)]
+    return classes, [P.restrict_gq(cl[0].act_gq(lam)) for cl in classes], S_r
+
+
+def pairwise_generic_witness(rs, P, Q, S, lam):
+    """``generic_witness`` by one ``Lattice.coords`` solve for each pair of
+    classes i < j and each pair of S entries, in (i, j, i1, i2) order."""
+    classes, base, S_r = _pairwise_translates(rs, P, Q, S, lam)
+    for i, v1 in enumerate(base):
+        for j in range(i + 1, len(base)):
+            eta = [a - b for a, b in zip(v1, base[j])]
+            for i1, a in enumerate(S_r):
+                for i2, b in enumerate(S_r):
+                    c = P.lattice.coords([e - (x - y) for e, x, y in zip(eta, a, b)])
+                    if c is not None:
+                        return (classes[i][0], classes[j][0], (i1, i2, c))
+    return None
+
+
+def pairwise_exponent_classify(rs, P, Q, S, lam, xi):
+    """``exponent_classify`` by one ``Lattice.preceq`` for each class and S
+    entry."""
+    classes, base, S_r = _pairwise_translates(rs, P, Q, S, lam)
+    xi = [GQ.of(x) for x in xi]
+    candidates = [
+        k
+        for k, v in enumerate(base)
+        if any(P.lattice.preceq(xi, [b + s for b, s in zip(v, s0)]) for s0 in S_r)
+    ]
+    if not candidates:
+        raise ValueError("weight lies in no translated coset")
+    if len(candidates) == 1:
+        return ("class", candidates[0], classes)
+    return ("ambiguous", candidates, classes)

@@ -26,13 +26,12 @@ from laurcalc import (
     equiv_delta,
     exponent_classify,
     generic_witness,
-    is_generic,
     min_coset_reps,
     preceq_delta,
     wq_subgroup,
 )
 
-from _support import kernel
+from _support import kernel, pairwise_exponent_classify, pairwise_generic_witness
 
 rng = random.Random(59)
 
@@ -47,6 +46,14 @@ def test_weyl_action_and_restriction_refuse_a_vector_of_another_length(v):
     for call in (w.act, w.act_gq, P.restrict_gq):
         with pytest.raises(ArityError, match=f"a vector of length {len(v)} in a space of dimension 2"):
             call(v)
+
+
+def test_weyl_element_repr():
+    rs = builtin_system("A2")
+    one = "(Fraction(1, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 1))"
+    assert repr(rs.identity()) == f"WeylElement(({one}), l=0)"
+    s = "(Fraction(-1, 1), Fraction(1, 1)), (Fraction(0, 1), Fraction(1, 1))"
+    assert repr(rs.reflection(rs.simple[0])) == f"WeylElement(({s}), l=None)"
 
 
 def test_builtin_orders():
@@ -130,7 +137,7 @@ def test_generic_weight_exists():
     Q = ParabolicData(rs, [0])
     S = [(Fraction(0), Fraction(0))]
     lam = [GQ(Fraction(1, 7)), GQ(Fraction(2, 11))]
-    assert is_generic(rs, P, Q, S, lam)
+    assert generic_witness(rs, P, Q, S, lam) is None
 
 
 def test_exponent_classify_unique():
@@ -307,6 +314,21 @@ def test_one_parabolic_data_per_wall(monkeypatch):
     assert P.indices == (0, 2) and P.delta_rest_indices == (1,)
     for field in (P.delta_Q, P.basis, P.delta_r, *P.basis, *P.delta_r):
         assert isinstance(field, tuple)
+
+
+def test_walls_restrict_by_the_inner_product():
+    # whatever the sign of the kernel's denominator, delta_r and restrict_gq
+    # are <alpha, b> over the wall basis b, which Delta_P annihilates
+    for name in BUILTIN_NAMES:
+        rs = builtin_system(name)
+        for p in _subsets(rs):
+            P = ParabolicData(rs, p)
+            assert all(rs.space.inner(a, b) == 0 for a in P.delta_Q for b in P.basis)
+            for k, i in enumerate(P.delta_rest_indices):
+                values = tuple(rs.space.inner(rs.simple[i], b) for b in P.basis)
+                assert tuple(map(GQ, P.delta_r[k])) == values == P.restrict_gq(rs.simple[i])
+    # the elimination gives this wall's basis over a negative denominator
+    assert ParabolicData(builtin_system("A2"), [1]).basis == ((Fraction(2), Fraction(1)),)
 
 
 def test_failed_parabolic_data_stores_nothing(monkeypatch):
@@ -699,15 +721,24 @@ def test_simple_root_that_is_no_root_is_refused():
         RootSystem(2, roots, ip=gram, positive=range(4), simple=[(1, 0), (-1, 1)])
 
 
-def test_generic_witness_acts_once_per_class(monkeypatch):
-    rs = builtin_system("G2")
+def test_generic_witness_keeps_one_translate_map_per_class(monkeypatch):
+    # a fresh G2, so that its (P, Q) entry is not built yet; one class per element
+    rs = _fresh("G2")
     P = Q = ParabolicData(rs, [])
-    act, calls = WeylElement.act_gq, []
-    monkeypatch.setattr(WeylElement, "act_gq", lambda self, v: calls.append(self) or act(self, v))
-    assert generic_witness(rs, P, Q, [(0, 0)], [Fraction(1, 7), Fraction(3, 11)]) is None
-    # one translate per class of W = 12 elements, not one per ordered pair
-    assert len(calls) == len(equiv_PQ(rs, P, Q)) == 12
-    assert len(set(calls)) == 12
+    after, maps = ParabolicData._after, []
+    monkeypatch.setattr(ParabolicData, "_after", lambda self, w: maps.append(w) or after(self, w))
+    act, acts = WeylElement.act_gq, []
+    monkeypatch.setattr(WeylElement, "act_gq", lambda self, v: acts.append(self) or act(self, v))
+    coords, solves = Lattice.coords, []
+    monkeypatch.setattr(Lattice, "coords", lambda self, v: solves.append(v) or coords(self, v))
+    lam = [Fraction(1, 7), Fraction(3, 11)]
+    assert generic_witness(rs, P, Q, [(0, 0)], lam) is None
+    assert len(maps) == len(set(maps)) == len(equiv_PQ(rs, P, Q)) == 12
+    assert (acts, solves) == ([], [])
+    # a singular weight: one lattice solve, for the certificate of the pair found
+    w = generic_witness(rs, P, Q, [(0, 0)], [0, 0])
+    assert w is not None and w[2] == (0, 0, [0, 0])
+    assert (len(maps), acts, len(solves)) == (12, [], 1)
 
 
 def test_lam_of_another_length_is_refused_with_one_class():
@@ -726,3 +757,82 @@ def test_classify_reports_an_ambiguous_weight():
     kind, candidates, classes = exponent_classify(rs, P, Q, [], [0, 0], [0])
     assert (kind, candidates) == ("ambiguous", [0, 1])
     assert classes == equiv_PQ(rs, P, Q)
+
+
+def _least_words(rs):
+    """The lexicographically least reduced word of each element of W in the
+    simple-root indices: its first letter is its least left descent."""
+    s = [rs.reflection(a) for a in rs.simple]
+    length, words = {}, {}
+    for w in rs.weyl_group():  # by length, so s_i w comes before w
+        length[w] = w.length
+        i = min((i for i in range(len(s)) if length.get(s[i] * w, w.length) < w.length), default=None)
+        words[w] = () if i is None else (i, *words[s[i] * w])
+    return words
+
+
+def test_class_representatives_are_the_minimal_elements_in_word_order():
+    # the fact that the witness order of generic_witness rests on
+    for name in BUILTIN_NAMES:
+        rs = builtin_system(name)
+        words = _least_words(rs)
+        for p in _subsets(rs):
+            for q in _subsets(rs):
+                classes = rootsys._classes(rs, ParabolicData(rs, p), ParabolicData(rs, q))
+                for cl in classes:
+                    assert [w for w in cl if w.length == min(v.length for v in cl)] == [cl[0]]
+                order = [(cl[0].length, words[cl[0]]) for cl in classes]
+                assert order == sorted(set(order))
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the result compared
+        return type(exc), str(exc)
+
+
+def test_genericity_queries_match_the_pairwise_reference():
+    rng = random.Random(30)
+
+    def number(complex_ok):
+        x = GQ(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))))
+        return x + GQ(0, Fraction(rng.randint(-2, 2), 2)) if complex_ok and rng.random() < 0.3 else x
+
+    def vector(n, complex_ok=False):
+        return [number(complex_ok) for _ in range(n)]
+
+    kinds = set()
+    for name in BUILTIN_NAMES:
+        rs = builtin_system(name)
+        n = rs.dim
+        for p in _subsets(rs):
+            for q in _subsets(rs):
+                P, Q = ParabolicData(rs, p), ParabolicData(rs, q)
+                m = len(P.basis)
+                for _ in range(6):
+                    complex_ok = rng.random() < 0.5
+                    lam = rng.choice(([GQ(0)] * n, vector(n), vector(n, complex_ok), vector(n + rng.choice((-1, 1)))))
+                    S = [vector(n, complex_ok) for _ in range(rng.randint(0, 3))]
+                    if S and rng.random() < 0.1:
+                        S[-1] = vector(n + 1)
+                    args = (rs, P, Q, S, lam)
+                    got = _outcome(generic_witness, *args)
+                    assert got == _outcome(pairwise_generic_witness, *args)
+                    kinds.add("none" if got is None else "witness" if len(got) == 3 else "refused")
+                    # xi below a translate, off every coset, or of another length
+                    classes = equiv_PQ(rs, P, Q)
+                    try:
+                        k, s0 = rng.randrange(len(classes)), rng.choice(S or [[0] * n])
+                        top = [a + b for a, b in zip(P.restrict_gq(classes[k][0].act_gq(lam)), P.restrict_gq(s0))]
+                    except (ArityError, ValueError):
+                        top = vector(m)
+                    below = top
+                    for d in P.delta_r:
+                        c = rng.randint(0, 2)
+                        below = [x - c * GQ(y) for x, y in zip(below, d)]
+                    for xi in (below, [x + GQ(Fraction(1, 5)) for x in top], vector(m + 1)):
+                        got = _outcome(exponent_classify, rs, P, Q, S, lam, xi)
+                        assert got == _outcome(pairwise_exponent_classify, rs, P, Q, S, lam, xi)
+                        kinds.add(got[0] if isinstance(got[0], str) else got[0].__name__)
+    assert kinds >= {"none", "witness", "refused", "class", "ambiguous", "ValueError", "ArityError"}

@@ -40,6 +40,19 @@ def _basic(trunc=3):
     return ExpPolySeries(sp, delta, [lam], trunc, 1, terms)
 
 
+def test_series_is_zero():
+    F = _basic()
+    assert not F.is_zero()
+    # scaling by 0 and F - F drop every term
+    assert F.scale(0).is_zero() and (F + F.scale(-1)).is_zero()
+
+
+def test_series_repr():
+    F = _basic()
+    assert repr(F) == "a^(3/2, 1) * ((1)*z0,) + a^(5/2, 1) * ((2),)"
+    assert repr(F.scale(0)) == "0"
+
+
 def test_exponent_outside_cosets_rejected():
     sp = Space(1)
     with pytest.raises(ValueError):
