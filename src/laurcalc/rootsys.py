@@ -21,9 +21,11 @@ the colliding pair and one lattice solve gives its certificate.
 What does not change is computed once per process: ``builtin_system``
 builds and validates each built-in on its first call and returns that
 system afterwards, and each system keeps W, W_Q and W^Q per Q and the
-restriction classes, double cosets and translate maps per (P, Q), every
-theorem check run when its entry is built.  Everything shared is immutable (Weyl
-elements, root tuples), and the public functions hand out new lists.
+restriction classes, double cosets and translate maps per (P, Q).  Each
+entry computes only what it returns; ``RootSystem._validate`` checks the
+input, and the theorems the entries rest on are proved by the test suite.
+Everything shared is immutable (Weyl elements, root tuples), and the
+public functions hand out new lists.
 """
 
 from __future__ import annotations
@@ -379,41 +381,27 @@ def _per_walls(build):
 @_per_walls
 def _wq(rs, Q):
     W = rs._group()
-    centralizer = tuple(w for w in W if all(w._fixes(b) for b in Q._basis))
-    if set(centralizer) != set(_closure([rs.reflection(a) for a in Q.delta_Q], rs.identity())):
-        raise ValueError("centralizer and reflection subgroup disagree")
-    return centralizer
+    return tuple(w for w in W if all(w._fixes(b) for b in Q._basis))
 
 
 def wq_subgroup(rs: RootSystem, Q: ParabolicData):
-    """W_Q by both characterizations: centralizer of the wall, and the
-    group generated by the reflections in Delta_Q; asserted equal."""
+    """W_Q as the centralizer of the wall, in the order of W.  It is the
+    group the reflections in Delta_Q generate (Humphreys 1990, §1.10)."""
     return list(_wq(rs, Q))
 
 
 @_per_walls
 def _coset_reps(rs, Q):
     W = rs._group()
-    reps = tuple(w for w in W if all(rs.is_positive(w.act_gq(a)) for a in Q.delta_Q))
-    wq = _wq(rs, Q)
-    lengths = {w: w.length for w in W}
-    seen = set()
-    for s in reps:
-        for t in wq:
-            st = s * t
-            if st in seen:
-                raise ValueError("coset decomposition not injective")
-            if lengths[st] != s.length + t.length:
-                raise ValueError("length additivity fails")
-            seen.add(st)
-    if len(seen) != len(W):
-        raise ValueError("coset decomposition not surjective")
-    return reps
+    # w(a / _e) = w._apply(a) / (w._d * _e) is a root, so w._d divides w._apply(a)
+    simple = [rs._key(a) for a in Q.delta_Q]
+    return tuple(w for w in W if all(tuple(x // w._d for x in w._apply(a)) in rs._positive for a in simple))
 
 
 def min_coset_reps(rs: RootSystem, Q: ParabolicData):
-    """W^Q: elements sending Delta_Q into the positive system.  Verifies
-    that W^Q x W_Q -> W multiplies bijectively with additive lengths."""
+    """W^Q: the elements sending Delta_Q into the positive system, in the
+    order of W.  Each w in W is uniquely st with s in W^Q and t in W_Q, and
+    l(w) = l(s) + l(t) (Humphreys 1990, §1.10)."""
     return list(_coset_reps(rs, Q))
 
 
@@ -438,27 +426,13 @@ def _classes(rs, P, Q):
     classes = {}
     for w in W:
         classes.setdefault(_pq_signature(rs, P, Q, w), []).append(w)
-    out = tuple(map(tuple, classes.values()))
-    wp = _wq(rs, P)
-    wq = _wq(rs, Q)
-    index = {}
-    for k, cl in enumerate(out):
-        for w in cl:
-            index[w] = k
-    for w in W:
-        for p in wp:
-            if index[p * w] != index[w]:
-                raise ValueError("classes not left invariant")
-        for q in wq:
-            if index[w * q] != index[w]:
-                raise ValueError("classes not right invariant")
-    return out
+    return tuple(map(tuple, classes.values()))
 
 
 def equiv_PQ(rs: RootSystem, P: ParabolicData, Q: ParabolicData):
     """Partition of W: w1 ~ w2 when both give the same composed map from
-    wall-Q functionals to wall-P functionals.  Classes are left W_P- and
-    right W_Q-invariant (asserted)."""
+    wall-Q functionals to wall-P functionals, in the order of W.  Classes
+    are left W_P- and right W_Q-invariant (Geck & Pfeiffer 2000, §2.1)."""
     return [list(cl) for cl in _classes(rs, P, Q)]
 
 

@@ -3,11 +3,13 @@ rationals, an independent one-variable Laurent expansion oracle built
 from polynomial shifting and power series inversion only, a reference
 Gauss-Jordan elimination with exact GQ pivots, the integer kernel as GQ
 vectors, the localization of a rational function by iterative Taylor
-inversion, one function read over two inner products, and the genericity
-queries by a lattice solve per pair of classes.
+inversion, one function read over two inner products, the genericity
+queries by a lattice solve per pair of classes, and the theorems of the
+Weyl layer on every pair of walls of a root system.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 from laurcalc import (
@@ -15,12 +17,16 @@ from laurcalc import (
     DiffOp,
     Germ,
     Hyperplane,
+    ParabolicData,
     Polynomial,
     RationalFn,
     Space,
     equiv_PQ,
     linalg,
+    min_coset_reps,
     rationalfn_germ_at,
+    rootsys,
+    wq_subgroup,
 )
 
 
@@ -253,3 +259,39 @@ def pairwise_exponent_classify(rs, P, Q, S, lam, xi):
     if len(candidates) == 1:
         return ("class", candidates[0], classes)
     return ("ambiguous", candidates, classes)
+
+
+# -- the theorems of the Weyl layer, each by a second method ----------------
+
+
+def check_weyl_theorems(rs):
+    """Assert, for every pair (P, Q) of sets of simple roots of rs, the empty
+    set and all of them included, the theorems that W_Q, W^Q and the classes
+    of (P, Q) rest on (Humphreys, *Reflection Groups and Coxeter Groups*,
+    1990, §1.10; Geck & Pfeiffer 2000, §2.1):
+
+    - W_Q, the centralizer of wall Q, is the group that the reflections in
+      Delta_Q generate, built by closure;
+    - W^Q is the set of w with w(Delta_Q) positive by ``is_positive``, and
+      (s, t) -> st maps W^Q x W_Q bijectively onto W, with l(st) = l(s) + l(t);
+    - every class of (P, Q) is left W_P- and right W_Q-invariant."""
+    W = rs.weyl_group()
+    lengths = {w: w.length for w in W}
+    n = len(rs.simple)
+    walls = [ParabolicData(rs, c) for r in range(n + 1) for c in combinations(range(n), r)]
+    for Q in walls:
+        wq = wq_subgroup(rs, Q)
+        closure = rootsys._closure([rs.reflection(a) for a in Q.delta_Q], rs.identity())
+        assert set(wq) == set(closure), "centralizer and reflection subgroup disagree"
+        reps = min_coset_reps(rs, Q)
+        positive = [w for w in W if all(rs.is_positive(w.act_gq(a)) for a in Q.delta_Q)]
+        assert reps == positive, "W^Q is not the set sending Delta_Q into the positive roots"
+        products = [s * t for s in reps for t in wq]
+        assert len(set(products)) == len(products), "coset decomposition not injective"
+        assert set(products) == set(W), "coset decomposition not surjective"
+        assert all(lengths[s * t] == s.length + t.length for s in reps for t in wq), "length additivity fails"
+        for P in walls:
+            index = {w: k for k, cl in enumerate(equiv_PQ(rs, P, Q)) for w in cl}
+            wp = wq_subgroup(rs, P)
+            assert all(index[p * w] == index[w] for w in W for p in wp), "classes not left invariant"
+            assert all(index[w * q] == index[w] for w in W for q in wq), "classes not right invariant"

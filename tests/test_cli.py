@@ -282,6 +282,21 @@ def test_verify_reports_a_raising_check(monkeypatch, capsys):
     assert all(l.startswith("PASS ") for l in lines[:-1])
 
 
+@pytest.mark.parametrize(
+    "check, target, fake",
+    [
+        ("j-map-cocycle", "laurcalc.poly.j_map", lambda *args: object()),
+        ("weyl-orders", "laurcalc.rootsys.RootSystem.weyl_group", lambda self: []),
+    ],
+)
+def test_verify_reports_a_failing_check(check, target, fake, monkeypatch, capsys):
+    # a check that returns False, rather than raising, is a FAIL with no reason
+    monkeypatch.setattr(target, fake)
+    code, out = _run(["verify", "--suite", f"scalars-field-roundtrip,{check}"], capsys)
+    assert code == 2
+    assert out == f"PASS scalars-field-roundtrip\nFAIL {check}\n"
+
+
 def test_verify_suite(capsys):
     code, out = _run(["verify", "--suite", "weyl-orders"], capsys)
     assert code == 0

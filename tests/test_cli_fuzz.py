@@ -3,14 +3,22 @@ mutates one of its input files (the JSON tree or the raw bytes) or one of
 its vector or integer options, and replays it through ``cli.run`` in
 process.  Every mutated command must end with exit 0, 1 or 2 and JSON on
 stdout (PASS and FAIL lines for ``verify``): malformed input is a parse or
-precondition failure, never an internal error (exit 3) or a traceback."""
+precondition failure, never an internal error (exit 3) or a traceback.
+Root-system files made from the built-ins by mutations that keep the
+schema are either refused when the system is read or are root systems
+that meet the theorems of the Weyl layer."""
 
 import copy
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
+from laurcalc import BUILTIN_NAMES, builtin_system
+from laurcalc import io as lio
 from laurcalc.cli import run
+
+from _support import check_weyl_theorems
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "perfbench" / "corpus"
@@ -182,3 +190,71 @@ def test_byte_mutated_input_file_is_a_parse_failure_when_it_is_not_json(tmp_path
             bad.append((argv, code, out.strip(), data))
     assert unreadable > BYTE_RUNS // 4
     assert not bad, f"{len(bad)} of {BYTE_RUNS} byte-mutated commands failed; the first: {bad[:3]}"
+
+
+# the mutations of a root-system document; the last three need its simple roots
+_SYSTEM_MUTATIONS = ("drop-root", "flip-positive", "perturb-gram", "scale-simple", "sum-simple", "derive-simple")
+
+
+def _mutate_system(doc, rnd):
+    """A root-system document with one of its roots dropped, a positive
+    index flipped to the negative root, a simple root scaled or replaced by
+    a sum of roots, an inner-product entry perturbed, or its simple roots
+    left for the reader to derive; returns the kind and the document."""
+    doc = copy.deepcopy(doc)
+    roots, positive, simple, gram = doc["roots"], doc["positive"], doc.get("simple"), doc["inner_product"]
+    kind = rnd.choice(_SYSTEM_MUTATIONS if simple else _SYSTEM_MUTATIONS[:3])
+    if kind == "drop-root":
+        i = rnd.randrange(len(roots))
+        del roots[i]
+        doc["positive"] = [k - (k > i) for k in positive if k != i]
+    elif kind == "flip-positive":
+        k = rnd.randrange(len(positive))
+        minus = [-Fraction(x) for x in roots[positive[k]]]
+        positive[k] = next((i for i, r in enumerate(roots) if list(map(Fraction, r)) == minus), positive[k])
+    elif kind == "scale-simple":
+        k = rnd.randrange(len(simple))
+        simple[k] = [str(Fraction(x) * rnd.choice((2, -1, Fraction(1, 2)))) for x in simple[k]]
+    elif kind == "sum-simple":
+        k = rnd.randrange(len(simple))
+        simple[k] = [str(Fraction(a) + Fraction(b)) for a, b in zip(simple[k], roots[rnd.choice(positive)])]
+    elif kind == "perturb-gram":
+        i, j = rnd.randrange(len(gram)), rnd.randrange(len(gram))
+        delta = rnd.choice((-1, 1, Fraction(-1, 2), Fraction(1, 2)))
+        for a, b in {(i, j), (j, i)} if rnd.random() < 0.8 else {(i, j)}:
+            gram[a][b] = str(Fraction(gram[a][b]) + delta)
+    else:
+        del doc["simple"]
+    return kind, doc
+
+
+def test_mutated_system_file_is_refused_or_is_a_root_system(tmp_path, capsys):
+    """A mutated built-in that the reader refuses ends in exit 1 or 2 with
+    its error as JSON; one it accepts is a root system, by the theorems,
+    which are proved once for each system accepted."""
+    rnd = random.Random(SEED)
+    docs = {name: lio.rootsystem_to_json(builtin_system(name)) for name in BUILTIN_NAMES}
+    seen, proved = set(), set()
+    for k in range(150):
+        name = rnd.choice(BUILTIN_NAMES)
+        kind, doc = _mutate_system(docs[name], rnd)
+        if rnd.random() < 0.3:
+            doc = _mutate_system(doc, rnd)[1]
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps(doc))
+        code = run(["rootsys", "cosets", "--system-file", str(path), "--deltaQ=0"])
+        out = json.loads(capsys.readouterr().out)
+        try:
+            rs = lio.rootsystem_from_json(doc)
+        except (ValueError, lio.ParseFailure):
+            assert code in (1, 2) and out["error"] in ("parse", "precondition"), (name, kind, doc, out)
+            seen.add((kind, "refused"))
+        else:
+            assert code == 0 and out["W"] == len(rs.weyl_group()), (name, kind, doc, out)
+            key = json.dumps(lio.rootsystem_to_json(rs))
+            if key not in proved:
+                check_weyl_theorems(rs)
+                proved.add(key)
+            seen.add((kind, "accepted"))
+    assert {kind for kind, _ in seen} == set(_SYSTEM_MUTATIONS)
+    assert {outcome for _, outcome in seen} == {"refused", "accepted"}

@@ -241,6 +241,19 @@ def test_pi_omega_d_ball_product():
     assert p == Polynomial(1, {(2,): GQ(1)})
 
 
+def test_pi_omega_d_skips_a_hyperplane_of_multiplicity_zero(monkeypatch):
+    # both hyperplanes meet the ball; the one of multiplicity 0 is off the
+    # configuration, so it adds no factor and its form is never built
+    sp = Space(1)
+    zero, near = Hyperplane.make((1,), GQ(0)), Hyperplane.make((1,), GQ(Fraction(1, 2)))
+    cfg = Configuration(sp, [(zero, 0), (near, 1)], [])
+    want = near.form(sp)
+    form, built = Hyperplane.form, []
+    monkeypatch.setattr(Hyperplane, "form", lambda self, space: built.append(self) or form(self, space))
+    assert pi_omega_d(cfg, [GQ(0)], Fraction(1)) == want
+    assert built == [near]
+
+
 def test_zero_vector_in_x_set_rejected():
     sp = Space(2)
     assert Configuration(sp, [], [(1, 0)]).x_set == [(Fraction(1), Fraction(0))]

@@ -1,10 +1,12 @@
 """Root systems, Weyl groups, parabolic walls, genericity and the lattice
 partial order."""
 
+import ast
 import random
 import re
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -31,7 +33,7 @@ from laurcalc import (
     wq_subgroup,
 )
 
-from _support import kernel, pairwise_exponent_classify, pairwise_generic_witness
+from _support import check_weyl_theorems, kernel, pairwise_exponent_classify, pairwise_generic_witness
 
 rng = random.Random(59)
 
@@ -633,55 +635,90 @@ def test_failed_builtin_build_stores_nothing(monkeypatch):
     assert len(builtin_system("A2").weyl_group()) == 6
 
 
+def test_weyl_theorems_hold_on_every_system_and_pair():
+    for rs in [builtin_system(name) for name in BUILTIN_NAMES] + [_half_basis_A2()]:
+        check_weyl_theorems(rs)
+
+
+def test_no_weyl_build_raises():
+    """The entries kept per wall compute only what they return: the input
+    is refused by ``RootSystem._validate``, ``ParabolicData`` and the entry
+    of ``_per_walls`` before a build starts, and the theorems the builds
+    rest on are proved by ``check_weyl_theorems``."""
+    tree = ast.parse(Path(rootsys.__file__).read_text())
+    builds = [
+        f for f in tree.body
+        if isinstance(f, ast.FunctionDef) and any(getattr(d, "id", None) == "_per_walls" for d in f.decorator_list)
+    ]
+    assert {"_wq", "_coset_reps", "_classes"} <= {f.name for f in builds}
+    assert [f.name for f in builds if any(isinstance(n, ast.Raise) for n in ast.walk(f))] == []
+
+
 _GROUP = RootSystem._group  # the real closure, under the fake that breaks its lengths
 
 
 @pytest.mark.parametrize(
-    "target, fake, call, message",
+    "target, fake, message",
     [
         pytest.param(
-            WeylElement, ("_fixes", lambda self, iv: False), lambda rs, P, Q: [wq_subgroup(rs, Q)],
-            "centralizer and reflection subgroup disagree", id="centralizer",
+            WeylElement, ("_fixes", lambda self, iv: False), "centralizer and reflection subgroup disagree",
+            id="centralizer",
         ),
-        pytest.param(
-            RootSystem, ("is_positive", lambda self, v: True), lambda rs, P, Q: [min_coset_reps(rs, Q)],
-            "coset decomposition not injective", id="coset-bijection",
-        ),
-        pytest.param(
-            rootsys, ("_pq_signature", lambda rs, P, Q, w: w), lambda rs, P, Q: equiv_PQ(rs, P, Q),
-            "classes not left invariant", id="invariance",
-        ),
+        pytest.param(RootSystem, ("is_positive", lambda self, v: True), "not the set sending Delta_Q", id="membership-all"),
+        pytest.param(RootSystem, ("is_positive", lambda self, v: False), "not the set sending Delta_Q", id="membership-none"),
+        # the set that W^Q membership reads, with every root or none in it
+        pytest.param(None, ("_positive", lambda rs: set(rs._roots)), "not injective", id="coset-injection"),
+        pytest.param(None, ("_positive", lambda rs: set()), "not surjective", id="coset-surjection"),
         pytest.param(
             RootSystem, ("_group", lambda self: tuple(rootsys._element(w._m, w._d, w.dim, 1) for w in _GROUP(self))),
-            lambda rs, P, Q: [min_coset_reps(rs, Q)], "length additivity fails", id="coset-lengths",
+            "length additivity fails", id="coset-lengths",
         ),
-        pytest.param(
-            RootSystem, ("is_positive", lambda self, v: False), lambda rs, P, Q: [min_coset_reps(rs, Q)],
-            "coset decomposition not surjective", id="coset-surjection",
-        ),
+        pytest.param(rootsys, ("_pq_signature", lambda rs, P, Q, w: w), "classes not left invariant", id="invariance"),
         pytest.param(
             # the left coset W_P w is left- but not right-invariant
             rootsys, ("_pq_signature", lambda rs, P, Q, w: frozenset(p * w for p in wq_subgroup(rs, P))),
-            lambda rs, P, Q: equiv_PQ(rs, P, Q), "classes not right invariant", id="right-invariance",
+            "classes not right invariant", id="right-invariance",
         ),
     ],
 )
-def test_failed_pair_check_stores_nothing(target, fake, call, message, monkeypatch):
-    """A theorem check that fails when its entry is first built raises, on
-    every call, and leaves the cache as it was."""
+def test_the_weyl_theorems_reject_a_broken_layer(target, fake, message, monkeypatch):
+    rs = _fresh("A2")
+    name, value = fake
+    if target is None:
+        monkeypatch.setattr(rs, name, value(rs))
+    else:
+        monkeypatch.setattr(target, name, value)
+    with pytest.raises(AssertionError, match=message):
+        check_weyl_theorems(rs)
+
+
+def test_failed_build_stores_nothing(monkeypatch):
+    """A build that raises, here because the closure of W refuses, raises on
+    every call and leaves the cache as it was."""
     rs = _fresh("A2")
     P, Q = ParabolicData(rs, [0]), ParabolicData(rs, [1])
-    if message != "centralizer and reflection subgroup disagree":
-        wq_subgroup(rs, P), wq_subgroup(rs, Q)
     before = dict(rs._pairs)
+    calls = [
+        lambda rs, P, Q: [wq_subgroup(rs, Q)],
+        lambda rs, P, Q: [min_coset_reps(rs, Q)],
+        lambda rs, P, Q: equiv_PQ(rs, P, Q),
+        lambda rs, P, Q: double_cosets(rs, P, Q),
+        lambda rs, P, Q: [generic_witness(rs, P, Q, [], [0, 0])[:2]],
+    ]
+
+    def refuse(self):
+        raise ValueError("group closure did not terminate; invalid input")
+
     with monkeypatch.context() as m:
-        m.setattr(target, *fake)
-        for _ in range(2):
-            with pytest.raises(ValueError, match=message):
-                call(rs, P, Q)
+        m.setattr(RootSystem, "_group", refuse)
+        for call in calls:
+            for _ in range(2):
+                with pytest.raises(ValueError, match="group closure did not terminate"):
+                    call(rs, P, Q)
         assert rs._pairs == before
     new = _fresh("A2")
-    assert _matrices(call(rs, P, Q)) == _matrices(call(new, ParabolicData(new, [0]), ParabolicData(new, [1])))
+    for call in calls:
+        assert _matrices(call(rs, P, Q)) == _matrices(call(new, ParabolicData(new, [0]), ParabolicData(new, [1])))
 
 
 def test_parabolic_of_another_system_is_refused():

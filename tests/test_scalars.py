@@ -35,6 +35,14 @@ def test_inverse(a):
     assert a + (-a) == GQ(0)
 
 
+def test_a_number_minus_a_gq():
+    # an int or a Fraction on the left leaves the subtraction to GQ.__rsub__
+    for a in (GQ(Fraction(3, 4)), GQ(Fraction(1, 2), Fraction(-5, 3)), GQ(0, 7)):
+        for x in (0, 2, -3, Fraction(3, 4), Fraction(-7, 6)):
+            assert x - a == GQ(x) - a and type(x - a) is GQ
+    assert 1 - GQ(Fraction(1, 3), 2) == GQ(Fraction(2, 3), -2)
+
+
 @given(gqs)
 def test_string_roundtrip(a):
     assert gq_from_string(gq_to_string(a)) == a
