@@ -307,7 +307,8 @@ def series_to_json(F: ExpPolySeries) -> dict:
         )
     return {
         "space": space_to_json(F.space),
-        "delta": [[frac_to_str(x) for x in d] for d in F.delta],
+        # from the lattice's int rows, so a delta of GQs or strings writes too
+        "delta": [[_ratio_str(x, F.lattice._e) for x in d] for d in F.lattice._rows],
         "leaders": [[gq_to_string(x) for x in l] for l in F.leaders],
         "trunc": F.trunc,
         "vdim": F.vdim,

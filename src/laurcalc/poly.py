@@ -42,6 +42,14 @@ def factorial_multi(gamma) -> int:
     return out
 
 
+def _unit(dim, i, power=1):
+    """The multi-index with power at variable i and 0 elsewhere; an index
+    outside range(dim) is refused, not counted from the end."""
+    if not 0 <= i < dim:
+        raise ValueError(f"index {i} out of range for a polynomial in {dim} variables")
+    return tuple(power if j == i else 0 for j in range(dim))
+
+
 def _falling(beta, gamma) -> int:
     """prod beta_i! / (beta_i - gamma_i)!, the factor that d^gamma puts on
     z^beta; 0 unless gamma <= beta."""
@@ -239,9 +247,7 @@ class Polynomial:
 
     @staticmethod
     def variable(dim, i):
-        idx = [0] * dim
-        idx[i] = 1
-        return _reduced(dim, {tuple(idx): (1, 0)}, 1)
+        return _reduced(dim, {_unit(dim, i): (1, 0)}, 1)
 
     @staticmethod
     def linear(dim, coeffs, const=GQ(0)):
@@ -338,11 +344,7 @@ class Polynomial:
         return _mk(*_value(self._t, tables), d)
 
     def deriv(self, i) -> "Polynomial":
-        if not 0 <= i < self.dim:
-            raise ValueError(f"index {i} out of range for a polynomial in {self.dim} variables")
-        gamma = [0] * self.dim
-        gamma[i] = 1
-        return self.deriv_multi(gamma)
+        return self.deriv_multi(_unit(self.dim, i))
 
     def deriv_multi(self, gamma) -> "Polynomial":
         return _reduced(self.dim, _contract(self._t, {tuple(gamma): (1, 0)}), self._d)
@@ -592,9 +594,7 @@ class DiffOp:
 
     @staticmethod
     def partial(dim, i, power=1):
-        idx = [0] * dim
-        idx[i] = power
-        return DiffOp(dim, {tuple(idx): 1})
+        return DiffOp(dim, {_unit(dim, i, power): 1})
 
     @staticmethod
     def directional(dim, v):

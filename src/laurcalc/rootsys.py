@@ -45,9 +45,9 @@ class WeylElement:
     The matrix is stored as a tuple of int row tuples ``_m`` over one
     positive denominator ``_d`` with gcd(_m..., _d) = 1, so every element
     has exactly one representation.  ``matrix`` gives it back as rows of
-    ``Fraction``; ``length`` is the word length when the element came out
-    of ``RootSystem.weyl_group`` and None otherwise.  Elements are
-    immutable: root systems share them between callers.
+    ``Fraction``; ``length`` is the word length in the elements that
+    ``weyl_group``, ``identity`` and ``wq_subgroup`` give, else None.
+    Elements are immutable: root systems share them between callers.
     """
 
     __slots__ = ("_m", "_d", "dim", "length")
@@ -78,10 +78,6 @@ class WeylElement:
         re, im = _re_im(pairs)
         d = self._d * e
         return tuple(_mk(a, b, d) for a, b in zip(self._apply(re), self._apply(im)))
-
-    def _fixes(self, iv):
-        """Whether w fixes the vector iv / e, for any e."""
-        return self._apply(iv) == [self._d * x for x in iv]
 
     def __mul__(self, other):
         cols = list(zip(*other._m))
@@ -172,6 +168,7 @@ class RootSystem:
             ]
         self.simple = tuple(_fractions(*_real_over_lcm(s)) for s in simple)
         self.name = name
+        self._identity = _element(_identity_ints(dim), 1, dim, length=0)
         self._weyl = None
         # the parabolic data, W_Q and W^Q per Q.indices, the classes and
         # double cosets per (P.indices, Q.indices); see ``_per_walls``
@@ -245,14 +242,13 @@ class RootSystem:
     def _group(self):
         """W as a tuple, built on the first call; breadth-first depth
         equals the word length, and the identity comes first."""
-        if self._weyl is not None:
-            return self._weyl
-        ident = _element(_identity_ints(self.dim), 1, self.dim, length=0)
-        self._weyl = _closure([self.reflection(a) for a in self.simple], ident)
+        if self._weyl is None:
+            self._weyl = _closure([self.reflection(a) for a in self.simple], self._identity)
         return self._weyl
 
     def identity(self):
-        return self._group()[0]
+        """The unit of W, with length 0; built with the system."""
+        return self._identity
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +376,13 @@ def _per_walls(build):
 
 @_per_walls
 def _wq(rs, Q):
-    W = rs._group()
-    return tuple(w for w in W if all(w._fixes(b) for b in Q._basis))
+    return _closure([rs.reflection(a) for a in Q.delta_Q], rs._identity)
 
 
 def wq_subgroup(rs: RootSystem, Q: ParabolicData):
-    """W_Q as the centralizer of the wall, in the order of W.  It is the
-    group the reflections in Delta_Q generate (Humphreys 1990, §1.10)."""
+    """W_Q: the group the reflections in Delta_Q generate, by closure, with
+    lengths, in the order of W.  It is the centralizer of the wall
+    (Humphreys 1990, §1.10), and W is not built."""
     return list(_wq(rs, Q))
 
 

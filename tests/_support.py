@@ -25,7 +25,6 @@ from laurcalc import (
     linalg,
     min_coset_reps,
     rationalfn_germ_at,
-    rootsys,
     wq_subgroup,
 )
 
@@ -270,8 +269,8 @@ def check_weyl_theorems(rs):
     of (P, Q) rest on (Humphreys, *Reflection Groups and Coxeter Groups*,
     1990, §1.10; Geck & Pfeiffer 2000, §2.1):
 
-    - W_Q, the centralizer of wall Q, is the group that the reflections in
-      Delta_Q generate, built by closure;
+    - W_Q, the group that the reflections in Delta_Q generate, is the
+      centralizer of wall Q, taken from W in its order and with its lengths;
     - W^Q is the set of w with w(Delta_Q) positive by ``is_positive``, and
       (s, t) -> st maps W^Q x W_Q bijectively onto W, with l(st) = l(s) + l(t);
     - every class of (P, Q) is left W_P- and right W_Q-invariant."""
@@ -281,8 +280,11 @@ def check_weyl_theorems(rs):
     walls = [ParabolicData(rs, c) for r in range(n + 1) for c in combinations(range(n), r)]
     for Q in walls:
         wq = wq_subgroup(rs, Q)
-        closure = rootsys._closure([rs.reflection(a) for a in Q.delta_Q], rs.identity())
-        assert set(wq) == set(closure), "centralizer and reflection subgroup disagree"
+        # w fixes the wall vector b / e exactly when w._apply(b) = w._d b
+        centralizer = [w for w in W if all(w._apply(b) == [w._d * x for x in b] for b in Q._basis)]
+        assert [(w, w.length) for w in wq] == [(w, w.length) for w in centralizer], (
+            "centralizer and reflection subgroup disagree"
+        )
         reps = min_coset_reps(rs, Q)
         positive = [w for w in W if all(rs.is_positive(w.act_gq(a)) for a in Q.delta_Q)]
         assert reps == positive, "W^Q is not the set sending Delta_Q into the positive roots"

@@ -4,6 +4,7 @@ byte-stable output."""
 import argparse
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -76,6 +77,27 @@ def test_rootsys_weyl(capsys):
     code, out = _run(["rootsys", "weyl", "--system", "G2"], capsys)
     assert code == 0
     assert json.loads(out)["order"] == 12
+
+
+@pytest.mark.parametrize(
+    "system, code, out",
+    [
+        ("A1", 0, '{"by_length":{"0":1,"1":1},"order":2}\n'),
+        ("E9", 2, '{"detail":"unknown root system name \'E9\'","error":"precondition"}\n'),
+    ],
+)
+def test_main_and_the_module_exit_with_the_code_of_run(system, code, out, capsys, monkeypatch):
+    """``main`` (the ``laurcalc`` script) and ``python -m laurcalc.cli``
+    read sys.argv and exit with the code that ``run`` returns."""
+    monkeypatch.setattr(sys, "argv", ["laurcalc", "rootsys", "weyl", "--system", system])
+    with pytest.raises(SystemExit) as exit_main:
+        cli.main()
+    assert (exit_main.value.code, capsys.readouterr().out) == (code, out)
+    # run as __main__ in a fresh namespace; the imported module stays as it was
+    monkeypatch.delitem(sys.modules, "laurcalc.cli")
+    with pytest.raises(SystemExit) as exit_module:
+        runpy.run_module("laurcalc.cli", run_name="__main__")
+    assert (exit_module.value.code, capsys.readouterr().out) == (code, out)
 
 
 def test_parse_error_exit_1(capsys):

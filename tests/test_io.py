@@ -106,6 +106,23 @@ def test_series_roundtrip():
     assert lio.series_from_json(json.loads(_dumps(lio.series_to_json(F)))) == F
 
 
+@pytest.mark.parametrize("entry", [GQ, str], ids=["gq", "string"])
+def test_series_delta_of_gqs_or_strings_writes_like_fractions(entry):
+    """README reads a delta of ints, Fractions, strings or GQs as one
+    lattice; the writer gave an AttributeError on the last two."""
+    delta = [(Fraction(1, 2), Fraction(0)), (Fraction(-1), Fraction(3, 2))]
+    lam = (GQ(1), GQ(1))
+
+    def series(delta):
+        return ExpPolySeries(Space(2), delta, [lam], 2, 1, {lam: [Polynomial.const(2, 1)]})
+
+    expected = lio.series_to_json(series(delta))
+    assert expected["delta"] == [["1/2", "0/1"], ["-1/1", "3/2"]]
+    F = series([tuple(entry(x) for x in d) for d in delta])
+    assert lio.series_to_json(F) == expected
+    assert lio.series_from_json(json.loads(_dumps(lio.series_to_json(F)))) == F
+
+
 def test_byte_stability():
     p = rand_poly(rng, 2, 3)
     once = _dumps(lio.poly_to_json(p))

@@ -70,13 +70,25 @@ def test_deriv_product_rule():
         assert (a * b).deriv(i) == a.deriv(i) * b + a * b.deriv(i)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda i: Polynomial(2, {(1, 1): GQ(3), (0, 2): GQ(1)}).deriv(i), id="deriv"),
+        pytest.param(lambda i: Polynomial.variable(2, i), id="variable"),
+        pytest.param(lambda i: DiffOp.partial(2, i), id="partial"),
+    ],
+)
 @pytest.mark.parametrize("i", [-1, 2, 5])
-def test_deriv_refuses_an_index_outside_the_variables(i):
-    """-1 used to differentiate in the last variable and 2 or 5 raised an
-    IndexError; each is now a ValueError naming the index."""
-    p = Polynomial(2, {(1, 1): GQ(3), (0, 2): GQ(1)})
-    with pytest.raises(ValueError, match=f"index {i} out of range"):
-        p.deriv(i)
+def test_deriv_refuses_an_index_outside_the_variables(make, i):
+    """-1 used to take the last variable and 2 or 5 raised an IndexError;
+    each is now a ValueError naming the index, for z_i, d/dz_i and its
+    operator alike."""
+    with pytest.raises(ValueError, match=f"index {i} out of range for a polynomial in 2 variables"):
+        make(i)
+
+
+def test_zero_polynomial_repr():
+    assert repr(Polynomial.zero(2)) == "0"
 
 
 def test_diffop_repr():

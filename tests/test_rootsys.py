@@ -405,6 +405,16 @@ def test_lattice_against_solve(case):
     assert class_lub(delta, family) == tuple(_plus(base, _comb(delta, best, n)))
 
 
+def test_delta_coords_and_the_isotropic_reflection():
+    delta = [(1, 0, 1), (0, Fraction(1, 2), 0)]
+    third = Fraction(1, 3)
+    assert rootsys.delta_coords(delta, [third, 1, third]) == [GQ(third), GQ(2)]
+    assert rootsys.delta_coords(delta, [GQ(0, 1), Fraction(1, 2), GQ(0, 1)]) == [GQ(0, 1), GQ(1)]
+    assert rootsys.delta_coords(delta, [1, 0, 0]) is None
+    with pytest.raises(ValueError, match="cannot reflect in an isotropic vector"):
+        builtin_system("A2").reflection((0, 0))
+
+
 def test_lattice_rejects_bad_input():
     with pytest.raises(ValueError, match="delta not linearly independent"):
         Lattice([(1, 0), (2, 0)])
@@ -655,14 +665,20 @@ def test_no_weyl_build_raises():
 
 
 _GROUP = RootSystem._group  # the real closure, under the fake that breaks its lengths
+_WQ = rootsys._wq  # the real W_Q, under the fake that reorders it
 
 
 @pytest.mark.parametrize(
     "target, fake, message",
     [
         pytest.param(
-            WeylElement, ("_fixes", lambda self, iv: False), "centralizer and reflection subgroup disagree",
-            id="centralizer",
+            # the reflections in Delta_Q but the last generate too small a group
+            rootsys, ("_wq", lambda rs, Q: rootsys._closure([rs.reflection(a) for a in Q.delta_Q[:-1]], rs.identity())),
+            "centralizer and reflection subgroup disagree", id="centralizer",
+        ),
+        pytest.param(
+            rootsys, ("_wq", lambda rs, Q: _WQ(rs, Q)[::-1]), "centralizer and reflection subgroup disagree",
+            id="centralizer-order",
         ),
         pytest.param(RootSystem, ("is_positive", lambda self, v: True), "not the set sending Delta_Q", id="membership-all"),
         pytest.param(RootSystem, ("is_positive", lambda self, v: False), "not the set sending Delta_Q", id="membership-none"),
@@ -670,7 +686,9 @@ _GROUP = RootSystem._group  # the real closure, under the fake that breaks its l
         pytest.param(None, ("_positive", lambda rs: set(rs._roots)), "not injective", id="coset-injection"),
         pytest.param(None, ("_positive", lambda rs: set()), "not surjective", id="coset-surjection"),
         pytest.param(
-            RootSystem, ("_group", lambda self: tuple(rootsys._element(w._m, w._d, w.dim, 1) for w in _GROUP(self))),
+            # lengths 0 and 1 stay right, so W_Q of one simple root still matches
+            RootSystem,
+            ("_group", lambda self: tuple(rootsys._element(w._m, w._d, w.dim, min(w.length, 1)) for w in _GROUP(self))),
             "length additivity fails", id="coset-lengths",
         ),
         pytest.param(rootsys, ("_pq_signature", lambda rs, P, Q, w: w), "classes not left invariant", id="invariance"),
@@ -693,8 +711,8 @@ def test_the_weyl_theorems_reject_a_broken_layer(target, fake, message, monkeypa
 
 
 def test_failed_build_stores_nothing(monkeypatch):
-    """A build that raises, here because the closure of W refuses, raises on
-    every call and leaves the cache as it was."""
+    """A build that raises, here because the closure of W or of W_Q refuses,
+    raises on every call and leaves the cache as it was."""
     rs = _fresh("A2")
     P, Q = ParabolicData(rs, [0]), ParabolicData(rs, [1])
     before = dict(rs._pairs)
@@ -706,11 +724,11 @@ def test_failed_build_stores_nothing(monkeypatch):
         lambda rs, P, Q: [generic_witness(rs, P, Q, [], [0, 0])[:2]],
     ]
 
-    def refuse(self):
+    def refuse(gens, ident):
         raise ValueError("group closure did not terminate; invalid input")
 
     with monkeypatch.context() as m:
-        m.setattr(RootSystem, "_group", refuse)
+        m.setattr(rootsys, "_closure", refuse)
         for call in calls:
             for _ in range(2):
                 with pytest.raises(ValueError, match="group closure did not terminate"):
@@ -719,6 +737,16 @@ def test_failed_build_stores_nothing(monkeypatch):
     new = _fresh("A2")
     for call in calls:
         assert _matrices(call(rs, P, Q)) == _matrices(call(new, ParabolicData(new, [0]), ParabolicData(new, [1])))
+
+
+def test_subgroups_and_the_identity_build_no_weyl_group():
+    systems = [_fresh("A3"), lio.rootsystem_from_json(lio.rootsystem_to_json(builtin_system("G2")))]
+    for rs in systems:
+        assert rs.identity().is_identity() and rs.identity().length == 0
+        for idx in _subsets(rs):
+            Q = ParabolicData(rs, idx)
+            assert all(w.length is not None for w in wq_subgroup(rs, Q))
+        assert rs._weyl is None
 
 
 def test_parabolic_of_another_system_is_refused():
