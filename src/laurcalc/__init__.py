@@ -25,9 +25,8 @@ _EXPORTS = {
     ),
     "lattice": ("Lattice",),
     "rootsys": (
-        "BUILTIN_NAMES", "ParabolicData", "RootSystem", "WeylElement", "builtin_system", "class_lub",
-        "double_cosets", "equiv_PQ", "equiv_delta", "exponent_classify", "generic_witness",
-        "min_coset_reps", "preceq_delta", "wq_subgroup",
+        "BUILTIN_NAMES", "ParabolicData", "RootSystem", "WeylElement", "builtin_system", "double_cosets",
+        "equiv_PQ", "equiv_delta", "exponent_classify", "generic_witness", "min_coset_reps", "wq_subgroup",
     ),
     "series": (
         "ExpPolySeries", "RestrictedSeries", "series_diffop", "series_exponents", "series_mul", "series_restrict",

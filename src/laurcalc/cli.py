@@ -184,9 +184,9 @@ def _laurent():
 
 
 def _rootsys():
+    from .lattice import Lattice
     from .rootsys import (
-        ParabolicData, builtin_system, class_lub, equiv_PQ, exponent_classify, generic_witness, min_coset_reps,
-        preceq_delta, wq_subgroup,
+        ParabolicData, builtin_system, equiv_PQ, exponent_classify, generic_witness, min_coset_reps, wq_subgroup,
     )
 
     def weyl(o, rs):
@@ -233,8 +233,8 @@ def _rootsys():
         "equiv": equiv,
         "generic": generic,
         "classify": classify,
-        "preceq": lambda o, _: {"preceq": preceq_delta(o.delta, o.a, o.b)},
-        "lub": lambda o, _: {"lub": _gq_strings(class_lub(o.delta, o.omega))},
+        "preceq": lambda o, _: {"preceq": Lattice(o.delta).preceq(o.a, o.b)},
+        "lub": lambda o, _: {"lub": _gq_strings(Lattice(o.delta).lub(o.omega))},
     }, system
 
 

@@ -1,6 +1,6 @@
-"""The lattice Z.Delta of an independent set Delta and its order, one
-``Lattice`` per Delta from a bounded table shared by parabolic walls,
-exponential series and the ``*_delta`` functions of ``rootsys``.
+"""The lattice Z.Delta of an independent set Delta and its order: one shared
+``Lattice`` per Delta from a bounded table, for root systems, parabolic
+walls, exponential series and the command line, and one order on its keys.
 """
 
 from __future__ import annotations
@@ -23,17 +23,17 @@ class Lattice:
     integer dot products plus an exact check that the coordinates give the
     vector back.  ``name`` names delta in error messages.  A lattice is
     immutable and equal to every lattice of the same delta and ``dim``;
-    ``_lattice`` hands out one per delta.
+    ``Lattice(delta, dim, name)`` returns the one a bounded table keeps.
     """
 
     __slots__ = ("name", "dim", "_e", "_rows", "_left", "_den")
 
-    def __init__(self, delta, dim=None, name="delta"):
-        self._build(*_int_rows(delta), dim, name)
+    def __new__(cls, delta, dim=None, name="delta"):
+        rows, e = _int_rows(delta)
+        return _table(rows, e, len(rows[0]) if dim is None and rows else dim, name)
 
     def _build(self, rows, e, dim, name):
         """Set up the lattice of the int rows over e."""
-        dim = len(rows[0]) if dim is None and rows else dim
         if any(len(r) != dim for r in rows):
             raise ValueError(f"{name} has a vector of length other than {dim}")
         try:
@@ -113,8 +113,8 @@ class Lattice:
 
     def height(self, a, b):
         """The coordinate sum of b - a when a precedes b, else None."""
-        (ca, ka), (cb, kb) = self.coset(a), self.coset(b)
-        return sum(kb) - sum(ka) if ca == cb and all(map(le, ka, kb)) else None
+        ka, kb = self.coset(a), self.coset(b)
+        return next(iter(_heights([kb], ka)), None)
 
     def preceq(self, a, b) -> bool:
         return self.height(a, b) is not None
@@ -137,11 +137,10 @@ _LATTICES = 64  # the bound of the shared table; a series workload meets a few d
 
 @lru_cache(maxsize=_LATTICES)
 def _table(rows, e, dim, name):
-    return Lattice.__new__(Lattice)._build(rows, e, dim, name)
+    return object.__new__(Lattice)._build(rows, e, dim, name)
 
 
-def _lattice(delta, dim=None, name="delta") -> Lattice:
-    """The shared ``Lattice(delta, dim, name)``, from a bounded table keyed
-    by the int rows of delta over their one denominator."""
-    rows, e = _int_rows(delta)
-    return _table(rows, e, len(rows[0]) if dim is None and rows else dim, name)
+def _heights(tops, key):
+    """The heights of the (class, k) key below each top in tops it precedes."""
+    c, k = key
+    return [sum(tk) - sum(k) for tc, tk in tops if tc == c and all(map(le, k, tk))]

@@ -13,8 +13,8 @@ inverses and kernels; ``roots``, ``matrix``, ``act``, ``delta_r`` and the
 other public names build their Fractions (or GQs) from the ints.  The Weyl layer
 looks elements up by the element itself.
 
-Z.Delta questions go to the shared ``Lattice`` of each Delta
-(``laurcalc.lattice``), here and in the ``*_delta`` functions; a genericity
+Z.Delta questions go to the shared ``Lattice(delta)`` of each Delta
+(``laurcalc.lattice``), which also orders the (class, k) keys; a genericity
 query keys each translate minus each S entry by its coset, so a dict finds
 the colliding pair and one lattice solve gives its certificate.
 
@@ -31,10 +31,10 @@ public functions hand out new lists.
 from __future__ import annotations
 
 from math import gcd
-from operator import le, mul, sub
+from operator import mul, sub
 
 from . import linalg
-from .lattice import Lattice, _lattice
+from .lattice import Lattice, _heights
 from .scalars import GQ, _fractions, _int_rows, _mk, _over_lcm, _re_im, _real_over_lcm
 from .space import Space, _sized
 
@@ -89,9 +89,6 @@ class WeylElement:
         inv, (det, _) = linalg._inverse([[(x, 0) for x in row] for row in self._m])
         s = self._d if det > 0 else -self._d
         return _element(tuple(tuple(s * x for x, _ in row) for row in inv), abs(det), self.dim)
-
-    def is_identity(self):
-        return self._d == 1 and self._m == _identity_ints(self.dim)
 
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
@@ -328,9 +325,7 @@ class ParabolicData:
         self.delta_rest_indices = tuple(i for i in range(len(rs.simple)) if i not in indices)
         simple = [rs._key(rs.simple[i]) for i in self.delta_rest_indices]  # ints over rs._e
         self.delta_r = tuple(_fractions(self._restrict(iv), rs._e * self._den) for iv in simple)
-        if len(set(self.delta_r)) != len(self.delta_r):
-            raise ValueError("restricted simple roots not pairwise distinct")
-        self.lattice = _lattice(self.delta_r, len(self.basis), "restricted simple roots")
+        self.lattice = Lattice(self.delta_r, len(self.basis), "restricted simple roots")
         rs._pairs[key] = self
         return self
 
@@ -517,7 +512,7 @@ def exponent_classify(rs: RootSystem, P: ParabolicData, Q: ParabolicData, S, lam
     xi = P.lattice._ints([GQ.of(x) for x in xi])
     below = [P.lattice._coset(*_minus(xi, s0)) for s0 in S_r]
     cosets = [P.lattice._coset(*v) for v in base]
-    candidates = [k for k, (c, kv) in enumerate(cosets) if any(c == cb and all(map(le, kb, kv)) for cb, kb in below)]
+    candidates = [k for k, top in enumerate(cosets) if any(_heights([top], b) for b in below)]
     if not candidates:
         raise ValueError("weight lies in no translated coset")
     classes = [list(cl) for cl in classes]
@@ -527,25 +522,15 @@ def exponent_classify(rs: RootSystem, P: ParabolicData, Q: ParabolicData, S, lam
 
 
 # ---------------------------------------------------------------------------
-# the partial order generated by an independent set
+# coordinates and equivalence over an independent set
 # ---------------------------------------------------------------------------
 
 
 def delta_coords(delta, v):
     """Coordinates of v over the independent set delta, or None."""
-    return _lattice(delta).span_coords(v)
-
-
-def preceq_delta(delta, xi1, xi2) -> bool:
-    """Whether xi2 - xi1 is a nonnegative integer combination of delta."""
-    return _lattice(delta).preceq(xi1, xi2)
+    return Lattice(delta).span_coords(v)
 
 
 def equiv_delta(delta, xi1, xi2) -> bool:
     """Whether xi2 - xi1 lies in the integer lattice of delta."""
-    return _lattice(delta).equiv(xi1, xi2)
-
-
-def class_lub(delta, omega):
-    """Least upper bound of a lattice-equivalent family (``Lattice.lub``)."""
-    return _lattice(delta).lub(omega)
+    return Lattice(delta).equiv(xi1, xi2)

@@ -16,22 +16,16 @@ splitting compare ints.  Series over one Delta share one ``Lattice``.
 
 from __future__ import annotations
 
-from operator import add, le
+from operator import add
 
 from .poly import DiffOp, Polynomial
-from .lattice import _lattice
+from .lattice import Lattice, _heights
 from .scalars import GQ
 from .space import ArityError, Space
 
 
 def _exp_key(xi):
     return tuple(GQ.of(x) for x in xi)
-
-
-def _depths(lead, key):
-    """The heights of the exponent with key below the leader keys in lead."""
-    c, k = key
-    return [sum(lk) - sum(k) for lc, lk in lead if lc == c and all(map(le, k, lk))]
 
 
 class ExpPolySeries:
@@ -47,7 +41,7 @@ class ExpPolySeries:
 
     def __init__(self, space: Space, delta, leaders, trunc, vdim, terms):
         delta = [tuple(x) for x in delta]
-        lattice = _lattice(delta, space.dim)
+        lattice = Lattice(delta, space.dim)
         leaders = [_exp_key(x) for x in leaders]
         t = {}
         for xi, polys in dict(terms).items():
@@ -78,7 +72,7 @@ class ExpPolySeries:
         for key, (xi, polys) in t.items():
             if all(p.is_zero() for p in polys):
                 continue
-            if check and not any(h <= self.trunc for h in _depths(lead, key)):
+            if check and not any(h <= self.trunc for h in _heights(lead, key)):
                 raise ValueError(f"exponent {xi} outside the truncated cosets")
             self._t[key] = (xi, tuple(polys))
 
@@ -128,7 +122,7 @@ class ExpPolySeries:
 def series_exponents(F: ExpPolySeries):
     """The exponent set and its maximal elements in the lattice order."""
     keys = sorted(F._t, key=lambda key: repr(F._t[key][0]))
-    leading = [F._t[a][0] for a in keys if not any(b != a and _depths([b], a) for b in keys)]
+    leading = [F._t[a][0] for a in keys if not _heights([b for b in keys if b != a], a)]
     return [F._t[a][0] for a in keys], leading
 
 
@@ -186,7 +180,7 @@ def series_mul(F: ExpPolySeries, G: ExpPolySeries):
     # prune exponents whose height below any containing leader exceeds the
     # joint truncation: deeper contributions may be missing.  xi + eta lies
     # below the sum of the leaders above xi and eta, so what stays is in range
-    kept = {key: (nu, [pq]) for key, (nu, pq) in acc.items() if max(_depths(lead, key)) <= trunc}
+    kept = {key: (nu, [pq]) for key, (nu, pq) in acc.items() if max(_heights(lead, key)) <= trunc}
     return F._like(list(lead.values()), list(lead), trunc, 1, kept, False)
 
 
@@ -198,16 +192,16 @@ def series_split(F: ExpPolySeries, S):
     """
     owners = {}
     for s in map(_exp_key, S):
-        c, k = F.lattice.coset(s)
-        if c in owners:
+        top = F.lattice.coset(s)
+        if top[0] in owners:
             raise ValueError("coset leaders are lattice equivalent")
-        owners[c] = (s, k, {})
+        owners[top[0]] = (s, top, {})
     for key, term in F._t.items():
         owner = owners.get(key[0])
-        if owner is None or not all(map(le, key[1], owner[1])):
+        if owner is None or not _heights([owner[1]], key):
             raise ValueError(f"exponent {term[0]} lies in no given coset")
         owner[2][key] = term
-    return {s: F._like([s], [(c, k)], F.trunc, F.vdim, t, True) for c, (s, k, t) in owners.items()}
+    return {s: F._like([s], [top], F.trunc, F.vdim, t, True) for s, top, t in owners.values()}
 
 
 class RestrictedSeries:

@@ -17,19 +17,20 @@ from laurcalc import (
     GQ,
     BUILTIN_NAMES,
     ArityError,
+    ExpPolySeries,
     Lattice,
     ParabolicData,
+    Polynomial,
     RootSystem,
+    Space,
     WeylElement,
     builtin_system,
-    class_lub,
     double_cosets,
     equiv_PQ,
     equiv_delta,
     exponent_classify,
     generic_witness,
     min_coset_reps,
-    preceq_delta,
     wq_subgroup,
 )
 
@@ -169,11 +170,11 @@ def test_preceq_and_lub():
     delta = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
     a = [GQ(1), GQ(2)]
     b = [GQ(3), GQ(2)]
-    assert preceq_delta(delta, a, b)
-    assert not preceq_delta(delta, b, a)
+    assert Lattice(delta).preceq(a, b)
+    assert not Lattice(delta).preceq(b, a)
     assert equiv_delta(delta, a, b)
     assert not equiv_delta(delta, a, [GQ(Fraction(1, 2)), GQ(2)])
-    lub = class_lub(delta, [a, b])
+    lub = Lattice(delta).lub([a, b])
     assert lub == (GQ(3), GQ(2))
 
 
@@ -181,6 +182,11 @@ def test_all_builtin_names_resolve():
     for name in BUILTIN_NAMES:
         assert name in ORDERS
         builtin_system(name)
+
+
+def _unit(n):
+    """The identity of dimension n as a standalone Weyl element."""
+    return WeylElement([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def _half_basis_A2():
@@ -247,9 +253,8 @@ def test_weyl_element_contract():
             assert len(m) == w.dim == rs.dim
             v = WeylElement(m)
             assert v == w and hash(v) == hash(w) and v.length is None
-            assert (w * w.inverse()).is_identity()
-            assert w * w.inverse() == ident
-            assert w.is_identity() == (w == ident) == (w.length == 0)
+            assert w * w.inverse() == ident == _unit(rs.dim)
+            assert (w == ident) == (w.length == 0)
             with pytest.raises(AttributeError):
                 w.matrix = m
             assert w.act_gq(rs.simple[0]) == tuple(GQ(x) for x in w.act(rs.simple[0]))
@@ -342,7 +347,7 @@ def test_failed_parabolic_data_stores_nothing(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(ParabolicData, "_restrict", lambda self, iv: [0] * len(self.basis))
         for _ in range(2):
-            with pytest.raises(ValueError, match="restricted simple roots not pairwise distinct"):
+            with pytest.raises(ValueError, match="restricted simple roots not linearly independent"):
                 ParabolicData(rs, [])
     assert rs._pairs == before
     assert len(ParabolicData(rs, []).delta_r) == 2
@@ -398,11 +403,11 @@ def test_lattice_against_solve(case):
         assert Lattice([]).coords(base) == (None if any(not x.is_zero() for x in base) else [])
     # the order and least upper bounds, from their definitions
     top = _plus(base, v)
-    assert preceq_delta(delta, base, top) == all(x >= 0 for x in c)
+    assert Lattice(delta).preceq(base, top) == all(x >= 0 for x in c)
     assert equiv_delta(delta, base, top)
     best = [max(0, x, y) for x, y in zip(c, c2)]
     family = [base, top, _plus(base, _comb(delta, c2, n))]
-    assert class_lub(delta, family) == tuple(_plus(base, _comb(delta, best, n)))
+    assert Lattice(delta).lub(family) == tuple(_plus(base, _comb(delta, best, n)))
 
 
 def test_delta_coords_and_the_isotropic_reflection():
@@ -432,16 +437,17 @@ def test_lattice_rejects_bad_input():
         for a, b in (([0, 0], [1]), ([0, 0, 5], [1, 0])):
             with pytest.raises(ValueError, match="delta"):
                 bad([GQ(x) for x in a], [GQ(x) for x in b])
+        # the first vector is read first, so two bad vectors blame it
+        with pytest.raises(ValueError, match="a vector of length 3 against delta"):
+            bad([GQ(0)] * 3, [GQ(0)])
     with pytest.raises(ValueError, match="delta"):
-        class_lub([(1, 0)], [[GQ(0), GQ(0)], [GQ(1)]])
+        Lattice([(1, 0)]).lub([[GQ(0), GQ(0)], [GQ(1)]])
 
 
 @given(lattice_cases())
 def test_coset_split_against_coords(case):
     """The (class, k) split answers equiv, height and preceq as the
     coordinates of the difference do, on and off the span of delta."""
-    from laurcalc.series import _depths
-
     n, delta, c, c2, r, base = case
     L = Lattice(delta, n)
     family = [base, _plus(base, _comb(delta, c, n)), _plus(base, _comb(delta, r, n))]
@@ -463,13 +469,13 @@ def test_coset_split_against_coords(case):
             assert (ka[0] == kb[0]) == L.equiv(a, b) == (diff is not None)
             assert L.height(a, b) == height
             assert L.preceq(a, b) == (height is not None)
-            assert _depths([kb], ka) == ([] if height is None else [height])
+            assert lattice._heights([kb], ka) == ([] if height is None else [height])
             if diff is not None:
                 assert [y - x for x, y in zip(ka[1], kb[1])] == diff
 
 
 def test_lattice_is_immutable_and_shared():
-    L = lattice._lattice([(1, 0), (1, 1)])
+    L = Lattice([(1, 0), (1, 1)])
     for name in ("dim", "name", "_rows", "_left", "_den", "_e", "other"):
         with pytest.raises(AttributeError):
             setattr(L, name, None)
@@ -481,17 +487,49 @@ def test_lattice_is_immutable_and_shared():
         [(GQ(1), GQ(0)), (GQ(1), GQ(1))],
         ((GQ(1), 0), ["1", Fraction(1)]),
     )
-    assert all(lattice._lattice(d) is L for d in spellings)
-    named = lattice._lattice(spellings[0], 2, "roots")
+    assert all(Lattice(d) is L for d in spellings)
+    named = Lattice(spellings[0], 2, "roots")
     assert named is not L and named == L and named.name == "roots"
     assert ParabolicData(builtin_system("A2"), [0]).lattice is ParabolicData(builtin_system("A2"), [0]).lattice
     assert Lattice([(1, 0), (1, 1)]) == L != Lattice([(1, 1), (1, 0)])
     assert hash(Lattice([(1, 0), (1, 1)])) == hash(L)
 
 
+def test_only_the_lattice_module_orders_coset_keys():
+    # lattice.py owns Z.Delta: no other module compares (class, k) keys with
+    # operator.le, and no module keeps a second constructor ``_lattice``
+    for path in sorted(Path(lattice.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', '')}"
+            if isinstance(node, ast.ImportFrom):
+                names = [a.asname or a.name for a in node.names]
+                assert node.module != "operator" or "le" not in names or path.name == "lattice.py", where
+                assert "_lattice" not in names + [a.name for a in node.names], where
+            elif isinstance(node, ast.Attribute):
+                assert (node.attr, getattr(node.value, "id", None)) != ("le", "operator"), where
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                assert node.name != "_lattice", where
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                assert node.id != "_lattice", where
+
+
+def test_every_reader_gets_the_shared_lattice():
+    P = ParabolicData(_fresh("A3"), [1])
+    assert P.lattice is Lattice(P.delta_r, len(P.basis), "restricted simple roots")
+    xi = (GQ(1, 1), GQ(0))
+    F = ExpPolySeries(Space(2), [(1, 0), (0, 1)], [xi], 1, 1, {xi: [Polynomial.const(2, GQ(1))]})
+    assert F.lattice is Lattice(F.delta, F.space.dim)
+    # a fresh system validates its simple roots against the table's lattice
+    _fresh("A2")
+    before = lattice._table.cache_info()
+    _fresh("A2")
+    after = lattice._table.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 def test_lattice_table_is_bounded():
     for m in range(1, 3 * lattice._LATTICES):
-        lattice._lattice([(m, 1)])
+        Lattice([(m, 1)])
         assert lattice._table.cache_info().currsize <= lattice._LATTICES
     assert lattice._table.cache_info().currsize == lattice._LATTICES
     assert equiv_delta([(5, 1)], [GQ(0), GQ(0)], [GQ(-5), GQ(-1)])
@@ -499,9 +537,9 @@ def test_lattice_table_is_bounded():
 
 def test_lub_refuses_inequivalent_family():
     with pytest.raises(ValueError, match="not lattice equivalent"):
-        class_lub([(1, 0)], [[GQ(0), GQ(0)], [GQ(1, 1), GQ(0)]])
+        Lattice([(1, 0)]).lub([[GQ(0), GQ(0)], [GQ(1, 1), GQ(0)]])
     with pytest.raises(ValueError, match="not lattice equivalent"):
-        class_lub([(2, 0)], [[GQ(0), GQ(0)], [GQ(1), GQ(0)]])
+        Lattice([(2, 0)]).lub([[GQ(0), GQ(0)], [GQ(1), GQ(0)]])
 
 
 # -- what is computed once per process -----------------------------------
@@ -742,7 +780,7 @@ def test_failed_build_stores_nothing(monkeypatch):
 def test_subgroups_and_the_identity_build_no_weyl_group():
     systems = [_fresh("A3"), lio.rootsystem_from_json(lio.rootsystem_to_json(builtin_system("G2")))]
     for rs in systems:
-        assert rs.identity().is_identity() and rs.identity().length == 0
+        assert rs.identity() == _unit(rs.dim) and rs.identity().length == 0
         for idx in _subsets(rs):
             Q = ParabolicData(rs, idx)
             assert all(w.length is not None for w in wq_subgroup(rs, Q))
