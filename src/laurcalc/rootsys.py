@@ -24,12 +24,13 @@ system afterwards, and each system keeps W, W_Q and W^Q per Q and the
 restriction classes, double cosets and translate maps per (P, Q).  Each
 entry computes only what it returns; ``RootSystem._validate`` checks the
 input, and the theorems the entries rest on are proved by the test suite.
-Everything shared is immutable (Weyl elements, root tuples), and the
-public functions hand out new lists.
+Everything shared is immutable (Weyl elements, root tuples), so every
+query hands out the tuple it keeps, the same object on every call.
 """
 
 from __future__ import annotations
 
+from functools import wraps
 from math import gcd
 from operator import mul, sub
 
@@ -45,8 +46,8 @@ class WeylElement:
     The matrix is stored as a tuple of int row tuples ``_m`` over one
     positive denominator ``_d`` with gcd(_m..., _d) = 1, so every element
     has exactly one representation.  ``matrix`` gives it back as rows of
-    ``Fraction``; ``length`` is the word length in the elements that
-    ``weyl_group``, ``identity`` and ``wq_subgroup`` give, else None.
+    ``Fraction``; every Weyl query hands out W's own elements, each with
+    its word length as ``length``; other elements have None.
     Elements are immutable: root systems share them between callers.
     """
 
@@ -181,7 +182,7 @@ class RootSystem:
         return tuple(x * (self._e // d) for x in iv) if self._e % d == 0 else None
 
     def reflection(self, alpha) -> WeylElement:
-        s = self._reflections.get(self._key(alpha))
+        s = self._reflections.get(self._key(_sized(alpha, self.dim)))
         return self._reflect(_real_over_lcm(alpha)[0]) if s is None else s
 
     def _reflect(self, a) -> WeylElement:
@@ -227,18 +228,14 @@ class RootSystem:
             raise ValueError("simple root that is not a positive root")
 
     def is_positive(self, v):
-        return self._key(v) in self._positive
+        return self._key(_sized(v, self.dim)) in self._positive
 
     # -- Weyl group --------------------------------------------------
 
     def weyl_group(self):
         """All Weyl elements, with lengths, by closure of the simple
-        reflections, in breadth-first order; a new list on every call."""
-        return list(self._group())
-
-    def _group(self):
-        """W as a tuple, built on the first call; breadth-first depth
-        equals the word length, and the identity comes first."""
+        reflections, as a tuple built on the first call; breadth-first
+        depth equals the word length, and the identity comes first."""
         if self._weyl is None:
             self._weyl = _closure([self.reflection(a) for a in self.simple], self._identity)
         return self._weyl
@@ -356,6 +353,7 @@ def _per_walls(build):
     first, so that it cannot store an entry under valid indices; a build
     that raises stores nothing."""
 
+    @wraps(build)
     def entry(rs, *walls):
         for X in walls:
             if X.rs is not rs:
@@ -370,30 +368,22 @@ def _per_walls(build):
 
 
 @_per_walls
-def _wq(rs, Q):
-    return _closure([rs.reflection(a) for a in Q.delta_Q], rs._identity)
-
-
 def wq_subgroup(rs: RootSystem, Q: ParabolicData):
     """W_Q: the group the reflections in Delta_Q generate, by closure, with
     lengths, in the order of W.  It is the centralizer of the wall
     (Humphreys 1990, §1.10), and W is not built."""
-    return list(_wq(rs, Q))
+    return _closure([rs.reflection(a) for a in Q.delta_Q], rs._identity)
 
 
 @_per_walls
-def _coset_reps(rs, Q):
-    W = rs._group()
-    # w(a / _e) = w._apply(a) / (w._d * _e) is a root, so w._d divides w._apply(a)
-    simple = [rs._key(a) for a in Q.delta_Q]
-    return tuple(w for w in W if all(tuple(x // w._d for x in w._apply(a)) in rs._positive for a in simple))
-
-
 def min_coset_reps(rs: RootSystem, Q: ParabolicData):
     """W^Q: the elements sending Delta_Q into the positive system, in the
     order of W.  Each w in W is uniquely st with s in W^Q and t in W_Q, and
     l(w) = l(s) + l(t) (Humphreys 1990, §1.10)."""
-    return list(_coset_reps(rs, Q))
+    W = rs.weyl_group()
+    # w(a / _e) = w._apply(a) / (w._d * _e) is a root, so w._d divides w._apply(a)
+    simple = [rs._key(a) for a in Q.delta_Q]
+    return tuple(w for w in W if all(tuple(x // w._d for x in w._apply(a)) in rs._positive for a in simple))
 
 
 # ---------------------------------------------------------------------------
@@ -412,26 +402,22 @@ def _pq_signature(rs, P: ParabolicData, Q: ParabolicData, w: WeylElement):
 
 
 @_per_walls
-def _classes(rs, P, Q):
-    W = rs._group()
-    classes = {}
-    for w in W:
-        classes.setdefault(_pq_signature(rs, P, Q, w), []).append(w)
-    return tuple(map(tuple, classes.values()))
-
-
 def equiv_PQ(rs: RootSystem, P: ParabolicData, Q: ParabolicData):
     """Partition of W: w1 ~ w2 when both give the same composed map from
     wall-Q functionals to wall-P functionals, in the order of W.  Classes
     are left W_P- and right W_Q-invariant (Geck & Pfeiffer 2000, §2.1)."""
-    return [list(cl) for cl in _classes(rs, P, Q)]
+    classes = {}
+    for w in rs.weyl_group():
+        classes.setdefault(_pq_signature(rs, P, Q, w), []).append(w)
+    return tuple(map(tuple, classes.values()))
 
 
 @_per_walls
-def _double_cosets(rs, P, Q):
-    wp = _wq(rs, P)
-    wq = _wq(rs, Q)
-    W = rs._group()
+def double_cosets(rs: RootSystem, P: ParabolicData, Q: ParabolicData):
+    """The partition of W into W_P w W_Q double cosets."""
+    wp = wq_subgroup(rs, P)
+    wq = wq_subgroup(rs, Q)
+    W = rs.weyl_group()
     remaining = {w: w for w in W}
     out = []
     for w in W:
@@ -446,21 +432,16 @@ def _double_cosets(rs, P, Q):
     return tuple(out)
 
 
-def double_cosets(rs: RootSystem, P: ParabolicData, Q: ParabolicData):
-    """The partition of W into W_P w W_Q double cosets."""
-    return [list(c) for c in _double_cosets(rs, P, Q)]
-
-
 @_per_walls
 def _translate_maps(rs, P, Q):
-    return tuple(P._after(cl[0]) for cl in _classes(rs, P, Q))
+    return tuple(P._after(cl[0]) for cl in equiv_PQ(rs, P, Q))
 
 
 def _translates(rs, P, Q, S, lam):
     """The classes of (P, Q), the translate of lam by each class's kept map
     to wall P, and S restricted to wall P (the zero functional when S is
     empty), each vector as ints (re, im, d), d > 0."""
-    classes = _classes(rs, P, Q)
+    classes = equiv_PQ(rs, P, Q)
     lam = [GQ.of(x) for x in lam]
     S_r = [P._restricted(s) for s in S] or [([0] * len(P.basis), [0] * len(P.basis), 1)]
     pairs, e = rs.space._vector(lam)
@@ -504,8 +485,8 @@ def exponent_classify(rs: RootSystem, P: ParabolicData, Q: ParabolicData, S, lam
     translated cosets sigma.lam + (S - N.Delta)|_wall.
 
     Returns ("class", k, classes) for a unique class index k, or
-    ("ambiguous", candidate indices, classes); raises when xi lies in no
-    coset.
+    ("ambiguous", candidate indices, classes), with classes the kept
+    ``equiv_PQ(rs, P, Q)``; raises when xi lies in no coset.
     """
     classes, base, S_r = _translates(rs, P, Q, S, lam)
     # xi precedes b + s exactly when xi - s precedes b: both share a coset and k_(xi - s) <= k_b
@@ -515,7 +496,6 @@ def exponent_classify(rs: RootSystem, P: ParabolicData, Q: ParabolicData, S, lam
     candidates = [k for k, top in enumerate(cosets) if any(_heights([top], b) for b in below)]
     if not candidates:
         raise ValueError("weight lies in no translated coset")
-    classes = [list(cl) for cl in classes]
     if len(candidates) == 1:
         return ("class", candidates[0], classes)
     return ("ambiguous", candidates, classes)

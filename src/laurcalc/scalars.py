@@ -347,7 +347,9 @@ def gq_from_string(s: str) -> GQ:
     if "i" not in t:
         n, d = _read_ratio(t)
         return _mk(n, 0, d)
-    t = t[: t.rindex("i")]
+    if not t.endswith("i"):
+        raise ValueError(f"text after the imaginary unit in {s!r}")
+    t = t[:-1]
     if t.endswith("*"):
         t = t[:-1]
     # split off the real part, if any, at the last top-level +/- sign; a

@@ -287,7 +287,7 @@ def check_weyl_theorems(rs):
         )
         reps = min_coset_reps(rs, Q)
         positive = [w for w in W if all(rs.is_positive(w.act_gq(a)) for a in Q.delta_Q)]
-        assert reps == positive, "W^Q is not the set sending Delta_Q into the positive roots"
+        assert list(reps) == positive, "W^Q is not the set sending Delta_Q into the positive roots"
         products = [s * t for s in reps for t in wq]
         assert len(set(products)) == len(products), "coset decomposition not injective"
         assert set(products) == set(W), "coset decomposition not surjective"

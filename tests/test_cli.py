@@ -466,6 +466,14 @@ ROOT = Path(__file__).resolve().parents[1]
 CORPUS = "perfbench/corpus/files/"
 
 
+@pytest.mark.parametrize("point", ["1/2,3i7", "1/2,7i/2", "1/2,1 - i)"])
+def test_text_after_the_imaginary_unit_exit_1(point, capsys, monkeypatch):
+    # an i with more text after it ends no imaginary part
+    monkeypatch.chdir(ROOT)
+    code, out = _run(["poly", "eval", "--poly", CORPUS + "poly_a.json", "--point", point], capsys)
+    assert (code, json.loads(out)["error"]) == (1, "parse")
+
+
 def test_runs_in_one_process_match_runs_alone(capsys, monkeypatch):
     """One process, one parser, several verbs in a row: each run prints what
     the same command prints in a fresh interpreter."""

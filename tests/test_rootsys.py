@@ -34,6 +34,7 @@ from laurcalc import (
     wq_subgroup,
 )
 
+import _support
 from _support import check_weyl_theorems, kernel, pairwise_exponent_classify, pairwise_generic_witness
 
 rng = random.Random(59)
@@ -46,7 +47,7 @@ def test_weyl_action_and_restriction_refuse_a_vector_of_another_length(v):
     rs = builtin_system("A2")
     w = rs.reflection(rs.simple[0])
     P = ParabolicData(rs, [0])
-    for call in (w.act, w.act_gq, P.restrict_gq):
+    for call in (w.act, w.act_gq, P.restrict_gq, rs.reflection, rs.is_positive):
         with pytest.raises(ArityError, match=f"a vector of length {len(v)} in a space of dimension 2"):
             call(v)
 
@@ -607,36 +608,35 @@ def test_cached_results_equal_fresh_ones():
 
 
 def _calls(rs, P, Q):
-    """Each public Weyl-layer call, as a function of no arguments returning
-    a list of lists of elements."""
+    """Each public Weyl-layer query, as a function of no arguments, and
+    whether its result is a partition of W."""
     S, lam = [(0, 0)], [GQ(Fraction(1, 7)), GQ(Fraction(2, 11))]
     xi = list(P.restrict_gq(equiv_PQ(rs, P, Q)[0][0].act_gq(lam)))
     return [
-        lambda: [rs.weyl_group()],
-        lambda: [wq_subgroup(rs, Q)],
-        lambda: [min_coset_reps(rs, Q)],
-        lambda: equiv_PQ(rs, P, Q),
-        lambda: double_cosets(rs, P, Q),
-        lambda: exponent_classify(rs, P, Q, S, lam, xi)[2],
+        (rs.weyl_group, False),
+        (lambda: wq_subgroup(rs, Q), False),
+        (lambda: min_coset_reps(rs, Q), False),
+        (lambda: equiv_PQ(rs, P, Q), True),
+        (lambda: double_cosets(rs, P, Q), True),
+        (lambda: exponent_classify(rs, P, Q, S, lam, xi)[2], True),
     ]
 
 
-def test_returned_lists_do_not_reach_the_cache():
-    rs = builtin_system("A2")
+def test_queries_hand_out_the_kept_tuples():
+    """Every query returns the tuple kept on the system, the same object on
+    every call, and no caller can change it: the tuples cannot grow and
+    their Weyl elements refuse assignment."""
+    rs = _fresh("A2")
     P, Q = ParabolicData(rs, [0]), ParabolicData(rs, [1])
-    for call in _calls(rs, P, Q):
-        want = _matrices(call())
+    for call, partition in _calls(rs, P, Q):
         got = call()
-        for group in got:
-            group.append(group[0])
-            group.sort(key=lambda w: w.length, reverse=True)
-        got.append(got[0])
-        got.reverse()
-        assert _matrices(call()) == want
-    # the classes handed to the caller are new lists on every call
-    first, second = equiv_PQ(rs, P, Q), equiv_PQ(rs, P, Q)
-    assert first == second and first is not second
-    assert all(a is not b for a, b in zip(first, second))
+        assert got is call()
+        parts = got if partition else (got,)
+        for seq in (got, *parts):
+            assert type(seq) is tuple
+            with pytest.raises(AttributeError):
+                seq.append(seq[0])
+        assert all(isinstance(w, WeylElement) for part in parts for w in part)
 
 
 def test_shared_elements_are_immutable():
@@ -698,12 +698,19 @@ def test_no_weyl_build_raises():
         f for f in tree.body
         if isinstance(f, ast.FunctionDef) and any(getattr(d, "id", None) == "_per_walls" for d in f.decorator_list)
     ]
-    assert {"_wq", "_coset_reps", "_classes"} <= {f.name for f in builds}
+    assert {"wq_subgroup", "min_coset_reps", "equiv_PQ", "double_cosets"} <= {f.name for f in builds}
     assert [f.name for f in builds if any(isinstance(n, ast.Raise) for n in ast.walk(f))] == []
 
 
-_GROUP = RootSystem._group  # the real closure, under the fake that breaks its lengths
-_WQ = rootsys._wq  # the real W_Q, under the fake that reorders it
+def test_each_query_is_one_entry_with_its_own_name_and_docstring():
+    for name in ("wq_subgroup", "min_coset_reps", "equiv_PQ", "double_cosets"):
+        fn = getattr(rootsys, name)
+        assert fn.__name__ == fn.__wrapped__.__name__ == name
+        assert fn.__doc__ and fn.__doc__ == fn.__wrapped__.__doc__
+
+
+_GROUP = RootSystem.weyl_group  # the real closure, under the fake that breaks its lengths
+_WQ = wq_subgroup  # the real W_Q, under the fake that reorders it
 
 
 @pytest.mark.parametrize(
@@ -711,11 +718,12 @@ _WQ = rootsys._wq  # the real W_Q, under the fake that reorders it
     [
         pytest.param(
             # the reflections in Delta_Q but the last generate too small a group
-            rootsys, ("_wq", lambda rs, Q: rootsys._closure([rs.reflection(a) for a in Q.delta_Q[:-1]], rs.identity())),
+            _support,
+            ("wq_subgroup", lambda rs, Q: rootsys._closure([rs.reflection(a) for a in Q.delta_Q[:-1]], rs.identity())),
             "centralizer and reflection subgroup disagree", id="centralizer",
         ),
         pytest.param(
-            rootsys, ("_wq", lambda rs, Q: _WQ(rs, Q)[::-1]), "centralizer and reflection subgroup disagree",
+            _support, ("wq_subgroup", lambda rs, Q: _WQ(rs, Q)[::-1]), "centralizer and reflection subgroup disagree",
             id="centralizer-order",
         ),
         pytest.param(RootSystem, ("is_positive", lambda self, v: True), "not the set sending Delta_Q", id="membership-all"),
@@ -726,7 +734,7 @@ _WQ = rootsys._wq  # the real W_Q, under the fake that reorders it
         pytest.param(
             # lengths 0 and 1 stay right, so W_Q of one simple root still matches
             RootSystem,
-            ("_group", lambda self: tuple(rootsys._element(w._m, w._d, w.dim, min(w.length, 1)) for w in _GROUP(self))),
+            ("weyl_group", lambda self: tuple(rootsys._element(w._m, w._d, w.dim, min(w.length, 1)) for w in _GROUP(self))),
             "length additivity fails", id="coset-lengths",
         ),
         pytest.param(rootsys, ("_pq_signature", lambda rs, P, Q, w: w), "classes not left invariant", id="invariance"),
@@ -881,7 +889,7 @@ def test_class_representatives_are_the_minimal_elements_in_word_order():
         words = _least_words(rs)
         for p in _subsets(rs):
             for q in _subsets(rs):
-                classes = rootsys._classes(rs, ParabolicData(rs, p), ParabolicData(rs, q))
+                classes = equiv_PQ(rs, ParabolicData(rs, p), ParabolicData(rs, q))
                 for cl in classes:
                     assert [w for w in cl if w.length == min(v.length for v in cl)] == [cl[0]]
                 order = [(cl[0].length, words[cl[0]]) for cl in classes]

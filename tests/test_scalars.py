@@ -65,6 +65,13 @@ def test_parsing_forms():
     assert gq_from_string("2-1E+2i") == GQ(2, -100)
 
 
+@pytest.mark.parametrize("s", ["3i7", "7i/2", "1 - i)", "2+3i*", "i1"])
+def test_text_after_the_imaginary_unit_is_refused(s):
+    # an i with more text after it ends no imaginary part
+    with pytest.raises(ValueError, match="text after the imaginary unit"):
+        gq_from_string(s)
+
+
 def test_huge_exponent_is_refused_not_expanded():
     """A decimal exponent beyond the int string limit is a ValueError
     wherever a string becomes a Fraction.  Fraction itself would build the
@@ -225,7 +232,9 @@ def _reference_gq(s):
     t = s.replace(" ", "")
     if "i" not in t:
         return GQ(_reference_fraction(t))
-    t = t[: t.rindex("i")]
+    if not t.endswith("i"):
+        raise ValueError(f"text after the imaginary unit in {s!r}")
+    t = t[:-1]
     if t.endswith("*"):
         t = t[:-1]
     for k in range(len(t) - 1, 0, -1):
@@ -280,6 +289,9 @@ _CANONICAL = st.from_regex(r"[+-]?\d+(/\d+)?([+-]\d*(/\d+)?\*?i)?", fullmatch=Tr
 @example("\u00b2")  # a superscript digit, which int() refuses
 @example("1/-2")
 @example(" 3/4 ")
+@example("3i7")
+@example("1 - i)")
+@example("7i/2")
 def test_reader_matches_the_fraction_reference(s):
     """_ratio, gq_from_string, GQ(str) and io.frac_from_str read every string
     to the reference's value, or refuse it with the reference's exception
