@@ -157,11 +157,14 @@ def hyperplane_from_json(d) -> Hyperplane:
     )
 
 
+def _hyperplanes_to_json(counts, name) -> list:
+    """The {hyperplane: int} items in repr order, each hyperplane's record
+    with its int under name."""
+    return [{**hyperplane_to_json(h), name: k} for h, k in sorted(counts.items(), key=repr)]
+
+
 def config_to_json(cfg: Configuration) -> dict:
-    hyps = [
-        dict(hyperplane_to_json(h), mult=m)
-        for h, m in sorted(cfg.multiplicity.items(), key=repr)
-    ]
+    hyps = _hyperplanes_to_json(cfg.multiplicity, "mult")
     return dict(space_to_json(cfg.space), hyperplanes=hyps, x_set=[[frac_to_str(x) for x in v] for v in cfg.x_set])
 
 
@@ -185,14 +188,10 @@ def subspace_from_json(space: Space, d) -> XSubspace:
 
 
 def rationalfn_to_json(f: RationalFn) -> dict:
-    den = [
-        dict(hyperplane_to_json(h), power=k)
-        for h, k in sorted(f.denominator.items(), key=repr)
-    ]
     return {
         "space": space_to_json(f.space),
         "numerator": poly_to_json(f.numerator),
-        "denominator": den,
+        "denominator": _hyperplanes_to_json(f.denominator, "power"),
     }
 
 

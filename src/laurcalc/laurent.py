@@ -91,7 +91,7 @@ def _evaluate(space: Space, s: LFSummand, g: Germ) -> GQ:
     if m > g.order + sum(leftover.values()):
         raise ValueError("jet order too small for the operator order")
     # the regularizing product: u only reads degrees <= m
-    return scalar * s.u._at_zero(_times_forms(g.jet, space, leftover, m)).constant_term()
+    return scalar * s.u._at_zero(_times_forms(g.jet, space, leftover.items(), m)).constant_term()
 
 
 def lf_apply(L: LaurentFunctional, g: Germ) -> GQ:
@@ -139,9 +139,9 @@ def lf_from_evaluation(space: Space, a, X, d_max) -> LaurentFunctional:
     """
     space._vector(a)
     pi = _pole_product(space, X, d_max)  # the product through a, in w = z - a
-    norm = DiffOp.from_symbol(pi)._at_zero(pi).constant_term()  # sum gamma! c_gamma^2 > 0, pi being nonzero and real
-    u = DiffOp(space.dim, {g: c / norm for g, c in pi.terms.items()})
-    return LaurentFunctional(space, [LFSummand(a, X, d_max, u)])
+    u = DiffOp.from_symbol(pi)
+    norm = u._at_zero(pi).constant_term()  # sum gamma! c_gamma^2 > 0, pi being nonzero and real
+    return LaurentFunctional(space, [LFSummand(a, X, d_max, u * (1 / norm))])
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,7 @@ def lf_diff_action(v, L: LaurentFunctional) -> LaurentFunctional:
         # w = z - a; flattening is linear in its multiplier, so Q is
         # flattened once
         P, Q = quotient_rule(space.dim, [(_key_form(space, d), k * space._key_inner(d, *vp)) for d, k in totals.items()])
-        u_new = scalar * (_flatten(DiffOp.from_symbol(s.u.symbol() * dv.symbol()), P) - _flatten(s.u, Q))
+        u_new = scalar * (_flatten(s.u * dv, P) - _flatten(s.u, Q))
         new_totals = {d: k - 1 for d, k in totals.items() if k > 1}
         summands.append(_summand(s.support, new_totals, u_new))
     return LaurentFunctional(space, summands)
@@ -345,7 +345,7 @@ def _operator(L: LaurentFunctional, f: RationalFn, sub: Space, center, basis, pe
             scale = scale / scalar**k
         leftover, scalar = s.leftover(pole, "pole order along the subspace exceeds the functional order")
         # the regularizing product to tau-degree m, then u in tau at tau = 0
-        p = _times_forms(p, L.space, leftover, m)
+        p = _times_forms(p, L.space, leftover.items(), m)
         result = result + RationalFn(sub, s.u._at_zero(p) * (scale * scalar), den)
     return result
 

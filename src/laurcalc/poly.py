@@ -11,8 +11,10 @@ truncation, substitution, evaluation, the binomial Taylor shift and exact
 division by a linear form all work on the ints.  ``terms`` is a read-only
 view of the same coefficients as GQ values, built when first read.  A
 differential operator sum c_gamma * d^gamma wraps the polynomial of its
-symbol, sum c_gamma * z^gamma.  Spaces live in ``space``; a linear form
-over one is built here (``_key_form``).
+symbol, sum c_gamma * z^gamma, built by ``DiffOp.from_symbol``; both
+print through ``_show``.  Spaces live in ``space``; a linear form over
+one is built here (``_key_form``), and a product of powers of forms by
+``_times_forms``.
 """
 
 from __future__ import annotations
@@ -98,14 +100,16 @@ def _key_form(space: Space, key, offset=ZERO) -> "Polynomial":
 
 
 def _times_forms(p: "Polynomial", space: Space, powers, m) -> "Polynomial":
-    """p times <key, tau>^k over {key: k} for int keys, tau the last space.dim
-    variables of p, one form at a time and cut at degree m in tau."""
+    """p times <v, tau>^k over the (vector, power) pairs (v, k), tau the last
+    space.dim variables of p, one form at a time and cut at degree m in tau,
+    or not cut for m None; the vector of a power 0 is not read."""
     lo = p.dim - space.dim
-    for key, k in powers.items():
-        pairs, const, d = space._linear([(x, 0) for x in key], 1)
-        form = _affine(p.dim, [(0, 0)] * lo + pairs, const, d)
-        for _ in range(k):
-            p = p._times(form, m, lo)
+    for v, k in powers:
+        if k:
+            pairs, const, d = space._linear(*space._vector(v))
+            form = _affine(p.dim, [(0, 0)] * lo + pairs, const, d)
+            for _ in range(k):
+                p = p._times(form, m, lo)
     return p
 
 
@@ -176,6 +180,17 @@ def _contract(big, small):
                 re[idx] = re.get(idx, 0) + f * (a1 * a2 - b1 * b2)
                 im[idx] = im.get(idx, 0) + f * (a1 * b2 + b1 * a2)
     return _pack(re, im)
+
+
+def _show(terms, prefix) -> str:
+    """The terms {idx: c} in index order, joined by " + ", each as (c)
+    followed by prefix, i, "^" and e for each variable i of power e > 0
+    ("^1" left out); "0" for no terms."""
+    bits = []
+    for idx in sorted(terms):
+        mono = "".join(f"{prefix}{i}^{e}" if e > 1 else f"{prefix}{i}" for i, e in enumerate(idx) if e)
+        bits.append(f"({terms[idx]}){mono}")
+    return " + ".join(bits) or "0"
 
 
 def _reduced(dim, t, d) -> "Polynomial":
@@ -464,16 +479,7 @@ class Polynomial:
         return q, count
 
     def __repr__(self):
-        terms = self.terms
-        if not terms:
-            return "0"
-        bits = []
-        for idx in sorted(terms):
-            mono = "*".join(
-                f"z{i}^{e}" if e > 1 else f"z{i}" for i, e in enumerate(idx) if e
-            )
-            bits.append(f"({terms[idx]}){'*' + mono if mono else ''}")
-        return " + ".join(bits)
+        return _show(self.terms, "*z")
 
 
 # ---------------------------------------------------------------------------
@@ -562,14 +568,6 @@ def _exact_quotient(p, form, n):
 # ---------------------------------------------------------------------------
 
 
-def _op(p: Polynomial) -> "DiffOp":
-    """The operator whose symbol is p."""
-    u = _new(DiffOp)
-    u.dim = p.dim
-    u._p = p
-    return u
-
-
 class DiffOp:
     """Sum of c_gamma * d^gamma in the coordinate partials, held as the
     polynomial sum c_gamma * z^gamma of its symbol."""
@@ -590,7 +588,7 @@ class DiffOp:
 
     @staticmethod
     def identity(dim):
-        return _op(Polynomial.const(dim, 1))
+        return DiffOp.from_symbol(Polynomial.const(dim, 1))
 
     @staticmethod
     def partial(dim, i, power=1):
@@ -599,11 +597,15 @@ class DiffOp:
     @staticmethod
     def directional(dim, v):
         """The operator of differentiation along the coordinate vector v."""
-        return _op(Polynomial.linear(dim, v))
+        return DiffOp.from_symbol(Polynomial.linear(dim, v))
 
     @staticmethod
     def from_symbol(p: Polynomial) -> "DiffOp":
-        return _op(p)
+        """The operator whose symbol is p."""
+        u = _new(DiffOp)
+        u.dim = p.dim
+        u._p = p
+        return u
 
     def symbol(self) -> Polynomial:
         return self._p
@@ -612,13 +614,13 @@ class DiffOp:
         return max((sum(idx) for idx in self._p._t), default=0)
 
     def __sub__(self, other):
-        return _op(self._p - other._p)
+        return DiffOp.from_symbol(self._p - other._p)
 
     def __mul__(self, other):
         """Composition; constant-coefficient operators commute."""
         if isinstance(other, _SCALARS):
-            return _op(self._p * other)
-        return _op(self._p * other._p)
+            return DiffOp.from_symbol(self._p * other)
+        return DiffOp.from_symbol(self._p * other._p)
 
     __rmul__ = __mul__
 
@@ -652,14 +654,7 @@ class DiffOp:
         return _reduced(self.dim, _contract(p._t, self._p._t), self._p._d * p._d)
 
     def __repr__(self):
-        terms = self.terms
-        if not terms:
-            return "0"
-        bits = []
-        for idx in sorted(terms):
-            mono = "".join(f"D{i}^{e}" if e > 1 else f"D{i}" for i, e in enumerate(idx) if e)
-            bits.append(f"({terms[idx]}){mono}")
-        return " + ".join(bits)
+        return _show(self.terms, "D")
 
 
 def quotient_rule(dim, pairs):
@@ -706,7 +701,7 @@ def _flatten(u: DiffOp, jet: Polynomial) -> DiffOp:
     jet of the multiplier p at a in w = z - a, whose coefficient of w^gamma
     is (d^gamma p)(a) / gamma!: by the Leibniz rule, c_beta d^beta puts
     c_beta binom(beta, gamma) (d^gamma p)(a) on d^(beta - gamma)."""
-    return _op(_reduced(u.dim, _contract(u._p._t, jet._t), u._p._d * jet._d))
+    return DiffOp.from_symbol(_reduced(u.dim, _contract(u._p._t, jet._t), u._p._d * jet._d))
 
 
 def leibniz_flatten(u: DiffOp, p: Polynomial, a) -> DiffOp:
@@ -716,15 +711,10 @@ def leibniz_flatten(u: DiffOp, p: Polynomial, a) -> DiffOp:
     return _flatten(u, p.shift(a))
 
 
-def _pole_product(space: Space, X, d, ap=None) -> Polynomial:
-    """The product of <xi, z>^d(xi), or <xi, z - a>^d(xi) for ap = space._vector(a), over
-    xi in X, 1 for empty X; ``d`` is a list of naturals parallel to X, another length refused."""
-    p = Polynomial.const(space.dim, GQ(1))
-    for xi, k in zip(X, d):
-        if k:
-            xp = space._vector(xi)
-            offset = ZERO if ap is None else space._inner(*xp, *ap)
-            p = p * _affine(space.dim, *space._linear(*xp, offset)) ** k
+def _pole_product(space: Space, X, d) -> Polynomial:
+    """The product of <xi, z>^d(xi) over xi in X, 1 for empty X; ``d`` is a
+    list of naturals parallel to X, another length refused."""
+    p = _times_forms(Polynomial.const(space.dim, 1), space, zip(X, d), None)
     # after the factors, so that a bad root among them is reported first
     if len(X) != len(d):
         raise ValueError("pole index must be parallel to the root list")
@@ -732,8 +722,10 @@ def _pole_product(space: Space, X, d, ap=None) -> Polynomial:
 
 
 def pi_product(space: Space, X, a, d) -> Polynomial:
-    """The product of <xi, z - a>^d(xi) over xi in X (``_pole_product``)."""
-    return _pole_product(space, X, d, space._vector(a))
+    """The product of <xi, z - a>^d(xi) over xi in X: ``_pole_product``
+    through 0, shifted to a."""
+    pairs, e = space._vector(a)
+    return _pole_product(space, X, d).shift([_mk(-x, -y, e) for x, y in pairs])
 
 
 def j_map(space: Space, u: DiffOp, d, d_low, X0, a) -> DiffOp:

@@ -349,9 +349,8 @@ def gq_from_string(s: str) -> GQ:
         return _mk(n, 0, d)
     if not t.endswith("i"):
         raise ValueError(f"text after the imaginary unit in {s!r}")
-    t = t[:-1]
-    if t.endswith("*"):
-        t = t[:-1]
+    star = t.endswith("*i")
+    t = t[: -2 if star else -1]
     # split off the real part, if any, at the last top-level +/- sign; a
     # sign after e or E belongs to an exponent
     for k in range(len(t) - 1, 0, -1):
@@ -360,8 +359,12 @@ def gq_from_string(s: str) -> GQ:
             break
     else:
         re_part, im_part = "", t
-    # a bare "i", "+i" or "-i" has the coefficient 1 or -1
-    b, e = _read_ratio(im_part + "1" if im_part in ("", "+", "-") else im_part)
+    # a bare "i", "+i" or "-i" has the coefficient 1 or -1; "*i" needs one
+    if im_part in ("", "+", "-"):
+        if star:
+            raise ValueError(f"no coefficient before '*i' in {s!r}")
+        im_part += "1"
+    b, e = _read_ratio(im_part)
     a, d = _read_ratio(re_part) if re_part else (0, 1)
     return _mk(a * e, b * d, d * e)
 

@@ -474,6 +474,13 @@ def test_text_after_the_imaginary_unit_exit_1(point, capsys, monkeypatch):
     assert (code, json.loads(out)["error"]) == (1, "parse")
 
 
+@pytest.mark.parametrize("point", ["1/2,*i", "1/2,2+*i", "1/2,2-*i"])
+def test_star_i_without_a_coefficient_exit_1(point, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code, out = _run(["poly", "eval", "--poly", CORPUS + "poly_a.json", "--point", point], capsys)
+    assert (code, json.loads(out)["error"]) == (1, "parse")
+
+
 def test_runs_in_one_process_match_runs_alone(capsys, monkeypatch):
     """One process, one parser, several verbs in a row: each run prints what
     the same command prints in a fresh interpreter."""

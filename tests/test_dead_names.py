@@ -2,8 +2,9 @@
 the library is read somewhere outside its own definition, in the library
 (``__init__.py``, which only re-exports, excluded), the tests or the
 benchmark scripts, and every defaulted parameter of a public module-level
-function is passed by some call there.  Also, the package version matches
-pyproject.toml."""
+function is passed by some call there.  No library function only forwards
+its parameters to another name, apart from the listed ones.  Also, the
+package version matches pyproject.toml."""
 
 import ast
 from pathlib import Path
@@ -83,6 +84,41 @@ def test_every_defaulted_parameter_is_passed():
                 if not any(callee == fn.name and _passes(args, kws, param, index) for callee, args, kws in calls):
                     dead.append(f"{fn.name}({param})")
     assert not dead, f"defaulted parameters no call passes: {dead}"
+
+
+# forwarding wrappers kept on purpose, each with its reason
+FORWARDERS = {
+    "series_restrict": "perfbench/wl_series.py imports it; the benchmark PR (ROADMAP item 7) retires it",
+}
+
+
+def _forwards(fn):
+    """Whether the whole body of fn, after a docstring, returns a call of a
+    plain or dotted name with exactly fn's positional parameters, in order."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    if len(body) != 1 or not isinstance(body[0], ast.Return) or not isinstance(body[0].value, ast.Call):
+        return False
+    call = body[0].value
+    callee = call.func
+    while isinstance(callee, ast.Attribute):
+        callee = callee.value
+    params = [p.arg for p in fn.args.posonlyargs + fn.args.args]
+    return (
+        isinstance(callee, ast.Name)
+        and not call.keywords
+        and [getattr(a, "id", None) for a in call.args] == params
+    )
+
+
+def test_no_function_only_forwards_a_call():
+    """Aim 2: no wrapper that only passes its parameters on to another name."""
+    found = [
+        f"{path.relative_to(ROOT)}: {fn.name}"
+        for path in LIBRARY
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(fn, ast.FunctionDef) and fn.name not in FORWARDERS and _forwards(fn)
+    ]
+    assert not found, f"functions that only forward a call: {found}"
 
 
 def test_version_matches_pyproject():

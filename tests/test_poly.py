@@ -91,6 +91,11 @@ def test_zero_polynomial_repr():
     assert repr(Polynomial.zero(2)) == "0"
 
 
+def test_polynomial_repr():
+    p = Polynomial(2, {(2, 1): GQ(1, 2), (0, 1): GQ(0, -1), (0, 0): GQ(3)})
+    assert repr(p) == "(3) + (-1*i)*z1 + (1 + 2*i)*z0^2*z1"
+
+
 def test_diffop_repr():
     u = DiffOp(2, {(2, 0): GQ(1, 2), (0, 1): GQ(0, -1), (0, 0): GQ(3)})
     assert repr(u) == "(3) + (-1*i)D1 + (1 + 2*i)D0^2"
@@ -318,6 +323,20 @@ def test_pi_product_value():
     sp = Space(2)
     p = pi_product(sp, [(Fraction(1), Fraction(0))], [GQ(0), GQ(0)], [2])
     assert p == Polynomial(2, {(2, 0): GQ(1)})
+
+
+def test_pi_product_at_a_complex_point():
+    # prod (<xi, z> - <xi, a>)^d(xi) at GQ points z, a root repeated and a power 0
+    sp = Space(2, [[2, 1], [1, 3]])
+    X = [(1, 0), (Fraction(1, 2), -1), (1, 0), (0, 1)]
+    d = [2, 1, 1, 0]
+    a = [GQ(Fraction(1, 3), -2), GQ(-1, Fraction(1, 2))]
+    p = pi_product(sp, X, a, d)
+    for z in [rand_point(rng, 2) for _ in range(4)]:
+        expect = GQ(1)
+        for xi, k in zip(X, d):
+            expect = expect * (sp.inner(xi, z) - sp.inner(xi, a)) ** k
+        assert p.eval(z) == expect
 
 
 @pytest.mark.parametrize("X, d", [([(1, 0), (0, 1)], [1]), ([(1, 0)], [1, 2])])

@@ -72,6 +72,13 @@ def test_text_after_the_imaginary_unit_is_refused(s):
         gq_from_string(s)
 
 
+@pytest.mark.parametrize("s", ["*i", "+*i", "2+*i", "2-*i", "- * i"])
+def test_star_i_without_a_coefficient_is_refused(s):
+    # a bare i, +i or -i has the coefficient 1 or -1, but *i follows a written one
+    with pytest.raises(ValueError, match=r"no coefficient before '\*i'"):
+        gq_from_string(s)
+
+
 def test_huge_exponent_is_refused_not_expanded():
     """A decimal exponent beyond the int string limit is a ValueError
     wherever a string becomes a Fraction.  Fraction itself would build the
@@ -243,6 +250,9 @@ def _reference_gq(s):
             break
     else:
         re_part, im_part = "", t
+    # only a bare i has an implied coefficient; "*i" follows a written one
+    if im_part in ("", "+", "-") and s.replace(" ", "").endswith("*i"):
+        raise ValueError(f"no coefficient before '*i' in {s!r}")
     if im_part in ("", "+"):
         im = Fraction(1)
     elif im_part == "-":
@@ -292,6 +302,10 @@ _CANONICAL = st.from_regex(r"[+-]?\d+(/\d+)?([+-]\d*(/\d+)?\*?i)?", fullmatch=Tr
 @example("3i7")
 @example("1 - i)")
 @example("7i/2")
+@example("*i")
+@example("+*i")
+@example("2+*i")
+@example("2-*i")
 def test_reader_matches_the_fraction_reference(s):
     """_ratio, gq_from_string, GQ(str) and io.frac_from_str read every string
     to the reference's value, or refuse it with the reference's exception
